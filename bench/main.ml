@@ -599,10 +599,7 @@ let dht_bench () =
    N-node system with [System.build_direct] (dense arenas, lazy SMR),
    broadcasts once from node 0, and runs until every node delivered —
    measuring nodes/sec grown, engine events/sec, deliveries/sec, and
-   peak live heap words.  At N=10k the broadcast is repeated with
-   [set_fast_paths false] + per-message (unbatched) network delivery —
-   the pre-arena engine behaviour — and the speedup lands in the
-   artifact's [extra.legacy_compare].
+   peak live heap words.
 
    Wall-derived fields (rates, wall seconds) are zeroed under
    ATUM_BENCH_JSON_CANON so same-seed artifacts stay byte-identical;
@@ -612,7 +609,6 @@ let dht_bench () =
 let scale_bench () =
   section "Scale: growth + broadcast trajectory (dense arenas, batched gossip)";
   let module System = Atum_core.System in
-  let module Network = Atum_sim.Network in
   let module Engine = Atum_sim.Engine in
   let seed = 97 in
   let tiers =
@@ -624,39 +620,28 @@ let scale_bench () =
   let canon = W.Report.canonical () in
   let wall_field dt = if canon then 0.0 else dt in
   let rate num dt = if canon || dt <= 0.0 then 0.0 else float_of_int num /. dt in
-  (* One tier: returns (row fields, deliveries/sec) so the 10k legacy
-     comparison can reuse the exact same workload. *)
-  let run_one ?(bcasts = 1) ~n ~legacy () =
+  let run_one n =
     Gc.compact ();
     let params = Params.for_system_size ~seed n in
     let sys = System.create ~trace_capacity:(trace_cap_for ~n) params in
-    if legacy then begin
-      System.set_fast_paths sys false;
-      Network.set_batching (System.network sys) false;
-      Engine.set_pooling (System.engine sys) false
-    end;
     ignore (System.attach_telemetry sys);
     let t0 = Unix.gettimeofday () in
     let ids = System.build_direct sys ~nodes:n () in
     let grow_wall = Unix.gettimeofday () -. t0 in
-    let origins = Array.of_list ids in
     let metrics = System.metrics sys in
     let delivered () = Atum_sim.Metrics.counter metrics "broadcast.delivered" in
     let ev0 = Engine.events_processed (System.engine sys) in
     let t1 = Unix.gettimeofday () in
-    (* Run each broadcast to saturation in sim-time slices; two slices
+    (* Run the broadcast to saturation in sim-time slices; two slices
        in a row without progress abandons the tier instead of hanging
        it. *)
-    for b = 1 to bcasts do
-      ignore (System.broadcast sys ~from:origins.((b - 1) mod n) "scale-probe");
-      let stalls = ref 0 in
-      while delivered () < b * n && !stalls < 2 do
-        let before = delivered () in
-        System.run_for sys 120.0;
-        if delivered () = before then incr stalls else stalls := 0
-      done
+    ignore (System.broadcast sys ~from:(List.hd ids) "scale-probe");
+    let stalls = ref 0 in
+    while delivered () < n && !stalls < 2 do
+      let before = delivered () in
+      System.run_for sys 120.0;
+      if delivered () = before then incr stalls else stalls := 0
     done;
-    let expected = bcasts * n in
     let bcast_wall = Unix.gettimeofday () -. t1 in
     let events = Engine.events_processed (System.engine sys) - ev0 in
     let deliveries = delivered () in
@@ -665,10 +650,9 @@ let scale_bench () =
       Json.Obj
         [
           ("n", Json.Int n);
-          ("legacy", Json.Bool legacy);
           ("vgroups", Json.Int (System.vgroup_count sys));
           ("delivered", Json.Int deliveries);
-          ("delivered_all", Json.Bool (deliveries >= expected));
+          ("delivered_all", Json.Bool (deliveries >= n));
           ("engine_events", Json.Int events);
           ("grow_wall_s", Json.Float (wall_field grow_wall));
           ("nodes_per_sec", Json.Float (rate n grow_wall));
@@ -679,50 +663,19 @@ let scale_bench () =
         ]
     in
     Printf.printf
-      "  N=%-9d %-7s grow %8.2fs (%9.0f nodes/s)  bcast %8.2fs (%9.0f ev/s, %9.0f deliv/s)  %d/%d delivered, %.1fM words\n%!"
-      n
-      (if legacy then "legacy" else "fast")
-      grow_wall
+      "  N=%-9d grow %8.2fs (%9.0f nodes/s)  bcast %8.2fs (%9.0f ev/s, %9.0f deliv/s)  %d/%d delivered, %.1fM words\n%!"
+      n grow_wall
       (if grow_wall > 0.0 then float_of_int n /. grow_wall else 0.0)
       bcast_wall
       (if bcast_wall > 0.0 then float_of_int events /. bcast_wall else 0.0)
       (if bcast_wall > 0.0 then float_of_int deliveries /. bcast_wall else 0.0)
       deliveries n
       (float_of_int peak_words /. 1e6);
-    (row, deliveries, bcast_wall)
+    row
   in
   let t_all = Unix.gettimeofday () in
-  let rows =
-    List.map (fun n -> let r, _, _ = run_one ~n ~legacy:false () in r) tiers
-  in
-  (* Before/after at 10k: same workload, legacy hot paths.  The
-     speedup compares deliveries per wall second — the same logical
-     work — so batching (which changes the engine event count) cannot
-     flatter the result. *)
-  let extra =
-    if not (List.mem 10_000 tiers) then []
-    else begin
-      let _, new_deliv, new_wall = run_one ~n:10_000 ~legacy:false () in
-      let _, leg_deliv, leg_wall = run_one ~n:10_000 ~legacy:true () in
-      let new_rate = if new_wall > 0.0 then float_of_int new_deliv /. new_wall else 0.0 in
-      let leg_rate = if leg_wall > 0.0 then float_of_int leg_deliv /. leg_wall else 0.0 in
-      let speedup = if leg_rate > 0.0 then new_rate /. leg_rate else 0.0 in
-      Printf.printf "  10k before/after: %.0f -> %.0f deliveries/s (speedup %.1fx)\n%!"
-        leg_rate new_rate speedup;
-      let z v = if canon then 0.0 else v in
-      [
-        ( "legacy_compare",
-          Json.Obj
-            [
-              ("n", Json.Int 10_000);
-              ("deliveries_per_sec", Json.Float (z new_rate));
-              ("legacy_deliveries_per_sec", Json.Float (z leg_rate));
-              ("speedup", Json.Float (z speedup));
-            ] );
-      ]
-    end
-  in
-  emit_json ~fig:"scale" ~seed ~wall_s:(Unix.gettimeofday () -. t_all) ~extra rows
+  let rows = List.map run_one tiers in
+  emit_json ~fig:"scale" ~seed ~wall_s:(Unix.gettimeofday () -. t_all) rows
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (Bechamel)                                         *)

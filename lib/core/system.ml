@@ -176,9 +176,8 @@ type t = {
   gm_accepted : (node_id * int, unit) Hashtbl.t;
   last_seen : (node_id * node_id, float) Hashtbl.t;
   mutable recycle_ids : bool; (* free node ids on depart completion *)
-  mutable fast_paths : bool; (* cached gossip views + O(1) gauges *)
-  (* Gossip rounds being assembled for the current instant (fast path;
-     reversed insertion order) and whether their flush is scheduled. *)
+  (* Gossip rounds being assembled for the current instant (reversed
+     insertion order) and whether their flush is scheduled. *)
   mutable fanout : fanout_entry list;
   mutable fanout_scheduled : bool;
   mutable hgraph : Hgraph.t;
@@ -270,7 +269,6 @@ let create ?(net_config : Network.config option) ?trace_capacity (params : Param
     gm_accepted = Hashtbl.create 256;
     last_seen = Hashtbl.create 256;
     recycle_ids = false;
-    fast_paths = true;
     fanout = [];
     fanout_scheduled = false;
     hgraph = Hgraph.empty ~cycles:params.hc;
@@ -304,8 +302,9 @@ let metrics t = t.metrics
 let trace t = t.trace
 let network t = t.net
 
-(* Protocol-level trace events; the enabled-check keeps the disabled
-   cost to one load. *)
+(* Protocol-level trace events.  The enabled-check skips the emit, but
+   a caller's optional arguments are boxed before it runs: hot call
+   sites test [Trace.enabled] themselves first. *)
 let trace_emit t ~kind ?node ?peer ?vgroup ?size ?bid ?span ?parent ?cycle () =
   if Trace.enabled t.trace then
     Trace.emit t.trace ~time:(Engine.now t.engine) ~kind ?node ?peer ?vgroup ?size ?bid ?span
@@ -476,24 +475,15 @@ let add_vgroup t ~members ~busy =
 
 (* In ascending id order (the arena walks slots in index order):
    callers feed this list to seeded Rng picks (Builder, Churn), so
-   its order is part of the reproducible state.  The legacy path
-   reproduces the pre-arena cost — a hash-fold over the registry
-   followed by a sort — so [set_fast_paths false] benchmarks price
-   the old behaviour honestly; both paths return the same list. *)
+   its order is part of the reproducible state. *)
 let live_nodes t =
-  let folded =
-    Atum_util.Arena.fold
-      (fun _ n acc -> if n.alive && Option.is_some n.vg then n :: acc else acc)
-      t.nodes []
-  in
-  if t.fast_paths then List.rev folded
-  else List.sort (fun (a : node) b -> Int.compare a.id b.id) folded
+  List.rev
+    (Atum_util.Arena.fold
+       (fun _ n acc -> if n.alive && Option.is_some n.vg then n :: acc else acc)
+       t.nodes [])
 
-(* O(1): maintained by the membership/liveness mutators below.  The
-   slow registry recount survives as the legacy path so the scale
-   benchmark can price the old behaviour ([set_fast_paths false]). *)
-let system_size t =
-  if t.fast_paths then t.live_count else List.length (live_nodes t)
+(* O(1): maintained by the membership/liveness mutators below. *)
+let system_size t = t.live_count
 
 let live_byzantine_count t = t.live_byz_count
 
@@ -1363,33 +1353,19 @@ let gossip_view t vg =
   vg.nbrs
 
 (* One target per selected neighbor, tagged with the lowest cycle
-   that selected it.  Output is sorted by neighbor id either way; the
-   legacy path rebuilds (and re-sorts) the selection table on every
-   delivery, kept for the scale benchmark's before/after. *)
+   that selected it, sorted by neighbor id. *)
 let gossip_targets t vg ~bid =
   let vid = vg.vid in
-  if t.fast_paths then
-    List.filter_map
-      (fun (nb, cycles) ->
-        let rec first = function
-          | [] -> None
-          | c :: rest ->
-            if t.forward_policy ~bid ~from_vg:vid ~cycle:c ~neighbor:nb then Some (nb, c)
-            else first rest
-        in
-        first cycles)
-      (gossip_view t vg)
-  else begin
-    let chosen = Hashtbl.create 8 in
-    List.iter
-      (fun (cycle, nb) ->
-        if nb <> vid && t.forward_policy ~bid ~from_vg:vid ~cycle ~neighbor:nb then
-          match Hashtbl.find_opt chosen nb with
-          | Some c when c <= cycle -> ()
-          | _ -> Hashtbl.replace chosen nb cycle)
-      (Hgraph.neighbors t.hgraph vid);
-    Atum_util.Hashtbl_ext.sorted_bindings ~cmp:Int.compare chosen
-  end
+  List.filter_map
+    (fun (nb, cycles) ->
+      let rec first = function
+        | [] -> None
+        | c :: rest ->
+          if t.forward_policy ~bid ~from_vg:vid ~cycle:c ~neighbor:nb then Some (nb, c)
+          else first rest
+      in
+      first cycles)
+    (gossip_view t vg)
 
 (* Drain the per-instant fan-out buffer: one [send_group] per
    (src_vg, dst_vg, bid) round.  The buffer is cleared before sending
@@ -1458,7 +1434,8 @@ let node_deliver t nid ~bid ~origin ~body =
       Atum_sim.Metrics.observe t.metrics "broadcast.latency" (now t -. meta.started)
     | None -> ());
     Metrics.incr t.metrics "broadcast.delivered";
-    trace_emit t ~kind:"broadcast.delivered" ~node:nid ~peer:origin ~bid ();
+    if Trace.enabled t.trace then
+      trace_emit t ~kind:"broadcast.delivered" ~node:nid ~peer:origin ~bid ();
     t.on_deliver nid ~bid ~origin body;
     match n.vg with
     | None -> ()
@@ -1476,31 +1453,14 @@ let node_deliver t nid ~bid ~origin ~body =
         in
         let full = my_rank < majority_of src_size in
         let bytes = if full then 64 + String.length body else 32 in
-        if t.fast_paths then
-          (* Vgroup-round batching: members delivering inside the same
-             engine event merge their sends to each neighbor into one
-             [send_group] round (flushed once per instant). *)
-          List.iter
-            (fun (nb, cycle) ->
-              queue_fanout t ~dst:nb ~src_vg:vid ~src_size ~bid ~origin ~body ~cycle
-                ~sender:nid ~bytes)
-            targets
-        else
-          defer t (fun () ->
-              List.iter
-                (fun (nb, cycle) ->
-                  match vgroup_opt t nb with
-                  | Some nbg when not nbg.retired ->
-                    Network.send_multi ~size:bytes t.net ~src:nid ~dsts:nbg.members
-                      (Group_part
-                         {
-                           gm_id = -1;
-                           src_vg = vid;
-                           src_size;
-                           payload = Bcast { bid; origin; body; cycle };
-                         })
-                  | _ -> ())
-                targets)
+        (* Vgroup-round batching: members delivering inside the same
+           engine event merge their sends to each neighbor into one
+           [send_group] round (flushed once per instant). *)
+        List.iter
+          (fun (nb, cycle) ->
+            queue_fanout t ~dst:nb ~src_vg:vid ~src_size ~bid ~origin ~body ~cycle
+              ~sender:nid ~bytes)
+          targets
       end
   end
 
@@ -1534,31 +1494,18 @@ let broadcast t ~from body =
 
 (* Re-gossip a broadcast from a Byzantine member to every member of
    every H-graph neighbor vgroup, with a per-cycle body chosen by
-   [mutate].  Mirrors [node_deliver]'s fan-out (lowest selecting
-   cycle, sorted targets, round deferral) so the injected traffic
-   schedules deterministically — but the attacker ignores the forward
-   policy and always hits every neighbor. *)
+   [mutate].  Targets are picked like [node_deliver]'s (lowest
+   selecting cycle, sorted by neighbor) and sent at the round boundary,
+   so the injected traffic schedules deterministically — but the
+   attacker ignores the forward policy and always hits every
+   neighbor. *)
 let byz_gossip t n ~bid ~origin ~mutate =
   match n.vg with
   | None -> ()
   | Some vid ->
     if Hgraph.mem t.hgraph vid then begin
       let vg = vgroup t vid in
-      let targets =
-        if t.fast_paths then
-          List.map (fun (nb, cycles) -> (nb, List.hd cycles)) (gossip_view t vg)
-        else begin
-          let chosen = Hashtbl.create 8 in
-          List.iter
-            (fun (cycle, nb) ->
-              if nb <> vid then
-                match Hashtbl.find_opt chosen nb with
-                | Some c when c <= cycle -> ()
-                | _ -> Hashtbl.replace chosen nb cycle)
-            (Hgraph.neighbors t.hgraph vid);
-          Atum_util.Hashtbl_ext.sorted_bindings ~cmp:Int.compare chosen
-        end
-      in
+      let targets = List.map (fun (nb, cycles) -> (nb, List.hd cycles)) (gossip_view t vg) in
       let src_size = List.length vg.members in
       defer t (fun () ->
           List.iter
@@ -1813,16 +1760,18 @@ let handle_wire t nid ~src wire =
               (* Gossip lineage: this node accepts the broadcast from
                  vgroup [src_vg]; first delivery is a hop edge in the
                  dissemination tree. *)
-              trace_emit t ~kind:"bcast.hop" ~node:nid ?vgroup:n.vg ~parent:src_vg ~bid
-                ~cycle ();
+              if Trace.enabled t.trace then
+                trace_emit t ~kind:"bcast.hop" ~node:nid ?vgroup:n.vg ~parent:src_vg ~bid
+                  ~cycle ();
               node_deliver t nid ~bid ~origin ~body
             end
           end
           else
             (* Redundant receive: the gossip reached a node that had
                already delivered [bid]. *)
-            trace_emit t ~kind:"bcast.dup" ~node:nid ?vgroup:n.vg ~parent:src_vg ~bid
-              ~cycle ())
+            if Trace.enabled t.trace then
+              trace_emit t ~kind:"bcast.dup" ~node:nid ?vgroup:n.vg ~parent:src_vg ~bid
+                ~cycle ())
       | Direct { token; label = _ } -> (
         match Hashtbl.find_opt t.tokens token with
         | Some k ->
@@ -2263,11 +2212,6 @@ let hgraph t = t.hgraph
    the ablation benchmark uses it to show why shuffling matters. *)
 let set_shuffling t enabled = t.shuffling_enabled <- enabled
 
-(* Legacy-behaviour switch for the scale benchmark's before/after:
-   [false] restores the pre-arena hot paths — per-delivery gossip
-   target sorts and full live-list recounts in the gauges. *)
-let set_fast_paths t enabled = t.fast_paths <- enabled
-
 let byzantine_concentration t =
   (* max fraction of Byzantine members over all vgroups *)
   Atum_util.Arena.fold
@@ -2385,14 +2329,7 @@ let attach_telemetry ?period ?capacity t =
     let reg = Telemetry.register tel in
     let delta = Telemetry.register_delta tel in
     reg "system.size" (fun () -> float_of_int (system_size t));
-    (* O(1): maintained counter.  The old gauge rebuilt (and sorted)
-       the whole live-node list on every sample, which made telemetry
-       cost O(N log N) per tick at scale.  [set_fast_paths false]
-       restores the recount for the legacy benchmark. *)
-    reg "system.byzantine" (fun () ->
-        float_of_int
-          (if t.fast_paths then live_byzantine_count t
-           else List.length (List.filter (fun n -> n.byzantine) (live_nodes t))));
+    reg "system.byzantine" (fun () -> float_of_int (live_byzantine_count t));
     reg "vgroup.count" (fun () -> float_of_int (vgroup_count t));
     let sizes () = vgroup_sizes t in
     reg "vgroup.size.min" (fun () ->

@@ -309,9 +309,7 @@ val vgroup_opt : t -> vg_id -> vgroup option
 val live_nodes : t -> node list
 
 val system_size : t -> int
-(** O(1): a maintained counter, not a registry recount (the recount —
-    the pre-arena behaviour — survives under [set_fast_paths false]
-    for the scale benchmark's before/after). *)
+(** O(1): a maintained counter, not a registry recount. *)
 
 val live_byzantine_count : t -> int
 (** O(1) maintained counter: Byzantine nodes among {!live_nodes}. *)
@@ -345,12 +343,6 @@ val set_shuffling : t -> bool -> unit
 (** Disable/enable random-walk shuffling (fault dispersal, §3.2) while
     keeping the rest of the membership machinery — used by the
     ablation benchmark. *)
-
-val set_fast_paths : t -> bool -> unit
-(** [false] restores the pre-arena hot paths — per-delivery gossip
-    target sorting and full live-list recounts in the telemetry
-    gauges — so the scale benchmark can price the old behaviour.
-    Defaults to [true]. *)
 
 val byzantine_concentration : t -> float
 (** Largest per-vgroup fraction of Byzantine members — the quantity

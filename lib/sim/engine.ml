@@ -50,7 +50,6 @@ type t = {
   mutable memo_stats : label_stats option;
   mutable pool : ev array; (* stack of recycled records *)
   mutable pool_len : int;
-  mutable pooling : bool; (* off: allocate per event (pre-pool cost) *)
 }
 
 let create () =
@@ -65,7 +64,6 @@ let create () =
     memo_stats = None;
     pool = [||];
     pool_len = 0;
-    pooling = true;
   }
 
 let now t = t.clock
@@ -74,14 +72,8 @@ let set_trace t trace = t.trace <- Some trace
 
 let unlabeled = "(unlabeled)"
 
-(* [set_pooling false] restores the pre-pool behaviour — one fresh
-   record per scheduled event, recycled records dropped on the floor —
-   so the scale benchmark's legacy mode pays the allocation and GC
-   pressure the pool was introduced to remove. *)
-let set_pooling t enabled = t.pooling <- enabled
-
 let take_ev t ~fn ~label ~sched =
-  if (not t.pooling) || t.pool_len = 0 then { fn; label; sched }
+  if t.pool_len = 0 then { fn; label; sched }
   else begin
     t.pool_len <- t.pool_len - 1;
     let e = t.pool.(t.pool_len) in
@@ -92,7 +84,6 @@ let take_ev t ~fn ~label ~sched =
   end
 
 let recycle_ev t e =
-  if t.pooling then begin
   e.fn <- nop;
   e.label <- unlabeled;
   if t.pool_len = Array.length t.pool then begin
@@ -103,7 +94,6 @@ let recycle_ev t e =
   end;
   t.pool.(t.pool_len) <- e;
   t.pool_len <- t.pool_len + 1
-  end
 
 let schedule_at ?(label = unlabeled) t ~time f =
   let time = if time < t.clock then t.clock else time in

@@ -58,13 +58,6 @@ val events_processed : t -> int
 val pending : t -> int
 (** Number of queued events. *)
 
-val set_pooling : t -> bool -> unit
-(** Event records are pooled and reused by default.  [set_pooling t
-    false] restores the pre-pool behaviour — a fresh record allocated
-    per scheduled event — so the scale benchmark's legacy mode prices
-    the allocation pressure the pool removes.  Pooling is invisible to
-    simulation semantics either way. *)
-
 (* --- self-profile ---------------------------------------------------- *)
 
 type label_profile = {

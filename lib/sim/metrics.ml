@@ -5,10 +5,12 @@ type t = {
 
 let create () = { counters = Hashtbl.create 32; series = Hashtbl.create 32 }
 
+(* [Hashtbl.find] rather than [find_opt]: counters are bumped on every
+   simulated message, and the option box would be its only allocation. *)
 let incr ?(by = 1) t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.replace t.counters name (ref by)
+  match Hashtbl.find t.counters name with
+  | r -> r := !r + by
+  | exception Not_found -> Hashtbl.replace t.counters name (ref by)
 
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0

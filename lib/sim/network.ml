@@ -39,7 +39,6 @@ type 'msg t = {
   mutable cap : int; (* length of the arrays above *)
   mutable crashed_count : int;
   mutable tagged_count : int; (* nodes with a nonzero partition tag *)
-  mutable batching : bool; (* deliver send_multi batches as one event *)
   metrics : Metrics.t;
   trace : Trace.t option;
   mutable sent : int;
@@ -66,7 +65,6 @@ let create ?metrics ?trace engine config =
     cap = 256;
     crashed_count = 0;
     tagged_count = 0;
-    batching = true;
     metrics = (match metrics with Some m -> m | None -> Metrics.create ());
     trace;
     sent = 0;
@@ -108,9 +106,6 @@ let register t node handler =
 let unregister t node = if node < t.cap then t.handlers.(node) <- None
 
 let handler_of t node = if node < t.cap then t.handlers.(node) else None
-
-let set_batching t on = t.batching <- on
-let batching t = t.batching
 
 let sample_latency t =
   match t.config.latency with
@@ -192,27 +187,51 @@ let set_capacity_factor t f =
 
 let capacity_factor t = t.capacity_factor
 
+(* Trace sites test [tracing] before building their optional
+   arguments, so a disabled trace costs one load and no boxing. *)
+let[@inline] tracing t =
+  match t.trace with Some tr -> Trace.enabled tr | None -> false
+
 let trace_emit t ~kind ?node ?peer ?size () =
   match t.trace with
-  | Some tr when Trace.enabled tr ->
-    Trace.emit tr ~time:(Engine.now t.engine) ~kind ?node ?peer ?size ()
-  | _ -> ()
+  | Some tr -> Trace.emit tr ~time:(Engine.now t.engine) ~kind ?node ?peer ?size ()
+  | None -> ()
+
+(* Drop reasons are the full metric / trace-kind names, so recording a
+   drop concatenates nothing. *)
+let drop_crash = "net.drop.crash"
+let drop_partition = "net.drop.partition"
+let drop_loss = "net.drop.loss"
+let drop_no_handler = "net.drop.no_handler"
 
 (* Every drop is counted once in the aggregate [dropped] and once
    under a reason-specific metric, so accounting bugs show up as a
    mismatch between the two. *)
 let drop t ~reason ~src ~dst =
   t.dropped <- t.dropped + 1;
-  Metrics.incr t.metrics ("net.drop." ^ reason);
-  trace_emit t ~kind:("net.drop." ^ reason) ~node:src ~peer:dst ()
+  Metrics.incr t.metrics reason;
+  if tracing t then trace_emit t ~kind:reason ~node:src ~peer:dst ()
 
 (* A crashed endpoint silences the link regardless of partition tags;
    the tags themselves are left untouched so a later [recover] drops
    the node back into whichever partition it was in. *)
 let severed t ~src ~dst =
-  if is_crashed t src || is_crashed t dst then Some "crash"
-  else if partition_of t src <> partition_of t dst then Some "partition"
+  if is_crashed t src || is_crashed t dst then Some drop_crash
+  else if partition_of t src <> partition_of t dst then Some drop_partition
   else None
+
+(* Hand a message to the receiver's current handler.  The handler is
+   resolved here, not at arrival: under [node_capacity] it may have
+   been replaced (or removed) while the message waited in the
+   receiver's service queue. *)
+let deliver t ~size ~src ~dst msg =
+  match handler_of t dst with
+  | None -> drop t ~reason:drop_no_handler ~src ~dst
+  | Some handler ->
+    t.delivered <- t.delivered + 1;
+    if t.post_heal then Metrics.incr t.metrics "net.deliver.post_heal";
+    if tracing t then trace_emit t ~kind:"net.deliver" ~node:dst ~peer:src ~size ();
+    handler ~src msg
 
 (* Deliver one message that survived transit.  Receiver service time
    (node_capacity) is charged here, and only for messages that are
@@ -223,25 +242,12 @@ let severed t ~src ~dst =
 let arrive t ~size ~src ~dst msg =
   match severed t ~src ~dst with
   | Some reason -> drop t ~reason ~src ~dst
-  | None -> begin
-    match handler_of t dst with
-    | None -> drop t ~reason:"no_handler" ~src ~dst
-    | Some _ ->
-      let deliver () =
-        (* Re-resolve the handler: it may have been replaced (or
-           removed) while the message waited in the receiver's
-           service queue. *)
-        match handler_of t dst with
-        | None -> drop t ~reason:"no_handler" ~src ~dst
-        | Some handler ->
-          t.delivered <- t.delivered + 1;
-          if t.post_heal then Metrics.incr t.metrics "net.deliver.post_heal";
-          trace_emit t ~kind:"net.deliver" ~node:dst ~peer:src ~size ();
-          handler ~src msg
-      in
-      (match t.config.node_capacity with
-      | None -> deliver ()
-      | Some capacity ->
+  | None -> (
+    match t.config.node_capacity with
+    | None -> deliver t ~size ~src ~dst msg
+    | Some capacity ->
+      if Option.is_none (handler_of t dst) then drop t ~reason:drop_no_handler ~src ~dst
+      else begin
         (* The receiver serves messages in arrival order at a bounded
            rate; a hot node's queue tail pushes delivery out. *)
         let capacity = capacity *. t.capacity_factor in
@@ -249,110 +255,97 @@ let arrive t ~size ~src ~dst msg =
         let tail = Float.max arrival t.ready.(dst) in
         let finish = tail +. (1.0 /. capacity) in
         t.ready.(dst) <- finish;
-        Engine.schedule ~label:"net.service" t.engine ~delay:(finish -. arrival) deliver)
-  end
+        Engine.schedule ~label:"net.service" t.engine ~delay:(finish -. arrival) (fun () ->
+            deliver t ~size ~src ~dst msg)
+      end)
 
-let send ?(size = 64) t ~src ~dst msg =
+let loss_threshold t = Float.min 1.0 (t.config.drop_probability +. t.loss_boost)
+
+(* Admission, the one per-message step every send shares: traffic
+   counters, the [net.send] trace, the cut check and the loss draw.
+   The draw is made even for a cut pair, so the RNG stream does not
+   depend on the fault state.  Returns whether the message survives
+   into transit. *)
+let admit t ~threshold ~src ~dst ~size =
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + size;
-  trace_emit t ~kind:"net.send" ~node:src ~peer:dst ~size ();
+  if tracing t then trace_emit t ~kind:"net.send" ~node:src ~peer:dst ~size ();
   let cut = severed t ~src ~dst in
-  let lost =
-    Atum_util.Rng.bernoulli t.rng
-      (Float.min 1.0 (t.config.drop_probability +. t.loss_boost))
-  in
+  let lost = Atum_util.Rng.bernoulli t.rng threshold in
   match cut with
-  | Some reason -> drop t ~reason ~src ~dst
+  | Some reason ->
+    drop t ~reason ~src ~dst;
+    false
   | None ->
-    if lost then drop t ~reason:"loss" ~src ~dst
-    else begin
-      let delay = sample_latency t *. t.latency_factor in
-      Engine.schedule ~label:"net.transit" t.engine ~delay (fun () ->
-          arrive t ~size ~src ~dst msg)
+    if lost then begin
+      drop t ~reason:drop_loss ~src ~dst;
+      false
     end
+    else true
 
-(* Batched fan-out: one latency sample and ONE engine event for a
-   whole per-vgroup gossip round, instead of one event per (src, dst)
-   pair.  Loss and partition checks stay per destination, so the
-   delivered set is distribution-identical to the unbatched path; only
-   the number of queue operations (and the per-destination latency
-   jitter) changes.  With batching disabled this degrades to a plain
-   [send] per destination — the pre-batching engine, kept measurable
-   for the scale benchmark's before/after comparison. *)
-let send_multi ?(size = 64) t ~src ~dsts msg =
-  if not t.batching then List.iter (fun dst -> send ~size t ~src ~dst msg) dsts
-  else begin
-    let survivors =
-      List.filter
-        (fun dst ->
-          t.sent <- t.sent + 1;
-          t.bytes <- t.bytes + size;
-          trace_emit t ~kind:"net.send" ~node:src ~peer:dst ~size ();
-          let cut = severed t ~src ~dst in
-          let lost =
-            Atum_util.Rng.bernoulli t.rng
-              (Float.min 1.0 (t.config.drop_probability +. t.loss_boost))
-          in
-          match cut with
-          | Some reason ->
-            drop t ~reason ~src ~dst;
-            false
-          | None ->
-            if lost then begin
-              drop t ~reason:"loss" ~src ~dst;
-              false
-            end
-            else true)
-        dsts
-    in
-    if survivors <> [] then begin
-      let delay = sample_latency t *. t.latency_factor in
-      Engine.schedule ~label:"net.transit.batch" t.engine ~delay (fun () ->
-          List.iter (fun dst -> arrive t ~size ~src ~dst msg) survivors)
+let transit_delay t = sample_latency t *. t.latency_factor
+
+let send ?(size = 64) t ~src ~dst msg =
+  if admit t ~threshold:(loss_threshold t) ~src ~dst ~size then
+    Engine.schedule ~label:"net.transit" t.engine ~delay:(transit_delay t) (fun () ->
+        arrive t ~size ~src ~dst msg)
+
+(* A batch in flight is the grid it was admitted as: the [srcs] list,
+   the immutable [dsts] list, and a survival bitmask with one bit per
+   (src, dst) cell in src-major order.  Admission and arrival walk the
+   same grid in the same order, so no per-message record is built.
+   Each batch owns its mask: a handler may send (and so admit a new
+   batch) while an earlier batch is still being walked.  The cell count
+   is known before admission, so the mask is a fixed-size [Bytes]
+   rather than a growable [Atum_util.Bitset]. *)
+let[@inline] set_bit mask k =
+  Bytes.set mask (k lsr 3)
+    (Char.unsafe_chr (Char.code (Bytes.get mask (k lsr 3)) lor (1 lsl (k land 7))))
+
+let[@inline] bit mask k = Char.code (Bytes.get mask (k lsr 3)) land (1 lsl (k land 7)) <> 0
+
+let rec admit_row t ~threshold ~src ~size mask k survived = function
+  | [] -> survived
+  | dst :: rest ->
+    if admit t ~threshold ~src ~dst ~size then begin
+      set_bit mask k;
+      admit_row t ~threshold ~src ~size mask (k + 1) (survived + 1) rest
     end
-  end
+    else admit_row t ~threshold ~src ~size mask (k + 1) survived rest
 
-(* Vgroup-round batching: all of a vgroup's same-instant senders fan
-   out to a neighbor round in one engine event.  The surviving (src,
-   size, dst) pairs — same per-pair accounting, loss and cut checks as
-   [send_multi] — share a single latency sample, so the event count
-   per gossip round drops from senders*1 to 1. *)
+let rec admit_grid t ~threshold ~dsts ~width mask k survived = function
+  | [] -> survived
+  | (src, size) :: rest ->
+    let survived = admit_row t ~threshold ~src ~size mask k survived dsts in
+    admit_grid t ~threshold ~dsts ~width mask (k + width) survived rest
+
+let rec arrive_row t ~src ~size mask k msg = function
+  | [] -> ()
+  | dst :: rest ->
+    if bit mask k then arrive t ~size ~src ~dst msg;
+    arrive_row t ~src ~size mask (k + 1) msg rest
+
+let rec arrive_grid t ~dsts ~width mask k msg = function
+  | [] -> ()
+  | (src, size) :: rest ->
+    arrive_row t ~src ~size mask k msg dsts;
+    arrive_grid t ~dsts ~width mask (k + width) msg rest
+
+(* Vgroup-round batching: every sender of a round fans out to every
+   destination as ONE latency sample and ONE engine event, instead of
+   one per (src, dst) pair.  Loss and cut checks stay per pair. *)
 let send_group t ~srcs ~dsts msg =
-  if not t.batching then
-    List.iter (fun (src, size) -> List.iter (fun dst -> send ~size t ~src ~dst msg) dsts) srcs
-  else begin
-    let pairs =
-      List.concat_map
-        (fun (src, size) ->
-          List.filter_map
-            (fun dst ->
-              t.sent <- t.sent + 1;
-              t.bytes <- t.bytes + size;
-              trace_emit t ~kind:"net.send" ~node:src ~peer:dst ~size ();
-              let cut = severed t ~src ~dst in
-              let lost =
-                Atum_util.Rng.bernoulli t.rng
-                  (Float.min 1.0 (t.config.drop_probability +. t.loss_boost))
-              in
-              match cut with
-              | Some reason ->
-                drop t ~reason ~src ~dst;
-                None
-              | None ->
-                if lost then begin
-                  drop t ~reason:"loss" ~src ~dst;
-                  None
-                end
-                else Some (src, size, dst))
-            dsts)
-        srcs
-    in
-    if pairs <> [] then begin
-      let delay = sample_latency t *. t.latency_factor in
-      Engine.schedule ~label:"net.transit.batch" t.engine ~delay (fun () ->
-          List.iter (fun (src, size, dst) -> arrive t ~size ~src ~dst msg) pairs)
-    end
+  let width = List.length dsts in
+  let cells = width * List.length srcs in
+  if cells > 0 then begin
+    let mask = Bytes.make ((cells + 7) lsr 3) '\000' in
+    let threshold = loss_threshold t in
+    if admit_grid t ~threshold ~dsts ~width mask 0 0 srcs > 0 then
+      Engine.schedule ~label:"net.transit.batch" t.engine ~delay:(transit_delay t) (fun () ->
+          arrive_grid t ~dsts ~width mask 0 msg srcs)
   end
+
+let send_multi ?(size = 64) t ~src ~dsts msg = send_group t ~srcs:[ (src, size) ] ~dsts msg
 
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered

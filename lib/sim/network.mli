@@ -62,27 +62,23 @@ val send : ?size:int -> 'msg t -> src:int -> dst:int -> 'msg -> unit
     bytes, default 64) only feeds the traffic accounting. *)
 
 val send_multi : ?size:int -> 'msg t -> src:int -> dsts:int list -> 'msg -> unit
-(** Batched fan-out: one latency sample and one engine event for the
-    whole destination list (a per-vgroup gossip round), instead of one
-    event per pair.  Loss, partition and crash checks remain per
-    destination.  With batching disabled (see {!set_batching}) this is
-    exactly [List.iter] of {!send}. *)
+(** Batched fan-out: {!send_group} with the single sender
+    [(src, size)]. *)
 
 val send_group : 'msg t -> srcs:(int * int) list -> dsts:int list -> 'msg -> unit
 (** Vgroup-round fan-in/fan-out: every [(src, size)] sender transmits
     [msg] to every destination, as ONE latency sample and ONE engine
-    event for the whole round.  The logical message set — and the
-    per-pair loss, partition and crash checks — is identical to
-    calling {!send_multi} once per sender; only the event count and the
-    per-sender latency jitter change.  With batching disabled this
-    degrades to a plain {!send} per (src, dst) pair. *)
+    event (label ["net.transit.batch"]) for the whole round.  Each
+    (src, dst) pair is admitted exactly like a {!send} — counters,
+    ["net.send"] trace, partition/crash check and one loss draw — in
+    src-major, then destination order; the latency is drawn once after
+    admission, and only when some pair survived.
 
-val set_batching : 'msg t -> bool -> unit
-(** Toggle batched delivery for {!send_multi} (default [true]).
-    Disabling restores the pre-batching one-event-per-message engine —
-    kept so the scale benchmark can measure the batching win. *)
-
-val batching : 'msg t -> bool
+    In flight, the batch is the [srcs] and [dsts] lists it was
+    admitted with plus a survival bitmask of one bit per cell, so
+    transit allocates no per-message record.  Arrival walks the same
+    grid in the same order and re-checks partition, crash and handler
+    per surviving pair. *)
 
 val sample_latency : 'msg t -> float
 (** One latency draw from the configured model (for protocols that

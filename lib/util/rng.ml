@@ -1,41 +1,48 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in an 8-byte buffer: a
+   [mutable int64] field would box a fresh int64 on every draw.  With
+   the accessors inlined, a draw allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t =
-  let s = bits64 t in
-  { state = mix64 s }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
-let copy t = { state = t.state }
+let split t = of_state (mix64 (bits64 t))
+
+let copy t = Bytes.copy t
 
 (* Uniform int in [0, bound) by rejection on the top bits. *)
+let rec int_loop t bound =
+  let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 1) in
+  let v = r mod bound in
+  if r - v + (bound - 1) < 0 then int_loop t bound else v
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let rec loop () =
-    let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 1) in
-    let v = r mod bound in
-    if r - v + (bound - 1) < 0 then loop () else v
-  in
-  loop ()
+  int_loop t bound
 
-let float t bound =
+let[@inline] float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   r /. 9007199254740992.0 *. bound
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let bernoulli t p = float t 1.0 < p
+let[@inline] bernoulli t p = float t 1.0 < p
 
 let exponential t rate =
   let u = 1.0 -. float t 1.0 in

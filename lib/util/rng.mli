@@ -5,7 +5,9 @@
     experiment is reproducible.  The generator is splitmix64, which is
     fast, has a 64-bit state, and supports cheap splitting: {!split}
     derives an independent stream, which lets concurrent protocol
-    instances draw random numbers without perturbing each other. *)
+    instances draw random numbers without perturbing each other.  The
+    state is kept unboxed, so {!bits64}, {!float} and {!bernoulli}
+    allocate nothing. *)
 
 type t
 

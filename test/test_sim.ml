@@ -405,6 +405,328 @@ let test_network_drop_reason_counters () =
   Engine.run lossy;
   Alcotest.(check int) "loss" 3 (Metrics.counter (Network.metrics net2) "net.drop.loss")
 
+(* --- equivalence against a per-pair reference ------------------------ *)
+
+(* The straightforward network the batched one must reproduce: every
+   surviving (src, dst) pair of a round is materialised as a list
+   element and carried through transit.  Same admission order, same
+   RNG draws, same engine labels. *)
+module Ref_net = struct
+  type t = {
+    engine : Engine.t;
+    config : Network.config;
+    rng : Atum_util.Rng.t;
+    metrics : Metrics.t;
+    handlers : (int, src:int -> int -> unit) Hashtbl.t;
+    partitions : (int, int) Hashtbl.t;
+    crashed : (int, unit) Hashtbl.t;
+    ready : (int, float) Hashtbl.t;
+    mutable loss_boost : float;
+    mutable post_heal : bool;
+    mutable sent : int;
+    mutable delivered : int;
+    mutable dropped : int;
+    mutable bytes : int;
+  }
+
+  let create engine config =
+    {
+      engine;
+      config;
+      rng = Atum_util.Rng.create config.Network.seed;
+      metrics = Metrics.create ();
+      handlers = Hashtbl.create 16;
+      partitions = Hashtbl.create 16;
+      crashed = Hashtbl.create 16;
+      ready = Hashtbl.create 16;
+      loss_boost = 0.0;
+      post_heal = false;
+      sent = 0;
+      delivered = 0;
+      dropped = 0;
+      bytes = 0;
+    }
+
+  let sample_latency t =
+    match t.config.Network.latency with
+    | Network.Fixed d -> d
+    | Network.Uniform (lo, hi) -> lo +. Atum_util.Rng.float t.rng (hi -. lo)
+    | Network.Lognormal { mu; sigma; floor } ->
+      Float.max floor (Atum_util.Rng.lognormal t.rng ~mu ~sigma)
+
+  let drop t reason =
+    t.dropped <- t.dropped + 1;
+    Metrics.incr t.metrics ("net.drop." ^ reason)
+
+  let part t n = Option.value ~default:0 (Hashtbl.find_opt t.partitions n)
+
+  let severed t ~src ~dst =
+    if Hashtbl.mem t.crashed src || Hashtbl.mem t.crashed dst then Some "crash"
+    else if part t src <> part t dst then Some "partition"
+    else None
+
+  let arrive t ~src ~dst msg =
+    match severed t ~src ~dst with
+    | Some reason -> drop t reason
+    | None -> (
+      match Hashtbl.find_opt t.handlers dst with
+      | None -> drop t "no_handler"
+      | Some _ -> (
+        let deliver () =
+          match Hashtbl.find_opt t.handlers dst with
+          | None -> drop t "no_handler"
+          | Some h ->
+            t.delivered <- t.delivered + 1;
+            if t.post_heal then Metrics.incr t.metrics "net.deliver.post_heal";
+            h ~src msg
+        in
+        match t.config.Network.node_capacity with
+        | None -> deliver ()
+        | Some capacity ->
+          let arrival = Engine.now t.engine in
+          let ready = Option.value ~default:0.0 (Hashtbl.find_opt t.ready dst) in
+          let finish = Float.max arrival ready +. (1.0 /. capacity) in
+          Hashtbl.replace t.ready dst finish;
+          Engine.schedule ~label:"net.service" t.engine ~delay:(finish -. arrival) deliver))
+
+  let admit t ~size ~src ~dst =
+    t.sent <- t.sent + 1;
+    t.bytes <- t.bytes + size;
+    let cut = severed t ~src ~dst in
+    let lost =
+      Atum_util.Rng.bernoulli t.rng
+        (Float.min 1.0 (t.config.Network.drop_probability +. t.loss_boost))
+    in
+    match cut with
+    | Some reason ->
+      drop t reason;
+      false
+    | None ->
+      if lost then drop t "loss";
+      not lost
+
+  let send t ~size ~src ~dst msg =
+    if admit t ~size ~src ~dst then
+      Engine.schedule ~label:"net.transit" t.engine ~delay:(sample_latency t) (fun () ->
+          arrive t ~src ~dst msg)
+
+  let send_group t ~srcs ~dsts msg =
+    let pairs =
+      List.concat_map
+        (fun (src, size) ->
+          List.filter_map
+            (fun dst -> if admit t ~size ~src ~dst then Some (src, dst) else None)
+            dsts)
+        srcs
+    in
+    if pairs <> [] then
+      Engine.schedule ~label:"net.transit.batch" t.engine ~delay:(sample_latency t) (fun () ->
+          List.iter (fun (src, dst) -> arrive t ~src ~dst msg) pairs)
+end
+
+(* The network surface the scenario drives, so one script runs against
+   both implementations. *)
+type net_ops = {
+  engine : Engine.t;
+  metrics : Metrics.t;
+  send : size:int -> src:int -> dst:int -> int -> unit;
+  send_multi : size:int -> src:int -> dsts:int list -> int -> unit;
+  send_group : srcs:(int * int) list -> dsts:int list -> int -> unit;
+  register : int -> (src:int -> int -> unit) -> unit;
+  unregister : int -> unit;
+  set_partition : int -> int -> unit;
+  heal : unit -> unit;
+  crash : int -> unit;
+  recover : int -> unit;
+  set_loss_boost : float -> unit;
+  counters : unit -> int * int * int * int;
+  sample_latency : unit -> float;
+}
+
+let real_ops config =
+  let engine = Engine.create () in
+  let net : int Network.t = Network.create engine config in
+  {
+    engine;
+    metrics = Network.metrics net;
+    send = (fun ~size ~src ~dst m -> Network.send ~size net ~src ~dst m);
+    send_multi = (fun ~size ~src ~dsts m -> Network.send_multi ~size net ~src ~dsts m);
+    send_group = (fun ~srcs ~dsts m -> Network.send_group net ~srcs ~dsts m);
+    register = Network.register net;
+    unregister = Network.unregister net;
+    set_partition = Network.set_partition net;
+    heal = (fun () -> Network.heal net);
+    crash = Network.crash net;
+    recover = Network.recover net;
+    set_loss_boost = Network.set_loss_boost net;
+    counters =
+      (fun () ->
+        ( Network.messages_sent net,
+          Network.messages_delivered net,
+          Network.messages_dropped net,
+          Network.bytes_sent net ));
+    sample_latency = (fun () -> Network.sample_latency net);
+  }
+
+let ref_ops config =
+  let engine = Engine.create () in
+  let r = Ref_net.create engine config in
+  {
+    engine;
+    metrics = r.metrics;
+    send = (fun ~size ~src ~dst m -> Ref_net.send r ~size ~src ~dst m);
+    send_multi = (fun ~size ~src ~dsts m -> Ref_net.send_group r ~srcs:[ (src, size) ] ~dsts m);
+    send_group = Ref_net.send_group r;
+    register = Hashtbl.replace r.handlers;
+    unregister = Hashtbl.remove r.handlers;
+    set_partition = Hashtbl.replace r.partitions;
+    heal =
+      (fun () ->
+        Hashtbl.reset r.partitions;
+        r.post_heal <- true);
+    crash = (fun n -> Hashtbl.replace r.crashed n ());
+    recover =
+      (fun n ->
+        Hashtbl.remove r.crashed n;
+        r.post_heal <- true);
+    set_loss_boost = (fun p -> r.loss_boost <- p);
+    counters = (fun () -> (r.sent, r.delivered, r.dropped, r.bytes));
+    sample_latency = (fun () -> Ref_net.sample_latency r);
+  }
+
+type outcome = {
+  log : (float * int * int * int) list; (* (time, src, dst, msg), delivery order *)
+  counts : int * int * int * int; (* sent, delivered, dropped, bytes *)
+  reasons : (string * int) list;
+  labels : (string * int) list;
+  next_latency : float;
+}
+
+(* A seeded script of random srcs x dsts rounds interleaved with
+   partitions, heals, crashes, recoveries, loss bursts, handlers
+   removed while their messages are in flight, and partial runs.  Some
+   handlers send during arrival.  The script's own RNG is separate
+   from the network's, so both implementations see the same script. *)
+let run_script ~seed ops =
+  let n = 10 in
+  let rng = Atum_util.Rng.create seed in
+  let log = ref [] in
+  let pick () = Atum_util.Rng.int rng (n + 2) (* two ids never registered *) in
+  let rec handler i ~src m =
+    log := (Engine.now ops.engine, src, i, m) :: !log;
+    if m > 0 then
+      if i mod 4 = 0 then
+        ops.send_group ~srcs:[ (i, 16); ((i + 5) mod n, 24) ] ~dsts:[ (i + 1) mod n; (i + 2) mod n ]
+          (m - 1)
+      else if i mod 4 = 1 then ops.send ~size:8 ~src:i ~dst:((i + 3) mod n) (m - 1)
+  and register i = ops.register i (handler i) in
+  for i = 0 to n - 1 do
+    register i
+  done;
+  for _ = 1 to 80 do
+    let msg = Atum_util.Rng.int rng 3 in
+    (match Atum_util.Rng.int rng 10 with
+    | 0 | 1 | 2 ->
+      let srcs =
+        List.init (1 + Atum_util.Rng.int rng 3) (fun _ ->
+            let src = pick () in
+            (src, 8 + Atum_util.Rng.int rng 64))
+      in
+      let dsts = List.init (Atum_util.Rng.int rng 6) (fun _ -> pick ()) in
+      ops.send_group ~srcs ~dsts msg
+    | 3 ->
+      let dsts = List.init (Atum_util.Rng.int rng 5) (fun _ -> pick ()) in
+      ops.send_multi ~size:40 ~src:(pick ()) ~dsts msg
+    | 4 -> ops.send ~size:12 ~src:(pick ()) ~dst:(pick ()) msg
+    | 5 ->
+      if Atum_util.Rng.int rng 4 = 0 then ops.heal ()
+      else ops.set_partition (pick ()) (Atum_util.Rng.int rng 3)
+    | 6 ->
+      let node = pick () in
+      if Atum_util.Rng.bool rng then ops.crash node else ops.recover node
+    | 7 -> ops.set_loss_boost (List.nth [ 0.0; 0.2; 0.6 ] (Atum_util.Rng.int rng 3))
+    | 8 ->
+      let node = Atum_util.Rng.int rng n in
+      if Atum_util.Rng.bool rng then ops.unregister node else register node
+    | _ ->
+      Engine.run ops.engine ~until:(Engine.now ops.engine +. Atum_util.Rng.float rng 0.2))
+  done;
+  Engine.run ops.engine;
+  let reasons =
+    List.map
+      (fun k -> (k, Metrics.counter ops.metrics k))
+      [ "net.drop.crash"; "net.drop.partition"; "net.drop.loss"; "net.drop.no_handler";
+        "net.deliver.post_heal" ]
+  in
+  {
+    log = List.rev !log;
+    counts = ops.counters ();
+    reasons;
+    labels = List.map (fun p -> (p.Engine.label, p.Engine.events)) (Engine.profile ops.engine);
+    next_latency = ops.sample_latency ();
+  }
+
+let test_network_matches_reference () =
+  let wan = { (Network.wan_config ~seed:11) with Network.drop_probability = 0.1 } in
+  let capped =
+    { (Network.datacenter_config ~seed:12) with
+      Network.drop_probability = 0.05;
+      node_capacity = Some 300.0 }
+  in
+  List.iter
+    (fun (name, config) ->
+      for seed = 1 to 6 do
+        let got = run_script ~seed (real_ops config) in
+        let want = run_script ~seed (ref_ops config) in
+        let ctx what = Printf.sprintf "%s seed %d: %s" name seed what in
+        Alcotest.(check bool) (ctx "nontrivial") true (List.length want.log > 10);
+        (* %h prints the delivery time exactly. *)
+        let show = List.map (fun (t, s, d, m) -> Printf.sprintf "%h %d->%d #%d" t s d m) in
+        Alcotest.(check (list string)) (ctx "delivery sequence") (show want.log) (show got.log);
+        let quad (a, b, c, d) = [ a; b; c; d ] in
+        Alcotest.(check (list int)) (ctx "sent/delivered/dropped/bytes") (quad want.counts)
+          (quad got.counts);
+        Alcotest.(check (list (pair string int))) (ctx "drop reasons") want.reasons got.reasons;
+        Alcotest.(check (list (pair string int))) (ctx "engine labels") want.labels got.labels;
+        Alcotest.(check (float 0.0)) (ctx "next latency draw") want.next_latency got.next_latency
+      done)
+    [ ("wan", wan); ("capacity", capped) ]
+
+(* Minor-heap words allocated by [f ()]; the first reading stays
+   unboxed across the call, so the probe allocates nothing itself. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Transit must stay allocation-free per message: a whole
+   [send_group] round to a no-op handler, tracing off, may only pay
+   per-batch costs (mask, closure) amortised over its cells. *)
+let test_network_send_group_alloc () =
+  let e = Engine.create () in
+  let net : int Network.t = Network.create e (Network.datacenter_config ~seed:3) in
+  for i = 0 to 15 do
+    Network.register net i (fun ~src:_ _ -> ())
+  done;
+  let srcs = List.init 8 (fun i -> (i, 64)) and dsts = List.init 16 Fun.id in
+  let rounds = 200 in
+  let round () =
+    for _ = 1 to rounds do
+      Network.send_group net ~srcs ~dsts 0
+    done;
+    Engine.run e
+  in
+  (* Warm-up grows the engine's queue and event pool to size. *)
+  round ();
+  let a = minor_words_of round in
+  let b = minor_words_of round in
+  Alcotest.(check (float 0.0)) "stable measurement" a b;
+  let per_msg = a /. float_of_int (rounds * 8 * 16) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per message <= 4" per_msg)
+    true (per_msg <= 4.0);
+  Alcotest.(check int) "all delivered" (3 * rounds * 8 * 16) (Network.messages_delivered net)
+
 (* ------------------------------------------------------------------ *)
 (* Rounds                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -897,6 +1219,10 @@ let () =
           Alcotest.test_case "drops don't charge capacity (arrival)" `Quick
             test_network_capacity_not_charged_for_arrival_drops;
           Alcotest.test_case "drop reason counters" `Quick test_network_drop_reason_counters;
+          Alcotest.test_case "batched transit matches per-pair reference" `Quick
+            test_network_matches_reference;
+          Alcotest.test_case "send_group allocation per message" `Quick
+            test_network_send_group_alloc;
         ] );
       ( "rounds",
         [

@@ -25,6 +25,60 @@ let test_rng_split_independent () =
   let ys = List.init 32 (fun _ -> Rng.bits64 b) in
   Alcotest.(check bool) "split streams differ" true (xs <> ys)
 
+(* Golden outputs of the splitmix64 streams: every seeded experiment
+   depends on these exact values, so any change to the generator's
+   representation must reproduce them bit for bit. *)
+let test_rng_golden_stream () =
+  let r = Rng.create 42 in
+  let expected =
+    [ 0x989B3F130A063869L; 0x290DB4BF2570DED7L; 0x2A990BE63A01B2D5L; 0x0C4B6B24EF01890EL;
+      0xFB16A06E52EC10A7L; 0x3C30FC5FD50692C3L; 0x4782C4B4C4FDF7C9L; 0x272404A0A3926552L;
+      0xC2BC249E28760CCDL; 0x3E69C285108DBB77L; 0xC3B2B51FC61EC914L; 0xE2DF09F8CCF26F14L;
+      0xE664FB166D3DC14CL; 0x1494766CF71B64B6L; 0x09B78FBF46485568L; 0xDA9E8D784DB0C8F7L ]
+  in
+  Alcotest.(check (list int64)) "create 42" expected (List.init 16 (fun _ -> Rng.bits64 r))
+
+let test_rng_golden_split_copy () =
+  let r = Rng.create 7 in
+  let s = Rng.split r in
+  let c = Rng.copy s in
+  let split_stream =
+    [ 0x8C67274BD4DA9230L; 0x5B0D33EBB04E4C17L; 0x2F9905D0777B6632L; 0x55471384BB8E0572L ]
+  in
+  Alcotest.(check (list int64)) "split" split_stream (List.init 4 (fun _ -> Rng.bits64 s));
+  Alcotest.(check (list int64))
+    "parent after split" [ 0x4D58FBD282EAF415L; 0xF0E521070CC03750L ]
+    (List.init 2 (fun _ -> Rng.bits64 r));
+  Alcotest.(check (list int64)) "copy replays" split_stream (List.init 4 (fun _ -> Rng.bits64 c));
+  Alcotest.(check int) "int" 52 (Rng.int r 1000);
+  Alcotest.(check int) "int small" 5 (Rng.int r 7);
+  Alcotest.(check (float 0.0)) "float" 0x1.359ae713428abp-1 (Rng.float r 1.0);
+  Alcotest.(check bool) "bernoulli" false (Rng.bernoulli r 0.5)
+
+(* Minor-heap words allocated by [f ()].  The first reading stays
+   unboxed across the call, so the probe itself allocates nothing. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The loss draw runs once per simulated message: it must not
+   allocate.  The measurement is taken twice and must agree before the
+   bound is asserted, so a noisy probe fails loudly instead of
+   passing by luck. *)
+let test_rng_bernoulli_no_alloc () =
+  let r = Rng.create 3 in
+  let hits = ref 0 in
+  let draws () =
+    for _ = 1 to 10_000 do
+      if Rng.bernoulli r 0.3 then incr hits
+    done
+  in
+  let a = minor_words_of draws in
+  let b = minor_words_of draws in
+  Alcotest.(check (float 0.0)) "stable measurement" a b;
+  Alcotest.(check (float 0.0)) "0 words per draw" 0.0 a
+
 let test_rng_int_range () =
   let rng = Rng.create 3 in
   for _ = 1 to 10_000 do
@@ -697,6 +751,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
+          Alcotest.test_case "golden split/copy" `Quick test_rng_golden_split_copy;
+          Alcotest.test_case "bernoulli allocates nothing" `Quick test_rng_bernoulli_no_alloc;
           Alcotest.test_case "int range" `Quick test_rng_int_range;
           Alcotest.test_case "int uniform" `Quick test_rng_int_uniformish;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
