@@ -53,8 +53,11 @@ val on_forward :
   t -> (bid:int -> from_vg:int -> cycle:int -> neighbor:int -> bool) -> unit
 (** The [forward] application callback (§3.3.4): decide, per H-graph
     link, whether a vgroup forwards a broadcast to that neighbor.  The
-    decision must be deterministic in its arguments, as every correct
-    member of the vgroup evaluates it.  Default: flood every cycle. *)
+    decision must be deterministic in its arguments: it stands for the
+    whole vgroup, so the runtime takes it once per (vgroup, broadcast)
+    and every correct member forwards by it.  Default:
+    {!System.random_forward} — always the designated cycle, every other
+    link with probability 1/2. *)
 
 val crash : t -> node_id -> unit
 (** Silence a node (it stops sending anything, including heartbeats,

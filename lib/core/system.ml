@@ -93,6 +93,11 @@ type vgroup = {
      per delivery). *)
   mutable nbrs_gen : int;
   mutable nbrs : (vg_id * int list) list;
+  (* Memoised forward decision for the last broadcast this vgroup
+     forwarded (every member takes the same one): valid until the view
+     is rebuilt or the forward policy replaced, which reset [fwd_bid]. *)
+  mutable fwd_bid : int;
+  mutable fwd_targets : (vg_id * int) list;
 }
 
 type pending_op = {
@@ -109,6 +114,31 @@ type gm_state = {
   mutable node_accepts : int;
   mutable gm_fired : bool;
 }
+
+(* Acceptance scratch is keyed by (node, id) int pairs, packed into one
+   int: a monomorphic table then hashes and compares keys without the
+   generic [caml_hash] / [compare_val] a polymorphic table runs on every
+   message part, and a lookup allocates no key tuple. *)
+module Pair_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* Fold the node half onto the id half before mixing: the table
+     indexes buckets by the low bits. *)
+  let hash k =
+    let h = (k lxor (k lsr 31)) * 0x9E3779B97F4A7C1 in
+    (h lxor (h lsr 29)) land max_int
+end)
+
+let pair_key a b =
+  if a lsr 31 <> 0 || b lsr 31 <> 0 then invalid_arg "System.pair_key: id out of range";
+  (a lsl 31) lor b
+
+(* Senders one node has heard from one source vgroup for a broadcast
+   it has not delivered yet; a (node, bid) entry holds one per source
+   vgroup and is dropped whole on delivery. *)
+type votes = { from_vg : vg_id; mutable voters : node_id list }
 
 (* Origin and body ride along so restart catch-up can re-deliver any
    broadcast a peer has and the restarted node missed. *)
@@ -171,9 +201,9 @@ type t = {
   mutable dirty_log : int array;
   mutable dirty_len : int;
   (* Acceptance scratch + liveness state, keyed by node (see [node]). *)
-  bcast_senders : (node_id * int * vg_id, node_id list ref) Hashtbl.t;
-  gm_senders : (node_id * int, node_id list ref) Hashtbl.t;
-  gm_accepted : (node_id * int, unit) Hashtbl.t;
+  bcast_votes : votes list Pair_tbl.t; (* (node, bid) *)
+  gm_senders : node_id list ref Pair_tbl.t; (* (node, gm id) *)
+  gm_accepted : unit Pair_tbl.t;
   last_seen : (node_id * node_id, float) Hashtbl.t;
   mutable recycle_ids : bool; (* free node ids on depart completion *)
   (* Gossip rounds being assembled for the current instant (reversed
@@ -264,9 +294,9 @@ let create ?(net_config : Network.config option) ?trace_capacity (params : Param
     active_vgroups = 0;
     dirty_log = Array.make 256 0;
     dirty_len = 0;
-    bcast_senders = Hashtbl.create 256;
-    gm_senders = Hashtbl.create 256;
-    gm_accepted = Hashtbl.create 256;
+    bcast_votes = Pair_tbl.create 256;
+    gm_senders = Pair_tbl.create 256;
+    gm_accepted = Pair_tbl.create 256;
     last_seen = Hashtbl.create 256;
     recycle_ids = false;
     fanout = [];
@@ -336,7 +366,9 @@ let audit t a = match t.on_audit with Some f -> f a | None -> ()
 
 let set_deliver t f = t.on_deliver <- f
 let set_audit t f = t.on_audit <- f
-let set_forward_policy t f = t.forward_policy <- f
+let set_forward_policy t f =
+  t.forward_policy <- f;
+  Atum_util.Arena.iter (fun _ vg -> vg.fwd_bid <- -1) t.vgroups
 
 let node t id = Atum_util.Arena.find t.nodes id
 let node_opt t id = Atum_util.Arena.get t.nodes id
@@ -414,13 +446,18 @@ let node_snapshot t (n : node) =
       ("app", (match t.app_export with Some f -> f n.id | None -> Json.Null));
     ]
 
+let snapshot_if_due t (n : node) =
+  match t.store with
+  | Some store when Replica.needs_snapshot store ~node:n.id ->
+    Replica.save_snapshot store ~node:n.id (node_snapshot t n)
+  | _ -> ()
+
 let persist t (n : node) record =
   match t.store with
   | None -> ()
   | Some store ->
     Replica.append store ~node:n.id record;
-    if Replica.needs_snapshot store ~node:n.id then
-      Replica.save_snapshot store ~node:n.id (node_snapshot t n)
+    snapshot_if_due t n
 
 let persist_vg t (n : node) =
   persist t n
@@ -467,6 +504,8 @@ let add_vgroup t ~members ~busy =
           saga_gen = 0;
           nbrs_gen = -1;
           nbrs = [];
+          fwd_bid = -1;
+          fwd_targets = [];
         })
   in
   t.active_vgroups <- t.active_vgroups + 1;
@@ -1324,9 +1363,6 @@ let evict t ~target ?k () =
 let encode_bcast ~bid ~origin ~body =
   Printf.sprintf "bcast#%d#%d#%s" bid origin body
 
-(* Per-node delivery: record latency, hand to the application, then
-   gossip the message to neighbor vgroups selected by the forward
-   callback (flooding by default). *)
 (* The vgroup's gossip view: its neighbors annotated with the
    (deduped, ascending) cycles linking to them, sorted by neighbor
    id.  Cached against the overlay generation, so the sort runs once
@@ -1348,24 +1384,33 @@ let gossip_view t vg =
         (fun (nb, cs) -> (nb, List.sort_uniq Int.compare !cs))
         (Atum_util.Hashtbl_ext.sorted_bindings ~cmp:Int.compare tbl);
     vg.nbrs_gen <- gen;
+    vg.fwd_bid <- -1;
     Metrics.incr t.metrics "gossip.view.rebuilt"
   end;
   vg.nbrs
 
 (* One target per selected neighbor, tagged with the lowest cycle
-   that selected it, sorted by neighbor id. *)
+   that selected it, sorted by neighbor id.  The forward callback is
+   deterministic in its arguments, so the decision is taken once per
+   (vgroup, broadcast) and memoised for the members that follow. *)
 let gossip_targets t vg ~bid =
-  let vid = vg.vid in
-  List.filter_map
-    (fun (nb, cycles) ->
-      let rec first = function
-        | [] -> None
-        | c :: rest ->
-          if t.forward_policy ~bid ~from_vg:vid ~cycle:c ~neighbor:nb then Some (nb, c)
-          else first rest
-      in
-      first cycles)
-    (gossip_view t vg)
+  let nbrs = gossip_view t vg in
+  if vg.fwd_bid <> bid then begin
+    let vid = vg.vid in
+    vg.fwd_targets <-
+      List.filter_map
+        (fun (nb, cycles) ->
+          let rec first = function
+            | [] -> None
+            | c :: rest ->
+              if t.forward_policy ~bid ~from_vg:vid ~cycle:c ~neighbor:nb then Some (nb, c)
+              else first rest
+          in
+          first cycles)
+        nbrs;
+    vg.fwd_bid <- bid
+  end;
+  vg.fwd_targets
 
 (* Drain the per-instant fan-out buffer: one [send_group] per
    (src_vg, dst_vg, bid) round.  The buffer is cleared before sending
@@ -1415,20 +1460,28 @@ let queue_fanout t ~dst ~src_vg ~src_size ~bid ~origin ~body ~cycle ~sender ~byt
     Engine.schedule ~label:"system.fanout" t.engine ~delay:0.0 (fun () -> flush_fanout t)
   end
 
+(* Per-node delivery: log it, record latency, hand it to the
+   application, then gossip it to the neighbor vgroups the forward
+   callback selects ([random_forward] by default). *)
 let node_deliver t nid ~bid ~origin ~body =
   let n = node t nid in
   if (not (Atum_util.Bitset.mem n.delivered bid)) && is_correct n then begin
     Atum_util.Bitset.set n.delivered bid;
     audit t (Audit_deliver { node = nid; bid; known = Hashtbl.mem t.bcasts bid });
-    if Option.is_some t.store then
-      persist t n
+    (* The WAL record goes first; a snapshot it makes due waits until
+       the application has applied the delivery, so a snapshot never
+       marks a broadcast delivered whose effect it lacks. *)
+    (match t.store with
+    | Some store ->
+      Replica.append store ~node:nid
         (Json.Obj
            [
              ("t", Json.String "deliver");
              ("bid", Json.Int bid);
              ("origin", Json.Int origin);
              ("body", Json.String body);
-           ]);
+           ])
+    | None -> ());
     (match Hashtbl.find_opt t.bcasts bid with
     | Some meta ->
       Atum_sim.Metrics.observe t.metrics "broadcast.latency" (now t -. meta.started)
@@ -1437,6 +1490,7 @@ let node_deliver t nid ~bid ~origin ~body =
     if Trace.enabled t.trace then
       trace_emit t ~kind:"broadcast.delivered" ~node:nid ~peer:origin ~bid ();
     t.on_deliver nid ~bid ~origin body;
+    snapshot_if_due t n;
     match n.vg with
     | None -> ()
     | Some vid ->
@@ -1689,6 +1743,12 @@ let on_smr_execute t vg member (op : Atum_smr.Smr_intf.op) =
 
 let () = execute_hook := on_smr_execute
 
+let rec mem_id (x : node_id) = function [] -> false | y :: rest -> x = y || mem_id x rest
+
+let rec votes_from vid = function
+  | [] -> raise Not_found
+  | v :: rest -> if v.from_vg = vid then v else votes_from vid rest
+
 let handle_wire t nid ~src wire =
   match node_opt t nid with
   | None -> ()
@@ -1719,19 +1779,20 @@ let handle_wire t nid ~src wire =
         let needed_src = majority_of src_size in
         match payload with
         | Control _ ->
-          if not (Hashtbl.mem t.gm_accepted (nid, gm_id)) then begin
+          let key = pair_key nid gm_id in
+          if not (Pair_tbl.mem t.gm_accepted key) then begin
             let senders =
-              match Hashtbl.find_opt t.gm_senders (nid, gm_id) with
-              | Some r -> r
-              | None ->
+              match Pair_tbl.find t.gm_senders key with
+              | r -> r
+              | exception Not_found ->
                 let r = ref [] in
-                Hashtbl.replace t.gm_senders (nid, gm_id) r;
+                Pair_tbl.replace t.gm_senders key r;
                 r
             in
-            if not (List.mem src !senders) then senders := src :: !senders;
+            if not (mem_id src !senders) then senders := src :: !senders;
             if List.length !senders >= needed_src then begin
-              Hashtbl.replace t.gm_accepted (nid, gm_id) ();
-              Hashtbl.remove t.gm_senders (nid, gm_id);
+              Pair_tbl.replace t.gm_accepted key ();
+              Pair_tbl.remove t.gm_senders key;
               match Hashtbl.find_opt t.gms gm_id with
               | Some st ->
                 st.node_accepts <- st.node_accepts + 1;
@@ -1745,18 +1806,19 @@ let handle_wire t nid ~src wire =
           end
         | Bcast { bid; origin; body; cycle } ->
           if not (Atum_util.Bitset.mem n.delivered bid) then begin
-            let key = (nid, bid, src_vg) in
-            let senders =
-              match Hashtbl.find_opt t.bcast_senders key with
-              | Some r -> r
-              | None ->
-                let r = ref [] in
-                Hashtbl.replace t.bcast_senders key r;
-                r
+            let key = pair_key nid bid in
+            let per_src = try Pair_tbl.find t.bcast_votes key with Not_found -> [] in
+            let v =
+              match votes_from src_vg per_src with
+              | v -> v
+              | exception Not_found ->
+                let v = { from_vg = src_vg; voters = [] } in
+                Pair_tbl.replace t.bcast_votes key (v :: per_src);
+                v
             in
-            if not (List.mem src !senders) then senders := src :: !senders;
-            if List.length !senders >= needed_src then begin
-              Hashtbl.remove t.bcast_senders key;
+            if not (mem_id src v.voters) then v.voters <- src :: v.voters;
+            if List.length v.voters >= needed_src then begin
+              Pair_tbl.remove t.bcast_votes key;
               (* Gossip lineage: this node accepts the broadcast from
                  vgroup [src_vg]; first delivery is a hop edge in the
                  dissemination tree. *)

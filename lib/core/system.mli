@@ -77,6 +77,10 @@ type vgroup = {
       (** cached gossip view: each distinct overlay neighbor with the
           ascending list of cycles linking to it; rebuilt lazily when
           [nbrs_gen] falls behind the overlay generation *)
+  mutable fwd_bid : int;
+      (** broadcast [fwd_targets] was decided for; [-1] once the view
+          is rebuilt or the forward policy replaced *)
+  mutable fwd_targets : (vg_id * int) list;  (** see {!gossip_targets} *)
 }
 
 and sync_replicas = {
@@ -200,7 +204,8 @@ val attach_store :
 (** Attach a durable per-replica store (WAL + snapshots over
     [backend]).  From then on every broadcast delivery and registry
     pointer change is appended to the owning node's WAL, folding into
-    a snapshot every [snapshot_every] (default 64) appends.  The
+    a snapshot every [snapshot_every] (default 64) appends; a snapshot
+    due at a delivery is cut after the application has applied it.  The
     snapshot HMAC key is derived from the run's seed.  Registers the
     [store.*] telemetry gauges when telemetry is (or later becomes)
     attached.  Raises [Invalid_argument] if a store is already
@@ -268,7 +273,17 @@ val set_forward_policy :
 (** Replace the gossip forward callback.  The default is
     {!random_forward}; latency-sensitive applications flood
     ({!flood_forward}), throughput-oriented ones restrict to fewer
-    cycles (§3.3.4). *)
+    cycles (§3.3.4).  The callback must be deterministic in its
+    arguments: {!gossip_targets} memoises its decisions, and this
+    call discards them. *)
+
+val gossip_targets : t -> vgroup -> bid:int -> (vg_id * int) list
+(** The vgroup's forward decision for broadcast [bid]: one
+    [(neighbor, cycle)] per neighbor the forward callback selects on
+    some linking cycle, tagged with the lowest such cycle, sorted by
+    neighbor.  Computed once per (vgroup, broadcast) and reused by
+    every member that forwards it, until the overlay changes or
+    {!set_forward_policy} runs. *)
 
 val flood_forward : bid:int -> from_vg:vg_id -> cycle:int -> neighbor:vg_id -> bool
 

@@ -1,184 +1,157 @@
-(* SHA-256 per FIPS 180-4.  State is eight 32-bit words kept in int32;
-   the message schedule is recomputed per 64-byte block. *)
+(* SHA-256 per FIPS 180-4, on native ints: each 32-bit word lives in
+   the low half of a 63-bit OCaml int, so no Int32 is ever boxed. *)
 
 let k =
-  [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-     0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-     0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-     0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-     0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-     0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-     0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-     0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-     0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-     0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-     0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-     0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-     0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4;
+     0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe;
+     0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc; 0x2de92c6f;
+     0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7;
+     0xc6e00bf3; 0xd5a79147; 0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+     0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+     0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116;
+     0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f; 0x682e6ff3;
+     0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208; 0x90befffa; 0xa4506ceb; 0xbef9a3f7;
+     0xc67178f2 |]
 
 type ctx = {
-  h : int32 array; (* 8 words of chaining state *)
+  h : int array; (* 8 words of chaining state *)
+  w : int array; (* 64-word message schedule scratch *)
   block : Bytes.t; (* 64-byte buffer for a partial block *)
   mutable block_len : int;
-  mutable total_len : int64; (* message length in bytes *)
+  mutable total_len : int; (* message length in bytes *)
   mutable finished : bool;
-  w : int32 array; (* message schedule scratch *)
 }
 
 let init () =
   {
     h =
-      [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
-         0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |];
+      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
+         0x5be0cd19 |];
+    w = Array.make 64 0;
     block = Bytes.create 64;
     block_len = 0;
-    total_len = 0L;
+    total_len = 0;
     finished = false;
-    w = Array.make 64 0l;
   }
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
+let mask = 0xFFFFFFFF
+
+(* Rotations leave junk above bit 31 and nothing masks it until a word
+   is stored: junk only moves up through xor, and, or and add, so the
+   low 32 bits stay exact.  Only inputs to a right shift — the
+   schedule words and the [a]/[e] registers — must be clean. *)
+let[@inline] rotr x n = (x lsr n) lor (x lsl (32 - n))
 
 let process_block ctx buf off =
-  let w = ctx.w in
+  let w = ctx.w and h = ctx.h in
   for t = 0 to 15 do
-    let base = off + (t * 4) in
-    let b i = Int32.of_int (Char.code (Bytes.get buf (base + i))) in
-    w.(t) <-
-      Int32.logor
-        (Int32.shift_left (b 0) 24)
-        (Int32.logor
-           (Int32.shift_left (b 1) 16)
-           (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
+    let p = off + (t * 4) in
+    Array.unsafe_set w t
+      ((Bytes.get_uint16_be buf p lsl 16) lor Bytes.get_uint16_be buf (p + 2))
   done;
   for t = 16 to 63 do
-    let s0 =
-      Int32.logxor
-        (Int32.logxor (rotr w.(t - 15) 7) (rotr w.(t - 15) 18))
-        (Int32.shift_right_logical w.(t - 15) 3)
-    in
-    let s1 =
-      Int32.logxor
-        (Int32.logxor (rotr w.(t - 2) 17) (rotr w.(t - 2) 19))
-        (Int32.shift_right_logical w.(t - 2) 10)
-    in
-    w.(t) <- Int32.add (Int32.add (Int32.add w.(t - 16) s0) w.(t - 7)) s1
+    let w15 = Array.unsafe_get w (t - 15) and w2 = Array.unsafe_get w (t - 2) in
+    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
+    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask)
   done;
-  let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = Int32.logxor (Int32.logxor (rotr !e 6) (rotr !e 11)) (rotr !e 25) in
-    let ch = Int32.logxor (Int32.logand !e !f) (Int32.logand (Int32.lognot !e) !g) in
-    let t1 = Int32.add (Int32.add (Int32.add (Int32.add !hh s1) ch) k.(t)) w.(t) in
-    let s0 = Int32.logxor (Int32.logxor (rotr !a 2) (rotr !a 13)) (rotr !a 22) in
-    let maj =
-      Int32.logxor
-        (Int32.logxor (Int32.logand !a !b) (Int32.logand !a !c))
-        (Int32.logand !b !c)
+    let ev = !e and av = !a in
+    let t1 =
+      !hh
+      + (rotr ev 6 lxor rotr ev 11 lxor rotr ev 25)
+      + ((ev land !f) lxor (lnot ev land !g))
+      + Array.unsafe_get k t + Array.unsafe_get w t
     in
-    let t2 = Int32.add s0 maj in
+    let t2 = (rotr av 2 lxor rotr av 13 lxor rotr av 22) + ((av land (!b lor !c)) lor (!b land !c)) in
     hh := !g;
     g := !f;
-    f := !e;
-    e := Int32.add !d t1;
+    f := ev;
+    e := (!d + t1) land mask;
     d := !c;
     c := !b;
-    b := !a;
-    a := Int32.add t1 t2
+    b := av;
+    a := (t1 + t2) land mask
   done;
-  h.(0) <- Int32.add h.(0) !a;
-  h.(1) <- Int32.add h.(1) !b;
-  h.(2) <- Int32.add h.(2) !c;
-  h.(3) <- Int32.add h.(3) !d;
-  h.(4) <- Int32.add h.(4) !e;
-  h.(5) <- Int32.add h.(5) !f;
-  h.(6) <- Int32.add h.(6) !g;
-  h.(7) <- Int32.add h.(7) !hh
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
-let feed ctx s =
+let feed_bytes ctx buf ~off ~len =
   if ctx.finished then invalid_arg "Sha256.feed: context already finalized";
-  let len = String.length s in
-  ctx.total_len <- Int64.add ctx.total_len (Int64.of_int len);
-  let pos = ref 0 in
+  if off < 0 || len < 0 || off + len > Bytes.length buf then invalid_arg "Sha256.feed: bad range";
+  ctx.total_len <- ctx.total_len + len;
+  let stop = off + len in
+  let pos = ref off in
   (* Fill a partial block first. *)
   if ctx.block_len > 0 then begin
-    let need = 64 - ctx.block_len in
-    let take = min need len in
-    Bytes.blit_string s 0 ctx.block ctx.block_len take;
+    let take = min (64 - ctx.block_len) len in
+    Bytes.blit buf off ctx.block ctx.block_len take;
     ctx.block_len <- ctx.block_len + take;
-    pos := take;
+    pos := off + take;
     if ctx.block_len = 64 then begin
       process_block ctx ctx.block 0;
       ctx.block_len <- 0
     end
   end;
   (* Whole blocks straight from the input. *)
-  let tmp = Bytes.create 64 in
-  while len - !pos >= 64 do
-    Bytes.blit_string s !pos tmp 0 64;
-    process_block ctx tmp 0;
+  while stop - !pos >= 64 do
+    process_block ctx buf !pos;
     pos := !pos + 64
   done;
-  if !pos < len then begin
-    Bytes.blit_string s !pos ctx.block 0 (len - !pos);
-    ctx.block_len <- len - !pos
+  if !pos < stop then begin
+    Bytes.blit buf !pos ctx.block 0 (stop - !pos);
+    ctx.block_len <- stop - !pos
   end
 
-let finalize ctx =
-  if ctx.finished then invalid_arg "Sha256.finalize: context already finalized";
-  ctx.finished <- true;
-  let bit_len = Int64.mul ctx.total_len 8L in
-  (* Padding: 0x80, zeros, then the 64-bit big-endian bit length. *)
-  let pad_len =
-    if ctx.block_len < 56 then 56 - ctx.block_len else 120 - ctx.block_len
-  in
-  let tail = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Bytes.set tail
-      (pad_len + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len shift) 0xffL)))
-  done;
-  (* Absorb the padding without recounting the length. *)
-  let s = Bytes.to_string tail in
-  let pos = ref 0 in
-  let len = String.length s in
-  if ctx.block_len > 0 then begin
-    let need = 64 - ctx.block_len in
-    let take = min need len in
-    Bytes.blit_string s 0 ctx.block ctx.block_len take;
-    ctx.block_len <- ctx.block_len + take;
-    pos := take;
-    if ctx.block_len = 64 then begin
-      process_block ctx ctx.block 0;
-      ctx.block_len <- 0
-    end
-  end;
-  let tmp = Bytes.create 64 in
-  while len - !pos >= 64 do
-    Bytes.blit_string s !pos tmp 0 64;
-    process_block ctx tmp 0;
-    pos := !pos + 64
-  done;
-  assert (len - !pos = 0 && ctx.block_len = 0);
-  let out = Bytes.create 32 in
-  Array.iteri
-    (fun i word ->
-      for j = 0 to 3 do
-        let shift = 8 * (3 - j) in
-        Bytes.set out
-          ((i * 4) + j)
-          (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical word shift) 0xffl)))
-      done)
-    ctx.h;
-  Bytes.to_string out
+(* Reading through [unsafe_of_string] is sound: [feed_bytes] never
+   writes to its input. *)
+let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
-let digest s =
+let finalize_into ctx dst ~off =
+  if ctx.finished then invalid_arg "Sha256.finalize: context already finalized";
+  if off < 0 || off + 32 > Bytes.length dst then invalid_arg "Sha256.finalize_into: bad offset";
+  ctx.finished <- true;
+  (* Padding: 0x80, zeros, then the 64-bit big-endian bit length. *)
+  let block = ctx.block and used = ctx.block_len in
+  Bytes.set block used '\x80';
+  if used >= 56 then begin
+    Bytes.fill block (used + 1) (63 - used) '\000';
+    process_block ctx block 0;
+    Bytes.fill block 0 56 '\000'
+  end
+  else Bytes.fill block (used + 1) (55 - used) '\000';
+  let bit_len = ctx.total_len * 8 in
+  for i = 0 to 7 do
+    Bytes.set block (56 + i) (Char.unsafe_chr ((bit_len lsr (8 * (7 - i))) land 0xFF))
+  done;
+  process_block ctx block 0;
+  ctx.block_len <- 0;
+  for i = 0 to 7 do
+    let word = ctx.h.(i) in
+    Bytes.set_uint16_be dst (off + (i * 4)) (word lsr 16);
+    Bytes.set_uint16_be dst (off + (i * 4) + 2) (word land 0xFFFF)
+  done
+
+let finalize ctx =
+  let out = Bytes.create 32 in
+  finalize_into ctx out ~off:0;
+  Bytes.unsafe_to_string out
+
+let digest_sub s ~off ~len =
   let ctx = init () in
-  feed ctx s;
+  feed_bytes ctx (Bytes.unsafe_of_string s) ~off ~len;
   finalize ctx
+
+let digest s = digest_sub s ~off:0 ~len:(String.length s)
 
 let hex raw =
   let buf = Buffer.create (2 * String.length raw) in

@@ -1,8 +1,8 @@
-(** SHA-256 (FIPS 180-4), implemented from scratch.
+(** SHA-256 (FIPS 180-4), implemented from scratch on native ints.
 
-    Used for message digests, AShare chunk integrity checks and as the
-    compression function behind {!Hmac}.  Tested against the standard
-    NIST test vectors. *)
+    Used for message digests, AShare chunk integrity checks, the WAL
+    frame checksum and as the compression function behind {!Hmac}.
+    Tested against the standard NIST test vectors. *)
 
 type ctx
 
@@ -11,11 +11,22 @@ val init : unit -> ctx
 val feed : ctx -> string -> unit
 (** Absorb bytes; may be called repeatedly. *)
 
+val feed_bytes : ctx -> Bytes.t -> off:int -> len:int -> unit
+(** Absorb the [len] bytes of a buffer starting at [off], without
+    copying them out first. *)
+
 val finalize : ctx -> string
 (** Returns the 32-byte raw digest and invalidates the context. *)
 
+val finalize_into : ctx -> Bytes.t -> off:int -> unit
+(** [finalize], writing the 32-byte digest into the buffer at [off]. *)
+
 val digest : string -> string
 (** One-shot 32-byte raw digest. *)
+
+val digest_sub : string -> off:int -> len:int -> string
+(** [digest_sub s ~off ~len] = [digest (String.sub s off len)],
+    without the copy. *)
 
 val hex : string -> string
 (** [hex raw] renders a raw digest as lowercase hexadecimal. *)

@@ -86,7 +86,9 @@ let end_of_round t ~round =
     let relays = ref [] in
     List.iter
       (fun m ->
-        if chain_valid t ~round m && not (List.mem m.value t.extracted) then begin
+        (* The cheap membership test first: a relay of a value already
+           extracted is dropped without re-verifying its signatures. *)
+        if (not (List.mem m.value t.extracted)) && chain_valid t ~round m then begin
           t.extracted <- t.extracted @ [ m.value ];
           if round <= t.f then begin
             let relay = make_msg t m.value (m.sigs @ [ sign t m.value ]) in

@@ -12,14 +12,18 @@ module Json = Atum_util.Json
 let wal_name = "wal.log"
 let snapshot_name = "snapshot.bin"
 
+(* Per-node counters, one record per node that ever wrote. *)
+type node_log = {
+  mutable pending : int; (* appends since the last snapshot — the snapshot trigger *)
+  mutable bytes : int; (* live WAL + snapshot bytes (reset on truncate) *)
+}
+
 type t = {
   backend : Backend.t;
   key : string;
   snapshot_every : int;
-  (* Appends since the node's last snapshot — the snapshot trigger. *)
-  pending : (int, int) Hashtbl.t;
-  (* Live WAL + snapshot bytes per node (rebuilt on truncate). *)
-  bytes : (int, int) Hashtbl.t;
+  logs : (int, node_log) Hashtbl.t;
+  buf : Buffer.t; (* encoding scratch shared by every WAL frame and snapshot *)
   mutable appends : int;
   mutable snapshots : int;
   mutable replayed : int;
@@ -42,8 +46,8 @@ let create ?(snapshot_every = 64) ~key backend =
     backend;
     key;
     snapshot_every;
-    pending = Hashtbl.create 64;
-    bytes = Hashtbl.create 64;
+    logs = Hashtbl.create 64;
+    buf = Buffer.create 4096;
     appends = 0;
     snapshots = 0;
     replayed = 0;
@@ -51,24 +55,36 @@ let create ?(snapshot_every = 64) ~key backend =
 
 let backend t = t.backend
 
-let bump tbl node delta =
-  Hashtbl.replace tbl node (delta + Option.value ~default:0 (Hashtbl.find_opt tbl node))
+let log_of t node =
+  match Hashtbl.find t.logs node with
+  | l -> l
+  | exception Not_found ->
+    let l = { pending = 0; bytes = 0 } in
+    Hashtbl.replace t.logs node l;
+    l
 
 let append t ~node record =
-  let n = Wal.append t.backend ~node ~name:wal_name record in
+  let n = Wal.append t.buf t.backend ~node ~name:wal_name record in
   t.appends <- t.appends + 1;
-  bump t.pending node 1;
-  bump t.bytes node n
+  let l = log_of t node in
+  l.pending <- l.pending + 1;
+  l.bytes <- l.bytes + n
 
 let needs_snapshot t ~node =
-  Option.value ~default:0 (Hashtbl.find_opt t.pending node) >= t.snapshot_every
+  match Hashtbl.find t.logs node with
+  | l -> l.pending >= t.snapshot_every
+  | exception Not_found -> false
+
+let reset_log t node ~bytes =
+  let l = log_of t node in
+  l.pending <- 0;
+  l.bytes <- bytes
 
 let save_snapshot t ~node doc =
-  let n = Snapshot.save t.backend ~key:t.key ~node ~name:snapshot_name doc in
+  let n = Snapshot.save t.buf t.backend ~key:t.key ~node ~name:snapshot_name doc in
   Wal.reset t.backend ~node ~name:wal_name;
   t.snapshots <- t.snapshots + 1;
-  Hashtbl.replace t.pending node 0;
-  Hashtbl.replace t.bytes node n
+  reset_log t node ~bytes:n
 
 let recover t ~node =
   let snapshot, snapshot_error =
@@ -83,12 +99,11 @@ let recover t ~node =
 let wipe t ~node =
   Wal.reset t.backend ~node ~name:wal_name;
   Snapshot.remove t.backend ~node ~name:snapshot_name;
-  Hashtbl.replace t.pending node 0;
-  Hashtbl.replace t.bytes node 0
+  reset_log t node ~bytes:0
 
 let appends t = t.appends
 let snapshots t = t.snapshots
 let replayed t = t.replayed
 let fsyncs t = t.backend.Backend.sync_count ()
 
-let log_bytes t = Hashtbl.fold (fun _ n acc -> acc + n) t.bytes 0
+let log_bytes t = Hashtbl.fold (fun _ l acc -> acc + l.bytes) t.logs 0

@@ -14,15 +14,27 @@ module Hmac = Atum_crypto.Hmac
 let magic = "ATUMSNAP"
 let version = 1
 
-let save (b : Backend.t) ~key ~node ~name doc =
-  let payload = Json.to_string ~pretty:false doc in
-  let vbyte = String.make 1 (Char.chr version) in
-  let tag = Hmac.mac ~key (vbyte ^ payload) in
-  let blob = magic ^ vbyte ^ tag ^ payload in
-  b.Backend.save ~node ~name blob;
-  String.length blob
-
 let header_bytes = String.length magic + 1 + 32
+
+(* One allocation, the blob: the payload is encoded into the caller's
+   reusable [buf], copied in behind the header, and the tag is computed
+   over the version byte and payload where they lie and written into
+   its slot between them. *)
+let save buf (b : Backend.t) ~key ~node ~name doc =
+  Buffer.clear buf;
+  Json.to_buffer ~pretty:false buf doc;
+  let len = Buffer.length buf in
+  let vpos = String.length magic in
+  let blob = Bytes.create (header_bytes + len) in
+  Bytes.blit_string magic 0 blob 0 vpos;
+  Bytes.set blob vpos (Char.chr version);
+  Buffer.blit buf 0 blob header_bytes len;
+  let mac = Hmac.init ~key in
+  Hmac.feed_bytes mac blob ~off:vpos ~len:1;
+  Hmac.feed_bytes mac blob ~off:header_bytes ~len;
+  Hmac.finalize_into mac blob ~off:(vpos + 1);
+  b.Backend.save ~node ~name (Bytes.unsafe_to_string blob);
+  Bytes.length blob
 
 let load (b : Backend.t) ~key ~node ~name =
   match b.Backend.load ~node ~name with

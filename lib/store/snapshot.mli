@@ -11,8 +11,11 @@ val version : int
 
 val header_bytes : int
 
-val save : Backend.t -> key:string -> node:int -> name:string -> Atum_util.Json.t -> int
-(** Write (replacing any previous snapshot); returns blob size. *)
+val save :
+  Buffer.t -> Backend.t -> key:string -> node:int -> name:string -> Atum_util.Json.t -> int
+(** [save buf b ~key ~node ~name doc] writes (replacing any previous
+    snapshot) and returns the blob size.  [buf] is encoding scratch
+    the caller reuses, as for {!Wal.append}. *)
 
 val load :
   Backend.t -> key:string -> node:int -> name:string ->

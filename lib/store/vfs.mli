@@ -3,7 +3,8 @@
     All durable bytes live in memory, keyed by (node id, file name);
     file timestamps are drawn from the [now] closure (simulation time),
     never the wall clock — so attaching a store to a seeded run keeps
-    artifacts byte-identical across runs.
+    artifacts byte-identical across runs.  Files grow in place: an
+    append costs its own bytes, not a copy of the file.
 
     The damage helpers let chaos scenarios corrupt or truncate a
     node's log deterministically before a cold restart, which is how
@@ -18,7 +19,7 @@ val create : ?now:(unit -> float) -> unit -> t
 val backend : t -> Backend.t
 
 val read : t -> node:int -> name:string -> string option
-(** Raw bytes of a file, for tests and damage targeting. *)
+(** A copy of a file's bytes, for tests and damage targeting. *)
 
 val mtime : t -> node:int -> name:string -> float option
 

@@ -27,29 +27,28 @@ type status =
   | Truncated of { dropped_bytes : int }
   | Corrupt of { at_record : int }
 
-let be32 n =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xFF));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xFF));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xFF));
-  Bytes.set b 3 (Char.chr (n land 0xFF));
-  Bytes.to_string b
-
 let read_be32 s off =
   (Char.code s.[off] lsl 24)
   lor (Char.code s.[off + 1] lsl 16)
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-let frame payload = be32 (String.length payload) ^ Sha256.digest payload ^ payload
-
-let append (b : Backend.t) ~node ~name record =
-  let payload = Json.to_string ~pretty:false record in
-  if String.length payload > max_record_bytes then
-    invalid_arg "Wal.append: record too large";
-  let f = frame payload in
-  b.Backend.append ~node ~name f;
-  String.length f
+(* The payload is encoded into the caller's reusable [buf]; the frame
+   is then the one allocation: header and checksum are written into it
+   around the payload, the SHA-256 read straight from its bytes. *)
+let append buf (b : Backend.t) ~node ~name record =
+  Buffer.clear buf;
+  Json.to_buffer ~pretty:false buf record;
+  let len = Buffer.length buf in
+  if len > max_record_bytes then invalid_arg "Wal.append: record too large";
+  let frame = Bytes.create (header_bytes + len) in
+  Bytes.set_int32_be frame 0 (Int32.of_int len);
+  Buffer.blit buf 0 frame header_bytes len;
+  let sum = Sha256.init () in
+  Sha256.feed_bytes sum frame ~off:header_bytes ~len;
+  Sha256.finalize_into sum frame ~off:4;
+  b.Backend.append ~node ~name (Bytes.unsafe_to_string frame);
+  Bytes.length frame
 
 let decode data =
   let n = String.length data in
@@ -65,12 +64,11 @@ let decode data =
       else if off + header_bytes + len > n then
         (List.rev !entries, Truncated { dropped_bytes = n - off })
       else begin
-        let sum = String.sub data (off + 4) 32 in
-        let payload = String.sub data (off + header_bytes) len in
-        if not (String.equal sum (Sha256.digest payload)) then
+        let sum = Sha256.digest_sub data ~off:(off + header_bytes) ~len in
+        if not (String.equal sum (String.sub data (off + 4) 32)) then
           (List.rev !entries, Corrupt { at_record = idx })
         else
-          match Json.of_string payload with
+          match Json.of_string (String.sub data (off + header_bytes) len) with
           | Error _ -> (List.rev !entries, Corrupt { at_record = idx })
           | Ok v ->
             entries := v :: !entries;

@@ -20,9 +20,12 @@ val header_bytes : int
 val max_record_bytes : int
 (** A length prefix beyond this is treated as corruption. *)
 
-val append : Backend.t -> node:int -> name:string -> Atum_util.Json.t -> int
-(** Frame and append one record; returns the frame size in bytes.
-    Raises [Invalid_argument] on a record over {!max_record_bytes}. *)
+val append : Buffer.t -> Backend.t -> node:int -> name:string -> Atum_util.Json.t -> int
+(** [append buf b ~node ~name record] frames and appends one record;
+    returns the frame size in bytes.  [buf] is encoding scratch the
+    caller reuses across calls (its contents are overwritten); the
+    frame itself is the only allocation.  Raises [Invalid_argument]
+    on a record over {!max_record_bytes}. *)
 
 val replay : Backend.t -> node:int -> name:string -> Atum_util.Json.t list * status
 (** Decode the log front to back; a missing file is [([], Complete)]. *)

@@ -11,18 +11,41 @@ type t =
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The C primitive behind [Printf]'s %f and %g conversions: the same
+   bytes, without running the format interpreter per number. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_to_string x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+  if Float.is_integer x && Float.abs x < 1e15 then format_float "%.1f" x
   else begin
-    let s = Printf.sprintf "%.12g" x in
-    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+    let s = format_float "%.12g" x in
+    if float_of_string s = x then s else format_float "%.17g" x
   end
+
+(* [string_of_int] digits, written straight into the buffer. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+
+(* Fast path: most strings need no escaping and go in with one blit. *)
+let rec plain s i =
+  i >= String.length s
+  || match String.unsafe_get s i with '"' | '\\' | '\000' .. '\031' -> false | _ -> plain s (i + 1)
 
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  if plain s 0 then Buffer.add_string buf s
+  else
+    for i = 0 to String.length s - 1 do
+      match String.unsafe_get s i with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
@@ -30,52 +53,65 @@ let escape_string buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | c when Char.code c < 0x20 ->
         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_char buf c
+    done;
   Buffer.add_char buf '"'
 
-let to_buffer ?(pretty = true) buf t =
-  let indent n = for _ = 1 to n do Buffer.add_string buf "  " done in
-  let newline depth =
-    if pretty then begin
-      Buffer.add_char buf '\n';
-      indent depth
-    end
-  in
-  let rec go depth = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float x ->
-      if not (Float.is_finite x) then Buffer.add_string buf "null"
-      else Buffer.add_string buf (float_to_string x)
-    | String s -> escape_string buf s
-    | List [] -> Buffer.add_string buf "[]"
-    | List xs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          newline (depth + 1);
-          go (depth + 1) x)
-        xs;
-      newline depth;
-      Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          newline (depth + 1);
-          escape_string buf k;
-          Buffer.add_string buf (if pretty then ": " else ":");
-          go (depth + 1) v)
-        kvs;
-      newline depth;
-      Buffer.add_char buf '}'
-  in
-  go 0 t
+(* The writer is a set of top-level recursive functions rather than
+   closures over [buf]: the compact path (every WAL record and
+   snapshot) then allocates nothing but the floats it formats. *)
+let newline buf ~pretty depth =
+  if pretty then begin
+    Buffer.add_char buf '\n';
+    for _ = 1 to depth do Buffer.add_string buf "  " done
+  end
+
+let rec write buf ~pretty depth = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int i -> add_int buf i
+  | Float x ->
+    if not (Float.is_finite x) then Buffer.add_string buf "null"
+    else Buffer.add_string buf (float_to_string x)
+  | String s -> escape_string buf s
+  | List [] -> Buffer.add_string buf "[]"
+  | List (x :: xs) ->
+    Buffer.add_char buf '[';
+    newline buf ~pretty (depth + 1);
+    write buf ~pretty (depth + 1) x;
+    write_items buf ~pretty (depth + 1) xs;
+    newline buf ~pretty depth;
+    Buffer.add_char buf ']'
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (kv :: kvs) ->
+    Buffer.add_char buf '{';
+    write_member buf ~pretty (depth + 1) kv;
+    write_members buf ~pretty (depth + 1) kvs;
+    newline buf ~pretty depth;
+    Buffer.add_char buf '}'
+
+and write_items buf ~pretty depth = function
+  | [] -> ()
+  | x :: rest ->
+    Buffer.add_char buf ',';
+    newline buf ~pretty depth;
+    write buf ~pretty depth x;
+    write_items buf ~pretty depth rest
+
+and write_member buf ~pretty depth (k, v) =
+  newline buf ~pretty depth;
+  escape_string buf k;
+  Buffer.add_string buf (if pretty then ": " else ":");
+  write buf ~pretty depth v
+
+and write_members buf ~pretty depth = function
+  | [] -> ()
+  | kv :: rest ->
+    Buffer.add_char buf ',';
+    write_member buf ~pretty depth kv;
+    write_members buf ~pretty depth rest
+
+let to_buffer ?(pretty = true) buf t = write buf ~pretty 0 t
 
 let to_string ?pretty t =
   let buf = Buffer.create 1024 in

@@ -152,6 +152,66 @@ let test_forward_single_cycle_still_delivers () =
   Atum.run_for t 120.0;
   Alcotest.(check int) "all nodes delivered" (Atum.size t) (Hashtbl.length got)
 
+(* The forward decision belongs to the vgroup: the callback runs once
+   per (vgroup, broadcast, link), not once per forwarding member, and
+   runs again only after the policy is replaced or the overlay changes. *)
+let test_forward_decided_once_per_vgroup () =
+  let t = Atum.create ~params:quick_sync_params () in
+  let n0 = grow t ~target:16 ~settle:120.0 in
+  Atum.run_for t 200.0;
+  let sys = Atum.system t in
+  let calls = Hashtbl.create 64 in
+  Atum.on_forward t (fun ~bid ~from_vg ~cycle ~neighbor ->
+      let k = (bid, from_vg, cycle, neighbor) in
+      Hashtbl.replace calls k (1 + Option.value ~default:0 (Hashtbl.find_opt calls k));
+      true);
+  let delivered = ref 0 in
+  Atum.on_deliver t (fun _ ~bid:_ ~origin:_ _ -> incr delivered);
+  let bid = Atum.broadcast t ~from:n0 "once" in
+  Atum.run_for t 120.0;
+  Alcotest.(check int) "all nodes delivered" (Atum.size t) !delivered;
+  Alcotest.(check bool) "fewer decisions than deliveries" true (Hashtbl.length calls < !delivered);
+  Alcotest.(check int) "each link decided once" 1
+    (Hashtbl.fold (fun _ n acc -> max n acc) calls 0);
+  (* Direct calls now reuse the memo, until the policy is replaced. *)
+  let live () =
+    List.filter_map
+      (fun vid ->
+        match System.vgroup_opt sys vid with
+        | Some vg when not vg.System.retired -> Some vg
+        | _ -> None)
+      (System.vgroup_ids sys)
+  in
+  let decide vgs = List.iter (fun vg -> ignore (System.gossip_targets sys vg ~bid)) vgs in
+  let decide_all () = decide (live ()) in
+  let before = Hashtbl.length calls in
+  decide_all ();
+  Alcotest.(check int) "memo hit: no new calls" before (Hashtbl.length calls);
+  let replaced = ref 0 in
+  System.set_forward_policy sys (fun ~bid:_ ~from_vg:_ ~cycle:_ ~neighbor:_ ->
+      incr replaced;
+      true);
+  decide_all ();
+  let after_policy = !replaced in
+  Alcotest.(check bool) "new policy consulted" true (after_policy > 0);
+  decide_all ();
+  Alcotest.(check int) "and memoised" after_policy !replaced;
+  (* An overlay change (a split as the system grows) invalidates the
+     decisions of the vgroups that were there before it, too. *)
+  let old = live () in
+  let gen0 = Atum_overlay.Hgraph.generation (System.hgraph sys) in
+  let joins = ref 0 in
+  while Atum_overlay.Hgraph.generation (System.hgraph sys) = gen0 && !joins < 40 do
+    ignore (Atum.join t ~contact:n0 ());
+    incr joins;
+    Atum.run_for t 30.0
+  done;
+  Alcotest.(check bool) "overlay changed" true
+    (Atum_overlay.Hgraph.generation (System.hgraph sys) <> gen0);
+  let before = !replaced in
+  decide (List.filter (fun vg -> not vg.System.retired) old);
+  Alcotest.(check bool) "recomputed after the overlay change" true (!replaced > before)
+
 let test_broadcast_latency_bounded_sync () =
   let t = Atum.create ~params:quick_sync_params () in
   let n0 = grow t ~target:16 ~settle:120.0 in
@@ -658,6 +718,8 @@ let () =
           Alcotest.test_case "reaches all (async)" `Slow test_broadcast_reaches_all_async;
           Alcotest.test_case "dedup" `Slow test_broadcast_multiple_messages_dedup;
           Alcotest.test_case "single-cycle forward" `Slow test_forward_single_cycle_still_delivers;
+          Alcotest.test_case "forward decided once per vgroup" `Slow
+            test_forward_decided_once_per_vgroup;
           Alcotest.test_case "latency bounded" `Slow test_broadcast_latency_bounded_sync;
           Alcotest.test_case "broadcast storm" `Slow test_broadcast_storm;
           Alcotest.test_case "agreement survives reconfiguration" `Slow

@@ -68,6 +68,41 @@ let test_sha_lengths_55_56_64 () =
   Alcotest.(check int) "all distinct" (List.length inputs)
     (List.length (List.sort_uniq compare digests))
 
+(* 200 bytes of varied content; the expected digests of its sub-ranges
+   at offset 3 come from an independent SHA-256 (Python's hashlib). *)
+let varied = String.init 200 (fun i -> Char.chr ((i * 7) land 255))
+
+let test_sha_sub_range () =
+  List.iter
+    (fun (len, expected) ->
+      let name = Printf.sprintf "len %d" len in
+      Alcotest.(check string) name expected (Sha256.hex (Sha256.digest_sub varied ~off:3 ~len));
+      Alcotest.(check string) (name ^ " = digest of the substring")
+        (Sha256.digest (String.sub varied 3 len))
+        (Sha256.digest_sub varied ~off:3 ~len);
+      (* Fed from a buffer in two pieces, finalized in place. *)
+      let ctx = Sha256.init () in
+      let b = Bytes.of_string varied in
+      Sha256.feed_bytes ctx b ~off:3 ~len:(len / 2);
+      Sha256.feed_bytes ctx b ~off:(3 + (len / 2)) ~len:(len - (len / 2));
+      let out = Bytes.make 40 '-' in
+      Sha256.finalize_into ctx out ~off:5;
+      Alcotest.(check string) (name ^ " finalize_into") expected
+        (Sha256.hex (Bytes.sub_string out 5 32));
+      Alcotest.(check string) (name ^ " leaves the rest") "--------"
+        (Bytes.sub_string out 0 5 ^ Bytes.sub_string out 37 3))
+    [
+      (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      (55, "70ffcb76c7ba06ba9db70992109f2df695398bb847eb8307127a8e5fbac946d4");
+      (56, "4d5b3e38dc6e58f8c5f283b287b4a5ac16d21c71d18be31c75e964bfc8aa0225");
+      (63, "c45c78735d716363cb530a472bfce86fd92a3082cbc5c8b9105bfdaca52e1302");
+      (64, "0baf732c4c1ffb9f2279f67ef132f33712bbca3ca6008b17c6b8bc8305680f82");
+      (65, "bb8e97c013a91609e7b6ac357ca532290efba1e60415e4818343b67ae2adb762");
+      (128, "45dc195d3db1b5532716dcf998f146c97705aa581a3aa617fa90e5969c0e9f75");
+    ];
+  Alcotest.check_raises "range checked" (Invalid_argument "Sha256.feed: bad range") (fun () ->
+      ignore (Sha256.digest_sub varied ~off:150 ~len:51))
+
 let prop_sha_injective_on_samples =
   QCheck.Test.make ~name:"distinct strings hash differently" ~count:300
     QCheck.(pair string string)
@@ -121,6 +156,24 @@ let test_hmac_verify () =
   Alcotest.(check bool) "rejects wrong key" false (Hmac.verify ~key:"k2" ~msg:"m" ~tag);
   Alcotest.(check bool) "rejects truncated tag" false
     (Hmac.verify ~key:"k" ~msg:"m" ~tag:(String.sub tag 0 16))
+
+(* The incremental interface over a message held in pieces, with a
+   long key (hashed first); expected tags from Python's hmac module. *)
+let test_hmac_incremental () =
+  Alcotest.(check string) "one-shot"
+    "ebe4f073173bc8370dcec3d211be114641a72979b9a95132ad659b1a8b2e9adc"
+    (Hmac.mac_hex ~key:"deployment-key" varied);
+  let blob = Bytes.of_string varied in
+  let mac = Hmac.init ~key:(String.make 100 'k') in
+  Hmac.feed_bytes mac blob ~off:0 ~len:1;
+  Hmac.feed_bytes mac blob ~off:41 ~len:159;
+  Hmac.finalize_into mac blob ~off:9;
+  Alcotest.(check string) "pieces, tag written in place"
+    "b6591e059488cedc359e1af538e1031171b313c59e9e6c860765fc4076335a3a"
+    (Sha256.hex (Bytes.sub_string blob 9 32));
+  Alcotest.(check string) "bytes around the tag untouched"
+    (String.sub varied 0 9 ^ String.sub varied 41 159)
+    (Bytes.sub_string blob 0 9 ^ Bytes.sub_string blob 41 159)
 
 (* ------------------------------------------------------------------ *)
 (* Simulated signatures                                                *)
@@ -209,6 +262,7 @@ let () =
           Alcotest.test_case "padding boundaries" `Quick test_sha_lengths_55_56_64;
           QCheck_alcotest.to_alcotest prop_sha_injective_on_samples;
           QCheck_alcotest.to_alcotest prop_sha_length;
+          Alcotest.test_case "sub-range digest" `Quick test_sha_sub_range;
         ] );
       ( "hmac",
         [
@@ -218,6 +272,7 @@ let () =
           Alcotest.test_case "rfc4231 case 3" `Quick test_hmac_rfc4231_case3;
           Alcotest.test_case "rfc4231 case 4" `Quick test_hmac_rfc4231_case4;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
+          Alcotest.test_case "incremental" `Quick test_hmac_incremental;
         ] );
       ( "signature",
         [

@@ -16,6 +16,7 @@ module Wal = Atum_store.Wal
 module Snapshot = Atum_store.Snapshot
 module Replica = Atum_store.Replica
 module Json = Atum_util.Json
+module Ashare = Atum_apps.Ashare
 module W = Atum_workload
 
 let obj i = Json.Obj [ ("t", Json.String "deliver"); ("bid", Json.Int i) ]
@@ -38,7 +39,7 @@ let test_wal_roundtrip () =
   let vfs = Vfs.create () in
   let b = Vfs.backend vfs in
   let records = List.init 20 obj in
-  List.iter (fun r -> ignore (Wal.append b ~node:3 ~name:"wal" r)) records;
+  List.iter (fun r -> ignore (Wal.append (Buffer.create 64) b ~node:3 ~name:"wal" r)) records;
   let entries, status = Wal.replay b ~node:3 ~name:"wal" in
   Alcotest.check wal_status "complete" Wal.Complete status;
   Alcotest.(check (list json)) "all records back, in order" records entries;
@@ -50,7 +51,7 @@ let test_wal_roundtrip () =
 let test_wal_truncated_tail () =
   let vfs = Vfs.create () in
   let b = Vfs.backend vfs in
-  let sizes = List.map (fun r -> Wal.append b ~node:0 ~name:"wal" r) (List.init 5 obj) in
+  let sizes = List.map (fun r -> Wal.append (Buffer.create 64) b ~node:0 ~name:"wal" r) (List.init 5 obj) in
   let keep = List.fold_left ( + ) 0 sizes - 7 in
   Alcotest.(check bool) "truncate applied" true (Vfs.truncate vfs ~node:0 ~name:"wal" ~keep);
   let entries, status = Wal.replay b ~node:0 ~name:"wal" in
@@ -64,15 +65,162 @@ let test_wal_truncated_tail () =
 let test_wal_corrupt_record () =
   let vfs = Vfs.create () in
   let b = Vfs.backend vfs in
-  let s0 = Wal.append b ~node:0 ~name:"wal" (obj 0) in
-  ignore (Wal.append b ~node:0 ~name:"wal" (obj 1));
-  ignore (Wal.append b ~node:0 ~name:"wal" (obj 2));
+  let s0 = Wal.append (Buffer.create 64) b ~node:0 ~name:"wal" (obj 0) in
+  ignore (Wal.append (Buffer.create 64) b ~node:0 ~name:"wal" (obj 1));
+  ignore (Wal.append (Buffer.create 64) b ~node:0 ~name:"wal" (obj 2));
   (* Flip a byte inside record 1's payload: its checksum must fail. *)
   Alcotest.(check bool) "corruption applied" true
     (Vfs.corrupt_byte vfs ~node:0 ~name:"wal" ~at:(s0 + Wal.header_bytes + 2));
   let entries, status = Wal.replay b ~node:0 ~name:"wal" in
   Alcotest.check wal_status "corrupt at record 1" (Wal.Corrupt { at_record = 1 }) status;
   Alcotest.(check (list json)) "prefix before the damage survives" [ obj 0 ] entries
+
+(* ------------------------------------------------------------------ *)
+(* Vfs: files grow and are damaged in place                            *)
+(* ------------------------------------------------------------------ *)
+
+let test_vfs_append_after_truncate () =
+  let vfs = Vfs.create () in
+  let b = Vfs.backend vfs in
+  b.Backend.append ~node:0 ~name:"f" "abcdef";
+  b.Backend.append ~node:0 ~name:"f" "ghij";
+  Alcotest.(check bool) "truncated" true (Vfs.truncate vfs ~node:0 ~name:"f" ~keep:3);
+  Alcotest.(check (option string)) "cut to the prefix" (Some "abc") (Vfs.read vfs ~node:0 ~name:"f");
+  (* The bytes past the cut are gone, not resurrected by the next append. *)
+  b.Backend.append ~node:0 ~name:"f" "XY";
+  Alcotest.(check (option string)) "append lands at the cut" (Some "abcXY")
+    (Vfs.read vfs ~node:0 ~name:"f");
+  Alcotest.(check int) "total bytes" 5 (Vfs.total_bytes vfs);
+  (* A returned copy does not alias the file. *)
+  let before = Vfs.read vfs ~node:0 ~name:"f" in
+  b.Backend.append ~node:0 ~name:"f" (String.make 100 'z');
+  Alcotest.(check (option string)) "earlier read unchanged" (Some "abcXY") before;
+  Alcotest.(check (option int)) "grown" (Some 105)
+    (Option.map String.length (Vfs.read vfs ~node:0 ~name:"f"))
+
+let test_vfs_remove_then_recreate () =
+  let vfs = Vfs.create () in
+  let b = Vfs.backend vfs in
+  b.Backend.append ~node:1 ~name:"wal" (String.make 64 'a');
+  b.Backend.save ~node:1 ~name:"snap" "s1";
+  Alcotest.(check int) "two files" 2 (Vfs.file_count vfs);
+  b.Backend.remove ~node:1 ~name:"wal";
+  Alcotest.(check (option string)) "removed reads as absent" None (Vfs.read vfs ~node:1 ~name:"wal");
+  Alcotest.(check (option (float 0.0))) "no mtime" None (Vfs.mtime vfs ~node:1 ~name:"wal");
+  Alcotest.(check int) "one file" 1 (Vfs.file_count vfs);
+  Alcotest.(check bool) "cannot damage a removed file" false
+    (Vfs.corrupt_byte vfs ~node:1 ~name:"wal" ~at:0);
+  b.Backend.remove ~node:1 ~name:"wal";
+  Alcotest.(check int) "double remove is a no-op" 1 (Vfs.file_count vfs);
+  (* The next file of that name starts empty. *)
+  b.Backend.append ~node:1 ~name:"wal" "fresh";
+  Alcotest.(check (option string)) "recreated" (Some "fresh") (Vfs.read vfs ~node:1 ~name:"wal");
+  b.Backend.save ~node:1 ~name:"snap" "s2";
+  Alcotest.(check (option string)) "save replaces" (Some "s2") (Vfs.read vfs ~node:1 ~name:"snap");
+  Alcotest.(check int) "two files again" 2 (Vfs.file_count vfs);
+  Alcotest.(check int) "total bytes" 7 (Vfs.total_bytes vfs)
+
+let test_vfs_corrupt_then_replay () =
+  let vfs = Vfs.create () in
+  let b = Vfs.backend vfs in
+  let buf = Buffer.create 16 in
+  let s0 = Wal.append buf b ~node:0 ~name:"wal" (obj 0) in
+  ignore (Wal.append buf b ~node:0 ~name:"wal" (obj 1));
+  let intact = Vfs.read vfs ~node:0 ~name:"wal" in
+  let at = s0 + Wal.header_bytes + 3 in
+  Alcotest.(check bool) "corrupted" true (Vfs.corrupt_byte vfs ~node:0 ~name:"wal" ~at);
+  (match (intact, Vfs.read vfs ~node:0 ~name:"wal") with
+  | Some a, Some c ->
+    Alcotest.(check int) "same length" (String.length a) (String.length c);
+    Alcotest.(check char) "byte flipped in place"
+      (Char.chr (Char.code a.[at] lxor 0xFF))
+      c.[at];
+    Alcotest.(check string) "rest untouched"
+      (String.sub a 0 at ^ String.sub a (at + 1) (String.length a - at - 1))
+      (String.sub c 0 at ^ String.sub c (at + 1) (String.length c - at - 1))
+  | _ -> Alcotest.fail "file missing");
+  let entries, status = Wal.replay b ~node:0 ~name:"wal" in
+  Alcotest.check wal_status "replay sees the damage" (Wal.Corrupt { at_record = 1 }) status;
+  Alcotest.(check (list json)) "prefix survives" [ obj 0 ] entries;
+  (* Flipping the byte back restores the log. *)
+  ignore (Vfs.corrupt_byte vfs ~node:0 ~name:"wal" ~at);
+  let entries, status = Wal.replay b ~node:0 ~name:"wal" in
+  Alcotest.check wal_status "restored" Wal.Complete status;
+  Alcotest.(check (list json)) "both records" [ obj 0; obj 1 ] entries
+
+(* ------------------------------------------------------------------ *)
+(* Byte identity of the write path                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Records exercising every writer case: escapes, floats of each
+   format, non-finite floats, nested and empty containers. *)
+let corpus =
+  Json.
+    [
+      Null; Bool true; Bool false; Int 0; Int (-42); Int max_int; Int min_int;
+      Float 0.0; Float (-0.0); Float 1.5; Float (-2.0); Float 1e15; Float 1e20; Float 0.1;
+      Float (1. /. 3.); Float 1e-300; Float nan; Float infinity; Float neg_infinity;
+      Float 123456789012.0;
+      String ""; String "plain ascii";
+      String "q\" b\\ n\n r\r t\t bel\007 nul\000 us\031 del\127 / \xc3\xa9";
+      List []; List [ Int 1 ]; List [ List []; Obj []; List [ Null; Bool false ] ];
+      Obj []; Obj [ ("", Null) ];
+      Obj
+        [
+          ("k\"ey", String "v");
+          ("nested", Obj [ ("a", List [ Float 2.5; Obj [ ("b", Obj []) ]; String "x\ny" ]) ]);
+        ];
+    ]
+
+let golden_record i =
+  Json.Obj
+    [
+      ("t", Json.String "deliver");
+      ("bid", Json.Int i);
+      ("origin", Json.Int (i * 7));
+      ("body", List.nth corpus (i mod List.length corpus));
+      ("body2", Json.String (Printf.sprintf "payload-%d-\"%s\"" i (String.make (i * 13) 'x')));
+    ]
+
+(* A fixed sequence of appends and snapshots over three nodes; the
+   resulting file bytes were hashed on the original write path (whole
+   strings, Int32 SHA-256), so the on-disk format cannot drift. *)
+let test_store_golden_bytes () =
+  let vfs = Vfs.create ~now:(fun () -> 1.5) () in
+  let r = Replica.create ~snapshot_every:3 ~key:"golden-key" (Vfs.backend vfs) in
+  for i = 0 to 40 do
+    let node = i mod 3 in
+    Replica.append r ~node (golden_record i);
+    if Replica.needs_snapshot r ~node then
+      Replica.save_snapshot r ~node
+        (Json.Obj
+           [
+             ("vid", Json.Int node);
+             ("upto", Json.Int i);
+             ("docs", Json.List (List.init (i mod 5) golden_record));
+           ])
+  done;
+  let files =
+    List.concat_map
+      (fun node ->
+        [
+          Option.value ~default:"" (Vfs.read vfs ~node ~name:Replica.wal_name);
+          Option.value ~default:"" (Vfs.read vfs ~node ~name:Replica.snapshot_name);
+        ])
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check string) "file bytes"
+    "86edb2dd40cd85c4e9d03e520323438e1c5b7742d330dbf57c4e52dcc9c11333"
+    (Atum_crypto.Sha256.digest_hex (String.concat "" files));
+  Alcotest.(check int) "log bytes" 3855 (Replica.log_bytes r);
+  Alcotest.(check int) "vfs bytes" 3855 (Vfs.total_bytes vfs);
+  Alcotest.(check int) "fsyncs" 53 (Replica.fsyncs r);
+  (* And it all reads back. *)
+  List.iter
+    (fun node ->
+      let rc = Replica.recover r ~node in
+      Alcotest.(check bool) "recovers" false (Replica.corrupt rc))
+    [ 0; 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
@@ -82,7 +230,7 @@ let test_snapshot_roundtrip_and_auth () =
   let vfs = Vfs.create () in
   let b = Vfs.backend vfs in
   let state = Json.Obj [ ("vid", Json.Int 2); ("delivered", Json.List [ Json.Int 1 ]) ] in
-  ignore (Snapshot.save b ~key:"k" ~node:5 ~name:"snap" state);
+  ignore (Snapshot.save (Buffer.create 64) b ~key:"k" ~node:5 ~name:"snap" state);
   (match Snapshot.load b ~key:"k" ~node:5 ~name:"snap" with
   | Ok (Some j) -> Alcotest.check json "round-trips" state j
   | Ok None -> Alcotest.fail "snapshot vanished"
@@ -238,6 +386,41 @@ let test_restart_requires_crashed_node () =
   | () -> Alcotest.fail "restart of a live node must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* A snapshot cut at a delivery must hold that delivery's effect on the
+   application: with a snapshot after every append, a node that crashes
+   and restarts gets its AShare index back from the snapshot alone (the
+   WAL was truncated), so the entry must already be in it. *)
+let test_restart_snapshot_holds_applied_delivery () =
+  let built = build () in
+  let atum = built.W.Builder.atum in
+  let sys = Atum.system atum in
+  let vfs = Vfs.create ~now:(fun () -> Atum.now atum) () in
+  ignore (System.attach_store ~snapshot_every:1 sys (Vfs.backend vfs));
+  let ash = Ashare.attach atum ~rho:1 in
+  Ashare.enable_persistence ash;
+  let owner = built.W.Builder.first in
+  let victim =
+    match List.filter (fun m -> m <> owner) (W.Builder.correct_members built) with
+    | m :: _ -> m
+    | [] -> Alcotest.fail "no victim available"
+  in
+  let indexed () =
+    Ashare.replica_count ash ~node:victim ~owner:(Ashare.owner_name owner) ~name:"doc" > 0
+  in
+  Ashare.put ash ~owner ~name:"doc" (Ashare.Real "contents");
+  Atum.run_for atum 60.0;
+  Alcotest.(check bool) "victim indexed the put" true (indexed ());
+  System.crash sys victim;
+  Atum.run_for atum 10.0;
+  System.restart sys victim;
+  Atum.run_for atum 120.0;
+  (match System.restart_reports sys with
+  | [ r ] ->
+    Alcotest.(check bool) "no fallback" false r.System.r_fallback;
+    Alcotest.(check bool) "caught up" true (Option.is_some r.System.r_caught_up_at)
+  | rs -> Alcotest.failf "expected one restart report, got %d" (List.length rs));
+  Alcotest.(check bool) "restored index holds the entry" true (indexed ())
+
 (* Same seed, same damage, byte-identical restart scenario artifacts. *)
 let test_restart_scenario_deterministic () =
   let run () =
@@ -256,6 +439,13 @@ let () =
           Alcotest.test_case "truncated tail" `Quick test_wal_truncated_tail;
           Alcotest.test_case "corrupt record" `Quick test_wal_corrupt_record;
         ] );
+      ( "vfs",
+        [
+          Alcotest.test_case "append after truncate" `Quick test_vfs_append_after_truncate;
+          Alcotest.test_case "remove then recreate" `Quick test_vfs_remove_then_recreate;
+          Alcotest.test_case "corrupt then replay" `Quick test_vfs_corrupt_then_replay;
+        ] );
+      ("golden", [ Alcotest.test_case "store bytes" `Quick test_store_golden_bytes ]);
       ( "snapshot",
         [ Alcotest.test_case "roundtrip + auth" `Quick test_snapshot_roundtrip_and_auth ] );
       ( "replica",
@@ -271,6 +461,8 @@ let () =
           Alcotest.test_case "corrupt store falls back" `Quick
             test_restart_corrupt_store_falls_back;
           Alcotest.test_case "rejects live node" `Quick test_restart_requires_crashed_node;
+          Alcotest.test_case "snapshot holds applied delivery" `Quick
+            test_restart_snapshot_holds_applied_delivery;
           Alcotest.test_case "scenario deterministic" `Slow test_restart_scenario_deterministic;
         ] );
     ]

@@ -556,6 +556,46 @@ let test_json_roundtrip_examples () =
       | Error e -> Alcotest.failf "pretty reparse failed: %s" e)
     json_examples
 
+(* The writer's exact bytes, as the original closure-based writer
+   produced them: every WAL frame and snapshot depends on them. *)
+let json_golden =
+  Json.
+    [
+      (Null, "null"); (Bool true, "true"); (Bool false, "false"); (Int 0, "0"); (Int (-42), "-42");
+      (Int max_int, "4611686018427387903"); (Int min_int, "-4611686018427387904");
+      (Float 0.0, "0.0"); (Float (-0.0), "-0.0"); (Float 1.5, "1.5"); (Float (-2.0), "-2.0");
+      (Float 1e15, "1e+15"); (Float 1e20, "1e+20"); (Float 0.1, "0.1");
+      (Float (1. /. 3.), "0.33333333333333331"); (Float 1e-300, "1e-300");
+      (Float nan, "null"); (Float infinity, "null"); (Float neg_infinity, "null");
+      (Float 123456789012.0, "123456789012.0"); (String "", "\"\""); (String "plain ascii", "\"plain ascii\"");
+      ( String "q\" b\\ n\n r\r t\t bel\007 nul\000 us\031 del\127 / \xc3\xa9",
+        "\"q\\\" b\\\\ n\\n r\\r t\\t bel\\u0007 nul\\u0000 us\\u001f del\127 / \195\169\"" );
+      (List [], "[]"); (List [ Int 1 ], "[1]");
+      (List [ List []; Obj []; List [ Null; Bool false ] ], "[[],{},[null,false]]");
+      (Obj [], "{}"); (Obj [ ("", Null) ], "{\"\":null}");
+      ( Obj
+          [
+            ("k\"ey", String "v");
+            ("nested", Obj [ ("a", List [ Float 2.5; Obj [ ("b", Obj []) ]; String "x\ny" ]) ]);
+          ],
+        "{\"k\\\"ey\":\"v\",\"nested\":{\"a\":[2.5,{\"b\":{}},\"x\\ny\"]}}" );
+    ]
+
+let test_json_writer_golden () =
+  List.iter
+    (fun (j, expected) -> Alcotest.(check string) expected expected (Json.to_string ~pretty:false j))
+    json_golden;
+  (* The pretty path shares the writer; pin its indentation too. *)
+  Alcotest.(check string) "pretty"
+    "[\n  null,\n  [],\n  {},\n  [\n    1\n  ],\n  {\n    \"k\": {\n      \"a\": [\n        2.5,\n        \"x\"\n      ]\n    },\n    \"e\": {}\n  }\n]"
+    (Json.to_string
+       Json.(
+         List
+           [
+             Null; List []; Obj []; List [ Int 1 ];
+             Obj [ ("k", Obj [ ("a", List [ Float 2.5; String "x" ]) ]); ("e", Obj []) ];
+           ]))
+
 let test_json_float_format () =
   Alcotest.(check string) "integral floats keep a point" "2.0"
     (Json.to_string ~pretty:false (Json.Float 2.0));
@@ -826,6 +866,7 @@ let () =
       ( "json",
         [
           Alcotest.test_case "roundtrip examples" `Quick test_json_roundtrip_examples;
+          Alcotest.test_case "writer golden" `Quick test_json_writer_golden;
           Alcotest.test_case "float format" `Quick test_json_float_format;
           Alcotest.test_case "member" `Quick test_json_member;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
