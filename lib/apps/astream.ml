@@ -183,9 +183,9 @@ let stream t ~chunk_mb =
   let q = Atum_util.Pqueue.create () in
   Atum_util.Pqueue.push q 0.0 t.src;
   let rec loop () =
-    match Atum_util.Pqueue.pop q with
-    | None -> ()
-    | Some (d, u) ->
+    if not (Atum_util.Pqueue.is_empty q) then begin
+      let d = Atum_util.Pqueue.min_prio q in
+      let u = Atum_util.Pqueue.pop q in
       (match Hashtbl.find_opt dist u with
       | Some best when d > best +. 1e-12 -> () (* stale entry *)
       | _ ->
@@ -200,6 +200,7 @@ let stream t ~chunk_mb =
                 Atum_util.Pqueue.push q nd child)
             (Option.value ~default:[] (Hashtbl.find_opt children u)));
       loop ()
+    end
   in
   loop ();
   let correct_nodes =

@@ -22,14 +22,23 @@ module Grouping = Atum_overlay.Grouping
 type node_id = int
 type vg_id = int
 
+(* A control group message with a continuation carries its own
+   acceptance state: one [gm_accept] per message ([needed] destination
+   members must accept), and one row per destination member (the
+   senders it has heard until it accepts), which only that member
+   reads or writes.  The state dies with the last part in flight. *)
 type gm_payload =
-  | Control of { label : string }
+  | Control of { label : string; row : gm_row option }
   | Bcast of { bid : int; origin : node_id; body : string; cycle : int }
+
+and gm_row = { gm : gm_accept; mutable voters : node_id list; mutable accepted : bool }
+
+and gm_accept = { needed : int; k : unit -> unit; mutable accepts : int; mutable fired : bool }
 
 type wire =
   | Sync_msg of { vg : vg_id; epoch : int; m : Atum_smr.Sync_smr.msg }
   | Async_msg of { vg : vg_id; epoch : int; m : Atum_smr.Pbft.msg }
-  | Group_part of { gm_id : int; src_vg : vg_id; src_size : int; payload : gm_payload }
+  | Group_part of { src_vg : vg_id; src_size : int; payload : gm_payload }
   | Direct of { token : int; label : string }
   | Heartbeat
 
@@ -64,10 +73,10 @@ type byz_strategy =
 (* Per-node state is deliberately lean — at a million nodes every
    word per node is a megaword of heap.  The broadcast-dedup marker
    is a bitset over the dense broadcast-id space (three words when
-   idle); the acceptance scratch tables (senders seen per pending
-   group message / broadcast part) and heartbeat timestamps live in
-   system-level tables keyed by (node, ...) instead of one 16-bucket
-   stdlib hash table per node per concern. *)
+   idle); the gossip acceptance scratch (votes per pending broadcast)
+   and heartbeat timestamps live in system-level tables keyed by
+   (node, ...) instead of one 16-bucket stdlib hash table per node
+   per concern. *)
 type node = {
   id : node_id;
   mutable vg : vg_id option;
@@ -106,13 +115,6 @@ type pending_op = {
   action : unit -> unit;
   mutable fired : bool;
   mutable execs : node_id list;
-}
-
-type gm_state = {
-  dst_needed : int;
-  gm_action : (unit -> unit) option;
-  mutable node_accepts : int;
-  mutable gm_fired : bool;
 }
 
 (* Acceptance scratch is keyed by (node, id) int pairs, packed into one
@@ -202,8 +204,6 @@ type t = {
   mutable dirty_len : int;
   (* Acceptance scratch + liveness state, keyed by node (see [node]). *)
   bcast_votes : votes list Pair_tbl.t; (* (node, bid) *)
-  gm_senders : node_id list ref Pair_tbl.t; (* (node, gm id) *)
-  gm_accepted : unit Pair_tbl.t;
   last_seen : (node_id * node_id, float) Hashtbl.t;
   mutable recycle_ids : bool; (* free node ids on depart completion *)
   (* Gossip rounds being assembled for the current instant (reversed
@@ -217,7 +217,6 @@ type t = {
   mutable next_op : int;
   mutable next_token : int;
   tokens : (int, unit -> unit) Hashtbl.t;
-  gms : (int, gm_state) Hashtbl.t;
   pending_ops : (vg_id, pending_op list ref) Hashtbl.t;
   bcasts : (int, bcast_meta) Hashtbl.t;
   mutable next_span : int;
@@ -295,8 +294,6 @@ let create ?(net_config : Network.config option) ?trace_capacity (params : Param
     dirty_log = Array.make 256 0;
     dirty_len = 0;
     bcast_votes = Pair_tbl.create 256;
-    gm_senders = Pair_tbl.create 256;
-    gm_accepted = Pair_tbl.create 256;
     last_seen = Hashtbl.create 256;
     recycle_ids = false;
     fanout = [];
@@ -308,7 +305,6 @@ let create ?(net_config : Network.config option) ?trace_capacity (params : Param
     next_op = 0;
     next_token = 0;
     tokens = Hashtbl.create 256;
-    gms = Hashtbl.create 256;
     pending_ops = Hashtbl.create 64;
     bcasts = Hashtbl.create 64;
     next_span = 0;
@@ -521,6 +517,12 @@ let live_nodes t =
        (fun _ n acc -> if n.alive && Option.is_some n.vg then n :: acc else acc)
        t.nodes [])
 
+(* Packed keys sort as (node, bid) pairs. *)
+let partial_votes t =
+  Pair_tbl.fold (fun key _ acc -> key :: acc) t.bcast_votes []
+  |> List.sort Int.compare
+  |> List.map (fun key -> (key lsr 31, key land ((1 lsl 31) - 1)))
+
 (* O(1): maintained by the membership/liveness mutators below. *)
 let system_size t = t.live_count
 
@@ -722,35 +724,37 @@ let control_bytes label = 64 + String.length label
    in the byte accounting.  [k], if given, fires once, when a majority
    of dst's members have individually accepted (i.e. the vgroup as an
    entity has received the group message). *)
-let group_send t ~src_vg ~dst_vg ~payload ?size ?k ?on_fail () =
+let group_send t ~src_vg ~dst_vg ~label ?size ?k ?on_fail () =
   match (vgroup_opt t src_vg, vgroup_opt t dst_vg) with
   | Some src, Some dst when (not src.retired) && not dst.retired ->
-    let gm_id = fresh_gm_id t in
-    let dst_needed = majority_of (List.length dst.members) in
-    (match k with
-    | Some _ ->
-      Hashtbl.replace t.gms gm_id { dst_needed; gm_action = k; node_accepts = 0; gm_fired = false }
-    | None -> ());
+    (* Acceptance needs no id, but walk ids share the sequence. *)
+    ignore (fresh_gm_id t : int);
+    let gm =
+      Option.map
+        (fun k -> { needed = majority_of (List.length dst.members); k; accepts = 0; fired = false })
+        k
+    in
     let senders = correct_members t src in
     let src_size = List.length src.members in
     let full_senders = majority_of src_size in
-    let base_size =
-      match size with
-      | Some s -> s
-      | None -> (match payload with
-        | Control { label } -> control_bytes label
-        | Bcast { body; _ } -> 64 + String.length body)
-    in
+    let base_size = match size with Some s -> s | None -> control_bytes label in
     Metrics.incr t.metrics "gm.sent";
     defer t (fun () ->
+        (* One part per destination, shared by every sender; without
+           a continuation acceptance is unobservable, so no rows. *)
+        let part row = Group_part { src_vg; src_size; payload = Control { label; row } } in
+        let parts =
+          match gm with
+          | Some gm ->
+            List.map (fun d -> (d, part (Some { gm; voters = []; accepted = false }))) dst.members
+          | None ->
+            let shared = part None in
+            List.map (fun d -> (d, shared)) dst.members
+        in
         List.iteri
           (fun i s ->
             let bytes = if i < full_senders then base_size else 32 in
-            List.iter
-              (fun d ->
-                Network.send ~size:bytes t.net ~src:s ~dst:d
-                  (Group_part { gm_id; src_vg; src_size; payload }))
-              dst.members)
+            List.iter (fun (d, p) -> Network.send ~size:bytes t.net ~src:s ~dst:d p) parts)
           senders)
   | _ ->
     Metrics.incr t.metrics "gm.undeliverable";
@@ -817,7 +821,7 @@ let start_walk ?parent t ~from_vg ~k =
             | None -> certs
           else certs
         in
-        group_send t ~src_vg:v ~dst_vg:next ~payload:(Control { label = "walk-step" })
+        group_send t ~src_vg:v ~dst_vg:next ~label:"walk-step"
           ~size:(96 + (8 * List.length rest))
           ~k:(fun () -> forward next (v :: path) certs rest)
           ~on_fail:(fun () ->
@@ -830,8 +834,7 @@ let start_walk ?parent t ~from_vg ~k =
     | Params.Async ->
       (* One reply carrying the certificate chain; its size is linear
          in rwl, and the origin verifies every signature. *)
-      group_send t ~src_vg:v ~dst_vg:from_vg
-        ~payload:(Control { label = "walk-cert" })
+      group_send t ~src_vg:v ~dst_vg:from_vg ~label:"walk-cert"
         ~size:(64 + (80 * List.length certs))
         ~k:(fun () ->
           if verify_certificates t certs then finish v
@@ -852,7 +855,7 @@ let start_walk ?parent t ~from_vg ~k =
         match path with
         | [] -> finish final
         | prev :: rest ->
-          group_send t ~src_vg:v ~dst_vg:prev ~payload:(Control { label = "walk-back" })
+          group_send t ~src_vg:v ~dst_vg:prev ~label:"walk-back"
             ~k:(fun () -> back_from prev rest)
             ~on_fail:(fun () ->
               (* a relay on the return path vanished: the origin would
@@ -895,8 +898,7 @@ let notify_neighbors t vg =
     let neighbors = List.filter (fun v -> v <> vg.vid) (Hgraph.neighbor_set t.hgraph vg.vid) in
     List.iter
       (fun nb ->
-        group_send t ~src_vg:vg.vid ~dst_vg:nb
-          ~payload:(Control { label = "reconfig" })
+        group_send t ~src_vg:vg.vid ~dst_vg:nb ~label:"reconfig"
           ~size:(64 * List.length vg.members)
           ())
       neighbors
@@ -1269,12 +1271,12 @@ let join t ~joiner ~contact ?(k = fun _ -> ()) () =
       ()
 
 (* Return a departed node's dense id to the arena free list so the
-   next spawn reuses it.  Stale liveness entries are purged (a
-   recycled id must not inherit its predecessor's heartbeat history);
-   acceptance scratch keyed by globally-unique gm/broadcast ids is
-   harmless and left to drain.  Opt-in ([set_id_recycling]) because
-   strategies that re-join under the same id (Join_leave_attack)
-   need the record to survive its departure. *)
+   next spawn reuses it.  Stale liveness entries and partial gossip
+   votes are purged: a recycled id must inherit neither its
+   predecessor's heartbeat history nor its votes.  Opt-in
+   ([set_id_recycling]) because strategies that re-join under the
+   same id (Join_leave_attack) need the record to survive its
+   departure. *)
 let release_node t nid =
   match node_opt t nid with
   | None -> ()
@@ -1287,6 +1289,9 @@ let release_node t nid =
         t.last_seen []
     in
     List.iter (Hashtbl.remove t.last_seen) stale;
+    Pair_tbl.filter_map_inplace
+      (fun key votes -> if key lsr 31 = nid then None else Some votes)
+      t.bcast_votes;
     Network.unregister t.net nid;
     Atum_util.Arena.release t.nodes nid
 
@@ -1426,7 +1431,6 @@ let flush_fanout t =
         Network.send_group t.net ~srcs:(List.rev e.f_srcs) ~dsts:nbg.members
           (Group_part
              {
-               gm_id = -1;
                src_vg = e.f_src_vg;
                src_size = e.f_src_size;
                payload = Bcast { bid = e.f_bid; origin = e.f_origin; body = e.f_body; cycle = e.f_cycle };
@@ -1467,6 +1471,9 @@ let node_deliver t nid ~bid ~origin ~body =
   let n = node t nid in
   if (not (Atum_util.Bitset.mem n.delivered bid)) && is_correct n then begin
     Atum_util.Bitset.set n.delivered bid;
+    (* Whichever path delivers (gossip, the vgroup's own SMR, restart
+       catch-up), the partial gossip votes for [bid] are dead now. *)
+    Pair_tbl.remove t.bcast_votes (pair_key nid bid);
     audit t (Audit_deliver { node = nid; bid; known = Hashtbl.mem t.bcasts bid });
     (* The WAL record goes first; a snapshot it makes due waits until
        the application has applied the delivery, so a snapshot never
@@ -1571,7 +1578,6 @@ let byz_gossip t n ~bid ~origin ~mutate =
                   ~dsts:nbg.members
                   (Group_part
                      {
-                       gm_id = -1;
                        src_vg = vid;
                        src_size;
                        payload = Bcast { bid; origin; body; cycle };
@@ -1775,33 +1781,22 @@ let handle_wire t nid ~src wire =
             | None -> ())
           | _ -> ())
         | _ -> ())
-      | Group_part { gm_id; src_vg; src_size; payload } -> (
+      | Group_part { src_vg; src_size; payload } -> (
         let needed_src = majority_of src_size in
         match payload with
-        | Control _ ->
-          let key = pair_key nid gm_id in
-          if not (Pair_tbl.mem t.gm_accepted key) then begin
-            let senders =
-              match Pair_tbl.find t.gm_senders key with
-              | r -> r
-              | exception Not_found ->
-                let r = ref [] in
-                Pair_tbl.replace t.gm_senders key r;
-                r
-            in
-            if not (mem_id src !senders) then senders := src :: !senders;
-            if List.length !senders >= needed_src then begin
-              Pair_tbl.replace t.gm_accepted key ();
-              Pair_tbl.remove t.gm_senders key;
-              match Hashtbl.find_opt t.gms gm_id with
-              | Some st ->
-                st.node_accepts <- st.node_accepts + 1;
-                if (not st.gm_fired) && st.node_accepts >= st.dst_needed then begin
-                  st.gm_fired <- true;
-                  Hashtbl.remove t.gms gm_id;
-                  match st.gm_action with Some k -> k () | None -> ()
-                end
-              | None -> ()
+        | Control { label = _; row = None } -> ()
+        | Control { label = _; row = Some row } ->
+          if (not row.accepted) && not (mem_id src row.voters) then begin
+            row.voters <- src :: row.voters;
+            if List.length row.voters >= needed_src then begin
+              row.accepted <- true;
+              row.voters <- [];
+              let gm = row.gm in
+              gm.accepts <- gm.accepts + 1;
+              if (not gm.fired) && gm.accepts >= gm.needed then begin
+                gm.fired <- true;
+                gm.k ()
+              end
             end
           end
         | Bcast { bid; origin; body; cycle } ->
@@ -1818,7 +1813,6 @@ let handle_wire t nid ~src wire =
             in
             if not (mem_id src v.voters) then v.voters <- src :: v.voters;
             if List.length v.voters >= needed_src then begin
-              Pair_tbl.remove t.bcast_votes key;
               (* Gossip lineage: this node accepts the broadcast from
                  vgroup [src_vg]; first delivery is a hop edge in the
                  dissemination tree. *)
@@ -1857,7 +1851,7 @@ let handle_wire t nid ~src wire =
           Hashtbl.remove t.tokens token;
           k ()
         | None -> ())
-      | Group_part { gm_id = _; src_vg = _; src_size = _; payload } -> (
+      | Group_part { src_vg = _; src_size = _; payload } -> (
         match payload with
         | Control _ -> ()
         | Bcast { bid; origin; body; cycle = _ } -> byz_on_bcast t n ~bid ~origin ~body)

@@ -305,6 +305,22 @@ val start_walk : ?parent:int -> t -> from_vg:vg_id -> k:(vg_id -> unit) -> unit
     receives the selected vgroup.  [parent] links the walk's trace
     span under an enclosing saga. *)
 
+val group_send :
+  t ->
+  src_vg:vg_id ->
+  dst_vg:vg_id ->
+  label:string ->
+  ?size:int ->
+  ?k:(unit -> unit) ->
+  ?on_fail:(unit -> unit) ->
+  unit ->
+  unit
+(** Control group message [src_vg -> dst_vg] (§5.1): every correct
+    member of the source sends to every member of the destination.  A
+    destination member accepts once a majority of the source has sent
+    to it; [k] fires once, when a majority of the destination has
+    accepted.  [on_fail] runs instead when either vgroup is gone. *)
+
 val shuffle : t -> vgroup -> unit
 val split : t -> vgroup -> unit
 val merge : t -> vgroup -> attempts:int -> unit
@@ -316,6 +332,10 @@ val agree :
     agreement's trace span under an enclosing saga. *)
 
 (* --- introspection --------------------------------------------------- *)
+
+val partial_votes : t -> (node_id * int) list
+(** The (node, broadcast id) pairs, ascending, for which a node holds
+    gossip votes short of acceptance. *)
 
 val node : t -> node_id -> node
 val node_opt : t -> node_id -> node option

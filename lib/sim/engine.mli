@@ -23,10 +23,13 @@ val now : t -> float
 val schedule : ?label:string -> t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  Negative
     delays are clamped to 0.  [label] (default ["(unlabeled)"])
-    attributes the event in the engine profile. *)
+    attributes the event in the engine profile.  Raises
+    [Invalid_argument] on a NaN delay. *)
 
 val schedule_at : ?label:string -> t -> time:float -> (unit -> unit) -> unit
-(** Absolute-time variant; times in the past run "now". *)
+(** Absolute-time variant; times in the past run "now".  Raises
+    [Invalid_argument] on a NaN time, which no queue order could
+    place. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Processes events in timestamp order until the queue drains, the
@@ -75,7 +78,8 @@ type label_profile = {
 }
 
 val profile : t -> label_profile list
-(** Per-label accounting, sorted by label. *)
+(** Per-label accounting, sorted by label.  A label appears once one
+    of its events has run. *)
 
 val profile_json : t -> Atum_util.Json.t
 (** [{wall_clock_enabled; events_total; labels: [...]}] — the

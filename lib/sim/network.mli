@@ -57,6 +57,9 @@ val register : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
 val unregister : 'msg t -> int -> unit
 (** Messages to an unregistered node are dropped (counted). *)
 
+val handler_of : 'msg t -> int -> (src:int -> 'msg -> unit) option
+(** The handler installed for a node id, if any. *)
+
 val send : ?size:int -> 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Queue a message for delivery after a sampled latency.  [size] (in
     bytes, default 64) only feeds the traffic accounting. *)

@@ -1,109 +1,103 @@
-(* Structure-of-arrays binary min-heap.
+(* Binary min-heap of int values keyed by (float priority, insertion
+   sequence), as three parallel arrays that hold no pointers: an
+   unboxed float array and two int arrays.
 
-   The heap used to store one [{ prio; seq; value }] record per
-   entry; at millions of scheduled events that is one short-lived
-   allocation per push plus a pointer chase per comparison.  Keeping
-   the fields in parallel arrays (an unboxed float array for the
-   priorities) removes the per-entry record entirely: pushes and
-   sift swaps touch flat arrays, and the only allocation left is the
-   amortized doubling of the backing store.
+   Sifting moves a hole rather than swapping: the entry being placed
+   stays in locals and is written once, where it lands.  No write
+   here goes through the GC's write barrier, and the only allocation
+   is the amortized doubling of the arrays. *)
 
-   Slots at or beyond [len] are dead: they are only ever overwritten,
-   never read as ['a].  [pop] blanks the vacated slot so popped
-   values stay collectable. *)
-
-type 'a t = {
+type t = {
   mutable prio : float array;
   mutable seq : int array;
-  mutable value : 'a array;
+  mutable value : int array;
   mutable len : int;
   mutable next_seq : int;
 }
 
-(* Filler for dead slots.  The immediate 0 is never read back as
-   ['a]; all accesses in this module are polymorphic, so even a
-   [float t] keeps a boxed (non-flat) value array and stays sound. *)
-let blank : 'a. unit -> 'a = fun () -> Obj.magic 0
-
 let create () = { prio = [||]; seq = [||]; value = [||]; len = 0; next_seq = 0 }
 
-let is_empty t = t.len = 0
-let size t = t.len
+let is_empty q = q.len = 0
+let size q = q.len
 
-let less t i j =
-  t.prio.(i) < t.prio.(j) || (t.prio.(i) = t.prio.(j) && t.seq.(i) < t.seq.(j))
+let grow q =
+  let cap = max 16 (2 * Array.length q.prio) in
+  let prio = Array.make cap 0.0 and seq = Array.make cap 0 and value = Array.make cap 0 in
+  Array.blit q.prio 0 prio 0 q.len;
+  Array.blit q.seq 0 seq 0 q.len;
+  Array.blit q.value 0 value 0 q.len;
+  q.prio <- prio;
+  q.seq <- seq;
+  q.value <- value
 
-let swap t i j =
-  let p = t.prio.(i) in
-  t.prio.(i) <- t.prio.(j);
-  t.prio.(j) <- p;
-  let s = t.seq.(i) in
-  t.seq.(i) <- t.seq.(j);
-  t.seq.(j) <- s;
-  let v = t.value.(i) in
-  t.value.(i) <- t.value.(j);
-  t.value.(j) <- v
+let reserve q =
+  if q.len = Array.length q.prio then grow q;
+  q.len
 
-let grow t =
-  let cap = max 16 (2 * Array.length t.prio) in
-  let prio = Array.make cap 0.0 in
-  let seq = Array.make cap 0 in
-  let value = Array.make cap (blank ()) in
-  Array.blit t.prio 0 prio 0 t.len;
-  Array.blit t.seq 0 seq 0 t.len;
-  Array.blit t.value 0 value 0 t.len;
-  t.prio <- prio;
-  t.seq <- seq;
-  t.value <- value
+(* The new entry carries the largest sequence number yet, so it
+   rises only past strictly greater priorities: on a priority tie the
+   (priority, seq) order already keeps it below its parent. *)
+let commit q v =
+  let p = q.prio.(q.len) and s = q.next_seq in
+  q.next_seq <- s + 1;
+  let i = ref q.len in
+  q.len <- q.len + 1;
+  while !i > 0 && p < q.prio.((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    q.prio.(!i) <- q.prio.(parent);
+    q.seq.(!i) <- q.seq.(parent);
+    q.value.(!i) <- q.value.(parent);
+    i := parent
+  done;
+  q.prio.(!i) <- p;
+  q.seq.(!i) <- s;
+  q.value.(!i) <- v
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less t i parent then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
+let push q prio v =
+  let i = reserve q in
+  q.prio.(i) <- prio;
+  commit q v
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && less t l !smallest then smallest := l;
-  if r < t.len && less t r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+(* Entry [i] orders before entry [j]. *)
+let[@inline] before q i j =
+  q.prio.(i) < q.prio.(j) || (q.prio.(i) = q.prio.(j) && q.seq.(i) < q.seq.(j))
 
-let push t prio value =
-  if t.len = Array.length t.prio then grow t;
-  let i = t.len in
-  t.prio.(i) <- prio;
-  t.seq.(i) <- t.next_seq;
-  t.value.(i) <- value;
-  t.next_seq <- t.next_seq + 1;
-  t.len <- t.len + 1;
-  sift_up t i
+let pop q =
+  if q.len = 0 then invalid_arg "Pqueue.pop: empty";
+  let top = q.value.(0) in
+  let n = q.len - 1 in
+  q.len <- n;
+  if n > 0 then begin
+    (* Re-seat the last entry, sifting the hole down from the root. *)
+    let p = q.prio.(n) and s = q.seq.(n) and v = q.value.(n) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let r = l + 1 in
+        let c = if r < n && before q r l then r else l in
+        if q.prio.(c) < p || (q.prio.(c) = p && q.seq.(c) < s) then begin
+          q.prio.(!i) <- q.prio.(c);
+          q.seq.(!i) <- q.seq.(c);
+          q.value.(!i) <- q.value.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    q.prio.(!i) <- p;
+    q.seq.(!i) <- s;
+    q.value.(!i) <- v
+  end;
+  top
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let p = t.prio.(0) and v = t.value.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.prio.(0) <- t.prio.(t.len);
-      t.seq.(0) <- t.seq.(t.len);
-      t.value.(0) <- t.value.(t.len);
-      sift_down t 0
-    end;
-    t.value.(t.len) <- blank ();
-    Some (p, v)
-  end
+let min_prio q =
+  if q.len = 0 then invalid_arg "Pqueue.min_prio: empty";
+  q.prio.(0)
 
-let peek t = if t.len = 0 then None else Some (t.prio.(0), t.value.(0))
-
-let clear t =
-  t.len <- 0;
-  t.prio <- [||];
-  t.seq <- [||];
-  t.value <- [||]
+let clear q =
+  q.len <- 0;
+  q.prio <- [||];
+  q.seq <- [||];
+  q.value <- [||]

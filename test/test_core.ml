@@ -635,6 +635,112 @@ let test_monitor_dup_delivery () =
     (Atum_sim.Metrics.counter (Atum.metrics t) "monitor.violation.dup_delivery" >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* Group messages and gossip acceptance state                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A settled system built directly, with two distinct vgroups: the
+   first node's and one of its overlay neighbors. *)
+let direct_pair ?(params = quick_async_params) ~nodes () =
+  let sys = System.create params in
+  let ids = System.build_direct sys ~nodes () in
+  let a = Option.get (System.node sys (List.hd ids)).System.vg in
+  let b = List.find (fun v -> v <> a) (Atum_overlay.Hgraph.neighbor_set (System.hgraph sys) a) in
+  (sys, ids, System.vgroup sys a, System.vgroup sys b)
+
+(* Replace [nid]'s network handler by one that records what arrives;
+   returns the recording, oldest first, and the real handler. *)
+let hold sys nid =
+  let net = System.network sys in
+  let real = Option.get (Atum_sim.Network.handler_of net nid) in
+  let got = ref [] in
+  Atum_sim.Network.register net nid (fun ~src w -> got := (src, w) :: !got);
+  ((fun () -> List.rev !got), real)
+
+let test_group_message_acceptance () =
+  let sys, _, src, dst = direct_pair ~nodes:40 () in
+  let senders = src.System.members and dests = dst.System.members in
+  let needed_src = (List.length senders / 2) + 1 and needed_dst = (List.length dests / 2) + 1 in
+  Alcotest.(check bool) "senders needed > 1" true (needed_src > 1);
+  let held = List.map (fun d -> (d, hold sys d)) dests in
+  let fired = ref 0 in
+  System.group_send sys ~src_vg:src.System.vid ~dst_vg:dst.System.vid ~label:"test"
+    ~k:(fun () -> incr fired)
+    ();
+  System.run_for sys 5.0;
+  let part d s =
+    let got, _ = List.assoc d held in
+    List.assoc s (got ())
+  in
+  let deliver d s = (snd (List.assoc d held)) ~src:s (part d s) in
+  List.iter
+    (fun d ->
+      Alcotest.(check int) "one part per sender" (List.length senders)
+        (List.length ((fst (List.assoc d held)) ())))
+    dests;
+  (* Repeated parts from one sender count once. *)
+  List.iter (fun d -> for _ = 1 to needed_src do deliver d (List.hd senders) done) dests;
+  Alcotest.(check int) "repeats from one sender do not accept" 0 !fired;
+  (* One sender short of a majority, at every destination member. *)
+  let first = List.filteri (fun i _ -> i < needed_src - 1) senders in
+  List.iter (fun d -> List.iter (deliver d) first) dests;
+  Alcotest.(check int) "no member accepted yet" 0 !fired;
+  (* The deciding sender, member by member: the continuation fires
+     exactly when a majority of the destination has accepted. *)
+  let decider = List.nth senders (needed_src - 1) in
+  List.iteri
+    (fun i d ->
+      deliver d decider;
+      Alcotest.(check int)
+        (Printf.sprintf "after %d of %d members accepted" (i + 1) (List.length dests))
+        (if i + 1 >= needed_dst then 1 else 0)
+        !fired)
+    dests;
+  (* Parts that arrive after a member accepted are no-ops. *)
+  List.iter (fun d -> List.iter (deliver d) senders) dests;
+  Alcotest.(check int) "fires exactly once" 1 !fired
+
+(* A node that delivers through its own vgroup's SMR drops the gossip
+   votes it collected for that broadcast. *)
+let test_smr_delivery_drops_gossip_votes () =
+  let sys, _, a, _ = direct_pair ~nodes:40 () in
+  System.set_forward_policy sys System.flood_forward;
+  let origin = List.hd a.System.members in
+  let x = List.nth a.System.members (List.length a.System.members - 1) in
+  let got, real = hold sys x in
+  let bid = System.broadcast sys ~from:origin "votes" in
+  System.run_for sys 10.0;
+  let delivered () = Atum_util.Bitset.mem (System.node sys x).System.delivered bid in
+  Alcotest.(check bool) "held member has not delivered" false (delivered ());
+  let from_a (s, _) = List.mem s a.System.members in
+  let smr, gossip = List.partition from_a (got ()) in
+  (* One gossip part from a neighbor vgroup: a partial vote. *)
+  let s, w = List.hd gossip in
+  real ~src:s w;
+  Alcotest.(check bool) "partial vote recorded" true (List.mem (x, bid) (System.partial_votes sys));
+  List.iter (fun (s, w) -> real ~src:s w) smr;
+  Alcotest.(check bool) "delivered through SMR" true (delivered ());
+  Alcotest.(check bool) "partial vote dropped" false
+    (List.mem (x, bid) (System.partial_votes sys))
+
+(* A released node id takes no gossip votes with it to the node that
+   reuses it. *)
+let test_release_drops_gossip_votes () =
+  let sys, _, a, b = direct_pair ~nodes:40 () in
+  System.set_id_recycling sys true;
+  let y = System.spawn_node sys () in
+  let got, _ = hold sys (List.hd b.System.members) in
+  let bid = System.broadcast sys ~from:(List.hd a.System.members) "votes" in
+  System.run_for sys 10.0;
+  (* Feed the spawned node one part meant for a member of [b]. *)
+  let s, w = List.find (fun (s, _) -> List.mem s a.System.members) (got ()) in
+  (Option.get (Atum_sim.Network.handler_of (System.network sys) y)) ~src:s w;
+  Alcotest.(check bool) "partial vote recorded" true (List.mem (y, bid) (System.partial_votes sys));
+  System.release_node sys y;
+  Alcotest.(check bool) "released id holds no votes" false
+    (List.exists (fun (n, _) -> n = y) (System.partial_votes sys));
+  Alcotest.(check int) "id reused" y (System.spawn_node sys ())
+
+(* ------------------------------------------------------------------ *)
 (* Causal tracing: saga spans and broadcast lineage                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -760,6 +866,13 @@ let () =
           Alcotest.test_case "clean run" `Slow test_monitor_clean_run;
           Alcotest.test_case "forced faults flagged" `Slow test_monitor_flags_forced_faults;
           Alcotest.test_case "duplicate delivery flagged" `Slow test_monitor_dup_delivery;
+        ] );
+      ( "group-msg",
+        [
+          Alcotest.test_case "acceptance" `Quick test_group_message_acceptance;
+          Alcotest.test_case "SMR delivery drops gossip votes" `Quick
+            test_smr_delivery_drops_gossip_votes;
+          Alcotest.test_case "release drops gossip votes" `Quick test_release_drops_gossip_votes;
         ] );
       ( "tracing",
         [

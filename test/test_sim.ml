@@ -1,5 +1,12 @@
 open Atum_sim
 
+(* Minor-heap words allocated by [f ()]; the first reading stays
+   unboxed across the call, so the probe allocates nothing itself. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -163,6 +170,123 @@ let test_engine_profile_accounting () =
       (List.assoc_opt "events_total" fields
       = Some (Atum_util.Json.Int (Engine.events_processed e)))
   | _ -> Alcotest.fail "profile_json not an object"
+
+let test_engine_profile_omits_unrun_labels () =
+  let e = Engine.create () in
+  Engine.schedule ~label:"ran" e ~delay:1.0 (fun () -> ());
+  Engine.schedule ~label:"later" e ~delay:10.0 (fun () -> ());
+  Engine.run ~until:5.0 e;
+  let labels () = List.map (fun (p : Engine.label_profile) -> p.Engine.label) (Engine.profile e) in
+  Alcotest.(check (list string)) "scheduled but not yet run: absent" [ "ran" ] (labels ());
+  Engine.run e;
+  Alcotest.(check (list string)) "present once it ran" [ "later"; "ran" ] (labels ())
+
+let test_engine_rejects_nan () =
+  let e = Engine.create () in
+  let msg = Invalid_argument "Engine.schedule_at: NaN time" in
+  Alcotest.check_raises "schedule_at" msg (fun () ->
+      Engine.schedule_at e ~time:Float.nan (fun () -> ()));
+  Alcotest.check_raises "schedule" msg (fun () ->
+      Engine.schedule e ~delay:Float.nan (fun () -> ()));
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e)
+
+(* Once the slot arrays and the heap have grown to size, an event
+   costs no allocation: [schedule] + [step] of a preallocated
+   closure, under alternating labels and over a heap that holds
+   other events, allocates zero minor words. *)
+let test_engine_step_alloc_free () =
+  let e = Engine.create () in
+  let f () = () in
+  for _ = 1 to 100 do
+    Engine.schedule ~label:"far" e ~delay:1e6 f
+  done;
+  let pairs () =
+    for i = 1 to 10_000 do
+      if i land 1 = 0 then Engine.schedule ~label:"even" e ~delay:1.0 f
+      else Engine.schedule e ~delay:0.5 f;
+      ignore (Engine.step e)
+    done
+  in
+  pairs ();
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (minor_words_of pairs);
+  Alcotest.(check int) "background events still queued" 100 (Engine.pending e)
+
+(* Differential check of the event queue against a reference model:
+   random interleavings of [schedule] / [schedule_at] (equal times,
+   past times, nested scheduling at the current instant), [step] and
+   [run ~until] / [~max_events].  Every event must run at the
+   minimum (time, insertion seq) of the model's pending set. *)
+type engine_op =
+  | Sched of float (* delay; negative is clamped *)
+  | Sched_at of float (* absolute time; may be in the past *)
+  | Step
+  | Run_until of float (* offset from the clock *)
+  | Run_max of int
+
+let engine_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun d -> Sched d) (oneofl [ 0.0; 0.0; 0.5; 1.0; 1.0; 2.5; -1.0 ]));
+        (3, map (fun x -> Sched_at x) (oneofl [ 0.0; 1.0; 1.0; 2.0; 3.5 ]));
+        (2, return Step);
+        (1, map (fun x -> Run_until x) (oneofl [ 0.25; 1.0; 2.0; 4.0 ]));
+        (1, map (fun n -> Run_max n) (int_range 0 4));
+      ])
+
+let show_engine_op = function
+  | Sched d -> Printf.sprintf "Sched %g" d
+  | Sched_at x -> Printf.sprintf "Sched_at %g" x
+  | Step -> "Step"
+  | Run_until x -> Printf.sprintf "Run_until +%g" x
+  | Run_max n -> Printf.sprintf "Run_max %d" n
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine runs events in (time, insertion seq) order" ~count:300
+    (QCheck.make
+       ~print:(QCheck.Print.list show_engine_op)
+       QCheck.Gen.(list_size (int_range 0 60) engine_op_gen))
+    (fun ops ->
+      let e = Engine.create () in
+      (* The model: pending (time, seq, id), and the next seq / id. *)
+      let pending = ref [] and next_seq = ref 0 and ok = ref true in
+      let rec add ~nested time =
+        let id = !next_seq in
+        let time = Float.max time (Engine.now e) in
+        pending := (time, id) :: !pending;
+        incr next_seq;
+        fun () ->
+          let least = List.fold_left min (Float.infinity, max_int) !pending in
+          if least <> (time, id) || Engine.now e <> time then ok := false;
+          pending := List.filter (fun p -> p <> (time, id)) !pending;
+          (* Driver events nest one child at the current instant,
+             alternating between the two entry points. *)
+          if not nested then
+            if id land 1 = 0 then
+              Engine.schedule e ~delay:0.0 (add ~nested:true (Engine.now e))
+            else Engine.schedule_at e ~time:(Engine.now e) (add ~nested:true (Engine.now e))
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Sched d ->
+            Engine.schedule e ~delay:d (add ~nested:false (Engine.now e +. Float.max d 0.0))
+          | Sched_at x -> Engine.schedule_at e ~time:x (add ~nested:false x)
+          | Step -> if Engine.step e = (!pending = []) then ok := false
+          | Run_until x ->
+            let limit = Engine.now e +. x in
+            Engine.run ~until:limit e;
+            if Engine.now e <> limit || List.exists (fun (t, _) -> t <= limit) !pending then
+              ok := false
+          | Run_max n ->
+            let before = Engine.events_processed e in
+            Engine.run ~max_events:n e;
+            let ran = Engine.events_processed e - before in
+            if ran > n || (ran < n && !pending <> []) then ok := false);
+          if Engine.pending e <> List.length !pending then ok := false)
+        ops;
+      Engine.run e;
+      !ok && !pending = [])
 
 (* ------------------------------------------------------------------ *)
 (* Network                                                             *)
@@ -692,13 +816,6 @@ let test_network_matches_reference () =
       done)
     [ ("wan", wan); ("capacity", capped) ]
 
-(* Minor-heap words allocated by [f ()]; the first reading stays
-   unboxed across the call, so the probe allocates nothing itself. *)
-let minor_words_of f =
-  let before = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. before
-
 (* Transit must stay allocation-free per message: a whole
    [send_group] round to a no-op handler, tracing off, may only pay
    per-batch costs (mask, closure) amortised over its cells. *)
@@ -1199,6 +1316,11 @@ let () =
             test_engine_every_no_drift;
           Alcotest.test_case "every: bad period" `Quick test_engine_every_rejects_bad_period;
           Alcotest.test_case "profile accounting" `Quick test_engine_profile_accounting;
+          Alcotest.test_case "profile omits labels that never ran" `Quick
+            test_engine_profile_omits_unrun_labels;
+          Alcotest.test_case "NaN time rejected" `Quick test_engine_rejects_nan;
+          Alcotest.test_case "schedule + step allocate nothing" `Quick test_engine_step_alloc_free;
+          QCheck_alcotest.to_alcotest prop_engine_matches_reference;
         ] );
       ( "network",
         [

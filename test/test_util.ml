@@ -165,41 +165,50 @@ let test_rng_pick_empty () =
 (* Pqueue                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let pop_all q n = List.init n (fun _ -> Pqueue.pop q)
+
+(* [Some (priority, value)] of the minimum, popping it; [None] when empty. *)
+let pop_min q =
+  if Pqueue.is_empty q then None
+  else begin
+    let p = Pqueue.min_prio q in
+    Some (p, Pqueue.pop q)
+  end
+
 let test_pqueue_ordering () =
   let q = Pqueue.create () in
-  Pqueue.push q 3.0 "c";
-  Pqueue.push q 1.0 "a";
-  Pqueue.push q 2.0 "b";
-  let order = List.init 3 (fun _ -> snd (Option.get (Pqueue.pop q))) in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] order
+  Pqueue.push q 3.0 3;
+  Pqueue.push q 1.0 1;
+  Pqueue.push q 2.0 2;
+  Alcotest.(check (list int)) "sorted" [ 1; 2; 3 ] (pop_all q 3)
 
 let test_pqueue_fifo_ties () =
   let q = Pqueue.create () in
-  List.iter (fun x -> Pqueue.push q 1.0 x) [ "first"; "second"; "third" ];
-  let order = List.init 3 (fun _ -> snd (Option.get (Pqueue.pop q))) in
-  Alcotest.(check (list string)) "insertion order on ties"
-    [ "first"; "second"; "third" ] order
+  List.iter (fun x -> Pqueue.push q 1.0 x) [ 10; 20; 30 ];
+  Alcotest.(check (list int)) "insertion order on ties" [ 10; 20; 30 ] (pop_all q 3)
 
 let test_pqueue_empty () =
-  let q : int Pqueue.t = Pqueue.create () in
+  let q = Pqueue.create () in
   Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-  Alcotest.(check bool) "pop none" true (Pqueue.pop q = None);
-  Alcotest.(check bool) "peek none" true (Pqueue.peek q = None)
+  Alcotest.check_raises "pop raises" (Invalid_argument "Pqueue.pop: empty") (fun () ->
+      ignore (Pqueue.pop q));
+  Alcotest.check_raises "min_prio raises" (Invalid_argument "Pqueue.min_prio: empty") (fun () ->
+      ignore (Pqueue.min_prio q))
 
 let test_pqueue_peek_does_not_remove () =
   let q = Pqueue.create () in
   Pqueue.push q 5.0 42;
-  Alcotest.(check bool) "peek" true (Pqueue.peek q = Some (5.0, 42));
+  Alcotest.(check (float 0.0)) "peek" 5.0 (Pqueue.min_prio q);
   Alcotest.(check int) "still there" 1 (Pqueue.size q)
 
 let test_pqueue_interleaved () =
   let q = Pqueue.create () in
   Pqueue.push q 2.0 2;
   Pqueue.push q 1.0 1;
-  Alcotest.(check bool) "min first" true (Pqueue.pop q = Some (1.0, 1));
+  Alcotest.(check bool) "min first" true (pop_min q = Some (1.0, 1));
   Pqueue.push q 0.5 0;
-  Alcotest.(check bool) "new min" true (Pqueue.pop q = Some (0.5, 0));
-  Alcotest.(check bool) "rest" true (Pqueue.pop q = Some (2.0, 2))
+  Alcotest.(check bool) "new min" true (pop_min q = Some (0.5, 0));
+  Alcotest.(check bool) "rest" true (pop_min q = Some (2.0, 2))
 
 let test_pqueue_clear () =
   let q = Pqueue.create () in
@@ -216,7 +225,7 @@ let prop_pqueue_sorted =
       let q = Pqueue.create () in
       List.iter (fun (p, v) -> Pqueue.push q p v) items;
       let rec drain acc =
-        match Pqueue.pop q with
+        match pop_min q with
         | None -> List.rev acc
         | Some (p, _) -> drain (p :: acc)
       in
@@ -247,7 +256,7 @@ let prop_pqueue_model =
                 model := List.filter (fun e -> e <> entry) !model;
                 Some (p, v)
             in
-            if Pqueue.pop q <> expected then ok := false)
+            if pop_min q <> expected then ok := false)
         ops;
       !ok)
 
