@@ -1,716 +1,14 @@
 (* The Atum runtime: volatile groups over a simulated network.
 
-   Ground truth (who is in which vgroup, the H-graph) lives in a
-   registry that is mutated only when the responsible vgroup's SMR
-   instance has agreed on the change at a majority of its correct
-   members — the vgroup-controller abstraction documented in
-   DESIGN.md.  Message timing, group-message fan-out and acceptance,
-   SMR agreement latency, gossip, heartbeats and Byzantine quietness
-   are all simulated at per-node message granularity. *)
-
-module Rng = Atum_util.Rng
-module Engine = Atum_sim.Engine
-module Network = Atum_sim.Network
-module Rounds = Atum_sim.Rounds
-module Metrics = Atum_sim.Metrics
-module Trace = Atum_sim.Trace
-module Telemetry = Atum_sim.Telemetry
-module Hgraph = Atum_overlay.Hgraph
-module Random_walk = Atum_overlay.Random_walk
-module Grouping = Atum_overlay.Grouping
-
-type node_id = int
-type vg_id = int
-
-(* A control group message with a continuation carries its own
-   acceptance state: one [gm_accept] per message ([needed] destination
-   members must accept), and one row per destination member (the
-   senders it has heard until it accepts), which only that member
-   reads or writes.  The state dies with the last part in flight. *)
-type gm_payload =
-  | Control of { label : string; row : gm_row option }
-  | Bcast of { bid : int; origin : node_id; body : string; cycle : int }
-
-and gm_row = { gm : gm_accept; mutable voters : node_id list; mutable accepted : bool }
-
-and gm_accept = { needed : int; k : unit -> unit; mutable accepts : int; mutable fired : bool }
-
-type wire =
-  | Sync_msg of { vg : vg_id; epoch : int; m : Atum_smr.Sync_smr.msg }
-  | Async_msg of { vg : vg_id; epoch : int; m : Atum_smr.Pbft.msg }
-  | Group_part of { src_vg : vg_id; src_size : int; payload : gm_payload }
-  | Direct of { token : int; label : string }
-  | Heartbeat
-
-(* Sync replicas keep a member-ordered view next to the lookup table:
-   the table is immutable between epochs, so the round driver walks a
-   list sorted once at install instead of re-sorting every boundary. *)
-type sync_replicas = {
-  by_member : (node_id, Atum_smr.Sync_smr.t) Hashtbl.t;
-  in_order : (node_id * Atum_smr.Sync_smr.t) list; (* ascending member id *)
-}
-
-type smr_inst =
-  | Smr_sync of sync_replicas
-  | Smr_async of (node_id, Atum_smr.Pbft.t) Hashtbl.t
-
-(* How an adversarial node behaves.  [Mute] is the original
-   quiet-Byzantine model (§6.1.3): heartbeat, ignore protocol traffic.
-   The active strategies implement the attacks the paper defends
-   against — equivocation, selective forwarding, traffic flooding,
-   join-leave churn, and the targeted attack (§6.2) where an adversary
-   concentrates its nodes on one vgroup.  [Target_vgroup] composes:
-   its [inner] strategy drives the node's wire-level behaviour while
-   the targeting drives where it joins. *)
-type byz_strategy =
-  | Mute
-  | Equivocate
-  | Selective_drop of float
-  | Flood of { fanout : int; size : int }
-  | Join_leave_attack
-  | Target_vgroup of { vg : vg_id; inner : byz_strategy }
-
-(* Per-node state is deliberately lean — at a million nodes every
-   word per node is a megaword of heap.  The broadcast-dedup marker
-   is a bitset over the dense broadcast-id space (three words when
-   idle); the gossip acceptance scratch (votes per pending broadcast)
-   and heartbeat timestamps live in system-level tables keyed by
-   (node, ...) instead of one 16-bucket stdlib hash table per node
-   per concern. *)
-type node = {
-  id : node_id;
-  mutable vg : vg_id option;
-  mutable byzantine : bool;
-  mutable strategy : byz_strategy;
-  mutable alive : bool;
-  mutable exchanging : bool; (* engaged in a shuffle exchange right now *)
-  delivered : Atum_util.Bitset.t; (* broadcast ids this node delivered *)
-}
-
-type vgroup = {
-  vid : vg_id;
-  mutable members : node_id list;
-  mutable epoch : int;
-  mutable smr : smr_inst option;
-  mutable busy : bool; (* a shuffle / split / merge holds the vgroup *)
-  mutable shuffle_pending : bool;
-  mutable retired : bool;
-  mutable saga_gen : int; (* increments when a saga takes the vgroup *)
-  (* Cached gossip view: the neighbor list annotated with the cycles
-     linking to it, sorted by neighbor id — recomputed only when the
-     overlay generation moves (one sort per topology change, not one
-     per delivery). *)
-  mutable nbrs_gen : int;
-  mutable nbrs : (vg_id * int list) list;
-  (* Memoised forward decision for the last broadcast this vgroup
-     forwarded (every member takes the same one): valid until the view
-     is rebuilt or the forward policy replaced, which reset [fwd_bid]. *)
-  mutable fwd_bid : int;
-  mutable fwd_targets : (vg_id * int) list;
-}
-
-type pending_op = {
-  op_id : string;
-  op_payload : string;
-  action : unit -> unit;
-  mutable fired : bool;
-  mutable execs : node_id list;
-}
-
-(* Acceptance scratch is keyed by (node, id) int pairs, packed into one
-   int: a monomorphic table then hashes and compares keys without the
-   generic [caml_hash] / [compare_val] a polymorphic table runs on every
-   message part, and a lookup allocates no key tuple. *)
-module Pair_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  (* Fold the node half onto the id half before mixing: the table
-     indexes buckets by the low bits. *)
-  let hash k =
-    let h = (k lxor (k lsr 31)) * 0x9E3779B97F4A7C1 in
-    (h lxor (h lsr 29)) land max_int
-end)
-
-let pair_key a b =
-  if a lsr 31 <> 0 || b lsr 31 <> 0 then invalid_arg "System.pair_key: id out of range";
-  (a lsl 31) lor b
-
-(* Senders one node has heard from one source vgroup for a broadcast
-   it has not delivered yet; a (node, bid) entry holds one per source
-   vgroup and is dropped whole on delivery. *)
-type votes = { from_vg : vg_id; mutable voters : node_id list }
-
-(* Origin and body ride along so restart catch-up can re-deliver any
-   broadcast a peer has and the restarted node missed. *)
-type bcast_meta = { started : float; b_origin : node_id; b_body : string }
-
-(* One (src_vg -> dst_vg) gossip round being assembled for the current
-   engine instant: every member that delivers inside one event appends
-   itself as a sender, and a single flush event hands the whole round
-   to [Network.send_group] — one engine event per neighbor vgroup per
-   round instead of one per (sender, neighbor) pair. *)
-type fanout_entry = {
-  f_dst : vg_id;
-  f_src_vg : vg_id;
-  f_src_size : int;
-  f_bid : int;
-  f_origin : node_id;
-  f_body : string;
-  f_cycle : int;
-  mutable f_srcs : (node_id * int) list; (* (sender, bytes), reversed *)
-}
-
-(* Semantic checkpoints for an external auditor (the invariant
-   monitor): fired synchronously at the point where the registry or a
-   node's delivery log actually changes. *)
-type audit =
-  | Audit_deliver of { node : node_id; bid : int; known : bool }
-  | Audit_reconfig of vg_id
-
-(* One completed-or-in-flight [restart]: when the node came back, when
-   its registry membership was re-established, when catch-up finished,
-   and what the durable store contributed. *)
-type restart_report = {
-  r_node : node_id;
-  r_restarted_at : float;
-  mutable r_rejoined_at : float option;
-  mutable r_caught_up_at : float option;
-  r_fallback : bool; (* corrupt store: wiped, recovered via fresh join *)
-  r_replayed : int; (* WAL entries applied during cold start *)
-}
-
-type t = {
-  params : Params.t;
-  engine : Engine.t;
-  net : wire Network.t;
-  rounds : Rounds.t option;
-  keyring : Atum_crypto.Signature.keyring;
-  rng : Rng.t;
-  metrics : Metrics.t;
-  trace : Trace.t;
-  nodes : node Atum_util.Arena.t;
-  vgroups : vgroup Atum_util.Arena.t;
-  (* Maintained counters: gauges and sagas read these instead of
-     rescanning the registry (the old O(N log N)-per-sample bug). *)
-  mutable live_count : int; (* alive nodes with a vgroup *)
-  mutable live_byz_count : int; (* Byzantine subset of the above *)
-  mutable active_vgroups : int; (* non-retired vgroups *)
-  (* Append-only log of vgroup ids whose state changed; consumers
-     (incremental consistency checks, monitor sweeps) keep a cursor
-     into it and only examine what moved since their last look. *)
-  mutable dirty_log : int array;
-  mutable dirty_len : int;
-  (* Acceptance scratch + liveness state, keyed by node (see [node]). *)
-  bcast_votes : votes list Pair_tbl.t; (* (node, bid) *)
-  last_seen : (node_id * node_id, float) Hashtbl.t;
-  mutable recycle_ids : bool; (* free node ids on depart completion *)
-  (* Gossip rounds being assembled for the current instant (reversed
-     insertion order) and whether their flush is scheduled. *)
-  mutable fanout : fanout_entry list;
-  mutable fanout_scheduled : bool;
-  mutable hgraph : Hgraph.t;
-  mutable bootstrapped : bool;
-  mutable next_gm : int;
-  mutable next_bid : int;
-  mutable next_op : int;
-  mutable next_token : int;
-  tokens : (int, unit -> unit) Hashtbl.t;
-  pending_ops : (vg_id, pending_op list ref) Hashtbl.t;
-  bcasts : (int, bcast_meta) Hashtbl.t;
-  mutable next_span : int;
-  mutable on_deliver : node_id -> bid:int -> origin:node_id -> string -> unit;
-  mutable on_audit : (audit -> unit) option;
-  mutable forward_policy : bid:int -> from_vg:vg_id -> cycle:int -> neighbor:vg_id -> bool;
-  mutable heartbeats_running : bool;
-  mutable heartbeats_since : float;
-  mutable shuffling_enabled : bool;
-  mutable telemetry : Telemetry.t option;
-  (* Durable per-replica state (WAL + snapshots) and the app-state
-     hooks the durability layer drives; None/empty until attached. *)
-  mutable store : Atum_store.Replica.t option;
-  mutable app_export : (node_id -> Atum_util.Json.t) option;
-  mutable app_wipe : (node_id -> unit) option;
-  mutable app_import : (node_id -> Atum_util.Json.t -> unit) option;
-  mutable app_replay : (node_id -> bid:int -> origin:node_id -> string -> unit) option;
-  mutable restarts : restart_report list; (* newest first *)
-}
-
-(* ------------------------------------------------------------------ *)
-(* Construction and small helpers                                      *)
-(* ------------------------------------------------------------------ *)
-
-let flood_forward ~bid:_ ~from_vg:_ ~cycle:_ ~neighbor:_ = true
-
-(* The paper's default (§3.3.4): forward to random neighbors — but
-   always gossip on a designated cycle, which turns the probabilistic
-   delivery of gossip into a deterministic guarantee.  The coin flip
-   hashes the broadcast id and the link, so every correct member of a
-   vgroup takes the same decision without coordination. *)
-let random_forward ~bid ~from_vg ~cycle ~neighbor =
-  cycle = 0 || Hashtbl.hash (bid, from_vg, cycle, neighbor) land 1 = 0
-
-let create ?(net_config : Network.config option) ?trace_capacity (params : Params.t) =
-  (match Params.validate params with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("System.create: " ^ e));
-  let engine = Engine.create () in
-  let metrics = Metrics.create () in
-  let trace = Trace.create ?capacity:trace_capacity () in
-  Engine.set_trace engine trace;
-  let net_config =
-    match net_config with
-    | Some c -> c
-    | None ->
-      (match params.protocol with
-      | Params.Sync -> Network.datacenter_config ~seed:(params.seed + 1)
-      | Params.Async -> Network.wan_config ~seed:(params.seed + 1))
-  in
-  (* The network shares the system's metrics (so net.drop.* counters
-     land in one snapshot) and its trace. *)
-  let net = Network.create ~metrics ~trace engine net_config in
-  let rounds =
-    match params.protocol with
-    | Params.Sync ->
-      let r = Rounds.create engine ~round_duration:params.round_duration in
-      Some r
-    | Params.Async -> None
-  in
-  {
-    params;
-    engine;
-    net;
-    rounds;
-    keyring = Atum_crypto.Signature.create_keyring ~seed:(params.seed + 2);
-    rng = Rng.create params.seed;
-    metrics;
-    trace;
-    nodes = Atum_util.Arena.create ~cap:1024 ();
-    vgroups = Atum_util.Arena.create ~cap:256 ();
-    live_count = 0;
-    live_byz_count = 0;
-    active_vgroups = 0;
-    dirty_log = Array.make 256 0;
-    dirty_len = 0;
-    bcast_votes = Pair_tbl.create 256;
-    last_seen = Hashtbl.create 256;
-    recycle_ids = false;
-    fanout = [];
-    fanout_scheduled = false;
-    hgraph = Hgraph.empty ~cycles:params.hc;
-    bootstrapped = false;
-    next_gm = 0;
-    next_bid = 0;
-    next_op = 0;
-    next_token = 0;
-    tokens = Hashtbl.create 256;
-    pending_ops = Hashtbl.create 64;
-    bcasts = Hashtbl.create 64;
-    next_span = 0;
-    on_deliver = (fun _ ~bid:_ ~origin:_ _ -> ());
-    on_audit = None;
-    forward_policy = random_forward;
-    heartbeats_running = false;
-    heartbeats_since = infinity;
-    shuffling_enabled = true;
-    telemetry = None;
-    store = None;
-    app_export = None;
-    app_wipe = None;
-    app_import = None;
-    app_replay = None;
-    restarts = [];
-  }
-
-let engine t = t.engine
-let metrics t = t.metrics
-let trace t = t.trace
-let network t = t.net
-
-(* Protocol-level trace events.  The enabled-check skips the emit, but
-   a caller's optional arguments are boxed before it runs: hot call
-   sites test [Trace.enabled] themselves first. *)
-let trace_emit t ~kind ?node ?peer ?vgroup ?size ?bid ?span ?parent ?cycle () =
-  if Trace.enabled t.trace then
-    Trace.emit t.trace ~time:(Engine.now t.engine) ~kind ?node ?peer ?vgroup ?size ?bid ?span
-      ?parent ?cycle ()
-let now t = Engine.now t.engine
-let params t = t.params
-
-(* Saga spans: a ["saga.<name>.begin"] / ["saga.<name>.end"] pair
-   shares a fresh span id, and [parent] nests child sagas (a join's
-   walk, a split's agreement) under their initiator.  Ids are drawn
-   unconditionally so enabling the trace never perturbs the id
-   sequence between otherwise identical runs. *)
-let fresh_span t =
-  let id = t.next_span in
-  t.next_span <- id + 1;
-  id
-
-let span_begin t ~saga ?node ?vgroup ?parent () =
-  let span = fresh_span t in
-  Metrics.incr t.metrics "saga.begin.total";
-  trace_emit t ~kind:("saga." ^ saga ^ ".begin") ?node ?vgroup ~span ?parent ();
-  span
-
-let span_end t ~saga ?node ?vgroup span =
-  Metrics.incr t.metrics "saga.end.total";
-  trace_emit t ~kind:("saga." ^ saga ^ ".end") ?node ?vgroup ~span ()
-
-let audit t a = match t.on_audit with Some f -> f a | None -> ()
-
-let set_deliver t f = t.on_deliver <- f
-let set_audit t f = t.on_audit <- f
-let set_forward_policy t f =
-  t.forward_policy <- f;
-  Atum_util.Arena.iter (fun _ vg -> vg.fwd_bid <- -1) t.vgroups
-
-let node t id = Atum_util.Arena.find t.nodes id
-let node_opt t id = Atum_util.Arena.get t.nodes id
-let vgroup t vid = Atum_util.Arena.find t.vgroups vid
-let vgroup_opt t vid = Atum_util.Arena.get t.vgroups vid
-
-(* Mark a vgroup as touched for the incremental consumers.  Appends
-   are amortized O(1); duplicates are fine (consumers dedup). *)
-let mark_dirty t vid =
-  if t.dirty_len = Array.length t.dirty_log then begin
-    let log = Array.make (2 * t.dirty_len) 0 in
-    Array.blit t.dirty_log 0 log 0 t.dirty_len;
-    t.dirty_log <- log
-  end;
-  t.dirty_log.(t.dirty_len) <- vid;
-  t.dirty_len <- t.dirty_len + 1
-
-let dirty_cursor t = t.dirty_len
-
-(* Vgroup ids touched since [cursor], deduped ascending. *)
-let dirty_since t cursor =
-  if cursor >= t.dirty_len then []
-  else begin
-    let acc = ref [] in
-    for i = t.dirty_len - 1 downto max 0 cursor do
-      acc := t.dirty_log.(i) :: !acc
-    done;
-    List.sort_uniq Int.compare !acc
-  end
-
-let node_name id = "node-" ^ string_of_int id
-
-let is_correct n = n.alive && not n.byzantine
-
-let correct_members t vg = List.filter (fun m -> is_correct (node t m)) vg.members
-
-let majority_of count = (count / 2) + 1
-
-let strategy_name = function
-  | Mute -> "mute"
-  | Equivocate -> "equivocate"
-  | Selective_drop _ -> "selective_drop"
-  | Flood _ -> "flood"
-  | Join_leave_attack -> "join_leave"
-  | Target_vgroup _ -> "target_vgroup"
-
-(* A targeted attacker behaves on the wire as its [inner] strategy;
-   the targeting itself only drives where the node joins. *)
-let effective_strategy n =
-  match n.strategy with Target_vgroup { inner; _ } -> inner | s -> s
-
-(* Liveness/membership mutators.  Every change to [n.vg], [n.alive]
-   or a vgroup's lifecycle funnels through these so the O(1) counters
-   and the dirty log stay exact. *)
-let is_live n = n.alive && Option.is_some n.vg
-
-let count_live t n delta =
-  t.live_count <- t.live_count + delta;
-  if n.byzantine then t.live_byz_count <- t.live_byz_count + delta
-
-(* --- durable-state hooks (WAL append + snapshot fold) --------------- *)
-
-module Json = Atum_util.Json
-module Replica = Atum_store.Replica
-
-(* Everything a node needs to come back cold: its registry pointer,
-   its delivered-broadcast set, and whatever the application exports.
-   WAL records since the last snapshot replay on top of this. *)
-let node_snapshot t (n : node) =
-  Json.Obj
-    [
-      ("vid", (match n.vg with Some v -> Json.Int v | None -> Json.Null));
-      ( "delivered",
-        Json.List (List.map (fun b -> Json.Int b) (Atum_util.Bitset.to_list n.delivered)) );
-      ("app", (match t.app_export with Some f -> f n.id | None -> Json.Null));
-    ]
-
-let snapshot_if_due t (n : node) =
-  match t.store with
-  | Some store when Replica.needs_snapshot store ~node:n.id ->
-    Replica.save_snapshot store ~node:n.id (node_snapshot t n)
-  | _ -> ()
-
-let persist t (n : node) record =
-  match t.store with
-  | None -> ()
-  | Some store ->
-    Replica.append store ~node:n.id record;
-    snapshot_if_due t n
-
-let persist_vg t (n : node) =
-  persist t n
-    (Json.Obj
-       [
-         ("t", Json.String "vg");
-         ("vid", (match n.vg with Some v -> Json.Int v | None -> Json.Null));
-       ])
-
-let set_node_vg t n vg =
-  (match n.vg with Some v -> mark_dirty t v | None -> ());
-  (match vg with Some v -> mark_dirty t v | None -> ());
-  let was = is_live n in
-  n.vg <- vg;
-  let is = is_live n in
-  if was && not is then count_live t n (-1) else if (not was) && is then count_live t n 1;
-  if Option.is_some t.store then persist_vg t n
-
-let set_node_alive t n alive =
-  (match n.vg with Some v -> mark_dirty t v | None -> ());
-  let was = is_live n in
-  n.alive <- alive;
-  let is = is_live n in
-  if was && not is then count_live t n (-1) else if (not was) && is then count_live t n 1
-
-let retire_vgroup t vg =
-  if not vg.retired then begin
-    vg.retired <- true;
-    t.active_vgroups <- t.active_vgroups - 1;
-    mark_dirty t vg.vid
-  end
-
-let add_vgroup t ~members ~busy =
-  let vid =
-    Atum_util.Arena.alloc_with t.vgroups (fun vid ->
-        {
-          vid;
-          members;
-          epoch = 0;
-          smr = None;
-          busy;
-          shuffle_pending = false;
-          retired = false;
-          saga_gen = 0;
-          nbrs_gen = -1;
-          nbrs = [];
-          fwd_bid = -1;
-          fwd_targets = [];
-        })
-  in
-  t.active_vgroups <- t.active_vgroups + 1;
-  mark_dirty t vid;
-  vgroup t vid
-
-(* In ascending id order (the arena walks slots in index order):
-   callers feed this list to seeded Rng picks (Builder, Churn), so
-   its order is part of the reproducible state. *)
-let live_nodes t =
-  List.rev
-    (Atum_util.Arena.fold
-       (fun _ n acc -> if n.alive && Option.is_some n.vg then n :: acc else acc)
-       t.nodes [])
-
-(* Packed keys sort as (node, bid) pairs. *)
-let partial_votes t =
-  Pair_tbl.fold (fun key _ acc -> key :: acc) t.bcast_votes []
-  |> List.sort Int.compare
-  |> List.map (fun key -> (key lsr 31, key land ((1 lsl 31) - 1)))
-
-(* O(1): maintained by the membership/liveness mutators below. *)
-let system_size t = t.live_count
-
-let live_byzantine_count t = t.live_byz_count
-
-let vgroup_count t = t.active_vgroups
-
-let vgroup_ids t =
-  (* Every vgroup id ever created, retired ones included: dense ids
-     make that exactly [0 .. length-1]. *)
-  List.init (Atum_util.Arena.length t.vgroups) (fun i -> i)
-
-let vgroup_sizes t =
-  List.rev
-    (Atum_util.Arena.fold
-       (fun _ vg acc -> if vg.retired then acc else List.length vg.members :: acc)
-       t.vgroups [])
-
-let fresh_gm_id t =
-  let id = t.next_gm in
-  t.next_gm <- id + 1;
-  id
-
-let fresh_token t =
-  let id = t.next_token in
-  t.next_token <- id + 1;
-  id
-
-(* In the synchronous deployment every protocol step is taken at a
-   round boundary; in the asynchronous one, immediately. *)
-let defer t f =
-  match t.rounds with
-  | None -> f ()
-  | Some r ->
-    let d = Rounds.round_duration r in
-    let next = (Float.floor (now t /. d) +. 1.0) *. d in
-    Engine.schedule_at ~label:"system.defer" t.engine ~time:next f
-
-(* ------------------------------------------------------------------ *)
-(* SMR plumbing                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let epoch_id vg = Printf.sprintf "vg%d/e%d" vg.vid vg.epoch
-
-(* Forward declaration: the SMR execute callback needs the whole
-   dispatch logic, which needs sagas, which need [agree]... tie the
-   knot with a reference. *)
-let execute_hook :
-    (t -> vgroup -> node_id -> Atum_smr.Smr_intf.op -> unit) ref =
-  ref (fun _ _ _ _ -> ())
-
-let stop_smr vg =
-  match vg.smr with
-  | Some (Smr_sync reps) -> List.iter (fun (_, inst) -> Atum_smr.Sync_smr.stop inst) reps.in_order
-  | Some (Smr_async tbl) -> Hashtbl.iter (fun _ inst -> Atum_smr.Pbft.stop inst) tbl
-  | None -> ()
-
-let install_smr t vg =
-  let g = List.length vg.members in
-  let members = vg.members in
-  let correct = correct_members t vg in
-  (match t.params.protocol with
-  | Params.Sync ->
-    let f = Atum_smr.Smr_intf.sync_f ~group_size:g in
-    let tbl = Hashtbl.create g in
-    List.iter
-      (fun self ->
-        Atum_crypto.Signature.register t.keyring (node_name self);
-        let epoch = vg.epoch in
-        let transport =
-          {
-            Atum_smr.Smr_intf.self;
-            members;
-            f;
-            send =
-              (fun dst m -> Network.send t.net ~src:self ~dst (Sync_msg { vg = vg.vid; epoch; m }));
-            set_timer = (fun delay fn -> Engine.schedule ~label:"smr.timer" t.engine ~delay fn);
-          }
-        in
-        let inst =
-          Atum_smr.Sync_smr.create ~keyring:t.keyring ~transport ~epoch_id:(epoch_id vg)
-            ~on_execute:(fun op -> !execute_hook t vg self op)
-        in
-        Hashtbl.replace tbl self inst)
-      correct;
-    let in_order =
-      List.sort
-        (fun (a, _) (b, _) -> Int.compare a b)
-        (Hashtbl.fold (fun m inst acc -> (m, inst) :: acc) tbl [])
-    in
-    vg.smr <- Some (Smr_sync { by_member = tbl; in_order })
-  | Params.Async ->
-    let f = Atum_smr.Smr_intf.async_f ~group_size:g in
-    let tbl = Hashtbl.create g in
-    List.iter
-      (fun self ->
-        let epoch = vg.epoch in
-        let transport =
-          {
-            Atum_smr.Smr_intf.self;
-            members;
-            f;
-            send =
-              (fun dst m ->
-                Network.send t.net ~src:self ~dst (Async_msg { vg = vg.vid; epoch; m }));
-            set_timer = (fun delay fn -> Engine.schedule ~label:"smr.timer" t.engine ~delay fn);
-          }
-        in
-        let inst =
-          Atum_smr.Pbft.create ~transport ~timeout:t.params.pbft_timeout
-            ~on_execute:(fun op -> !execute_hook t vg self op)
-        in
-        Hashtbl.replace tbl self inst)
-      correct;
-    vg.smr <- Some (Smr_async tbl))
-
-(* Lazy SMR: bulk-built vgroups ([build_direct]) defer replica
-   creation until the first agreement actually needs one — a
-   million-node build would otherwise pay for a million SMR instances
-   up front.  A no-op on every saga-built vgroup, whose instances are
-   installed eagerly by [reconfigure]. *)
-let ensure_smr t vg =
-  if vg.smr = None && vg.members <> [] && not vg.retired then install_smr t vg
-
-let pending_of t vid =
-  match Hashtbl.find_opt t.pending_ops vid with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.replace t.pending_ops vid r;
-    r
-
-let proposer_of t vg =
-  match correct_members t vg with [] -> None | m :: _ -> Some m
-
-let propose_raw _t vg ~proposer payload =
-  match vg.smr with
-  | None -> ()
-  | Some (Smr_sync reps) ->
-    (match Hashtbl.find_opt reps.by_member proposer with
-    | Some inst -> Atum_smr.Sync_smr.propose inst payload
-    | None -> ())
-  | Some (Smr_async tbl) ->
-    (match Hashtbl.find_opt tbl proposer with
-    | Some inst -> Atum_smr.Pbft.propose inst payload
-    | None -> ())
-
-(* Membership changed: stop the old epoch's instances, start the new
-   ones, and re-propose any agreement still in flight (the SMART-style
-   carry-over). *)
-let reconfigure t vg =
-  stop_smr vg;
-  vg.epoch <- vg.epoch + 1;
-  if vg.members <> [] && not vg.retired then begin
-    install_smr t vg;
-    let pend = pending_of t vg.vid in
-    List.iter
-      (fun p ->
-        if not p.fired then begin
-          p.execs <- [];
-          match proposer_of t vg with
-          | Some proposer -> propose_raw t vg ~proposer ("op#" ^ p.op_id ^ "#" ^ p.op_payload)
-          | None -> ()
-        end)
-      !pend
-  end
-  else vg.smr <- None;
-  audit t (Audit_reconfig vg.vid)
-
-let agree t vg ?proposer ?parent payload action =
-  if vg.retired then ()
-  else begin
-    ensure_smr t vg;
-    let op_id = string_of_int t.next_op in
-    t.next_op <- t.next_op + 1;
-    let span = span_begin t ~saga:"agree" ~vgroup:vg.vid ?parent () in
-    let action () =
-      span_end t ~saga:"agree" ~vgroup:vg.vid span;
-      action ()
-    in
-    let p = { op_id; op_payload = payload; action; fired = false; execs = [] } in
-    let pend = pending_of t vg.vid in
-    pend := p :: !pend;
-    let proposer = match proposer with Some m -> Some m | None -> proposer_of t vg in
-    match proposer with
-    | Some proposer -> propose_raw t vg ~proposer ("op#" ^ op_id ^ "#" ^ payload)
-    | None -> ()
-  end
+   The registry ([Registry]) holds the ground truth and the shared
+   state; each vgroup's SMR ([Agreement]) decides every change to it.
+   This module builds the protocols on top: group messages and random
+   walks, the split / merge / shuffle / join / leave sagas, gossip,
+   heartbeats, the active Byzantine drivers and durable recovery, all
+   simulated at per-node message granularity. *)
+
+include Registry
+include Agreement
 
 (* ------------------------------------------------------------------ *)
 (* Group messages                                                      *)
@@ -762,12 +60,9 @@ let group_send t ~src_vg ~dst_vg ~label ?size ?k ?on_fail () =
        it; tell the caller so sagas can recover instead of stalling. *)
     (match on_fail with Some f -> f () | None -> ())
 
-let direct_send t ~src ~dst ~label ?k () =
-  let token = fresh_token t in
-  (match k with Some k -> Hashtbl.replace t.tokens token k | None -> ());
+let direct_send t ~src ~dst ~label ?(k = ignore) () =
   Metrics.incr t.metrics "direct.sent";
-  defer t (fun () ->
-      Network.send ~size:(control_bytes label) t.net ~src ~dst (Direct { token; label }))
+  defer t (fun () -> Network.send ~size:(control_bytes label) t.net ~src ~dst (Direct { label; k }))
 
 (* ------------------------------------------------------------------ *)
 (* Distributed random walks (§3.2, §5.1)                               *)
@@ -1092,7 +387,6 @@ and merge t vg ~attempts =
                 retire_vgroup t vg;
                 vg.members <- [];
                 stop_smr vg;
-                vg.smr <- None;
                 List.iter (fun x -> set_node_vg t (node t x) (Some mvid)) moving;
                 m.members <- m.members @ moving;
                 mark_dirty t mvid;
@@ -1343,8 +637,7 @@ let rec depart t ~target ~reason ?(k = fun () -> ()) () =
               (* Last member gone: retire the vgroup entirely. *)
               if vgroup_count t > 1 then Hgraph.remove t.hgraph vg.vid;
               retire_vgroup t vg;
-              stop_smr vg;
-              vg.smr <- None
+              stop_smr vg
             end
             else if
               Grouping.needs_merge ~gmin:t.params.gmin ~size:(List.length vg.members)
@@ -1364,9 +657,6 @@ let evict t ~target ?k () =
 (* ------------------------------------------------------------------ *)
 (* Broadcast (§3.3.4)                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let encode_bcast ~bid ~origin ~body =
-  Printf.sprintf "bcast#%d#%d#%s" bid origin body
 
 (* The vgroup's gossip view: its neighbors annotated with the
    (deduped, ascending) cycles linking to them, sorted by neighbor
@@ -1525,6 +815,13 @@ let node_deliver t nid ~bid ~origin ~body =
       end
   end
 
+(* Each system hands the broadcasts its vgroups' SMR executes to its
+   own gossip layer. *)
+let create ?net_config ?trace_capacity params =
+  let t = create ?net_config ?trace_capacity params in
+  t.deliver_agreed <- (fun nid ~bid ~origin ~body -> node_deliver t nid ~bid ~origin ~body);
+  t
+
 (* Broadcast entry point: phase one is a Byzantine broadcast inside
    the caller's vgroup through SMR; phase two is the gossip above. *)
 let broadcast t ~from body =
@@ -1532,21 +829,14 @@ let broadcast t ~from body =
   match n.vg with
   | None -> invalid_arg "System.broadcast: node not in the system"
   | Some vid ->
-    let vg = vgroup t vid in
-    ensure_smr t vg;
     let bid = t.next_bid in
     t.next_bid <- bid + 1;
     Hashtbl.replace t.bcasts bid { started = now t; b_origin = from; b_body = body };
     Metrics.incr t.metrics "broadcast.sent";
     trace_emit t ~kind:"broadcast.sent" ~node:from ~vgroup:vid ~size:(String.length body) ~bid ();
-    (* Phase one: the raw bcast operation goes through the vgroup's
-       SMR; each member's execution delivers and starts the gossip. *)
-    let proposer =
-      if is_correct n then Some from else proposer_of t vg
-    in
-    (match proposer with
-    | Some proposer -> propose_raw t vg ~proposer (encode_bcast ~bid ~origin:from ~body)
-    | None -> ());
+    (* Phase one: the broadcast goes through the vgroup's SMR; each
+       member's execution delivers and starts the gossip. *)
+    propose_bcast t (vgroup t vid) ~origin:from ~bid ~body;
     bid
 
 (* ------------------------------------------------------------------ *)
@@ -1687,67 +977,8 @@ let start_heartbeats t =
 let stop_heartbeats t = t.heartbeats_running <- false
 
 (* ------------------------------------------------------------------ *)
-(* Execute hook and wire dispatch                                      *)
+(* Wire dispatch                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let split3 s =
-  (* "tag#a#b#rest" -> tag, a, b, rest *)
-  match String.index_opt s '#' with
-  | None -> None
-  | Some i -> (
-    match String.index_from_opt s (i + 1) '#' with
-    | None -> None
-    | Some j -> (
-      match String.index_from_opt s (j + 1) '#' with
-      | None ->
-        Some
-          ( String.sub s 0 i,
-            String.sub s (i + 1) (j - i - 1),
-            String.sub s (j + 1) (String.length s - j - 1),
-            "" )
-      | Some l ->
-        Some
-          ( String.sub s 0 i,
-            String.sub s (i + 1) (j - i - 1),
-            String.sub s (j + 1) (l - j - 1),
-            String.sub s (l + 1) (String.length s - l - 1) )))
-
-(* Two operation shapes reach the replicated state machines:
-   "op#<id>#<payload>" — an agreed control operation, counted toward
-   its pending continuation; and "bcast#<bid>#<origin>#<body>" — the
-   first phase of a broadcast, delivered per member. *)
-let on_smr_execute t vg member (op : Atum_smr.Smr_intf.op) =
-  match String.index_opt op.payload '#' with
-  | None -> ()
-  | Some i -> (
-    let tag = String.sub op.payload 0 i in
-    let rest = String.sub op.payload (i + 1) (String.length op.payload - i - 1) in
-    match tag with
-    | "op" -> (
-      match String.index_opt rest '#' with
-      | None -> ()
-      | Some j ->
-        let op_id = String.sub rest 0 j in
-        let pend = pending_of t vg.vid in
-        (match List.find_opt (fun p -> p.op_id = op_id && not p.fired) !pend with
-        | None -> ()
-        | Some p ->
-          if not (List.mem member p.execs) then p.execs <- member :: p.execs;
-          if List.length p.execs >= majority_of (List.length vg.members) then begin
-            p.fired <- true;
-            pend := List.filter (fun q -> q.op_id <> op_id) !pend;
-            p.action ()
-          end))
-    | "bcast" -> (
-      match split3 op.payload with
-      | Some (_, bid, origin, body) -> (
-        match (int_of_string_opt bid, int_of_string_opt origin) with
-        | Some bid, Some origin -> node_deliver t member ~bid ~origin ~body
-        | _ -> ())
-      | None -> ())
-    | _ -> ())
-
-let () = execute_hook := on_smr_execute
 
 let rec mem_id (x : node_id) = function [] -> false | y :: rest -> x = y || mem_id x rest
 
@@ -1755,33 +986,30 @@ let rec votes_from vid = function
   | [] -> raise Not_found
   | v :: rest -> if v.from_vg = vid then v else votes_from vid rest
 
+(* Every live node records heartbeats and runs the continuation of a
+   direct message — a Byzantine node keeps pretending, and a join-leave
+   attacker wants in.  A Byzantine node runs no replica; of group
+   traffic it only reacts to broadcast parts ([byz_on_bcast]), which a
+   [Mute] node ignores and the active strategies equivocate on or
+   selectively forward. *)
 let handle_wire t nid ~src wire =
   match node_opt t nid with
-  | None -> ()
-  | Some n ->
-    if is_correct n then begin
-      match wire with
-      | Sync_msg { vg = vid; epoch; m } -> (
-        match vgroup_opt t vid with
-        | Some vg when vg.epoch = epoch && not vg.retired -> (
-          match vg.smr with
-          | Some (Smr_sync reps) -> (
-            match Hashtbl.find_opt reps.by_member nid with
-            | Some inst -> Atum_smr.Sync_smr.receive inst ~src m
-            | None -> ())
-          | _ -> ())
-        | _ -> ())
-      | Async_msg { vg = vid; epoch; m } -> (
-        match vgroup_opt t vid with
-        | Some vg when vg.epoch = epoch && not vg.retired -> (
-          match vg.smr with
-          | Some (Smr_async tbl) -> (
-            match Hashtbl.find_opt tbl nid with
-            | Some inst -> Atum_smr.Pbft.receive inst ~src m
-            | None -> ())
-          | _ -> ())
-        | _ -> ())
-      | Group_part { src_vg; src_size; payload } -> (
+  | Some n when n.alive -> (
+    match wire with
+    | Heartbeat -> Hashtbl.replace t.last_seen (nid, src) (now t)
+    | Direct { label = _; k } -> k ()
+    | Smr_msg { vg = vid; epoch; m } -> (
+      match vgroup_opt t vid with
+      | Some vg when vg.epoch = epoch && (not vg.retired) && not n.byzantine ->
+        receive vg nid ~src m
+      | _ -> ())
+    | Group_part { src_vg; src_size; payload } ->
+      if n.byzantine then begin
+        match payload with
+        | Control _ -> ()
+        | Bcast { bid; origin; body; cycle = _ } -> byz_on_bcast t n ~bid ~origin ~body
+      end
+      else begin
         let needed_src = majority_of src_size in
         match payload with
         | Control { label = _; row = None } -> ()
@@ -1827,60 +1055,19 @@ let handle_wire t nid ~src wire =
                already delivered [bid]. *)
             if Trace.enabled t.trace then
               trace_emit t ~kind:"bcast.dup" ~node:nid ?vgroup:n.vg ~parent:src_vg ~bid
-                ~cycle ())
-      | Direct { token; label = _ } -> (
-        match Hashtbl.find_opt t.tokens token with
-        | Some k ->
-          Hashtbl.remove t.tokens token;
-          k ()
-        | None -> ())
-      | Heartbeat -> Hashtbl.replace t.last_seen (nid, src) (now t)
-    end
-    else if n.alive && n.byzantine then begin
-      (* Byzantine nodes record heartbeats (to keep pretending) and
-         still run the point-to-point steps of their own join — a
-         join-leave attacker wants in.  A [Mute] node ignores every
-         replication and dissemination protocol; the active strategies
-         additionally react to broadcast parts ([byz_on_bcast]) with
-         equivocation or selective forwarding. *)
-      match wire with
-      | Heartbeat -> Hashtbl.replace t.last_seen (nid, src) (now t)
-      | Direct { token; label = _ } -> (
-        match Hashtbl.find_opt t.tokens token with
-        | Some k ->
-          Hashtbl.remove t.tokens token;
-          k ()
-        | None -> ())
-      | Group_part { src_vg = _; src_size = _; payload } -> (
-        match payload with
-        | Control _ -> ()
-        | Bcast { bid; origin; body; cycle = _ } -> byz_on_bcast t n ~bid ~origin ~body)
-      | Sync_msg _ | Async_msg _ -> ()
-    end
+                ~cycle ()
+      end)
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Driving the synchronous deployment                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Round boundaries emit wire messages; drive vgroups in id order (and
+   their members in id order) so the event queue fills
+   deterministically. *)
 let drive_sync_round t _round =
-  (* Round boundaries emit wire messages; drive vgroups and members in
-     id order so the event queue fills deterministically. *)
-  Atum_util.Arena.iter
-    (fun _ vg ->
-      if not vg.retired then
-        match vg.smr with
-        | Some (Smr_sync reps) ->
-          (* Member order was fixed at install time: no per-round
-             sort on this per-tick path. *)
-          List.iter
-            (fun (member, inst) ->
-              match node_opt t member with
-              | Some n when is_correct n -> Atum_smr.Sync_smr.on_round_boundary inst
-              | _ -> ())
-            reps.in_order
-        | _ -> ())
-    t.vgroups
-
+  Atum_util.Arena.iter (fun _ vg -> if not vg.retired then on_round_boundary t vg) t.vgroups
 
 (* ------------------------------------------------------------------ *)
 (* Node lifecycle                                                      *)
@@ -1913,7 +1100,7 @@ let bootstrap t ?(byzantine = false) () =
   (* Replace the placeholder overlay with one rooted at the bootstrap
      vgroup: a single vertex that neighbors itself on every cycle. *)
   t.hgraph <- Hgraph.singleton ~cycles:t.params.hc vid;
-  install_smr t vg;
+  ensure_smr t vg;
   (match t.rounds with
   | Some r ->
     ignore (Rounds.subscribe r (fun round -> drive_sync_round t round));
@@ -1926,7 +1113,7 @@ let bootstrap t ?(byzantine = false) () =
    join saga (walk + agreement + shuffle) per node.  The result is a
    valid settled system — [check_consistency] passes, every vgroup
    size stays inside [gmin, gmax] (except a sub-[gmin] total) — and
-   SMR instances are installed lazily ([ensure_smr]), so the build
+   SMR instances are installed lazily, so the build
    cost is the registry itself, not a million replicas.  Returns the
    node ids in ascending order. *)
 let build_direct t ~nodes:count () =
@@ -2173,8 +1360,8 @@ let byz_pick_live t ~but =
   | ids -> Some (Rng.pick t.rng ids)
 
 (* Junk point-to-point traffic: each tick sends [fanout] direct
-   messages with fresh (never-registered) tokens to random live nodes,
-   burning their receive capacity. *)
+   messages with no-op continuations to random live nodes, burning
+   their receive capacity. *)
 let start_flood t nid ~fanout ~size =
   Engine.every ~label:"byzantine.flood" t.engine ~period:5.0 (fun () ->
       let n = node t nid in
@@ -2183,8 +1370,7 @@ let start_flood t nid ~fanout ~size =
           match byz_pick_live t ~but:nid with
           | Some dst ->
             Metrics.incr t.metrics "byzantine.flood.sent";
-            Network.send ~size t.net ~src:nid ~dst
-              (Direct { token = fresh_token t; label = "byz-flood" })
+            Network.send ~size t.net ~src:nid ~dst (Direct { label = "byz-flood"; k = ignore })
           | None -> ()
         done;
         true

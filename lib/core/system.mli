@@ -63,11 +63,20 @@ type node = {
           the per-node hash table it replaces *)
 }
 
+type replica
+(** One member's SMR instance (Dolev-Strong rounds or PBFT). *)
+
+type pending_op
+(** An agreement proposed on a vgroup that has not fired yet. *)
+
 type vgroup = {
   vid : vg_id;
   mutable members : node_id list;
   mutable epoch : int;  (** bumped on every reconfiguration *)
-  mutable smr : smr_inst option;
+  mutable smr : (node_id * replica) list option;
+      (** the current epoch's replicas, one per correct member in
+          ascending id order; [None] until installed *)
+  mutable pending : pending_op list;  (** agreements in flight, newest first *)
   mutable busy : bool;  (** held by a shuffle / split / merge *)
   mutable shuffle_pending : bool;
   mutable retired : bool;  (** merged away or emptied *)
@@ -82,17 +91,6 @@ type vgroup = {
           is rebuilt or the forward policy replaced *)
   mutable fwd_targets : (vg_id * int) list;  (** see {!gossip_targets} *)
 }
-
-and sync_replicas = {
-  by_member : (node_id, Atum_smr.Sync_smr.t) Hashtbl.t;
-  in_order : (node_id * Atum_smr.Sync_smr.t) list;
-      (** ascending member id, frozen at install — the round driver
-          walks this instead of sorting the table every boundary *)
-}
-
-and smr_inst =
-  | Smr_sync of sync_replicas
-  | Smr_async of (node_id, Atum_smr.Pbft.t) Hashtbl.t
 
 type t
 
@@ -325,8 +323,7 @@ val shuffle : t -> vgroup -> unit
 val split : t -> vgroup -> unit
 val merge : t -> vgroup -> attempts:int -> unit
 
-val agree :
-  t -> vgroup -> ?proposer:node_id -> ?parent:int -> string -> (unit -> unit) -> unit
+val agree : t -> vgroup -> ?parent:int -> string -> (unit -> unit) -> unit
 (** Run one operation through the vgroup's SMR; the action fires once,
     when a majority of members have executed it.  [parent] links the
     agreement's trace span under an enclosing saga. *)

@@ -134,8 +134,9 @@ let result_returning =
 (* --- W001: wire-message variants ------------------------------------ *)
 
 (* Constructors of the variants that cross the simulated network:
-   System.wire, System.gm_payload and Pbft.msg.  A match that names
-   any of these must stay exhaustive.
+   Registry.wire with its SMR payload, Registry.gm_payload, the
+   Agreement.op that SMR payloads encode, and Pbft.msg.  A match that
+   names any of these must stay exhaustive.
 
    The second group is *reserved* for the versioned binary codec
    (ROADMAP item 3): the codec PR must name its frame constructors
@@ -144,9 +145,9 @@ let result_returning =
    commands are. *)
 let wire_constructors =
   [
-    (* System.wire *)
-    "Sync_msg"; "Async_msg"; "Group_part"; "Direct"; "Heartbeat";
-    (* System.gm_payload *)
+    (* Registry.wire and its SMR payload *)
+    "Smr_msg"; "Group_part"; "Direct"; "Heartbeat"; "Sync_m"; "Async_m";
+    (* Registry.gm_payload and Agreement.op *)
     "Control"; "Bcast";
     (* Pbft.msg *)
     "Request"; "Preprepare"; "Prepare"; "Commit"; "Viewchange"; "Newview";

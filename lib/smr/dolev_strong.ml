@@ -2,12 +2,6 @@ module Signature = Atum_crypto.Signature
 
 type msg = { instance_id : string; value : string; sigs : Signature.t list }
 
-let pp_msg fmt m =
-  Format.fprintf fmt "ds{%s value=%S sigs=%d}" m.instance_id m.value (List.length m.sigs)
-
-let msg_size m =
-  String.length m.instance_id + String.length m.value + (48 * List.length m.sigs) + 16
-
 type t = {
   keyring : Signature.keyring;
   self : Smr_intf.node_id;

@@ -20,11 +20,6 @@
 
 type msg
 
-val pp_msg : Format.formatter -> msg -> unit
-
-val msg_size : msg -> int
-(** Approximate wire size in bytes (for traffic accounting). *)
-
 type t
 
 val create :

@@ -8,15 +8,6 @@ type msg =
   | Viewchange of { new_view : int; prepared : (int * request) list }
   | Newview of { view : int; assignments : (int * request) list }
 
-let msg_size = function
-  | Request r -> String.length r.rid + String.length r.op + 16
-  | Preprepare { req; _ } -> String.length req.rid + String.length req.op + 48
-  | Prepare _ | Commit _ -> 80
-  | Viewchange { prepared; _ } ->
-    List.fold_left (fun acc (_, r) -> acc + String.length r.op + 48) 64 prepared
-  | Newview { assignments; _ } ->
-    List.fold_left (fun acc (_, r) -> acc + String.length r.op + 48) 64 assignments
-
 (* Prepare/commit votes are buffered per (view, digest) so that votes
    arriving before the pre-prepare (common under random latencies) are
    not lost. *)
@@ -48,7 +39,6 @@ type t = {
   viewchange_votes : (int, Smr_intf.node_id list ref) Hashtbl.t;
   mutable voted_views : int list;
   mutable stopped : bool;
-  mutable executed : int;
 }
 
 let digest_of req = Atum_crypto.Sha256.digest_hex (req.rid ^ "\x00" ^ req.op)
@@ -70,7 +60,6 @@ let create ~transport ~timeout ~on_execute =
     viewchange_votes = Hashtbl.create 8;
     voted_views = [];
     stopped = false;
-    executed = 0;
   }
 
 let view t = t.view
@@ -85,8 +74,6 @@ let quorum t = (2 * t.tr.Smr_intf.f) + 1
 
 let broadcast t m =
   List.iter (fun dst -> if dst <> t.tr.self then t.tr.send dst m) t.tr.members
-
-let executed_count t = t.executed
 
 let fresh_entry view =
   {
@@ -125,7 +112,6 @@ let rec try_execute t =
       Hashtbl.replace t.executed_rids req.rid ();
       t.own_requests <- List.filter (fun r -> r.rid <> req.rid) t.own_requests;
       Hashtbl.remove t.watched req.rid;
-      t.executed <- t.executed + 1;
       (match String.index_opt req.rid '/' with
       | Some i ->
         let origin = int_of_string (String.sub req.rid 0 i) in

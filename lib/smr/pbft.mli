@@ -14,8 +14,6 @@
 
 type msg
 
-val msg_size : msg -> int
-
 type t
 
 val create :
@@ -37,5 +35,3 @@ val stop : t -> unit
 val view : t -> int
 
 val primary : t -> Smr_intf.node_id
-
-val executed_count : t -> int

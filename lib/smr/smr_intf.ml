@@ -18,17 +18,6 @@ type 'm transport = {
 (** An operation as seen by the replicated state machine. *)
 type op = { origin : node_id; payload : string }
 
-let op_to_string { origin; payload } = string_of_int origin ^ "|" ^ payload
-
-let op_of_string s =
-  match String.index_opt s '|' with
-  | None -> invalid_arg "Smr_intf.op_of_string"
-  | Some i ->
-    {
-      origin = int_of_string (String.sub s 0 i);
-      payload = String.sub s (i + 1) (String.length s - i - 1);
-    }
-
 (** Fault thresholds per protocol family (§3.1). *)
 let sync_f ~group_size = (group_size - 1) / 2
 

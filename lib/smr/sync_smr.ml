@@ -1,7 +1,5 @@
 type msg = { slot : int; sender : Smr_intf.node_id; ds : Dolev_strong.msg }
 
-let msg_size m = Dolev_strong.msg_size m.ds + 16
-
 type t = {
   keyring : Atum_crypto.Signature.keyring;
   tr : msg Smr_intf.transport;
@@ -123,9 +121,3 @@ let on_round_boundary t =
   end
 
 let stop t = t.stopped <- true
-
-let pending_count t = List.length t.pending
-
-let current_slot t = t.slot
-
-let slot_length t = t.tr.f + 1

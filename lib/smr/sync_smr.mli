@@ -13,8 +13,6 @@
 
 type msg
 
-val msg_size : msg -> int
-
 type t
 
 val create :
@@ -33,13 +31,6 @@ val on_round_boundary : t -> unit
 
 val stop : t -> unit
 (** Freeze the instance (epoch change); further input is ignored. *)
-
-val pending_count : t -> int
-
-val current_slot : t -> int
-
-val slot_length : t -> int
-(** Rounds per slot = f + 1. *)
 
 val encode_batch : string list -> string
 (** Length-prefixed batch encoding (payloads may contain any bytes). *)

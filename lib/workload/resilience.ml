@@ -193,15 +193,20 @@ let run ?(messages_per_phase = 10) ?(gap = 5.0) ?(attackers = 0) ?schedule
   in
   (* Per-phase delivery accounting, attributed by broadcast id: a
      message sent during a fault counts against "during" even if its
-     stragglers arrive later. *)
+     stragglers arrive later.  Each (node, bid) pair counts once: a
+     node whose corrupt store fell back to a fresh join re-delivers,
+     through catch-up, broadcasts it had already delivered. *)
   let bid_phase = Hashtbl.create 256 in
+  let counted = Hashtbl.create 1024 in
   let sent = Array.make 3 0 in
   let expected = Array.make 3 0 in
   let delivered = Array.make 3 0 in
-  Atum.on_deliver atum (fun _ ~bid ~origin:_ _ ->
+  Atum.on_deliver atum (fun nid ~bid ~origin:_ _ ->
       match Hashtbl.find_opt bid_phase bid with
-      | Some i -> delivered.(i) <- delivered.(i) + 1
-      | None -> ());
+      | Some i when not (Hashtbl.mem counted (nid, bid)) ->
+        Hashtbl.replace counted (nid, bid) ();
+        delivered.(i) <- delivered.(i) + 1
+      | Some _ | None -> ());
   let payload () = String.make (10 + Rng.int rng 91) 'x' in
   let tick phase_idx =
     (match Builder.correct_members built with

@@ -17,7 +17,7 @@ type phase_stats = {
   expected : int;
       (** sum over sends of the live correct-member count at send
           time: every correct member is expected to deliver *)
-  delivered : int;
+  delivered : int;  (** distinct (node, broadcast) deliveries *)
   success : float;  (** delivered / expected; the "during" dip is the fault's cost *)
 }
 
@@ -109,10 +109,10 @@ val run :
     [corrupt_log] (default false, implies the store) additionally
     flips one byte in the first victim's WAL while it is down, forcing
     its restart into the wipe-and-fresh-join fallback (counted in
-    [recovery_fallbacks]).  Note a restarted node's catch-up
-    re-delivers broadcasts it already delivered before going down when
-    its delivered-set was lost (fallback case), so phase success can
-    exceed 1.0 — evidence of catch-up, not a bug. *)
+    [recovery_fallbacks]).  A restarted node whose delivered-set was
+    lost (fallback case) re-delivers, through catch-up, broadcasts it
+    had already delivered; each (node, broadcast) pair counts once, so
+    those re-deliveries do not count again. *)
 
 val to_json : result -> Atum_util.Json.t
 (** The ["resilience"] member of [ATUM_resilience.json] — schema

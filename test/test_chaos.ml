@@ -330,6 +330,26 @@ let test_resilience_deterministic () =
   let _, c = resilience_run 12 in
   Alcotest.(check bool) "different seed diverges" false (String.equal a c)
 
+(* A node whose corrupt store falls back to a fresh join re-delivers,
+   through catch-up, broadcasts it had already delivered; the phase
+   accounting counts each (node, broadcast) pair once, so no phase
+   reports more deliveries than it expected.  This is the CLI's
+   [chaos -n 60 --seed 7 --corrupt-log] run, whose "before" phase
+   once reported 630/620. *)
+let test_corrupt_log_success_bounded () =
+  let params = { (Atum_core.Params.for_system_size ~protocol:Atum_core.Params.Sync 60) with seed = 7 } in
+  let built = W.Builder.grow ~params ~monitor:false ~n:60 ~seed:7 () in
+  let r = W.Resilience.run ~attackers:3 ~restart:true ~corrupt_log:true built ~seed:7 () in
+  Alcotest.(check bool) "the store fell back to a fresh join" true
+    (List.exists (fun (rr : System.restart_report) -> rr.System.r_fallback) r.W.Resilience.restarts);
+  List.iter
+    (fun (p : W.Resilience.phase_stats) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d/%d deliveries" p.W.Resilience.phase p.delivered p.expected)
+        true
+        (p.W.Resilience.success <= 1.0 && p.delivered <= p.expected))
+    r.W.Resilience.phases
+
 let () =
   Alcotest.run "chaos"
     [
@@ -359,5 +379,7 @@ let () =
         [
           Alcotest.test_case "recovers after the schedule" `Slow test_resilience_recovers;
           Alcotest.test_case "same-seed byte-identical" `Slow test_resilience_deterministic;
+          Alcotest.test_case "corrupt-log success at most 1" `Quick
+            test_corrupt_log_success_bounded;
         ] );
     ]

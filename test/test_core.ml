@@ -365,21 +365,30 @@ let test_byzantine_not_evicted () =
   Alcotest.(check bool) "still a member" true (Atum.is_member t victim.System.id)
 
 let test_agreement_survives_reconfiguration () =
-  (* SMART-style carry-over: an agreement proposed just before the
-     vgroup reconfigures must be re-proposed into the new epoch and
-     still fire. *)
-  let t = Atum.create ~params:quick_sync_params () in
-  ignore (grow t ~target:16 ~settle:120.0);
-  Atum.run_for t 300.0;
-  let sys = Atum.system t in
-  let vid = Option.get (Atum.vgroup_of t 0) in
-  let vg = System.vgroup sys vid in
-  let fired = ref false in
-  System.agree sys vg "test-op" (fun () -> fired := true);
-  (* A shuffle churns the epoch (usually before the op decides). *)
-  System.shuffle sys vg;
-  Atum.run_for t 600.0;
-  Alcotest.(check bool) "agreement fired across epochs" true !fired
+  (* SMART-style carry-over: an agreement still pending when its
+     vgroup reconfigures is re-proposed into the new epoch and fires
+     there — under Dolev-Strong (Sync) and PBFT (Async) alike.  Its
+     proposer crashes right after proposing, so the op cannot execute
+     in the epoch it was proposed in; evicting the proposer changes the
+     epoch. *)
+  List.iter
+    (fun params ->
+      let t = Atum.create ~params () in
+      ignore (grow t ~target:16 ~settle:120.0);
+      Atum.run_for t 300.0;
+      let sys = Atum.system t in
+      let vid = Option.get (Atum.vgroup_of t 0) in
+      let vg = System.vgroup sys vid in
+      let epoch = vg.System.epoch in
+      let proposer = List.hd (System.correct_members sys vg) in
+      let fired_in = ref None in
+      System.agree sys vg "test-op" (fun () -> fired_in := Some vg.System.epoch);
+      System.crash sys proposer;
+      System.evict sys ~target:proposer ();
+      Atum.run_for t 600.0;
+      Alcotest.(check bool) "agreement fired in a later epoch" true
+        (match !fired_in with Some e -> e > epoch | None -> false))
+    [ quick_sync_params; quick_async_params ]
 
 let test_broadcast_storm () =
   (* Every node publishes at once; every correct node must deliver
@@ -806,6 +815,86 @@ let test_trace_spans_and_lineage () =
          ev.Atum_sim.Trace.kind = "broadcast.sent" && ev.Atum_sim.Trace.bid = bid)
        events)
 
+(* A direct message carries its continuation.  A join sends three
+   (join-contact, contact-reply, join-assign), each sent from the
+   previous one's continuation: a continuation that ran twice would
+   send its successor twice. *)
+let join_one ?(crash_contact = false) () =
+  let sys = System.create quick_sync_params in
+  let contact = System.bootstrap sys () in
+  let joiner = System.spawn_node sys () in
+  if crash_contact then System.crash sys contact;
+  let joined = ref 0 in
+  System.join sys ~joiner ~contact ~k:(fun _ -> incr joined) ();
+  System.run_for sys 60.0;
+  (sys, contact, joined)
+
+let test_direct_continuation_fires_once () =
+  let sys, _, joined = join_one () in
+  Alcotest.(check int) "three direct messages" 3
+    (Atum_sim.Metrics.counter (System.metrics sys) "direct.sent");
+  Alcotest.(check int) "join completed once" 1 !joined
+
+let test_direct_to_crashed_node_never_fires () =
+  let sys, contact, joined = join_one ~crash_contact:true () in
+  System.recover sys contact;
+  System.run_for sys 120.0;
+  Alcotest.(check int) "only the first direct message was sent" 1
+    (Atum_sim.Metrics.counter (System.metrics sys) "direct.sent");
+  Alcotest.(check int) "join never completed" 0 !joined
+
+(* ------------------------------------------------------------------ *)
+(* The agreement operation codec                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Agreement = Atum_core.Agreement
+
+(* Short strings over an alphabet dense in separators and digits, so
+   generated inputs hit the codec's edge cases (empty fields, '#' in a
+   body, signs and leading zeros). *)
+let codec_string = QCheck.Gen.(string_size ~gen:(oneofl [ '#'; '0'; '1'; '7'; '-'; 'a'; 'x' ]) (0 -- 8))
+
+let op_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun id label -> Agreement.Control { id; label }) int codec_string;
+        map3
+          (fun bid origin body -> Agreement.Bcast { bid; origin; body })
+          int int codec_string;
+      ])
+
+let prop_op_roundtrip =
+  QCheck.Test.make ~name:"decode_op inverts encode_op" ~count:1000
+    (QCheck.make ~print:Agreement.encode_op op_gen)
+    (fun op -> Agreement.decode_op (Agreement.encode_op op) = Some op)
+
+(* Anything [decode_op] accepts is the encoding of what it returns, so
+   every string that is not one of the two shapes decodes to [None]. *)
+let prop_decode_total =
+  let near_miss =
+    QCheck.Gen.(
+      map2 (fun tag rest -> tag ^ rest) (oneofl [ "op#"; "bcast#"; "op"; "Op#"; "" ]) codec_string)
+  in
+  QCheck.Test.make ~name:"decode_op accepts only encodings" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") QCheck.Gen.(oneof [ near_miss; string ]))
+    (fun s ->
+      match Agreement.decode_op s with
+      | None -> true
+      | Some op -> String.equal (Agreement.encode_op op) s)
+
+let test_op_codec_examples () =
+  let decodes s = Agreement.decode_op s <> None in
+  Alcotest.(check string) "control bytes" "op#3#join:7"
+    (Agreement.encode_op (Agreement.Control { id = 3; label = "join:7" }));
+  Alcotest.(check string) "bcast bytes" "bcast#4#9#a#b"
+    (Agreement.encode_op (Agreement.Bcast { bid = 4; origin = 9; body = "a#b" }));
+  Alcotest.(check bool) "empty body" true
+    (Agreement.decode_op "bcast#1#2#" = Some (Agreement.Bcast { bid = 1; origin = 2; body = "" }));
+  List.iter
+    (fun s -> Alcotest.(check bool) (Printf.sprintf "%S rejected" s) false (decodes s))
+    [ ""; "op"; "op#5"; "op#05#x"; "op#+5#x"; "op#x#y"; "bcast#1#2"; "bcast#1#0x2#b"; "nop#1#x" ]
+
 let () =
   Alcotest.run "core"
     [
@@ -873,6 +962,16 @@ let () =
           Alcotest.test_case "SMR delivery drops gossip votes" `Quick
             test_smr_delivery_drops_gossip_votes;
           Alcotest.test_case "release drops gossip votes" `Quick test_release_drops_gossip_votes;
+          Alcotest.test_case "direct continuation fires once" `Quick
+            test_direct_continuation_fires_once;
+          Alcotest.test_case "direct to crashed node never fires" `Quick
+            test_direct_to_crashed_node_never_fires;
+        ] );
+      ( "agreement",
+        [
+          Alcotest.test_case "op codec examples" `Quick test_op_codec_examples;
+          QCheck_alcotest.to_alcotest prop_op_roundtrip;
+          QCheck_alcotest.to_alcotest prop_decode_total;
         ] );
       ( "tracing",
         [
