@@ -707,6 +707,18 @@ let gossip_targets t vg ~bid =
   end;
   vg.fwd_targets
 
+(* A receiver on which a part of broadcast [bid] has no effect: it is
+   gone, down, or has already delivered [bid] (a Byzantine node uses
+   [delivered] as its once-per-bid marker).  These are [handle_wire]'s
+   early-outs for a [Bcast] part, and no handler a part can trigger
+   revives a node or clears a delivered bit, so they are settled
+   columns of the round's [send_group]: most cells of a gossip round
+   reach a node that delivered from an earlier vgroup. *)
+let settled_for t ~bid d =
+  match node_opt t d with
+  | None -> true
+  | Some n -> (not n.alive) || Atum_util.Bitset.mem n.delivered bid
+
 (* Drain the per-instant fan-out buffer: one [send_group] per
    (src_vg, dst_vg, bid) round.  The buffer is cleared before sending
    so deliveries triggered later at this timestamp start a new round. *)
@@ -718,12 +730,14 @@ let flush_fanout t =
     (fun e ->
       match vgroup_opt t e.f_dst with
       | Some nbg when not nbg.retired ->
-        Network.send_group t.net ~srcs:(List.rev e.f_srcs) ~dsts:nbg.members
+        let bid = e.f_bid in
+        Network.send_group t.net ~settled:(fun d -> settled_for t ~bid d) ~srcs:(List.rev e.f_srcs)
+          ~dsts:nbg.members
           (Group_part
              {
                src_vg = e.f_src_vg;
                src_size = e.f_src_size;
-               payload = Bcast { bid = e.f_bid; origin = e.f_origin; body = e.f_body; cycle = e.f_cycle };
+               payload = Bcast { bid; origin = e.f_origin; body = e.f_body; cycle = e.f_cycle };
              })
       | _ -> ())
     entries

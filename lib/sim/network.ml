@@ -106,6 +106,7 @@ let register t node handler =
 let unregister t node = if node < t.cap then t.handlers.(node) <- None
 
 let handler_of t node = if node < t.cap then t.handlers.(node) else None
+let has_handler t node = node < t.cap && Option.is_some t.handlers.(node)
 
 let sample_latency t =
   match t.config.latency with
@@ -246,7 +247,7 @@ let arrive t ~size ~src ~dst msg =
     match t.config.node_capacity with
     | None -> deliver t ~size ~src ~dst msg
     | Some capacity ->
-      if Option.is_none (handler_of t dst) then drop t ~reason:drop_no_handler ~src ~dst
+      if not (has_handler t dst) then drop t ~reason:drop_no_handler ~src ~dst
       else begin
         (* The receiver serves messages in arrival order at a bounded
            rate; a hot node's queue tail pushes delivery out. *)
@@ -261,18 +262,18 @@ let arrive t ~size ~src ~dst msg =
 
 let loss_threshold t = Float.min 1.0 (t.config.drop_probability +. t.loss_boost)
 
-(* Admission, the one per-message step every send shares: traffic
-   counters, the [net.send] trace, the cut check and the loss draw.
-   The draw is made even for a cut pair, so the RNG stream does not
-   depend on the fault state.  Returns whether the message survives
-   into transit. *)
-let admit t ~threshold ~src ~dst ~size =
-  t.sent <- t.sent + 1;
-  t.bytes <- t.bytes + size;
-  if tracing t then trace_emit t ~kind:"net.send" ~node:src ~peer:dst ~size ();
-  let cut = severed t ~src ~dst in
+(* Admission, the one per-message step every send shares: the
+   [net.send] trace, the cut check and the loss draw.  The draw is
+   made even for a cut pair, so the RNG stream does not depend on the
+   fault state.  The caller adds the traffic counters and reads
+   [traced] and [faulted] (any crash or partition tag at all) once per
+   batch: admission runs no callback, so neither can change between
+   the cells of one batch, and with no fault no pair is cut.  Returns
+   whether the message survives into transit. *)
+let[@inline] admit t ~traced ~faulted ~threshold ~src ~dst ~size =
+  if traced then trace_emit t ~kind:"net.send" ~node:src ~peer:dst ~size ();
   let lost = Atum_util.Rng.bernoulli t.rng threshold in
-  match cut with
+  match if faulted then severed t ~src ~dst else None with
   | Some reason ->
     drop t ~reason ~src ~dst;
     false
@@ -286,7 +287,12 @@ let admit t ~threshold ~src ~dst ~size =
 let transit_delay t = sample_latency t *. t.latency_factor
 
 let send ?(size = 64) t ~src ~dst msg =
-  if admit t ~threshold:(loss_threshold t) ~src ~dst ~size then
+  t.sent <- t.sent + 1;
+  t.bytes <- t.bytes + size;
+  if
+    admit t ~traced:(tracing t) ~faulted:(faulted_count t > 0) ~threshold:(loss_threshold t)
+      ~src ~dst ~size
+  then
     Engine.schedule ~label:"net.transit" t.engine ~delay:(transit_delay t) (fun () ->
         arrive t ~size ~src ~dst msg)
 
@@ -304,45 +310,122 @@ let[@inline] set_bit mask k =
 
 let[@inline] bit mask k = Char.code (Bytes.get mask (k lsr 3)) land (1 lsl (k land 7)) <> 0
 
-let rec admit_row t ~threshold ~src ~size mask k survived = function
+let rec admit_row t ~traced ~faulted ~threshold ~src ~size mask k survived = function
   | [] -> survived
   | dst :: rest ->
-    if admit t ~threshold ~src ~dst ~size then begin
+    if admit t ~traced ~faulted ~threshold ~src ~dst ~size then begin
       set_bit mask k;
-      admit_row t ~threshold ~src ~size mask (k + 1) (survived + 1) rest
+      admit_row t ~traced ~faulted ~threshold ~src ~size mask (k + 1) (survived + 1) rest
     end
-    else admit_row t ~threshold ~src ~size mask (k + 1) survived rest
+    else admit_row t ~traced ~faulted ~threshold ~src ~size mask (k + 1) survived rest
 
-let rec admit_grid t ~threshold ~dsts ~width mask k survived = function
+let rec admit_grid t ~traced ~faulted ~threshold ~dsts ~width mask k survived = function
   | [] -> survived
   | (src, size) :: rest ->
-    let survived = admit_row t ~threshold ~src ~size mask k survived dsts in
-    admit_grid t ~threshold ~dsts ~width mask (k + width) survived rest
+    t.sent <- t.sent + width;
+    t.bytes <- t.bytes + (width * size);
+    let survived = admit_row t ~traced ~faulted ~threshold ~src ~size mask k survived dsts in
+    admit_grid t ~traced ~faulted ~threshold ~dsts ~width mask (k + width) survived rest
 
-let rec arrive_row t ~src ~size mask k msg = function
+(* The accounting half of [arrive], for a cell whose receiver's
+   handler could not act on it: the delivery-time cut and handler
+   checks with their drop reasons, the delivered counter and the
+   post-heal label, but no handler call.  With no fault installed no
+   pair is cut, so the common case is two loads and a counter. *)
+let count_arrival t ~src ~dst =
+  match if faulted_count t > 0 then severed t ~src ~dst else None with
+  | Some reason -> drop t ~reason ~src ~dst
+  | None ->
+    if not (has_handler t dst) then drop t ~reason:drop_no_handler ~src ~dst
+    else begin
+      t.delivered <- t.delivered + 1;
+      if t.post_heal then Metrics.incr t.metrics "net.deliver.post_heal"
+    end
+
+(* Settled columns: bit [j] is set where the caller's [settled]
+   predicate holds, at arrival, for the [j]th destination.  They fit
+   one int: a column past the first [Sys.int_size - 1] is never
+   settled, which only costs it the handler call (a vgroup is far
+   smaller).  None are settled while tracing is on (a handler call
+   traces its receive) or under [node_capacity] (delivery happens
+   later, when the predicate may no longer hold). *)
+let max_settled = Sys.int_size - 1
+
+let rec mark_settled settled j cols = function
+  | [] -> cols
+  | dst :: rest ->
+    if j = max_settled then cols
+    else mark_settled settled (j + 1) (if settled dst then cols lor (1 lsl j) else cols) rest
+
+let settled_columns t settled dsts =
+  if Option.is_none t.config.node_capacity && not (tracing t) then mark_settled settled 0 0 dsts
+  else 0
+
+(* Set bits of a mask, a byte at a time; bits past the last cell are
+   clear. *)
+let byte_weights =
+  String.init 256 (fun b ->
+      let rec weight b = if b = 0 then 0 else (b land 1) + weight (b lsr 1) in
+      Char.chr (weight b))
+
+let popcount mask =
+  let n = ref 0 in
+  for i = 0 to Bytes.length mask - 1 do
+    n := !n + Char.code byte_weights.[Char.code (Bytes.get mask i)]
+  done;
+  !n
+
+let rec all_registered t = function
+  | [] -> true
+  | dst :: rest -> has_handler t dst && all_registered t rest
+
+let rec arrive_row t ~src ~size mask cols k j msg = function
   | [] -> ()
   | dst :: rest ->
-    if bit mask k then arrive t ~size ~src ~dst msg;
-    arrive_row t ~src ~size mask (k + 1) msg rest
+    if bit mask (k + j) then
+      if j < max_settled && cols land (1 lsl j) <> 0 then count_arrival t ~src ~dst
+      else arrive t ~size ~src ~dst msg;
+    arrive_row t ~src ~size mask cols k (j + 1) msg rest
 
-let rec arrive_grid t ~dsts ~width mask k msg = function
+let rec arrive_grid t ~dsts ~width mask cols k msg = function
   | [] -> ()
   | (src, size) :: rest ->
-    arrive_row t ~src ~size mask k msg dsts;
-    arrive_grid t ~dsts ~width mask (k + width) msg rest
+    arrive_row t ~src ~size mask cols k 0 msg dsts;
+    arrive_grid t ~dsts ~width mask cols (k + width) msg rest
+
+(* One arrival walk over the grid, settled cells only counted.  When
+   every column is settled no handler runs, so nothing the walk reads
+   can change under it; with no fault installed and every receiver
+   registered, each surviving cell is then a plain delivery, and the
+   batch is counted from its mask without walking it. *)
+let arrive_batch t ~settled ~dsts mask msg srcs =
+  let width = List.length dsts in
+  let cols = settled_columns t settled dsts in
+  if
+    width <= max_settled && cols = (1 lsl width) - 1 && faulted_count t = 0
+    && all_registered t dsts
+  then begin
+    let n = popcount mask in
+    t.delivered <- t.delivered + n;
+    if t.post_heal then Metrics.incr ~by:n t.metrics "net.deliver.post_heal"
+  end
+  else arrive_grid t ~dsts ~width mask cols 0 msg srcs
+
+let never_settled (_ : int) = false
 
 (* Vgroup-round batching: every sender of a round fans out to every
    destination as ONE latency sample and ONE engine event, instead of
    one per (src, dst) pair.  Loss and cut checks stay per pair. *)
-let send_group t ~srcs ~dsts msg =
+let send_group ?(settled = never_settled) t ~srcs ~dsts msg =
   let width = List.length dsts in
   let cells = width * List.length srcs in
   if cells > 0 then begin
     let mask = Bytes.make ((cells + 7) lsr 3) '\000' in
-    let threshold = loss_threshold t in
-    if admit_grid t ~threshold ~dsts ~width mask 0 0 srcs > 0 then
+    let traced = tracing t and faulted = faulted_count t > 0 in
+    if admit_grid t ~traced ~faulted ~threshold:(loss_threshold t) ~dsts ~width mask 0 0 srcs > 0
+    then
       Engine.schedule ~label:"net.transit.batch" t.engine ~delay:(transit_delay t) (fun () ->
-          arrive_grid t ~dsts ~width mask 0 msg srcs)
+          arrive_batch t ~settled ~dsts mask msg srcs)
   end
 
 let send_multi ?(size = 64) t ~src ~dsts msg = send_group t ~srcs:[ (src, size) ] ~dsts msg

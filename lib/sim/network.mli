@@ -68,7 +68,8 @@ val send_multi : ?size:int -> 'msg t -> src:int -> dsts:int list -> 'msg -> unit
 (** Batched fan-out: {!send_group} with the single sender
     [(src, size)]. *)
 
-val send_group : 'msg t -> srcs:(int * int) list -> dsts:int list -> 'msg -> unit
+val send_group :
+  ?settled:(int -> bool) -> 'msg t -> srcs:(int * int) list -> dsts:int list -> 'msg -> unit
 (** Vgroup-round fan-in/fan-out: every [(src, size)] sender transmits
     [msg] to every destination, as ONE latency sample and ONE engine
     event (label ["net.transit.batch"]) for the whole round.  Each
@@ -81,7 +82,21 @@ val send_group : 'msg t -> srcs:(int * int) list -> dsts:int list -> 'msg -> uni
     admitted with plus a survival bitmask of one bit per cell, so
     transit allocates no per-message record.  Arrival walks the same
     grid in the same order and re-checks partition, crash and handler
-    per surviving pair. *)
+    per surviving pair.
+
+    [settled] (default: nothing settled) is evaluated once per
+    destination when the batch arrives, before any handler runs; only
+    the first [Sys.int_size - 1] destinations are asked.  A
+    destination for which it holds is a {e settled column}: its cells
+    are counted exactly as a delivery or drop would count them (cut
+    and handler checks with their drop reasons, {!messages_delivered},
+    ["net.deliver.post_heal"]), but its handler is not called.  The
+    contract is that for such a destination the handler would do
+    nothing observable with [msg], and would keep doing nothing for
+    the rest of this arrival, whatever the earlier cells' handlers
+    do.  The predicate is ignored while tracing is enabled and under
+    [node_capacity], so the per-cell ["net.deliver"] trace and the
+    service queue are unchanged. *)
 
 val sample_latency : 'msg t -> float
 (** One latency draw from the configured model (for protocols that

@@ -40,6 +40,11 @@ let rec plain s i =
   i >= String.length s
   || match String.unsafe_get s i with '"' | '\\' | '\000' .. '\031' -> false | _ -> plain s (i + 1)
 
+let hex_digits = "0123456789abcdef"
+
+(* Control characters without a short escape become [\u00XX] through
+   the digit table, so escaping allocates nothing: every AShare WAL
+   record carries [\x01] separators. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
   if plain s 0 then Buffer.add_string buf s
@@ -51,8 +56,10 @@ let escape_string buf s =
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | '\000' .. '\031' as c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+        Buffer.add_char buf hex_digits.[Char.code c land 15]
       | c -> Buffer.add_char buf c
     done;
   Buffer.add_char buf '"'

@@ -843,6 +843,63 @@ let test_direct_to_crashed_node_never_fires () =
     (Atum_sim.Metrics.counter (System.metrics sys) "direct.sent");
   Alcotest.(check int) "join never completed" 0 !joined
 
+(* A pinned gossip outcome.  An untraced system on the datacenter
+   network, so every gossip round's arrival runs with settled columns,
+   and uniform latency means no libm call decides anything.  An
+   equivocating Byzantine member, a loss boost, two members crashed
+   mid-run, a handler removed and a recovery drive every drop reason,
+   the post-heal count and the Byzantine reaction to parts.  The
+   numbers were recorded before settled columns existed: skipping
+   handler calls that cannot act must not move any of them. *)
+let test_gossip_outcome_golden () =
+  let module Network = Atum_sim.Network in
+  let sys = System.create ~net_config:(Network.datacenter_config ~seed:23) quick_sync_params in
+  Alcotest.(check bool) "untraced" false (Atum_sim.Trace.enabled (System.trace sys));
+  let ids = Array.of_list (System.build_direct sys ~nodes:60 ()) in
+  let net = System.network sys in
+  System.make_byzantine sys ~strategy:System.Equivocate ids.(20);
+  let got = Array.make 60 0 in
+  System.set_deliver sys (fun nid ~bid:_ ~origin:_ _ -> got.(nid) <- got.(nid) + 1);
+  let broadcast tag =
+    List.iter (fun i -> ignore (System.broadcast sys ~from:ids.(i) (tag ^ string_of_int i)))
+  in
+  broadcast "a" [ 0; 17; 42 ];
+  System.run_for sys 3.0;
+  Network.set_loss_boost net 0.05;
+  broadcast "b" [ 8; 33; 59 ];
+  System.run_for sys 0.7;
+  System.crash sys ids.(5);
+  System.crash sys ids.(30);
+  Network.unregister net ids.(12);
+  System.run_for sys 2.0;
+  System.recover sys ids.(30);
+  broadcast "c" [ 1; 50 ];
+  System.run_for sys 10.0;
+  Alcotest.(check (list int)) "sent/delivered/dropped/bytes" [ 10045; 9496; 549; 557788 ]
+    [ Network.messages_sent net; Network.messages_delivered net; Network.messages_dropped net;
+      Network.bytes_sent net ];
+  Alcotest.(check (list (pair string int)))
+    "drop reasons"
+    [ ("net.drop.crash", 167); ("net.drop.partition", 0); ("net.drop.loss", 288);
+      ("net.drop.no_handler", 94); ("net.deliver.post_heal", 2275); ("broadcast.delivered", 460);
+      ("byzantine.equivocation", 8) ]
+    (List.map
+       (fun k -> (k, Atum_sim.Metrics.counter (System.metrics sys) k))
+       [ "net.drop.crash"; "net.drop.partition"; "net.drop.loss"; "net.drop.no_handler";
+         "net.deliver.post_heal"; "broadcast.delivered"; "byzantine.equivocation" ]);
+  Alcotest.(check (list (pair string int)))
+    "engine events"
+    [ ("net.transit", 221); ("net.transit.batch", 351); ("rounds.tick", 31); ("system.defer", 8);
+      ("system.fanout", 86) ]
+    (List.map
+       (fun p -> (p.Atum_sim.Engine.label, p.Atum_sim.Engine.events))
+       (Atum_sim.Engine.profile (System.engine sys)));
+  (* Every correct node delivers all 8 broadcasts except the two
+     crashed ones and the one that lost its handler. *)
+  Alcotest.(check (list int)) "per-node deliveries"
+    (List.init 60 (fun i -> match i with 5 | 12 -> 3 | 20 -> 0 | 30 -> 6 | _ -> 8))
+    (Array.to_list got)
+
 (* ------------------------------------------------------------------ *)
 (* The agreement operation codec                                       *)
 (* ------------------------------------------------------------------ *)
@@ -966,6 +1023,7 @@ let () =
             test_direct_continuation_fires_once;
           Alcotest.test_case "direct to crashed node never fires" `Quick
             test_direct_to_crashed_node_never_fires;
+          Alcotest.test_case "gossip outcome golden" `Quick test_gossip_outcome_golden;
         ] );
       ( "agreement",
         [

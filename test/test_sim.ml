@@ -534,11 +534,15 @@ let test_network_drop_reason_counters () =
 (* The straightforward network the batched one must reproduce: every
    surviving (src, dst) pair of a round is materialised as a list
    element and carried through transit.  Same admission order, same
-   RNG draws, same engine labels. *)
+   RNG draws, same engine labels.  A settled destination is modelled
+   as the spec states it: the predicate is read once per destination
+   when the batch arrives (unless [traced] or under [node_capacity]),
+   and its cells are then delivered to a no-op handler. *)
 module Ref_net = struct
   type t = {
     engine : Engine.t;
     config : Network.config;
+    traced : bool;
     rng : Atum_util.Rng.t;
     metrics : Metrics.t;
     handlers : (int, src:int -> int -> unit) Hashtbl.t;
@@ -553,10 +557,11 @@ module Ref_net = struct
     mutable bytes : int;
   }
 
-  let create engine config =
+  let create ~traced engine config =
     {
       engine;
       config;
+      traced;
       rng = Atum_util.Rng.create config.Network.seed;
       metrics = Metrics.create ();
       handlers = Hashtbl.create 16;
@@ -589,7 +594,7 @@ module Ref_net = struct
     else if part t src <> part t dst then Some "partition"
     else None
 
-  let arrive t ~src ~dst msg =
+  let arrive ?(settled = false) t ~src ~dst msg =
     match severed t ~src ~dst with
     | Some reason -> drop t reason
     | None -> (
@@ -602,7 +607,7 @@ module Ref_net = struct
           | Some h ->
             t.delivered <- t.delivered + 1;
             if t.post_heal then Metrics.incr t.metrics "net.deliver.post_heal";
-            h ~src msg
+            if not settled then h ~src msg
         in
         match t.config.Network.node_capacity with
         | None -> deliver ()
@@ -634,7 +639,7 @@ module Ref_net = struct
       Engine.schedule ~label:"net.transit" t.engine ~delay:(sample_latency t) (fun () ->
           arrive t ~src ~dst msg)
 
-  let send_group t ~srcs ~dsts msg =
+  let send_group ?settled t ~srcs ~dsts msg =
     let pairs =
       List.concat_map
         (fun (src, size) ->
@@ -645,7 +650,15 @@ module Ref_net = struct
     in
     if pairs <> [] then
       Engine.schedule ~label:"net.transit.batch" t.engine ~delay:(sample_latency t) (fun () ->
-          List.iter (fun (src, dst) -> arrive t ~src ~dst msg) pairs)
+          let settled =
+            match settled with
+            | Some f when (not t.traced) && Option.is_none t.config.Network.node_capacity ->
+              List.filter f dsts
+            | _ -> []
+          in
+          List.iter
+            (fun (src, dst) -> arrive ~settled:(List.mem dst settled) t ~src ~dst msg)
+            pairs)
 end
 
 (* The network surface the scenario drives, so one script runs against
@@ -655,7 +668,7 @@ type net_ops = {
   metrics : Metrics.t;
   send : size:int -> src:int -> dst:int -> int -> unit;
   send_multi : size:int -> src:int -> dsts:int list -> int -> unit;
-  send_group : srcs:(int * int) list -> dsts:int list -> int -> unit;
+  send_group : ?settled:(int -> bool) -> srcs:(int * int) list -> dsts:int list -> int -> unit;
   register : int -> (src:int -> int -> unit) -> unit;
   unregister : int -> unit;
   set_partition : int -> int -> unit;
@@ -667,15 +680,16 @@ type net_ops = {
   sample_latency : unit -> float;
 }
 
-let real_ops config =
+let real_ops ~traced config =
   let engine = Engine.create () in
-  let net : int Network.t = Network.create engine config in
+  let trace = if traced then Some (Trace.create ~enabled:true ()) else None in
+  let net : int Network.t = Network.create ?trace engine config in
   {
     engine;
     metrics = Network.metrics net;
     send = (fun ~size ~src ~dst m -> Network.send ~size net ~src ~dst m);
     send_multi = (fun ~size ~src ~dsts m -> Network.send_multi ~size net ~src ~dsts m);
-    send_group = (fun ~srcs ~dsts m -> Network.send_group net ~srcs ~dsts m);
+    send_group = (fun ?settled ~srcs ~dsts m -> Network.send_group ?settled net ~srcs ~dsts m);
     register = Network.register net;
     unregister = Network.unregister net;
     set_partition = Network.set_partition net;
@@ -692,15 +706,20 @@ let real_ops config =
     sample_latency = (fun () -> Network.sample_latency net);
   }
 
-let ref_ops config =
+(* [honour_settled:false] is the network before settled columns: every
+   surviving cell reaches its handler. *)
+let ref_ops ~traced ~honour_settled config =
   let engine = Engine.create () in
-  let r = Ref_net.create engine config in
+  let r = Ref_net.create ~traced engine config in
   {
     engine;
     metrics = r.metrics;
     send = (fun ~size ~src ~dst m -> Ref_net.send r ~size ~src ~dst m);
     send_multi = (fun ~size ~src ~dsts m -> Ref_net.send_group r ~srcs:[ (src, size) ] ~dsts m);
-    send_group = Ref_net.send_group r;
+    send_group =
+      (fun ?settled ~srcs ~dsts m ->
+        let settled = if honour_settled then settled else None in
+        Ref_net.send_group ?settled r ~srcs ~dsts m);
     register = Hashtbl.replace r.handlers;
     unregister = Hashtbl.remove r.handlers;
     set_partition = Hashtbl.replace r.partitions;
@@ -719,7 +738,8 @@ let ref_ops config =
   }
 
 type outcome = {
-  log : (float * int * int * int) list; (* (time, src, dst, msg), delivery order *)
+  log : (float * int * int * int * bool) list;
+      (* (time, src, dst, msg, quiet), handler-call order *)
   counts : int * int * int * int; (* sent, delivered, dropped, bytes *)
   reasons : (string * int) list;
   labels : (string * int) list;
@@ -730,26 +750,40 @@ type outcome = {
    partitions, heals, crashes, recoveries, loss bursts, handlers
    removed while their messages are in flight, and partial runs.  Some
    handlers send during arrival.  The script's own RNG is separate
-   from the network's, so both implementations see the same script. *)
+   from the network's, so both implementations see the same script.
+
+   A node goes quiet once it handles a [1] (as a gossip receiver does
+   once it has delivered): its handler then does nothing but log the
+   call.  Quiet nodes, and the two ids never registered, are the
+   [settled] destinations of the rounds that pass the predicate.
+   Inside an event a node can only turn quiet.  Between events the
+   script also quiets and wakes nodes (as a restart would), so whole
+   rounds are settled often; a settled destination stays settled for
+   the rest of the arrival that read it. *)
 let run_script ~seed ops =
   let n = 10 in
   let rng = Atum_util.Rng.create seed in
   let log = ref [] in
+  let quiet = Array.make n false in
+  let settled d = d >= n || quiet.(d) in
   let pick () = Atum_util.Rng.int rng (n + 2) (* two ids never registered *) in
   let rec handler i ~src m =
-    log := (Engine.now ops.engine, src, i, m) :: !log;
-    if m > 0 then
-      if i mod 4 = 0 then
-        ops.send_group ~srcs:[ (i, 16); ((i + 5) mod n, 24) ] ~dsts:[ (i + 1) mod n; (i + 2) mod n ]
-          (m - 1)
-      else if i mod 4 = 1 then ops.send ~size:8 ~src:i ~dst:((i + 3) mod n) (m - 1)
+    log := (Engine.now ops.engine, src, i, m, quiet.(i)) :: !log;
+    if not quiet.(i) then begin
+      if m = 1 then quiet.(i) <- true;
+      if m > 0 then
+        if i mod 4 = 0 then
+          ops.send_group ~settled ~srcs:[ (i, 16); ((i + 5) mod n, 24) ]
+            ~dsts:[ (i + 1) mod n; (i + 2) mod n ] (m - 1)
+        else if i mod 4 = 1 then ops.send ~size:8 ~src:i ~dst:((i + 3) mod n) (m - 1)
+    end
   and register i = ops.register i (handler i) in
   for i = 0 to n - 1 do
     register i
   done;
   for _ = 1 to 80 do
     let msg = Atum_util.Rng.int rng 3 in
-    (match Atum_util.Rng.int rng 10 with
+    (match Atum_util.Rng.int rng 12 with
     | 0 | 1 | 2 ->
       let srcs =
         List.init (1 + Atum_util.Rng.int rng 3) (fun _ ->
@@ -757,7 +791,8 @@ let run_script ~seed ops =
             (src, 8 + Atum_util.Rng.int rng 64))
       in
       let dsts = List.init (Atum_util.Rng.int rng 6) (fun _ -> pick ()) in
-      ops.send_group ~srcs ~dsts msg
+      if Atum_util.Rng.bool rng then ops.send_group ~settled ~srcs ~dsts msg
+      else ops.send_group ~srcs ~dsts msg
     | 3 ->
       let dsts = List.init (Atum_util.Rng.int rng 5) (fun _ -> pick ()) in
       ops.send_multi ~size:40 ~src:(pick ()) ~dsts msg
@@ -772,6 +807,13 @@ let run_script ~seed ops =
     | 8 ->
       let node = Atum_util.Rng.int rng n in
       if Atum_util.Rng.bool rng then ops.unregister node else register node
+    | 9 -> quiet.(Atum_util.Rng.int rng n) <- Atum_util.Rng.bool rng
+    | 10 ->
+      (* Lift every fault, so rounds also arrive on a fault-free network. *)
+      ops.heal ();
+      for i = 0 to n + 1 do
+        ops.recover i
+      done
     | _ ->
       Engine.run ops.engine ~until:(Engine.now ops.engine +. Atum_util.Rng.float rng 0.2))
   done;
@@ -790,6 +832,29 @@ let run_script ~seed ops =
     next_latency = ops.sample_latency ();
   }
 
+(* %h prints the delivery time exactly. *)
+let show_log =
+  List.map (fun (t, s, d, m, q) ->
+      Printf.sprintf "%h %d->%d #%d%s" t s d m (if q then " quiet" else ""))
+
+let quiet_calls o = List.length (List.filter (fun (_, _, _, _, q) -> q) o.log)
+
+let check_same_run ctx ~log want got =
+  Alcotest.(check (list string)) (ctx "handler calls") (log want) (log got);
+  let quad (a, b, c, d) = [ a; b; c; d ] in
+  Alcotest.(check (list int)) (ctx "sent/delivered/dropped/bytes") (quad want.counts)
+    (quad got.counts);
+  Alcotest.(check (list (pair string int))) (ctx "drop reasons") want.reasons got.reasons;
+  Alcotest.(check (list (pair string int))) (ctx "engine labels") want.labels got.labels;
+  Alcotest.(check (float 0.0)) (ctx "next latency draw") want.next_latency got.next_latency
+
+(* The batched network against the reference, under loss, crashes,
+   partitions, missing handlers and post-heal traffic.  It must skip
+   exactly the calls the reference skips for settled destinations, and
+   every other outcome must equal the reference's with no skipping at
+   all: the handler calls that remain, in order, every counter, every
+   drop reason and the post-heal count.  Under tracing and
+   [node_capacity] nothing is skipped. *)
 let test_network_matches_reference () =
   let wan = { (Network.wan_config ~seed:11) with Network.drop_probability = 0.1 } in
   let capped =
@@ -798,51 +863,64 @@ let test_network_matches_reference () =
       node_capacity = Some 300.0 }
   in
   List.iter
-    (fun (name, config) ->
+    (fun (name, config, traced) ->
+      let skipped = ref 0 in
       for seed = 1 to 6 do
-        let got = run_script ~seed (real_ops config) in
-        let want = run_script ~seed (ref_ops config) in
+        let got = run_script ~seed (real_ops ~traced config) in
+        let want = run_script ~seed (ref_ops ~traced ~honour_settled:true config) in
+        let plain = run_script ~seed (ref_ops ~traced ~honour_settled:false config) in
         let ctx what = Printf.sprintf "%s seed %d: %s" name seed what in
         Alcotest.(check bool) (ctx "nontrivial") true (List.length want.log > 10);
-        (* %h prints the delivery time exactly. *)
-        let show = List.map (fun (t, s, d, m) -> Printf.sprintf "%h %d->%d #%d" t s d m) in
-        Alcotest.(check (list string)) (ctx "delivery sequence") (show want.log) (show got.log);
-        let quad (a, b, c, d) = [ a; b; c; d ] in
-        Alcotest.(check (list int)) (ctx "sent/delivered/dropped/bytes") (quad want.counts)
-          (quad got.counts);
-        Alcotest.(check (list (pair string int))) (ctx "drop reasons") want.reasons got.reasons;
-        Alcotest.(check (list (pair string int))) (ctx "engine labels") want.labels got.labels;
-        Alcotest.(check (float 0.0)) (ctx "next latency draw") want.next_latency got.next_latency
-      done)
-    [ ("wan", wan); ("capacity", capped) ]
+        check_same_run ctx ~log:(fun o -> show_log o.log) want got;
+        let active o = show_log (List.filter (fun (_, _, _, _, q) -> not q) o.log) in
+        check_same_run (fun w -> ctx ("vs no skipping, " ^ w)) ~log:active plain got;
+        skipped := !skipped + (quiet_calls plain - quiet_calls got)
+      done;
+      let untraced_uncapped = (not traced) && Option.is_none config.Network.node_capacity in
+      Alcotest.(check bool)
+        (name ^ ": settled cells skipped only without tracing and node_capacity")
+        untraced_uncapped (!skipped > 0))
+    [ ("wan", wan, false); ("wan traced", wan, true); ("capacity", capped, false) ]
 
 (* Transit must stay allocation-free per message: a whole
    [send_group] round to a no-op handler, tracing off, may only pay
-   per-batch costs (mask, closure) amortised over its cells. *)
+   per-batch costs (mask, closure, settled-column mask) amortised over
+   its cells, with or without settled columns. *)
 let test_network_send_group_alloc () =
-  let e = Engine.create () in
-  let net : int Network.t = Network.create e (Network.datacenter_config ~seed:3) in
-  for i = 0 to 15 do
-    Network.register net i (fun ~src:_ _ -> ())
-  done;
-  let srcs = List.init 8 (fun i -> (i, 64)) and dsts = List.init 16 Fun.id in
-  let rounds = 200 in
-  let round () =
-    for _ = 1 to rounds do
-      Network.send_group net ~srcs ~dsts 0
-    done;
-    Engine.run e
-  in
-  (* Warm-up grows the engine's queue and event pool to size. *)
-  round ();
-  let a = minor_words_of round in
-  let b = minor_words_of round in
-  Alcotest.(check (float 0.0)) "stable measurement" a b;
-  let per_msg = a /. float_of_int (rounds * 8 * 16) in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.2f minor words per message <= 4" per_msg)
-    true (per_msg <= 4.0);
-  Alcotest.(check int) "all delivered" (3 * rounds * 8 * 16) (Network.messages_delivered net)
+  List.iter
+    (fun (name, settled) ->
+      let e = Engine.create () in
+      let net : int Network.t = Network.create e (Network.datacenter_config ~seed:3) in
+      let calls = ref 0 in
+      for i = 0 to 15 do
+        Network.register net i (fun ~src:_ _ -> incr calls)
+      done;
+      let srcs = List.init 8 (fun i -> (i, 64)) and dsts = List.init 16 Fun.id in
+      let rounds = 200 in
+      let round () =
+        for _ = 1 to rounds do
+          Network.send_group ?settled net ~srcs ~dsts 0
+        done;
+        Engine.run e
+      in
+      (* Warm-up grows the engine's queue and event pool to size. *)
+      round ();
+      let a = minor_words_of round in
+      let b = minor_words_of round in
+      Alcotest.(check (float 0.0)) (name ^ ": stable measurement") a b;
+      let per_msg = a /. float_of_int (rounds * 8 * 16) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per message <= 4" name per_msg)
+        true (per_msg <= 4.0);
+      let cells = 3 * rounds * 8 * 16 in
+      Alcotest.(check int) (name ^ ": all delivered") cells (Network.messages_delivered net);
+      let settled_columns =
+        match settled with None -> 0 | Some f -> List.length (List.filter f dsts)
+      in
+      let expected_calls = cells / 16 * (16 - settled_columns) in
+      Alcotest.(check int) (name ^ ": handler calls") expected_calls !calls)
+    [ ("no settled columns", None); ("odd columns settled", Some (fun d -> d land 1 = 1));
+      ("all columns settled", Some (fun _ -> true)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Rounds                                                              *)

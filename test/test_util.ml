@@ -579,6 +579,11 @@ let json_golden =
       (Float 123456789012.0, "123456789012.0"); (String "", "\"\""); (String "plain ascii", "\"plain ascii\"");
       ( String "q\" b\\ n\n r\r t\t bel\007 nul\000 us\031 del\127 / \xc3\xa9",
         "\"q\\\" b\\\\ n\\n r\\r t\\t bel\\u0007 nul\\u0000 us\\u001f del\127 / \195\169\"" );
+      (* Every control character: [\t], [\n] and [\r] keep their short
+         escapes, the rest become [\u00XX] in lowercase hex. *)
+      ( String ("<" ^ String.init 32 Char.chr ^ ">"),
+        "\"<\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f>\""
+      );
       (List [], "[]"); (List [ Int 1 ], "[1]");
       (List [ List []; Obj []; List [ Null; Bool false ] ], "[[],{},[null,false]]");
       (Obj [], "{}"); (Obj [ ("", Null) ], "{\"\":null}");
@@ -594,6 +599,20 @@ let test_json_writer_golden () =
   List.iter
     (fun (j, expected) -> Alcotest.(check string) expected expected (Json.to_string ~pretty:false j))
     json_golden;
+  (* Escaping a control character allocates nothing once the buffer
+     has grown to size. *)
+  let buf = Buffer.create 256 in
+  let record = Json.String "put\001owner\001name\0011.5\00110\0013" in
+  let write () =
+    for _ = 1 to 100 do
+      Buffer.clear buf;
+      Json.to_buffer ~pretty:false buf record
+    done
+  in
+  let a = minor_words_of write in
+  let b = minor_words_of write in
+  Alcotest.(check (float 0.0)) "stable measurement" a b;
+  Alcotest.(check (float 0.0)) "escaping allocates nothing" 0.0 a;
   (* The pretty path shares the writer; pin its indentation too. *)
   Alcotest.(check string) "pretty"
     "[\n  null,\n  [],\n  {},\n  [\n    1\n  ],\n  {\n    \"k\": {\n      \"a\": [\n        2.5,\n        \"x\"\n      ]\n    },\n    \"e\": {}\n  }\n]"
