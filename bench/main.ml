@@ -48,21 +48,25 @@ let trace_cap_for ~n =
       | _ -> Atum_sim.Trace.capacity_for_scale ~nodes:n)
     | None -> Atum_sim.Trace.capacity_for_scale ~nodes:n
 
-(* Provenance for BENCH_*.json build_info; basename so artifacts don't
-   depend on where the binary was invoked from. *)
-let cmdline =
-  match Array.to_list Sys.argv with
-  | [] -> []
-  | argv0 :: rest -> Filename.basename argv0 :: rest
+(* Wall-clock time is the only nondeterministic field in a benchmark
+   artifact; zeroing it (ATUM_BENCH_JSON_CANON) makes same-seed runs
+   byte-identical, which is what the determinism guard and any
+   CI-level BENCH_*.json diffing rely on. *)
+let canonical =
+  match Sys.getenv_opt "ATUM_BENCH_JSON_CANON" with
+  | Some ("" | "0") | None -> false
+  | Some _ -> true
 
-let emit_json ~fig ~seed ~wall_s ?extra rows =
+let emit_json ~fig ~seed ~wall_s ?(extra = []) rows =
   match !json_dir with
   | None -> ()
   | Some dir ->
+    let build_info = W.Build_info.current ~seed in
+    let wall_s = if canonical then 0.0 else wall_s in
     let doc =
-      W.Report.envelope ~cmdline ~fig ~scale:scale_name ~seed ~wall_s ?extra ~rows ()
+      Atum_sim.Artifact.Bench { fig; scale = scale_name; seed; build_info; wall_s; extra; rows }
     in
-    let path = W.Report.write ~dir ~fig doc in
+    let path = Atum_sim.Artifact.write ~dir (Printf.sprintf "BENCH_%s.json" fig) doc in
     Printf.printf "  [json] wrote %s\n%!" path
 
 let section title =
@@ -342,7 +346,7 @@ let fig8 () =
     ~extra:
       [
         ("messages", Json.Int messages);
-        ("metrics_aggregate", Atum_sim.Metrics.to_json agg);
+        ("metrics_aggregate", Atum_sim.Artifact.(encode metrics (metrics_of agg)));
       ]
     (List.rev !rows)
 
@@ -617,9 +621,8 @@ let scale_bench () =
     | `Default -> [ 1_000; 10_000; 100_000 ]
     | `Full -> [ 1_000; 10_000; 100_000; 1_000_000 ]
   in
-  let canon = W.Report.canonical () in
-  let wall_field dt = if canon then 0.0 else dt in
-  let rate num dt = if canon || dt <= 0.0 then 0.0 else float_of_int num /. dt in
+  let wall_field dt = if canonical then 0.0 else dt in
+  let rate num dt = if canonical || dt <= 0.0 then 0.0 else float_of_int num /. dt in
   let run_one n =
     Gc.compact ();
     let params = Params.for_system_size ~seed n in
@@ -659,7 +662,7 @@ let scale_bench () =
           ("bcast_wall_s", Json.Float (wall_field bcast_wall));
           ("events_per_sec", Json.Float (rate events bcast_wall));
           ("deliveries_per_sec", Json.Float (rate deliveries bcast_wall));
-          ("peak_live_words", Json.Int (if canon then 0 else peak_words));
+          ("peak_live_words", Json.Int (if canonical then 0 else peak_words));
         ]
     in
     Printf.printf
@@ -738,12 +741,6 @@ let all_figs =
     ("micro", micro);
   ]
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let () =
   (* Strip --json / --out-dir DIR (CLI overrides the ATUM_BENCH_JSON
      env var); whatever remains names the figures to run. *)
@@ -781,7 +778,6 @@ let () =
     (* --out-dir redirects even env-enabled artifact runs. *)
     if !json_dir <> None then json_dir := Some dir
   | false, None -> ());
-  Option.iter mkdir_p !json_dir;
   Printf.printf "Atum benchmark harness — scale=%s\n" scale_name;
   let t0 = Unix.gettimeofday () in
   List.iter

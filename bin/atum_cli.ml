@@ -10,7 +10,7 @@
      analyze    reconstruct causality from an ATUM_*.json artifact
      export-trace  convert a traced artifact to Chrome trace_event JSON (Perfetto)
      compare    diff two artifacts metric by metric, exit non-zero on regression
-     report     render an ATUM_timeseries.json or ATUM_resilience.json artifact
+     report     render a run, timeseries, resilience or postmortem artifact
      lint       run the determinism & protocol-safety linter (LINT.md) *)
 
 open Cmdliner
@@ -19,6 +19,7 @@ module Atum = Atum_core.Atum
 module Params = Atum_core.Params
 module W = Atum_workload
 module Json = Atum_util.Json
+module A = Atum_sim.Artifact
 
 let protocol_conv =
   let parse = function
@@ -103,55 +104,36 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-(* Artifacts embed the command line (provenance), so normalize away
-   the invocation-specific binary path. *)
-let cmdline () =
-  match Array.to_list Sys.argv with
-  | [] -> []
-  | argv0 :: rest -> Filename.basename argv0 :: rest
+(* Every file-reading subcommand reports an unreadable or malformed
+   FILE the same way: "<cmd>: <file>: <error>" on stderr, then exits
+   with [code] (compare uses 2, as a usage error). *)
+let or_exit ?(code = 1) cmd file = function
+  | Ok x -> x
+  | Error e ->
+    Printf.eprintf "%s: %s: %s\n" cmd file e;
+    exit code
 
-(* Mirrors the bench harness envelope: provenance first, then the
-   command-specific summary, then the full observability payload. *)
-let write_json_artifact ~dir ~cmd ~seed atum summary =
-  mkdir_p dir;
-  let cmdline = cmdline () in
-  let provenance =
-    [
-      ("schema_version", Json.Int W.Report.schema_version);
-      ("cmd", Json.String cmd);
-      ("seed", Json.Int seed);
-      ("build_info", W.Build_info.to_json ~cmdline ~seed ());
-    ]
-  in
-  let doc =
-    Json.Obj
-      (provenance
-      @ summary
-      @ [
-          ("metrics", Atum_sim.Metrics.to_json (Atum.metrics atum));
-          ("trace", Atum_sim.Trace.to_json (Atum.trace atum));
-          (* The per-label engine profile rides along so export-trace
-             can build its timeline from this one file. *)
-          ("profile", Atum_sim.Engine.profile_json (Atum.engine atum));
-        ])
-  in
-  let path = Filename.concat dir (Printf.sprintf "ATUM_%s.json" cmd) in
-  Json.write_file ~path doc;
-  Printf.printf "json             : wrote %s\n" path;
-  match Atum.telemetry atum with
-  | None -> ()
-  | Some tel ->
-    let ts_doc =
-      Json.Obj
-        (provenance
-        @ [
-            ("timeseries", Atum_sim.Telemetry.to_json tel);
-            ("profile", Atum_sim.Engine.profile_json (Atum.engine atum));
-          ])
-    in
-    let ts_path = Filename.concat dir "ATUM_timeseries.json" in
-    Json.write_file ~path:ts_path ts_doc;
-    Printf.printf "json             : wrote %s\n" ts_path
+(* Provenance first, then the command-specific summary, then the full
+   observability payload; telemetry runs also get ATUM_timeseries.json. *)
+let write_json_artifact ?resilience ~dir ~cmd ~seed atum summary =
+  let header = { A.cmd; seed; build_info = W.Build_info.current ~seed } in
+  let profile = A.profile_of (Atum.engine atum) in
+  let wrote name doc = Printf.printf "json             : wrote %s\n" (A.write ~dir name doc) in
+  wrote (Printf.sprintf "ATUM_%s.json" cmd)
+    (A.Run
+       {
+         header;
+         summary;
+         resilience;
+         metrics = A.metrics_of (Atum.metrics atum);
+         trace = A.trace_of (Atum.trace atum);
+         profile;
+       });
+  Option.iter
+    (fun tel ->
+      wrote "ATUM_timeseries.json"
+        (A.Timeseries { header; telemetry = A.telemetry_of tel; profile }))
+    (Atum.telemetry atum)
 
 let protocol_arg =
   Arg.(
@@ -414,48 +396,11 @@ let chaos_cmd =
         ?flight_dir:(if dump then Some out_dir else None)
         ~restart:(restart || corrupt_log) ~corrupt_log built ~seed ()
     in
-    Printf.printf "system size      : %d (+%d attackers, target vgroup %d)\n"
-      (Atum.size atum) r.W.Resilience.attackers r.target_vg;
-    Printf.printf "fault schedule   : %d steps, %d applied\n" (List.length r.schedule)
-      r.faults_applied;
-    List.iter
-      (fun (p : W.Resilience.phase_stats) ->
-        Printf.printf "delivery %-8s: %.1f%% (%d broadcasts, %d/%d deliveries)\n"
-          p.W.Resilience.phase (100.0 *. p.success) p.broadcasts p.delivered p.expected)
-      r.phases;
-    List.iter
-      (fun (h : W.Resilience.heal_record) ->
-        match h.W.Resilience.time_to_heal with
-        | Some d -> Printf.printf "heal at t=%-6.0f : converged in %.0f s\n" h.heal_at d
-        | None ->
-          Printf.printf "heal at t=%-6.0f : window closed before convergence\n" h.heal_at)
-      r.heals;
-    let count vs = List.fold_left (fun acc (_, n) -> acc + n) 0 vs in
-    Printf.printf "violations       : before=%d during=%d after=%d\n"
-      (count r.violations_before) (count r.violations_during) (count r.violations_after);
-    List.iter
-      (fun (rr : Atum_core.System.restart_report) ->
-        Printf.printf "restart node %-4d: %s, %d WAL entries replayed%s%s\n"
-          rr.Atum_core.System.r_node
-          (if rr.Atum_core.System.r_fallback then "corrupt store, fresh join" else "durable recovery")
-          rr.Atum_core.System.r_replayed
-          (match rr.Atum_core.System.r_rejoined_at with
-          | Some j -> Printf.sprintf ", rejoined in %.0f s" (j -. rr.Atum_core.System.r_restarted_at)
-          | None -> ", never rejoined")
-          (match rr.Atum_core.System.r_caught_up_at with
-          | Some c ->
-            Printf.sprintf ", caught up in %.0f s" (c -. rr.Atum_core.System.r_restarted_at)
-          | None -> ""))
-      r.W.Resilience.restarts;
-    Printf.printf "consistency      : %s\n"
-      (match r.consistency with Ok () -> "ok" | Error e -> e);
-    Printf.printf "converged        : %b\n" r.converged;
-    (match r.W.Resilience.postmortem with
-    | Some path -> Printf.printf "postmortem       : wrote %s\n" path
-    | None -> ());
-    if json then
-      write_json_artifact ~dir:out_dir ~cmd:"resilience" ~seed atum
-        [ ("resilience", W.Resilience.to_json r) ]
+    Format.printf "%a" W.Report.pp_resilience r;
+    Option.iter
+      (fun name -> Printf.printf "postmortem       : wrote %s\n" (Filename.concat out_dir name))
+      r.postmortem;
+    if json then write_json_artifact ~resilience:r ~dir:out_dir ~cmd:"resilience" ~seed atum []
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -478,31 +423,17 @@ let analyze_cmd =
           ~doc:"An ATUM_*.json artifact written by a subcommand run with --json.")
   in
   let run file json out_dir =
-    match W.Analyze.load_file file with
-    | Error e ->
-      Printf.eprintf "analyze: %s: %s\n" file e;
-      exit 1
-    | Ok r ->
-      Format.printf "@[<v>%a@]@." W.Analyze.pp r;
-      if json then begin
-        mkdir_p out_dir;
-        let fields =
-          match W.Analyze.to_json r with
-          | Json.Obj fields -> fields
-          | j -> [ ("analysis", j) ]
-        in
-        let path = Filename.concat out_dir "ATUM_analyze.json" in
-        Json.write_file ~path
-          (Json.Obj
-             ([
-                ("schema_version", Json.Int W.Report.schema_version);
-                ("cmd", Json.String "analyze");
-                ("source", Json.String file);
-                ("build_info", W.Build_info.to_json ~cmdline:(cmdline ()) ~seed:0 ());
-              ]
-             @ fields));
-        Printf.printf "json             : wrote %s\n" path
-      end
+    let r = or_exit "analyze" file (Result.bind (A.load file) W.Analyze.of_artifact) in
+    Format.printf "@[<v>%a@]@." W.Analyze.pp r;
+    if json then begin
+      let analysis =
+        match W.Analyze.to_json r with Json.Obj fields -> fields | j -> [ ("analysis", j) ]
+      in
+      let build_info = W.Build_info.current ~seed:0 in
+      let doc = A.Analysis { source = file; build_info; analysis } in
+      let path = A.write ~dir:out_dir "ATUM_analyze.json" doc in
+      Printf.printf "json             : wrote %s\n" path
+    end
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -510,16 +441,6 @@ let analyze_cmd =
          "Reconstruct per-broadcast dissemination trees, saga durations and the \
           invariant-violation summary from an ATUM_*.json trace artifact.")
     Term.(const run $ file_arg $ json_arg $ out_dir_arg)
-
-let load_json_file file =
-  match
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | contents -> Json.of_string contents
 
 let export_trace_cmd =
   let file_arg =
@@ -532,21 +453,14 @@ let export_trace_cmd =
              ATUM_postmortem.json flight-recorder dump.")
   in
   let run file out_dir =
-    match Result.bind (load_json_file file) W.Perfetto.of_artifact with
-    | Error e ->
-      Printf.eprintf "export-trace: %s: %s\n" file e;
-      exit 1
-    | Ok doc ->
-      mkdir_p out_dir;
-      let path = W.Perfetto.write ~dir:out_dir ~source:file doc in
-      let events =
-        match Json.member "traceEvents" doc with
-        | Some (Json.List evs) -> List.length evs
-        | _ -> 0
-      in
-      Printf.printf "export-trace     : wrote %s (%d events)\n" path events;
-      Printf.printf
-        "open in https://ui.perfetto.dev or chrome://tracing (Load button)\n"
+    let doc = or_exit "export-trace" file (Result.bind (A.load file) W.Perfetto.of_artifact) in
+    mkdir_p out_dir;
+    let path = W.Perfetto.write ~dir:out_dir ~source:file doc in
+    let events =
+      match Json.member "traceEvents" doc with Some (Json.List evs) -> List.length evs | _ -> 0
+    in
+    Printf.printf "export-trace     : wrote %s (%d events)\n" path events;
+    Printf.printf "open in https://ui.perfetto.dev or chrome://tracing (Load button)\n"
   in
   Cmd.v
     (Cmd.info "export-trace"
@@ -583,31 +497,21 @@ let compare_cmd =
       Printf.eprintf "compare: threshold must be non-negative\n";
       exit 2
     end;
-    match (load_json_file old_file, load_json_file new_file) with
-    | Error e, _ ->
-      Printf.eprintf "compare: %s: %s\n" old_file e;
-      exit 2
-    | _, Error e ->
-      Printf.eprintf "compare: %s: %s\n" new_file e;
-      exit 2
-    | Ok old_json, Ok new_json ->
-      let r = W.Compare.run ~threshold:(threshold /. 100.0) ~old_json ~new_json () in
-      Format.printf "@[<v>%a@]@." W.Compare.pp r;
-      if json then begin
-        mkdir_p out_dir;
-        let path = Filename.concat out_dir "ATUM_compare.json" in
-        Json.write_file ~path
-          (Json.Obj
-             [
-               ("schema_version", Json.Int W.Report.schema_version);
-               ("cmd", Json.String "compare");
-               ("old", Json.String old_file);
-               ("new", Json.String new_file);
-               ("compare", W.Compare.to_json r);
-             ]);
-        Printf.printf "json             : wrote %s\n" path
-      end;
-      if r.W.Compare.regressed > 0 then exit 1
+    (* Any version: BENCH_ rows differ per figure and a baseline may
+       predate the current schema, so compare reads plain JSON. *)
+    let old_json = or_exit ~code:2 "compare" old_file (A.read_json old_file) in
+    let new_json = or_exit ~code:2 "compare" new_file (A.read_json new_file) in
+    let r = W.Compare.run ~threshold:(threshold /. 100.0) ~old_json ~new_json () in
+    Format.printf "@[<v>%a@]@." W.Compare.pp r;
+    if json then begin
+      let comparison = W.Compare.to_json r in
+      let path =
+        A.write ~dir:out_dir "ATUM_compare.json"
+          (A.Comparison { old_file; new_file; comparison })
+      in
+      Printf.printf "json             : wrote %s\n" path
+    end;
+    if r.W.Compare.regressed > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "compare"
@@ -626,31 +530,12 @@ let report_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
           ~doc:
-            "An ATUM_timeseries.json or ATUM_resilience.json artifact (written into \
-             the --out-dir by any subcommand run with --json).")
+            "An ATUM_timeseries.json, ATUM_resilience.json, ATUM_<cmd>.json or \
+             ATUM_postmortem.json artifact (written into the --out-dir by any \
+             subcommand run with --json or --dump-on-violation).")
   in
   let run file =
-    let contents =
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Json.of_string contents with
-    | Error e ->
-      Printf.eprintf "report: %s: %s\n" file e;
-      exit 1
-    | Ok doc -> (
-      let render =
-        match Json.member "resilience" doc with
-        | Some _ -> W.Report.render_resilience_artifact
-        | None -> W.Report.render_timeseries_artifact
-      in
-      match render Format.std_formatter doc with
-      | Ok () -> ()
-      | Error e ->
-        Printf.eprintf "report: %s: %s\n" file e;
-        exit 1)
+    or_exit "report" file (Result.bind (A.load file) (W.Report.render Format.std_formatter))
   in
   Cmd.v
     (Cmd.info "report"
@@ -658,8 +543,10 @@ let report_cmd =
          "Render an artifact as text.  ATUM_timeseries.json: one sparkline per \
           telemetry gauge plus the engine's per-label profile table (sorted by \
           self-time; by event count when the run had no ATUM_PROF_WALL).  \
-          ATUM_resilience.json: the chaos experiment's schedule, delivery success and \
-          recovery verdict.")
+          ATUM_resilience.json: the lines the chaos run printed (delivery success, \
+          heals, restarts and the recovery verdict).  ATUM_postmortem.json: the \
+          trigger, the telemetry gauges and the profile.  Exits 1 on an unreadable \
+          or malformed FILE.")
     Term.(const run $ file_arg)
 
 let lint_cmd =

@@ -151,9 +151,6 @@ let wire_constructors =
     "Control"; "Bcast";
     (* Pbft.msg *)
     "Request"; "Preprepare"; "Prepare"; "Commit"; "Viewchange"; "Newview";
-    (* Reserved: versioned wire codec (ROADMAP item 3). *)
-    "Frame"; "Hello"; "Version_ack"; "Unsupported_version";
-    "Gossip_frame"; "Walk_frame"; "Smr_frame"; "Saga_frame"; "Decode_error";
   ]
 
 (* --- S001/S002: module-level mutable state --------------------------- *)

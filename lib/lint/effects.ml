@@ -14,13 +14,14 @@
      literals bound at toplevel).  [Atomic.make] globals are
      inventoried but exempt.
    - S002: a function reachable from an Engine task closure that
-     writes such a global — a cross-domain race candidate once sweeps
-     run on parallel domains.
+     writes such a global: state that one run leaves behind for the
+     next run in the same process, so a run's outcome can depend on
+     what ran before it.
 
    The same computation yields the machine-readable state inventory
    (ATUM_lint_state.json): every module-level global with its writers
-   and task reachability — the literal work-list for the OCaml 5
-   domains work (ROADMAP item 2). *)
+   and task reachability — the work-list of state shared between
+   runs in one process. *)
 
 let schema_version = 1
 

@@ -258,30 +258,3 @@ let profile t =
           }
       end)
     (Atum_util.Hashtbl_ext.sorted_bindings ~cmp:String.compare t.labels)
-
-let profile_json t =
-  let open Atum_util.Json in
-  let rows =
-    List.map
-      (fun p ->
-        Obj
-          [
-            ("label", String p.label);
-            ("events", Int p.events);
-            ("wall_self_s", Float p.wall_self_s);
-            ("vt_first", Float p.vt_first);
-            ("vt_last", Float p.vt_last);
-            ( "delay_hist",
-              List
-                (List.map
-                   (fun (b, n) -> Obj [ ("bucket", Int b); ("count", Int n) ])
-                   p.delay_hist) );
-          ])
-      (profile t)
-  in
-  Obj
-    [
-      ("wall_clock_enabled", Bool Prof_clock.enabled);
-      ("events_total", Int t.processed);
-      ("labels", List rows);
-    ]

@@ -8,7 +8,7 @@
     an optional [?label], and the engine accumulates per-label event
     counts, a histogram of virtual-time scheduling delays, and — only
     when [ATUM_PROF_WALL=1], see {!Prof_clock} — wall-clock self-time
-    per label.  {!profile} / {!profile_json} export the result; with
+    per label.  {!profile} exports the result ({!Artifact.profile_of}); with
     the wall clock disabled (the default) the export is a pure
     function of the simulation and stays byte-identical across
     same-seed runs. *)
@@ -80,10 +80,6 @@ type label_profile = {
 val profile : t -> label_profile list
 (** Per-label accounting, sorted by label.  A label appears once one
     of its events has run. *)
-
-val profile_json : t -> Atum_util.Json.t
-(** [{wall_clock_enabled; events_total; labels: [...]}] — the
-    ["profile"] section of [ATUM_timeseries.json]. *)
 
 val delay_bucket_lo : int -> float
 (** Lower bound in seconds of a {!label_profile.delay_hist} bucket. *)

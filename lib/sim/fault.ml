@@ -9,8 +9,6 @@
    (System.crash / System.recover) on top without this module depending
    on it. *)
 
-module Json = Atum_util.Json
-
 type step =
   | Partition of int list list
       (* group i gets partition tag i+1; unlisted nodes stay at tag 0 *)
@@ -222,41 +220,3 @@ let install ?on_crash ?on_recover ?on_restart (net : 'msg Network.t) schedule =
 let attach_gauges t telemetry =
   Telemetry.register telemetry "fault.active" (fun () -> float_of_int (active t));
   Telemetry.register telemetry "fault.applied" (fun () -> float_of_int t.applied)
-
-(* ------------------------------------------------------------------ *)
-(* Serialization (for ATUM_resilience.json and friends)                *)
-(* ------------------------------------------------------------------ *)
-
-let step_to_json step =
-  let base = [ ("step", Json.String (step_name step)) ] in
-  Json.Obj
-    (base
-    @
-    match step with
-    | Partition groups ->
-      [
-        ( "groups",
-          Json.List
-            (List.map (fun g -> Json.List (List.map (fun n -> Json.Int n) g)) groups) );
-      ]
-    | Heal -> []
-    | Crash nodes | Recover nodes ->
-      [ ("nodes", Json.List (List.map (fun n -> Json.Int n) nodes)) ]
-    | Loss_burst { p; duration } ->
-      [ ("p", Json.Float p); ("duration_s", Json.Float duration) ]
-    | Latency_spike { factor; duration } | Capacity_degrade { factor; duration } ->
-      [ ("factor", Json.Float factor); ("duration_s", Json.Float duration) ]
-    | Restart { nodes; down } ->
-      [
-        ("nodes", Json.List (List.map (fun n -> Json.Int n) nodes));
-        ("down_s", Json.Float down);
-      ])
-
-let to_json schedule =
-  Json.List
-    (List.map
-       (fun e ->
-         match step_to_json e.step with
-         | Json.Obj fields -> Json.Obj (("after_s", Json.Float e.after) :: fields)
-         | j -> j)
-       schedule)

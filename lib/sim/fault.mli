@@ -2,7 +2,7 @@
 
     A declarative, sim-time-driven schedule of network faults and
     their inverses, executed by labeled {!Engine} tasks.  The schedule
-    is plain data (serializable with {!to_json} into artifacts), every
+    is plain data (serialized into artifacts by {!Artifact}), every
     step fires at a fixed offset from {!install} time, and all
     randomness stays in the network's seeded RNG — so a seeded run
     with a fixed schedule is exactly reproducible.
@@ -94,10 +94,3 @@ val active : t -> int
 
 val attach_gauges : t -> Telemetry.t -> unit
 (** Register [fault.active] and [fault.applied] gauges. *)
-
-val step_to_json : step -> Atum_util.Json.t
-
-val to_json : schedule -> Atum_util.Json.t
-(** The schedule as a JSON list — each entry an object with [after_s],
-    [step], and the step's parameters; see EXPERIMENTS.md for the
-    schema. *)

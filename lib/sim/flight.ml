@@ -1,17 +1,5 @@
-module Json = Atum_util.Json
-
-let schema_version = 1
 let filename = "ATUM_postmortem.json"
 let default_window = 512
-
-type trigger = {
-  at : float;
-  reason : string;
-  detail : string;
-  node : int;
-  vgroup : int;
-  bid : int;
-}
 
 (* All recorder state lives in this instance record — no module-level
    mutables, so concurrent engines each own an independent recorder. *)
@@ -22,7 +10,7 @@ type t = {
   mutable telemetry : Telemetry.t option;
   window : int;
   dir : string option; (* auto-dump directory, if armed for dumping *)
-  mutable trigger : trigger option;
+  mutable trigger : Artifact.trigger option;
   mutable dumps : int;
   mutable last_path : string option;
 }
@@ -45,53 +33,21 @@ let set_telemetry t tel = t.telemetry <- Some tel
 let tripped t = t.trigger
 let dumps t = t.dumps
 let last_path t = t.last_path
-let window t = t.window
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
-let trigger_json g =
-  let opt name v = if v < 0 then [] else [ (name, Json.Int v) ] in
-  Json.Obj
-    ([
-       ("at_s", Json.Float g.at);
-       ("reason", Json.String g.reason);
-       ("detail", Json.String g.detail);
-     ]
-    @ opt "node" g.node @ opt "vgroup" g.vgroup @ opt "bid" g.bid)
 
 (* The snapshot deliberately carries no command line, output directory
    or wall-clock provenance: two same-seed runs must produce
    byte-identical postmortems regardless of where they were launched
    from.  (Engine wall profiling is off unless ATUM_PROF_WALL is set;
    with it set, wall_self_s fields naturally differ between runs.) *)
-let snapshot_json t =
-  let last = Trace.last_events t.trace t.window in
-  Json.Obj
-    [
-      ("schema_version", Json.Int schema_version);
-      ("artifact", Json.String "postmortem");
-      ("sim_time_s", Json.Float (Engine.now t.engine));
-      ("trigger", match t.trigger with Some g -> trigger_json g | None -> Json.Null);
-      ( "trace_last",
-        Json.Obj
-          [
-            ("window", Json.Int t.window);
-            ("kept", Json.Int (List.length last));
-            ("total", Json.Int (Trace.total t.trace));
-            ("dropped", Json.Int (Trace.dropped t.trace));
-            ("sample_rate", Json.Float (Trace.sample_rate t.trace));
-            ("sampled_out", Json.Int (Trace.sampled_out t.trace));
-            ("events", Json.List (List.map Trace.event_to_json last));
-          ] );
-      ( "telemetry",
-        match t.telemetry with Some tel -> Telemetry.to_json tel | None -> Json.Null );
-      ("metrics", Metrics.to_json t.metrics);
-      ("profile", Engine.profile_json t.engine);
-    ]
+let snapshot t : Artifact.flight =
+  {
+    sim_time_s = Engine.now t.engine;
+    trigger = t.trigger;
+    last = Artifact.trace_of ~window:t.window t.trace;
+    telemetry = Option.map Artifact.telemetry_of t.telemetry;
+    metrics = Artifact.metrics_of t.metrics;
+    profile = Artifact.profile_of t.engine;
+  }
 
 let dump ?dir t =
   let dir =
@@ -100,9 +56,7 @@ let dump ?dir t =
     | None, Some d -> d
     | None, None -> "."
   in
-  mkdir_p dir;
-  let path = Filename.concat dir filename in
-  Json.write_file ~path (snapshot_json t);
+  let path = Artifact.write ~dir filename (Artifact.Postmortem (snapshot t)) in
   t.dumps <- t.dumps + 1;
   t.last_path <- Some path;
   path
@@ -111,5 +65,5 @@ let trip t ~reason ?(detail = "") ?(node = -1) ?(vgroup = -1) ?(bid = -1) () =
   match t.trigger with
   | Some _ -> () (* first trigger wins; later violations are in metrics *)
   | None ->
-    t.trigger <- Some { at = Engine.now t.engine; reason; detail; node; vgroup; bid };
+    t.trigger <- Some { Artifact.at = Engine.now t.engine; reason; detail; node; vgroup; bid };
     (match t.dir with Some _ -> ignore (dump t : string) | None -> ())

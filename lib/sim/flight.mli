@@ -14,22 +14,11 @@
     metrics but do not overwrite the evidence of the original
     failure. *)
 
-val schema_version : int
-
 val filename : string
 (** ["ATUM_postmortem.json"] — the fixed basename {!dump} writes. *)
 
 val default_window : int
 (** 512 trace events. *)
-
-type trigger = {
-  at : float;  (** simulated seconds at trip time *)
-  reason : string;  (** e.g. ["monitor.violation.vg_partitioned"] *)
-  detail : string;
-  node : int;  (** [-1] if none *)
-  vgroup : int;  (** [-1] if none *)
-  bid : int;  (** [-1] if none *)
-}
 
 type t
 
@@ -63,7 +52,7 @@ val trip :
 (** Record the failure (first trip wins) and, if armed with a [dir],
     write the postmortem right away. *)
 
-val tripped : t -> trigger option
+val tripped : t -> Artifact.trigger option
 
 val dump : ?dir:string -> t -> string
 (** Write the snapshot to [dir ^ "/" ^ filename] (directories created
@@ -76,10 +65,6 @@ val dumps : t -> int
 
 val last_path : t -> string option
 
-val window : t -> int
-
-val snapshot_json : t -> Atum_util.Json.t
-(** The postmortem document: [{schema_version; artifact:
-    "postmortem"; sim_time_s; trigger; trace_last: {window; kept;
-    total; dropped; sample_rate; sampled_out; events}; telemetry;
-    metrics; profile}]. *)
+val snapshot : t -> Artifact.flight
+(** The postmortem record {!dump} writes as an
+    {!Artifact.Postmortem}. *)

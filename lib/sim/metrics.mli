@@ -25,7 +25,7 @@ val prefix_total : t -> string -> int
 
 val clear : t -> unit
 
-(* --- snapshot / merge / JSON export --------------------------------- *)
+(* --- snapshot / merge ------------------------------------------------ *)
 
 type snapshot = {
   snap_counters : (string * int) list;  (** sorted by name *)
@@ -40,16 +40,3 @@ val merge : into:t -> t -> unit
     series sample, so per-run metrics can be combined into one
     aggregate (e.g. across benchmark repetitions). *)
 
-val to_json : ?include_series:bool -> t -> Atum_util.Json.t
-(** [{counters: {name: int}, series: {name: {n; mean; p50; p99;
-    samples?}}}].  Summaries are always present (an empty series is
-    [{n: 0}]); the full [samples] array is included only when
-    [include_series] is [true] (default [false]). *)
-
-val of_json : Atum_util.Json.t -> (t, string) result
-(** Rebuild a metrics value from {!to_json} output.  Series are only
-    restored when the export carried full [samples] (summary-only
-    series come back empty). *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One line per counter, plus count/mean/p50/p99 per series. *)

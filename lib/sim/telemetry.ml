@@ -1,7 +1,5 @@
 module Json = Atum_util.Json
 
-let schema_version = 1
-
 let default_period = 5.0
 let default_capacity = 4096
 
@@ -46,7 +44,7 @@ let register t name read =
     invalid_arg (Printf.sprintf "Telemetry.register: duplicate gauge %S" name);
   if not t.started then
     (* Keep the pre-start list sorted by name at all times, so
-       [gauge_names], [to_json], [to_csv] and [series] agree on one
+       [gauge_names], the artifact export, [to_csv] and [series] agree on one
        order whether or not [start] has run yet. *)
     t.gauges <-
       List.merge
@@ -116,24 +114,6 @@ let series t name =
   in
   find 0 t.gauges
 
-let to_json t =
-  Json.Obj
-    [
-      ("schema_version", Json.Int schema_version);
-      ("period_s", Json.Float t.period);
-      ("capacity", Json.Int t.cap);
-      ("samples_total", Json.Int (samples_total t));
-      ("samples_kept", Json.Int (samples_kept t));
-      ("times", Json.List (List.map (fun x -> Json.Float x) (times t)));
-      ( "gauges",
-        Json.Obj
-          (List.mapi
-             (fun i g ->
-               ( g.g_name,
-                 Json.List (List.map (fun x -> Json.Float x) (series_by_index t i)) ))
-             t.gauges) );
-    ]
-
 let to_csv t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "time";
@@ -153,80 +133,3 @@ let to_csv t =
            t.gauges;
          Buffer.add_char buf '\n'));
   Buffer.contents buf
-
-(* --- reading an exported artifact back ------------------------------ *)
-
-type reading = {
-  r_period : float;
-  r_times : float list;
-  r_gauges : (string * float list) list;
-  r_samples_total : int;
-}
-
-let of_json json =
-  let err msg = Error ("Telemetry.of_json: " ^ msg) in
-  let number = function
-    | Json.Float f -> Some f
-    | Json.Int i -> Some (float_of_int i)
-    | _ -> None
-  in
-  let number_list name = function
-    | Json.List xs ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest -> (
-          match number x with
-          | Some f -> go (f :: acc) rest
-          | None -> err (name ^ " contains a non-number"))
-      in
-      go [] xs
-    | _ -> err (name ^ " is not a list")
-  in
-  match json with
-  | Json.Obj _ -> (
-    match Json.member "schema_version" json with
-    | Some (Json.Int v) when v = schema_version -> (
-      let period =
-        match Option.bind (Json.member "period_s" json) number with
-        | Some p when p > 0.0 -> Ok p
-        | _ -> err "missing or invalid period_s"
-      in
-      let total =
-        match Json.member "samples_total" json with
-        | Some (Json.Int n) when n >= 0 -> Ok n
-        | _ -> err "missing or invalid samples_total"
-      in
-      let times =
-        match Json.member "times" json with
-        | Some j -> number_list "times" j
-        | None -> err "missing times"
-      in
-      match (period, total, times) with
-      | Ok r_period, Ok r_samples_total, Ok r_times -> (
-        match Json.member "gauges" json with
-        | Some (Json.Obj fields) ->
-          let rec go acc = function
-            | [] ->
-              Ok
-                {
-                  r_period;
-                  r_times;
-                  r_gauges =
-                    List.sort (fun (a, _) (b, _) -> String.compare a b) (List.rev acc);
-                  r_samples_total;
-                }
-            | (name, j) :: rest -> (
-              match number_list ("gauge " ^ name) j with
-              | Ok xs ->
-                if List.length xs <> List.length r_times then
-                  err (Printf.sprintf "gauge %s has %d samples for %d timestamps" name
-                         (List.length xs) (List.length r_times))
-                else go ((name, xs) :: acc) rest
-              | Error e -> Error e)
-          in
-          go [] fields
-        | _ -> err "missing gauges object")
-      | (Error _ as e), _, _ | _, (Error _ as e), _ | _, _, (Error _ as e) -> e)
-    | Some (Json.Int v) -> err (Printf.sprintf "unsupported schema_version %d" v)
-    | _ -> err "missing schema_version")
-  | _ -> err "expected an object"

@@ -63,25 +63,5 @@ val times : t -> float list
 val series : t -> string -> float list
 (** Values of one gauge aligned with {!times}; [] for unknown names. *)
 
-val to_json : t -> Atum_util.Json.t
-(** [{schema_version; period_s; capacity; samples_total;
-    samples_kept; times; gauges: {name: [values]}}]. *)
-
 val to_csv : t -> string
 (** Header [time,<gauge>,...] then one row per kept sample. *)
-
-val schema_version : int
-
-(* --- reading an exported artifact back ------------------------------ *)
-
-type reading = {
-  r_period : float;
-  r_times : float list;
-  r_gauges : (string * float list) list;  (** sorted by name *)
-  r_samples_total : int;
-}
-
-val of_json : Atum_util.Json.t -> (reading, string) result
-(** Parse {!to_json} output (e.g. the ["timeseries"] section of an
-    [ATUM_timeseries.json] artifact); [Error _] on malformed or
-    wrong-version input, never an exception. *)

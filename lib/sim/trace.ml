@@ -192,33 +192,3 @@ let last_events t k =
     | None -> assert false
   done;
   !out
-
-let event_to_json (e : event) =
-  let open Atum_util.Json in
-  let base = [ ("t", Float e.time); ("kind", String e.kind) ] in
-  let opt name v = if v < 0 then [] else [ (name, Int v) ] in
-  let size = if e.size = 0 then [] else [ ("size", Int e.size) ] in
-  Obj
-    (base @ opt "node" e.node @ opt "peer" e.peer @ opt "vgroup" e.vgroup @ size
-    @ opt "bid" e.bid @ opt "span" e.span @ opt "parent" e.parent @ opt "cycle" e.cycle)
-
-let counts_json counts =
-  Atum_util.Json.Obj (List.map (fun (k, n) -> (k, Atum_util.Json.Int n)) counts)
-
-let to_json t =
-  let open Atum_util.Json in
-  let events_json =
-    List.rev (fold t ~init:[] ~f:(fun acc e -> event_to_json e :: acc))
-  in
-  Obj
-    [
-      ("capacity", Int (capacity t));
-      ("total", Int t.total);
-      ("dropped", Int (dropped t));
-      ("dropped_by_kind", counts_json (dropped_by_kind t));
-      ("sample_rate", Float t.sample_rate);
-      ("sampled_out", Int t.sampled_out);
-      ("sampled_out_by_kind", counts_json (sampled_out_by_kind t));
-      ("admitted_by_kind", counts_json (admitted_by_kind t));
-      ("events", List events_json);
-    ]

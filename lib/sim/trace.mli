@@ -148,11 +148,3 @@ val lossy : t -> bool
 val clear : t -> unit
 (** Drop buffered events and reset all counters.  Levels, sample rate
     and the enabled flag are preserved. *)
-
-val event_to_json : event -> Atum_util.Json.t
-(** One event as [{t; kind; node?; peer?; vgroup?; size?; bid?; span?;
-    parent?; cycle?}] — negative ids and zero sizes omitted. *)
-
-val to_json : t -> Atum_util.Json.t
-(** [{capacity; total; dropped; dropped_by_kind; sample_rate;
-    sampled_out; sampled_out_by_kind; admitted_by_kind; events}]. *)

@@ -345,107 +345,34 @@ let finish acc ~violations ~dropped_total ~dropped_by_kind ?(sample_rate = 1.0)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The monitor.violation.* metrics counters, by violation kind. *)
+let violations_of counters =
+  List.filter_map
+    (fun (name, n) -> if has_violation_prefix name then Some (strip_prefix name, n) else None)
+    counters
+  |> List.sort compare
+
 let of_trace trace ~metrics =
   let acc = make_acc () in
   Trace.iter trace (feed acc);
-  let violations =
-    List.filter_map
-      (fun name ->
-        if has_violation_prefix name then
-          Some (strip_prefix name, Metrics.counter metrics name)
-        else None)
-      (Metrics.counter_names metrics)
-    |> List.sort compare
-  in
+  let violations = violations_of (Metrics.snapshot metrics).Metrics.snap_counters in
   finish acc ~violations ~dropped_total:(Trace.dropped trace)
     ~dropped_by_kind:(Trace.dropped_by_kind trace)
     ~sample_rate:(Trace.sample_rate trace) ~sampled_out_total:(Trace.sampled_out trace)
     ~sampled_out_by_kind:(Trace.sampled_out_by_kind trace) ()
 
-(* Artifact parsing: the [ATUM_*.json] layout written by atum_cli
-   (schema 2): {..., metrics: {counters; series}, trace: {capacity;
-   total; dropped; dropped_by_kind; events}}. *)
-
-let int_member ?(default = -1) key obj =
-  match Json.member key obj with Some (Json.Int n) -> n | _ -> default
-
-let float_member key obj =
-  match Json.member key obj with
-  | Some (Json.Float f) -> f
-  | Some (Json.Int n) -> float_of_int n
-  | _ -> 0.0
-
-let event_of_json obj : Trace.event option =
-  match Json.member "kind" obj with
-  | Some (Json.String kind) ->
-    Some
-      {
-        Trace.time = float_member "t" obj;
-        kind;
-        node = int_member "node" obj;
-        peer = int_member "peer" obj;
-        vgroup = int_member "vgroup" obj;
-        size = int_member "size" obj ~default:0;
-        bid = int_member "bid" obj;
-        span = int_member "span" obj;
-        parent = int_member "parent" obj;
-        cycle = int_member "cycle" obj;
-      }
-  | _ -> None
-
-let of_artifact json =
-  match Json.member "trace" json with
-  | None -> Error "artifact has no \"trace\" member (was it written with --json?)"
-  | Some trace_json -> (
-    match Json.member "events" trace_json with
-    | Some (Json.List events) ->
-      let acc = make_acc () in
-      List.iter (fun ev -> Option.iter (feed acc) (event_of_json ev)) events;
-      let violations =
-        match Option.bind (Json.member "metrics" json) (Json.member "counters") with
-        | Some (Json.Obj counters) ->
-          List.filter_map
-            (fun (name, v) ->
-              match v with
-              | Json.Int n when has_violation_prefix name -> Some (strip_prefix name, n)
-              | _ -> None)
-            counters
-          |> List.sort compare
-        | _ -> []
-      in
-      let dropped_total = max 0 (int_member "dropped" trace_json ~default:0) in
-      let kind_counts key =
-        match Json.member key trace_json with
-        | Some (Json.Obj kinds) ->
-          List.filter_map
-            (fun (k, v) -> match v with Json.Int n -> Some (k, n) | _ -> None)
-            kinds
-        | _ -> []
-      in
-      let dropped_by_kind = kind_counts "dropped_by_kind" in
-      (* Sampling counters landed in trace schema 5; older artifacts
-         simply lack them, which reads back as a complete trace. *)
-      let sample_rate =
-        match Json.member "sample_rate" trace_json with
-        | Some (Json.Float f) -> f
-        | Some (Json.Int n) -> float_of_int n
-        | _ -> 1.0
-      in
-      let sampled_out_total = max 0 (int_member "sampled_out" trace_json ~default:0) in
-      Ok
-        (finish acc ~violations ~dropped_total ~dropped_by_kind ~sample_rate
-           ~sampled_out_total ~sampled_out_by_kind:(kind_counts "sampled_out_by_kind") ())
-    | _ -> Error "artifact trace has no \"events\" array")
-
-let load_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | contents -> Result.bind (Json.of_string contents) of_artifact
+let of_artifact a =
+  match Atum_sim.Artifact.traced a with
+  | None ->
+    Error "artifact carries no trace (analyze reads ATUM_<cmd>.json runs and postmortems)"
+  | Some (tr, m, _) ->
+    let acc = make_acc () in
+    List.iter (feed acc) tr.events;
+    Ok
+      (finish acc ~violations:(violations_of m.counters) ~dropped_total:(max 0 tr.dropped)
+         ~dropped_by_kind:tr.dropped_by_kind ~sample_rate:tr.sample_rate
+         ~sampled_out_total:(max 0 tr.sampled_out)
+         ~sampled_out_by_kind:tr.sampled_out_by_kind ())
 
 (* ------------------------------------------------------------------ *)
 (* Output                                                              *)

@@ -6,8 +6,7 @@
     from the ["saga.*.begin"/".end"] span pairs, and the
     invariant-violation summary from the ["monitor.violation.*"]
     metrics counters.  Consumes either a live trace (allocation-free,
-    via [Trace.iter]) or an [ATUM_*.json] artifact written by
-    [atum-cli --json].
+    via [Trace.iter]) or a traced {!Atum_sim.Artifact.t}.
 
     The trace ring drops its oldest events when full, so results are
     best-effort by construction: bids whose ["broadcast.sent"] root
@@ -75,12 +74,10 @@ val of_trace : Atum_sim.Trace.t -> metrics:Atum_sim.Metrics.t -> result
 (** Analyze a live run; violations are read from the metrics
     counters. *)
 
-val of_artifact : Atum_util.Json.t -> (result, string) Stdlib.result
-(** Analyze a parsed [ATUM_*.json] artifact (needs its [trace]
-    member, i.e. a run with [--json]). *)
-
-val load_file : string -> (result, string) Stdlib.result
-(** Read and parse an artifact file, then {!of_artifact}. *)
+val of_artifact : Atum_sim.Artifact.t -> (result, string) Stdlib.result
+(** Analyze the trace of a run artifact ([ATUM_<cmd>.json], written
+    with [--json]) or of a postmortem, whose events before its window
+    count as dropped ({!Atum_sim.Artifact.traced}). *)
 
 val to_json : result -> Atum_util.Json.t
 (** Machine-readable form; see EXPERIMENTS.md for the schema.
@@ -90,12 +87,6 @@ val to_json : result -> Atum_util.Json.t
 
 val pp : Format.formatter -> result -> unit
 (** Human-readable multi-line summary. *)
-
-(** {2 Shared trace-parsing helpers} *)
-
-val event_of_json : Atum_util.Json.t -> Atum_sim.Trace.event option
-(** Parse one event object of an artifact's [trace.events] array
-    (negative-id fields restored from absence). *)
 
 val saga_of_kind : string -> (string * bool) option
 (** ["saga.<name>.begin"] -> [Some (<name>, true)],

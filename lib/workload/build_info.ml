@@ -1,5 +1,3 @@
-module Json = Atum_util.Json
-
 let version = "1.1.0"
 
 (* One subprocess per process, at first use.  Deterministic for the
@@ -24,12 +22,9 @@ let git_describe =
       cached := Some v;
       v
 
-let to_json ?(extra = []) ~cmdline ~seed () =
-  Json.Obj
-    ([
-       ("version", Json.String version);
-       ("git", Json.String (git_describe ()));
-       ("seed", Json.Int seed);
-       ("cmdline", Json.String (String.concat " " cmdline));
-     ]
-    @ extra)
+(* The command line, with the binary's basename so that artifacts do
+   not depend on where it was invoked from. *)
+let current ~seed : Atum_sim.Artifact.build_info =
+  let argv = Array.to_list Sys.argv in
+  let argv = match argv with [] -> [] | argv0 :: rest -> Filename.basename argv0 :: rest in
+  { version; git = git_describe (); seed; cmdline = String.concat " " argv }

@@ -12,11 +12,5 @@ val git_describe : unit -> string
 (** [git describe --always --dirty] at first use (cached); ["unknown"]
     when git or the repository is unavailable. *)
 
-val to_json :
-  ?extra:(string * Atum_util.Json.t) list ->
-  cmdline:string list ->
-  seed:int ->
-  unit ->
-  Atum_util.Json.t
-(** The [build_info] object: [{version; git; seed; cmdline;
-    schema_version; ...extra}]. *)
+val current : seed:int -> Atum_sim.Artifact.build_info
+(** This build's provenance for the running command line and [seed]. *)

@@ -15,7 +15,7 @@ type result = {
   join_latency_p90 : float;
   events_processed : int;
   consistency : (unit, string) Stdlib.result;
-  timeseries : Atum_util.Json.t option;
+  timeseries : Atum_sim.Artifact.telemetry option;
 }
 
 let live_ids atum =
@@ -76,5 +76,5 @@ let run ?params ?(join_rate_per_min = 0.08) ?(time_limit = 20_000.0) ?(sample_ev
     join_latency_p90 = pct 90.0;
     events_processed = Atum_sim.Engine.events_processed (Atum.engine atum);
     consistency = System.check_consistency (Atum.system atum);
-    timeseries = Option.map Atum_sim.Telemetry.to_json (Atum.telemetry atum);
+    timeseries = Option.map Atum_sim.Artifact.telemetry_of (Atum.telemetry atum);
   }

@@ -16,8 +16,8 @@ type result = {
   events_processed : int;  (** simulator events the run consumed *)
   consistency : (unit, string) Stdlib.result;
       (** [System.check_consistency] at the end of the run *)
-  timeseries : Atum_util.Json.t option;
-      (** {!Atum_sim.Telemetry.to_json} of the run's gauge series
+  timeseries : Atum_sim.Artifact.telemetry option;
+      (** the run's gauge series
           (sampled every [sample_every]); [None] when [telemetry] was
           disabled *)
 }

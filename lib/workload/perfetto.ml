@@ -214,32 +214,16 @@ let of_events (events : Trace.event list) ~profile =
     open_fault_list;
   (* engine profile: one slice per label over its vt_first..vt_last *)
   let engine_threads = ref [] in
-  (match Json.member "labels" profile with
-  | Some (Json.List rows) ->
-    List.iteri
-      (fun i row ->
-        let label =
-          match Json.member "label" row with Some (Json.String s) -> s | _ -> "?"
-        in
-        let num key =
-          match Json.member key row with
-          | Some (Json.Float f) -> f
-          | Some (Json.Int n) -> float_of_int n
-          | _ -> 0.0
-        in
-        let events = int_of_float (num "events") in
-        if events > 0 then begin
-          engine_threads := (i, label) :: !engine_threads;
-          push
-            (complete ~name:label ~cat:"engine" ~pid:pid_engine ~tid:i ~t0:(num "vt_first")
-               ~t1:(num "vt_last")
-               [
-                 ("events", Json.Int events);
-                 ("wall_self_s", Json.Float (num "wall_self_s"));
-               ])
-        end)
-      rows
-  | _ -> ());
+  List.iteri
+    (fun i (l : Atum_sim.Engine.label_profile) ->
+      if l.events > 0 then begin
+        engine_threads := (i, l.label) :: !engine_threads;
+        push
+          (complete ~name:l.label ~cat:"engine" ~pid:pid_engine ~tid:i ~t0:l.vt_first
+             ~t1:l.vt_last
+             [ ("events", Json.Int l.events); ("wall_self_s", Json.Float l.wall_self_s) ])
+      end)
+    profile;
   let sorted_tids tbl = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl []) in
   let metadata =
     [
@@ -262,27 +246,11 @@ let of_events (events : Trace.event list) ~profile =
       ("traceEvents", Json.List (metadata @ List.rev !out));
     ]
 
-let events_of_artifact json =
-  let from_trace t =
-    match Json.member "events" t with
-    | Some (Json.List evs) -> Some (List.filter_map Analyze.event_of_json evs)
-    | _ -> None
-  in
-  match Json.member "trace" json with
-  | Some t -> from_trace t
-  | None -> Option.bind (Json.member "trace_last" json) from_trace
-
-let of_artifact json =
-  match events_of_artifact json with
+let of_artifact a =
+  match Atum_sim.Artifact.traced a with
   | None ->
-    Error
-      "artifact has no trace events (need a \"trace\" or \"trace_last\" member — was \
-       the run traced and written with --json?)"
-  | Some events ->
-    let profile =
-      match Json.member "profile" json with Some p -> p | None -> Json.Null
-    in
-    Ok (of_events events ~profile)
+    Error "artifact carries no trace (export-trace reads ATUM_<cmd>.json runs and postmortems)"
+  | Some (tr, _, prof) -> Ok (of_events tr.events ~profile:prof.labels)
 
 let output_name source =
   let base = Filename.remove_extension (Filename.basename source) in

@@ -14,15 +14,14 @@
     Timestamps are simulated time as integer microseconds, so the
     export is byte-deterministic given a deterministic artifact. *)
 
-val of_artifact : Atum_util.Json.t -> (Atum_util.Json.t, string) result
-(** Build the [{displayTimeUnit; traceEvents}] document from a parsed
-    artifact.  Errors when the artifact carries no [trace] (or
-    [trace_last]) events. *)
+val of_artifact : Atum_sim.Artifact.t -> (Atum_util.Json.t, string) result
+(** Build the [{displayTimeUnit; traceEvents}] document from the
+    trace and profile of a run or postmortem artifact
+    ({!Atum_sim.Artifact.traced}); [Error] for the other kinds. *)
 
 val of_events :
-  Atum_sim.Trace.event list -> profile:Atum_util.Json.t -> Atum_util.Json.t
-(** Convert an explicit event list plus an {!Atum_sim.Engine}
-    [profile_json] document ([Null] for none). *)
+  Atum_sim.Trace.event list -> profile:Atum_sim.Engine.label_profile list -> Atum_util.Json.t
+(** Convert an explicit event list plus an engine profile. *)
 
 val output_name : string -> string
 (** [output_name "dir/ATUM_broadcast.json"] is

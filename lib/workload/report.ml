@@ -1,52 +1,5 @@
 module Json = Atum_util.Json
-
-(* 2: trace events gained correlation fields (bid/span/parent/cycle),
-   trace objects gained dropped_by_kind, and ATUM_analyze.json
-   artifacts exist.
-   3: every artifact embeds a build_info provenance object, growth
-   rows may carry a telemetry timeseries, and ATUM_timeseries.json
-   artifacts (gauge series + engine profile) exist.
-   4: the chaos layer — ATUM_resilience.json artifacts (fault
-   schedule, per-phase delivery success, time-to-heal), fault.* and
-   byzantine.* trace/metric namespaces, and byzantine_events /
-   fault_events sections in ATUM_analyze.json.
-   5: the observability layer — trace objects gain sampling fields
-   (sample_rate, sampled_out, sampled_out_by_kind, admitted_by_kind),
-   ATUM_<cmd>.json artifacts gain a top-level profile section,
-   ATUM_resilience.json a postmortem member, ATUM_analyze.json a
-   trace_truncated flag and sampling section, plus the new
-   ATUM_postmortem.json and ATUM_compare.json artifact families. *)
-let schema_version = 5
-
-(* Wall-clock time is the only nondeterministic field in a benchmark
-   artifact; zeroing it (ATUM_BENCH_JSON_CANON) makes same-seed runs
-   byte-identical, which is what the determinism guard and any
-   CI-level BENCH_*.json diffing rely on. *)
-let canonical () =
-  match Sys.getenv_opt "ATUM_BENCH_JSON_CANON" with
-  | Some ("" | "0") | None -> false
-  | Some _ -> true
-
-let envelope ?(cmdline = []) ~fig ~scale ~seed ~wall_s ?(extra = []) ~rows () =
-  let wall_s = if canonical () then 0.0 else wall_s in
-  Json.Obj
-    ([
-       ("schema_version", Json.Int schema_version);
-       ("fig", Json.String fig);
-       ("scale", Json.String scale);
-       ("seed", Json.Int seed);
-       ("build_info", Build_info.to_json ~cmdline ~seed ());
-       ("wall_s", Json.Float wall_s);
-     ]
-    @ extra
-    @ [ ("rows", Json.List rows) ])
-
-let filename ~fig = Printf.sprintf "BENCH_%s.json" fig
-
-let write ~dir ~fig json =
-  let path = Filename.concat dir (filename ~fig) in
-  Json.write_file ~path json;
-  path
+module A = Atum_sim.Artifact
 
 let growth_row ~protocol ~target (r : Growth.result) =
   Json.Obj
@@ -69,7 +22,10 @@ let growth_row ~protocol ~target (r : Growth.result) =
                Json.Obj [ ("t", Json.Float p.Growth.time); ("size", Json.Int p.Growth.size) ])
              r.curve) );
     ]
-    @ match r.Growth.timeseries with None -> [] | Some ts -> [ ("timeseries", ts) ])
+    @
+    match r.Growth.timeseries with
+    | None -> []
+    | Some ts -> [ ("timeseries", A.encode A.telemetry ts) ])
 
 let latency_row ~label (r : Latency_exp.result) =
   let lats = r.Latency_exp.latencies in
@@ -138,239 +94,110 @@ let stats_of xs =
     let last = List.nth xs (List.length xs - 1) in
     (mn, mean, mx, last)
 
-let render_timeseries fmt json =
-  match Atum_sim.Telemetry.of_json json with
-  | Error _ as e -> e
-  | Ok r ->
-    let t_lo, t_hi =
-      match r.Atum_sim.Telemetry.r_times with
-      | [] -> (0.0, 0.0)
-      | t :: _ -> (t, List.nth r.r_times (List.length r.r_times - 1))
-    in
-    Format.fprintf fmt "gauges: %d, samples kept: %d of %d, sim-time %.0f..%.0f s (period %.1f s)@."
-      (List.length r.r_gauges) (List.length r.r_times) r.r_samples_total t_lo t_hi r.r_period;
-    List.iter
-      (fun (name, xs) ->
-        let mn, mean, mx, last = stats_of xs in
-        Format.fprintf fmt "  %-28s %s@."
-          name (sparkline xs);
-        Format.fprintf fmt "  %-28s min=%g mean=%.2f max=%g last=%g@." "" mn mean mx last)
-      r.r_gauges;
-    Ok ()
-
-(* One parsed row of the artifact's ["profile"]["labels"] list. *)
-type profile_row = {
-  pr_label : string;
-  pr_events : int;
-  pr_wall_s : float;
-  pr_vt_first : float;
-  pr_vt_last : float;
-  pr_busiest_bucket : int;
-}
-
-let profile_rows json =
-  let err msg = Error ("Report.profile_rows: " ^ msg) in
-  match Json.member "labels" json with
-  | Some (Json.List rows) ->
-    let parse j =
-      let str k = match Json.member k j with Some (Json.String s) -> Some s | _ -> None in
-      let int k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
-      let flt k =
-        match Json.member k j with
-        | Some (Json.Float f) -> Some f
-        | Some (Json.Int i) -> Some (float_of_int i)
-        | _ -> None
-      in
-      match (str "label", int "events", flt "wall_self_s", flt "vt_first", flt "vt_last") with
-      | Some pr_label, Some pr_events, Some pr_wall_s, Some pr_vt_first, Some pr_vt_last ->
-        let pr_busiest_bucket =
-          match Json.member "delay_hist" j with
-          | Some (Json.List hs) ->
-            List.fold_left
-              (fun (best, best_n) h ->
-                match (Json.member "bucket" h, Json.member "count" h) with
-                | Some (Json.Int b), Some (Json.Int n) when n > best_n -> (b, n)
-                | _ -> (best, best_n))
-              (0, 0) hs
-            |> fst
-          | _ -> 0
-        in
-        Ok { pr_label; pr_events; pr_wall_s; pr_vt_first; pr_vt_last; pr_busiest_bucket }
-      | _ -> err "malformed label row"
-    in
-    List.fold_left
-      (fun acc j ->
-        match (acc, parse j) with
-        | Ok rows, Ok r -> Ok (r :: rows)
-        | (Error _ as e), _ | _, (Error _ as e) -> e)
-      (Ok []) rows
-    |> Result.map (fun rows ->
-           (* Self-time first; with the wall clock off (all zeros) the
-              event count decides, so the table is still ranked. *)
-           List.sort
-             (fun a b ->
-               match Float.compare b.pr_wall_s a.pr_wall_s with
-               | 0 -> (
-                 match Int.compare b.pr_events a.pr_events with
-                 | 0 -> String.compare a.pr_label b.pr_label
-                 | c -> c)
-               | c -> c)
-             rows)
-  | Some _ -> err "labels is not a list"
-  | None -> err "missing labels"
-
-let render_profile fmt json =
-  match profile_rows json with
-  | Error _ as e -> e
-  | Ok rows ->
-    let wall_on =
-      match Json.member "wall_clock_enabled" json with
-      | Some (Json.Bool b) -> b
-      | _ -> false
-    in
-    let total =
-      match Json.member "events_total" json with Some (Json.Int n) -> n | _ -> 0
-    in
-    Format.fprintf fmt "engine profile: %d events, %d labels%s@." total (List.length rows)
-      (if wall_on then "" else " (wall clock off: self-times zero, ranked by events)");
-    Format.fprintf fmt "  %-20s %10s %12s %10s %10s %s@." "label" "events" "self (ms)"
-      "vt first" "vt last" "typ delay";
-    List.iter
-      (fun r ->
-        let lo = Atum_sim.Engine.delay_bucket_lo r.pr_busiest_bucket in
-        Format.fprintf fmt "  %-20s %10d %12.2f %10.0f %10.0f %s@." r.pr_label r.pr_events
-          (1000.0 *. r.pr_wall_s) r.pr_vt_first r.pr_vt_last
-          (if lo <= 0.0 then "immediate" else Printf.sprintf ">=%gs" lo))
-      rows;
-    Ok ()
-
-let render_artifact_header fmt json =
-  let hdr k =
-    match Json.member k json with
-    | Some (Json.String s) -> s
-    | Some (Json.Int i) -> string_of_int i
-    | _ -> "?"
+let pp_telemetry fmt (t : A.telemetry) =
+  let t_lo, t_hi =
+    match t.times with [] -> (0.0, 0.0) | x :: _ -> (x, List.nth t.times (List.length t.times - 1))
   in
-  Format.fprintf fmt "artifact         : cmd=%s seed=%s schema=%s@." (hdr "cmd") (hdr "seed")
-    (hdr "schema_version");
-  match Json.member "build_info" json with
-  | Some bi ->
-    let f k = match Json.member k bi with Some (Json.String s) -> s | _ -> "?" in
-    Format.fprintf fmt "build            : %s (git %s)@." (f "version") (f "git")
-  | None -> ()
+  Format.fprintf fmt "gauges: %d, samples kept: %d of %d, sim-time %.0f..%.0f s (period %.1f s)@."
+    (List.length t.gauges) (List.length t.times) t.samples_total t_lo t_hi t.period_s;
+  List.iter
+    (fun (name, xs) ->
+      let mn, mean, mx, last = stats_of xs in
+      Format.fprintf fmt "  %-28s %s@." name (sparkline xs);
+      Format.fprintf fmt "  %-28s min=%g mean=%.2f max=%g last=%g@." "" mn mean mx last)
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) t.gauges)
 
-(* The full ATUM_timeseries.json artifact: provenance header, gauge
-   timelines, then the per-label engine profile. *)
-let render_timeseries_artifact fmt json =
-  render_artifact_header fmt json;
-  match Json.member "timeseries" json with
-  | None -> Error "Report.render_timeseries_artifact: missing timeseries section"
-  | Some ts -> (
-    match render_timeseries fmt ts with
-    | Error _ as e -> e
-    | Ok () -> (
-      match Json.member "profile" json with
-      | None -> Error "Report.render_timeseries_artifact: missing profile section"
-      | Some p -> render_profile fmt p))
-
-(* ------------------------------------------------------------------ *)
-(* Rendering ATUM_resilience.json                                      *)
-(* ------------------------------------------------------------------ *)
-
-let json_num = function
-  | Json.Float f -> Some f
-  | Json.Int i -> Some (float_of_int i)
-  | Json.Null | Json.Bool _ | Json.String _ | Json.List _ | Json.Obj _ -> None
-
-let render_resilience fmt r =
-  let num k j = Option.bind (Json.member k j) json_num in
-  let int_of k j = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
-  (match (int_of "n" r, int_of "attackers" r, int_of "target_vg" r) with
-  | Some n, Some a, Some tv ->
-    Format.fprintf fmt "deployment       : %d nodes, %d targeted attackers%s@." n a
-      (if tv >= 0 then Printf.sprintf " (target vgroup %d)" tv else "")
-  | _ -> ());
-  (match Json.member "schedule" r with
-  | Some (Json.List steps) ->
-    Format.fprintf fmt "fault schedule   : %d steps@." (List.length steps);
-    List.iter
-      (fun s ->
-        let name =
-          match Json.member "step" s with Some (Json.String x) -> x | _ -> "?"
-        in
-        Format.fprintf fmt "  %-8s %s@."
-          (Printf.sprintf "t+%.0fs" (Option.value ~default:0.0 (num "after_s" s)))
-          name)
-      steps
-  | _ -> ());
-  (match Json.member "phases" r with
-  | Some (Json.List phases) ->
-    Format.fprintf fmt "delivery success :@.";
-    List.iter
-      (fun p ->
-        let name =
-          match Json.member "phase" p with Some (Json.String x) -> x | _ -> "?"
-        in
-        Format.fprintf fmt "  %-8s %5.1f%%  (%d broadcasts, %.0f/%.0f deliveries)@." name
-          (100.0 *. Option.value ~default:0.0 (num "success" p))
-          (Option.value ~default:0 (int_of "broadcasts" p))
-          (Option.value ~default:0.0 (num "observed_deliveries" p))
-          (Option.value ~default:0.0 (num "expected_deliveries" p)))
-      phases
-  | _ -> ());
-  (match Json.member "heals" r with
-  | Some (Json.List heals) ->
-    Format.fprintf fmt "heals            :@.";
-    List.iter
-      (fun h ->
-        let at =
-          Printf.sprintf "t=%.0fs" (Option.value ~default:0.0 (num "heal_at_s" h))
-        in
-        match num "time_to_heal_s" h with
-        | Some d -> Format.fprintf fmt "  heal at %-8s converged in %.0f s@." at d
-        | None ->
-          Format.fprintf fmt "  heal at %-8s window closed before convergence@." at)
-      heals
-  | _ -> ());
-  (match Json.member "time_to_heal_percentiles" r with
-  | Some (Json.Obj ps) when ps <> [] ->
-    Format.fprintf fmt "time-to-heal     :";
-    List.iter
-      (fun (k, v) ->
-        match json_num v with
-        | Some f -> Format.fprintf fmt " %s=%.0fs" k f
-        | None -> ())
-      ps;
-    Format.fprintf fmt "@."
-  | _ -> ());
-  (match Json.member "violations" r with
-  | Some vs ->
-    let count label =
-      match Json.member label vs with
-      | Some (Json.Obj kinds) ->
+let pp_profile fmt (p : A.profile) =
+  (* Self-time first; with the wall clock off (all zeros) the event
+     count decides, so the table is still ranked. *)
+  let rows =
+    List.sort
+      (fun (a : Atum_sim.Engine.label_profile) (b : Atum_sim.Engine.label_profile) ->
+        match Float.compare b.wall_self_s a.wall_self_s with
+        | 0 -> (
+          match Int.compare b.events a.events with 0 -> String.compare a.label b.label | c -> c)
+        | c -> c)
+      p.labels
+  in
+  Format.fprintf fmt "engine profile: %d events, %d labels%s@." p.events_total (List.length rows)
+    (if p.wall_clock_enabled then "" else " (wall clock off: self-times zero, ranked by events)");
+  Format.fprintf fmt "  %-20s %10s %12s %10s %10s %s@." "label" "events" "self (ms)" "vt first"
+    "vt last" "typ delay";
+  List.iter
+    (fun (r : Atum_sim.Engine.label_profile) ->
+      let busiest, _ =
         List.fold_left
-          (fun acc (_, v) -> match v with Json.Int n -> acc + n | _ -> acc)
-          0 kinds
-      | _ -> 0
-    in
-    Format.fprintf fmt "violations       : before=%d during=%d after=%d@." (count "before")
-      (count "during") (count "after")
-  | None -> ());
-  let consistency =
-    match Json.member "consistency" r with Some (Json.String s) -> s | _ -> "?"
-  in
-  let converged =
-    match Json.member "converged" r with Some (Json.Bool b) -> b | _ -> false
-  in
-  Format.fprintf fmt "recovery         : consistency=%s converged=%b@." consistency converged
+          (fun (best, best_n) (b, n) -> if n > best_n then (b, n) else (best, best_n))
+          (0, 0) r.delay_hist
+      in
+      let lo = Atum_sim.Engine.delay_bucket_lo busiest in
+      Format.fprintf fmt "  %-20s %10d %12.2f %10.0f %10.0f %s@." r.label r.events
+        (1000.0 *. r.wall_self_s) r.vt_first r.vt_last
+        (if lo <= 0.0 then "immediate" else Printf.sprintf ">=%gs" lo))
+    rows
 
-(* An ATUM_resilience.json artifact: header plus the resilience
-   summary (falls through to the timeseries renderer otherwise, so
-   `atum-cli report` takes either artifact kind). *)
-let render_resilience_artifact fmt json =
-  match Json.member "resilience" json with
-  | None -> Error "Report.render_resilience_artifact: missing resilience section"
-  | Some r ->
-    render_artifact_header fmt json;
-    render_resilience fmt r;
+let pp_header fmt (h : A.header) =
+  Format.fprintf fmt "artifact         : cmd=%s seed=%d schema=%d@." h.cmd h.seed A.schema_version;
+  Format.fprintf fmt "build            : %s (git %s)@." h.build_info.version h.build_info.git
+
+let pp_resilience fmt (r : A.resilience) =
+  let count vs = List.fold_left (fun acc (_, n) -> acc + n) 0 vs in
+  Format.fprintf fmt "system size      : %d (+%d attackers, target vgroup %d)@." r.n r.attackers
+    r.target_vg;
+  Format.fprintf fmt "fault schedule   : %d steps, %d applied@." (List.length r.schedule)
+    r.faults_applied;
+  List.iter
+    (fun (p : A.phase_stats) ->
+      Format.fprintf fmt "delivery %-8s: %.1f%% (%d broadcasts, %d/%d deliveries)@." p.phase
+        (100.0 *. p.success) p.broadcasts p.delivered p.expected)
+    r.phases;
+  List.iter
+    (fun (h : A.heal_record) ->
+      match h.time_to_heal with
+      | Some d -> Format.fprintf fmt "heal at t=%-6.0f : converged in %.0f s@." h.heal_at d
+      | None ->
+        Format.fprintf fmt "heal at t=%-6.0f : window closed before convergence@." h.heal_at)
+    r.heals;
+  Format.fprintf fmt "violations       : before=%d during=%d after=%d@." (count r.violations_before)
+    (count r.violations_during) (count r.violations_after);
+  List.iter
+    (fun (x : A.restart) ->
+      let since what = function
+        | Some t -> Printf.sprintf ", %s in %.0f s" what (t -. x.restarted_at)
+        | None -> ""
+      in
+      Format.fprintf fmt "restart node %-4d: %s, %d WAL entries replayed%s%s@." x.node
+        (if x.fallback then "corrupt store, fresh join" else "durable recovery")
+        x.replayed
+        (match x.rejoined_at with None -> ", never rejoined" | t -> since "rejoined" t)
+        (since "caught up" x.caught_up_at))
+    r.restarts;
+  Format.fprintf fmt "consistency      : %s@." r.consistency;
+  Format.fprintf fmt "converged        : %b@." r.converged
+
+let render fmt (a : A.t) =
+  match a with
+  | Run { header; resilience = Some r; _ } ->
+    pp_header fmt header;
+    pp_resilience fmt r;
     Ok ()
+  | Run { header; profile; _ } ->
+    pp_header fmt header;
+    pp_profile fmt profile;
+    Ok ()
+  | Timeseries { header; telemetry; profile } ->
+    pp_header fmt header;
+    pp_telemetry fmt telemetry;
+    pp_profile fmt profile;
+    Ok ()
+  | Postmortem f ->
+    Format.fprintf fmt "artifact         : postmortem at t=%.0f s, schema=%d@." f.sim_time_s
+      A.schema_version;
+    (match f.trigger with
+    | Some g -> Format.fprintf fmt "trigger          : %s (%s)@." g.reason g.detail
+    | None -> Format.fprintf fmt "trigger          : none@.");
+    Option.iter (pp_telemetry fmt) f.telemetry;
+    pp_profile fmt f.profile;
+    Ok ()
+  | Bench _ | Analysis _ | Comparison _ ->
+    Error "nothing to render (report reads run, timeseries, resilience and postmortem artifacts)"

@@ -1,54 +1,18 @@
-(** Machine-readable benchmark artifacts.
+(** Benchmark rows and terminal rendering of run artifacts.
 
-    Every figure the bench harness prints can also be exported as one
-    [BENCH_<fig>.json] file (see the "Observability" section of
-    README.md and the schema note in EXPERIMENTS.md).  The envelope
-    carries run provenance (seed, scale, wall time, schema version)
-    around the same rows the text output prints, so successive PRs can
-    diff artifacts to prove speedups or catch regressions. *)
-
-val schema_version : int
-
-val canonical : unit -> bool
-(** True when [ATUM_BENCH_JSON_CANON] is set (to anything but ["0"] or
-    the empty string): {!envelope} then writes [wall_s] as [0.0] so
-    same-seed runs are byte-identical. *)
-
-val envelope :
-  ?cmdline:string list ->
-  fig:string ->
-  scale:string ->
-  seed:int ->
-  wall_s:float ->
-  ?extra:(string * Atum_util.Json.t) list ->
-  rows:Atum_util.Json.t list ->
-  unit ->
-  Atum_util.Json.t
-(** [{schema_version; fig; scale; seed; build_info; wall_s; ...extra;
-    rows}].  [build_info] ({!Build_info.to_json}) records version, git
-    describe, seed, and [cmdline].  Every field except [wall_s] is
-    deterministic for a fixed seed, scale, cmdline, and checkout. *)
-
-val filename : fig:string -> string
-(** ["BENCH_<fig>.json"]. *)
-
-val write : dir:string -> fig:string -> Atum_util.Json.t -> string
-(** Write the artifact into [dir]; returns the full path. *)
+    The bench harness builds [BENCH_<fig>.json] rows with
+    {!growth_row} and {!latency_row} (the envelope is an
+    {!Atum_sim.Artifact.Bench}); [atum-cli report] and [atum-cli chaos]
+    print artifacts with the renderers below. *)
 
 val growth_row : protocol:string -> target:int -> Growth.result -> Atum_util.Json.t
 (** One Fig-6/Fig-13 row: final size, duration, join-latency
-    percentiles, exchange counts, engine event count, and the full
-    (t, size) curve. *)
+    percentiles, exchange counts, engine event count, the full
+    (t, size) curve and the run's telemetry. *)
 
 val latency_row : label:string -> Latency_exp.result -> Atum_util.Json.t
 (** One Fig-8 CDF row: sample count, p10/p50/p90/p99/max latency and
     delivery fraction ([null] percentiles when there are no samples). *)
-
-(** {1 Rendering telemetry artifacts}
-
-    [atum-cli report] turns an [ATUM_timeseries.json] artifact back
-    into terminal output: one sparkline per gauge plus the per-label
-    engine profile table. *)
 
 val sparkline : ?width:int -> float list -> string
 (** Downsample a series to at most [width] (default 60) cells by slice
@@ -56,30 +20,17 @@ val sparkline : ?width:int -> float list -> string
     Empty input renders as the empty string; a constant series renders
     at the lowest level. *)
 
-val render_timeseries :
-  Format.formatter -> Atum_util.Json.t -> (unit, string) result
-(** Render a {!Atum_sim.Telemetry.to_json} value: a header line
-    (gauge/sample counts, sim-time span, period) then a sparkline and
-    min/mean/max/last summary per gauge. *)
+val pp_resilience : Format.formatter -> Atum_sim.Artifact.resilience -> unit
+(** The chaos experiment's summary: deployment, fault schedule,
+    per-phase delivery success, heals, violations, restarts and the
+    final verdict.  [atum-cli chaos] prints a live run through it and
+    [atum-cli report] a written [ATUM_resilience.json], so both print
+    the same lines. *)
 
-val render_profile :
-  Format.formatter -> Atum_util.Json.t -> (unit, string) result
-(** Render an {!Atum_sim.Engine.profile_json} value as a table sorted
-    by wall-clock self-time (event count breaks ties, so the ranking
-    is still useful when profiling ran without [ATUM_PROF_WALL]). *)
-
-val render_timeseries_artifact :
-  Format.formatter -> Atum_util.Json.t -> (unit, string) result
-(** Render a whole [ATUM_timeseries.json] artifact: provenance header
-    ([cmd], [seed], [build_info]), then {!render_timeseries}, then
-    {!render_profile}. *)
-
-val render_resilience_artifact :
-  Format.formatter -> Atum_util.Json.t -> (unit, string) result
-(** Render an [ATUM_resilience.json] artifact (a {!Resilience.to_json}
-    summary under the ["resilience"] member): provenance header, the
-    fault schedule, per-phase delivery success, heal records with
-    time-to-heal percentiles, violation counts before/during/after the
-    faults, and the final consistency/convergence verdict.  [Error] if
-    the document has no ["resilience"] member — [atum-cli report]
-    dispatches on that to fall back to the timeseries renderer. *)
+val render : Format.formatter -> Atum_sim.Artifact.t -> (unit, string) result
+(** Render an artifact as text after its provenance header: a run's
+    engine profile table (sorted by wall-clock self-time, event count
+    breaking ties), a timeseries or postmortem's gauge sparklines with
+    min/mean/max/last plus the profile, a resilience artifact through
+    {!pp_resilience}.  [Error] for bench, analyze and compare
+    artifacts. *)

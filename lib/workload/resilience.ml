@@ -17,47 +17,12 @@ module Atum = Atum_core.Atum
 module System = Atum_core.System
 module Monitor = Atum_core.Monitor
 module Fault = Atum_sim.Fault
+module A = Atum_sim.Artifact
 module Metrics = Atum_sim.Metrics
-module Json = Atum_util.Json
 module Stats = Atum_util.Stats
 module Rng = Atum_util.Rng
 
-type phase_stats = {
-  phase : string;  (* "before" | "during" | "after" *)
-  broadcasts : int;
-  expected : int;  (* sum over sends of the live correct count at send time *)
-  delivered : int;
-  success : float;
-}
-
-type heal_record = {
-  heal_at : float;
-  converged_at : float option;  (* None: not within this heal's window *)
-  time_to_heal : float option;
-}
-
-type result = {
-  n : int;
-  seed : int;
-  target_vg : int;  (* vgroup the attackers concentrate on; -1 = none *)
-  attackers : int;
-  schedule : Fault.schedule;
-  faults_applied : int;
-  phases : phase_stats list;
-  heals : heal_record list;
-  tth_percentiles : (string * float) list;  (* over converged heals *)
-  restarts : System.restart_report list;  (* cold restarts, oldest first *)
-  ttr_percentiles : (string * float) list;  (* time-to-rejoin *)
-  ttc_percentiles : (string * float) list;  (* time-to-catch-up *)
-  recovery_fallbacks : int;  (* corrupt stores recovered via fresh join *)
-  violations_before : (string * int) list;
-  violations_during : (string * int) list;
-  violations_after : (string * int) list;
-  post_heal_deliveries : int;  (* net.deliver.post_heal counter *)
-  consistency : (unit, string) Stdlib.result;  (* final check *)
-  converged : bool;  (* clean consistency + sweep after the final heal *)
-  postmortem : string option;  (* path of the dumped ATUM_postmortem.json *)
-}
+type result = A.resilience
 
 let largest_vgroup sys =
   List.fold_left
@@ -139,7 +104,7 @@ let diff_violations later earlier =
 
 let run ?(messages_per_phase = 10) ?(gap = 5.0) ?(attackers = 0) ?schedule
     ?(heal_timeout = 600.0) ?(drain = 180.0) ?flight_dir ?(restart = false)
-    ?(corrupt_log = false) (built : Builder.built) ~seed () =
+    ?(corrupt_log = false) (built : Builder.built) ~seed () : result =
   let atum = built.Builder.atum in
   let sys = Atum.system atum in
   let rng = Rng.create (seed + 77) in
@@ -273,7 +238,7 @@ let run ?(messages_per_phase = 10) ?(gap = 5.0) ?(attackers = 0) ?schedule
   in
   let heals =
     List.map
-      (fun o ->
+      (fun o : A.heal_record ->
         let heal_at = t_fault +. o in
         while Atum.now atum < heal_at do
           tick 1
@@ -321,7 +286,7 @@ let run ?(messages_per_phase = 10) ?(gap = 5.0) ?(attackers = 0) ?schedule
   let v_after = Monitor.violations mon in
   let phases =
     List.map2
-      (fun phase i ->
+      (fun phase i : A.phase_stats ->
         {
           phase;
           broadcasts = sent.(i);
@@ -333,7 +298,7 @@ let run ?(messages_per_phase = 10) ?(gap = 5.0) ?(attackers = 0) ?schedule
         })
       [ "before"; "during"; "after" ] [ 0; 1; 2 ]
   in
-  let tths = List.filter_map (fun h -> h.time_to_heal) heals in
+  let tths = List.filter_map (fun (h : A.heal_record) -> h.time_to_heal) heals in
   let pctl samples =
     if samples = [] then []
     else
@@ -344,27 +309,32 @@ let run ?(messages_per_phase = 10) ?(gap = 5.0) ?(attackers = 0) ?schedule
       ]
   in
   let tth_percentiles = pctl tths in
-  let restarts = System.restart_reports sys in
-  let ttr_percentiles =
-    pctl
-      (List.filter_map
-         (fun (r : System.restart_report) ->
-           Option.map (fun j -> j -. r.System.r_restarted_at) r.System.r_rejoined_at)
-         restarts)
+  let restarts =
+    List.map
+      (fun (r : System.restart_report) : A.restart ->
+        {
+          node = r.r_node;
+          restarted_at = r.r_restarted_at;
+          rejoined_at = r.r_rejoined_at;
+          caught_up_at = r.r_caught_up_at;
+          fallback = r.r_fallback;
+          replayed = r.r_replayed;
+        })
+      (System.restart_reports sys)
   in
-  let ttc_percentiles =
-    pctl
-      (List.filter_map
-         (fun (r : System.restart_report) ->
-           Option.map (fun c -> c -. r.System.r_restarted_at) r.System.r_caught_up_at)
-         restarts)
+  let since_restart at =
+    List.filter_map
+      (fun (r : A.restart) -> Option.map (fun t -> t -. r.restarted_at) (at r))
+      restarts
   in
+  let ttr_percentiles = pctl (since_restart (fun r -> r.rejoined_at)) in
+  let ttc_percentiles = pctl (since_restart (fun r -> r.caught_up_at)) in
   let recovery_fallbacks =
-    List.length (List.filter (fun (r : System.restart_report) -> r.System.r_fallback) restarts)
+    List.length (List.filter (fun (r : A.restart) -> r.fallback) restarts)
   in
   let converged =
     match List.rev heals with
-    | last :: _ -> Option.is_some last.converged_at || final_converged
+    | (last : A.heal_record) :: _ -> Option.is_some last.converged_at || final_converged
     | [] -> final_converged
   in
   (* An unhealed fault span is a postmortem trigger in its own right:
@@ -375,7 +345,8 @@ let run ?(messages_per_phase = 10) ?(gap = 5.0) ?(attackers = 0) ?schedule
     | None -> None
     | Some fl ->
       let unhealed =
-        List.exists (fun h -> Option.is_none h.time_to_heal) heals && not converged
+        List.exists (fun (h : A.heal_record) -> Option.is_none h.time_to_heal) heals
+        && not converged
       in
       if unhealed && Option.is_none (Atum_sim.Flight.tripped fl) then
         Atum_sim.Flight.trip fl ~reason:"fault.unhealed"
@@ -400,86 +371,10 @@ let run ?(messages_per_phase = 10) ?(gap = 5.0) ?(attackers = 0) ?schedule
     violations_during = diff_violations v_mid v_before;
     violations_after = diff_violations v_after v_mid;
     post_heal_deliveries = Metrics.counter (Atum.metrics atum) "net.deliver.post_heal";
-    consistency = System.check_consistency sys;
+    consistency =
+      (match System.check_consistency sys with Ok () -> "ok" | Error e -> e);
     converged;
-    postmortem;
+    (* Basename only: the artifact must not vary with the output
+       directory (CI diffs same-seed runs from different dirs). *)
+    postmortem = Option.map Filename.basename postmortem;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Serialization                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let phase_to_json p =
-  Json.Obj
-    [
-      ("phase", Json.String p.phase);
-      ("broadcasts", Json.Int p.broadcasts);
-      ("expected_deliveries", Json.Int p.expected);
-      ("observed_deliveries", Json.Int p.delivered);
-      ("success", Json.Float p.success);
-    ]
-
-let heal_to_json h =
-  Json.Obj
-    [
-      ("heal_at_s", Json.Float h.heal_at);
-      ( "converged_at_s",
-        match h.converged_at with Some c -> Json.Float c | None -> Json.Null );
-      ( "time_to_heal_s",
-        match h.time_to_heal with Some d -> Json.Float d | None -> Json.Null );
-    ]
-
-let restart_to_json (r : System.restart_report) =
-  let opt_time = function Some v -> Json.Float v | None -> Json.Null in
-  Json.Obj
-    [
-      ("node", Json.Int r.System.r_node);
-      ("restarted_at_s", Json.Float r.System.r_restarted_at);
-      ("rejoined_at_s", opt_time r.System.r_rejoined_at);
-      ("caught_up_at_s", opt_time r.System.r_caught_up_at);
-      ("fallback", Json.Bool r.System.r_fallback);
-      ("replayed_entries", Json.Int r.System.r_replayed);
-    ]
-
-let to_json r =
-  Json.Obj
-    [
-      ("n", Json.Int r.n);
-      ("seed", Json.Int r.seed);
-      ("target_vg", Json.Int r.target_vg);
-      ("attackers", Json.Int r.attackers);
-      ("schedule", Fault.to_json r.schedule);
-      ("faults_applied", Json.Int r.faults_applied);
-      ("phases", Json.List (List.map phase_to_json r.phases));
-      ("heals", Json.List (List.map heal_to_json r.heals));
-      ( "time_to_heal_percentiles",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) r.tth_percentiles) );
-      ("restarts", Json.List (List.map restart_to_json r.restarts));
-      ( "time_to_rejoin_percentiles",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) r.ttr_percentiles) );
-      ( "time_to_catchup_percentiles",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) r.ttc_percentiles) );
-      ("recovery_fallbacks", Json.Int r.recovery_fallbacks);
-      ( "violations",
-        Json.Obj
-          (List.map
-             (fun (label, vs) ->
-               (label, Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) vs)))
-             [
-               ("before", r.violations_before);
-               ("during", r.violations_during);
-               ("after", r.violations_after);
-             ]) );
-      ("post_heal_deliveries", Json.Int r.post_heal_deliveries);
-      ( "consistency",
-        match r.consistency with
-        | Ok () -> Json.String "ok"
-        | Error e -> Json.String e );
-      ("converged", Json.Bool r.converged);
-      (* Basename only: the artifact must not vary with the output
-         directory (CI diffs same-seed runs from different dirs). *)
-      ( "postmortem",
-        match r.postmortem with
-        | Some p -> Json.String (Filename.basename p)
-        | None -> Json.Null );
-    ]

@@ -11,56 +11,10 @@
     the time-to-heal.  Same seed and schedule produce byte-identical
     results. *)
 
-type phase_stats = {
-  phase : string;  (** "before" | "during" | "after" *)
-  broadcasts : int;
-  expected : int;
-      (** sum over sends of the live correct-member count at send
-          time: every correct member is expected to deliver *)
-  delivered : int;  (** distinct (node, broadcast) deliveries *)
-  success : float;  (** delivered / expected; the "during" dip is the fault's cost *)
-}
-
-type heal_record = {
-  heal_at : float;  (** simulated time the heal/recover step fired *)
-  converged_at : float option;
-      (** first poll at which consistency was [Ok] and a monitor sweep
-          added zero violations; [None] if the window closed first
-          (the next fault step arrived, or [heal_timeout] expired) *)
-  time_to_heal : float option;
-}
-
-type result = {
-  n : int;
-  seed : int;
-  target_vg : int;  (** vgroup the attackers concentrate on; -1 = none *)
-  attackers : int;
-  schedule : Atum_sim.Fault.schedule;
-  faults_applied : int;
-  phases : phase_stats list;
-  heals : heal_record list;  (** one per heal/recover step, in schedule order *)
-  tth_percentiles : (string * float) list;  (** p50/p90/max over converged heals *)
-  restarts : Atum_core.System.restart_report list;
-      (** one per {!Atum_core.System.restart}, oldest first *)
-  ttr_percentiles : (string * float) list;
-      (** p50/p90/max time-to-rejoin (restart to registry membership) *)
-  ttc_percentiles : (string * float) list;
-      (** p50/p90/max time-to-catch-up (restart to missed broadcasts
-          re-delivered) *)
-  recovery_fallbacks : int;
-      (** restarts whose store was corrupt and fell back to a fresh join *)
-  violations_before : (string * int) list;
-  violations_during : (string * int) list;  (** new violations while faults ran *)
-  violations_after : (string * int) list;  (** new violations after the last heal window *)
-  post_heal_deliveries : int;  (** the network's [net.deliver.post_heal] counter *)
-  consistency : (unit, string) Stdlib.result;  (** final [check_consistency] *)
-  converged : bool;
-      (** the final heal's window reached a clean poll (or the
-          end-of-run check was clean) *)
-  postmortem : string option;
-      (** path of the [ATUM_postmortem.json] the flight recorder
-          dumped, when one was armed and tripped *)
-}
+type result = Atum_sim.Artifact.resilience
+(** The [resilience] section of [ATUM_resilience.json]; its
+    [postmortem] is the basename of the dump the flight recorder
+    wrote, when one was armed and tripped. *)
 
 val default_schedule : Builder.built -> Atum_sim.Fault.schedule
 (** The acceptance scenario, built against the live registry:
@@ -113,7 +67,3 @@ val run :
     lost (fallback case) re-delivers, through catch-up, broadcasts it
     had already delivered; each (node, broadcast) pair counts once, so
     those re-deliveries do not count again. *)
-
-val to_json : result -> Atum_util.Json.t
-(** The ["resilience"] member of [ATUM_resilience.json] — schema
-    documented in EXPERIMENTS.md. *)

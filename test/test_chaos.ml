@@ -302,25 +302,21 @@ let resilience_run seed =
   let r =
     W.Resilience.run ~messages_per_phase:4 ~attackers:1 ~drain:120.0 built ~seed ()
   in
-  (r, Json.to_string (W.Resilience.to_json r))
+  (r, Json.to_string (Atum_sim.Artifact.(encode resilience) r))
 
 let test_resilience_recovers () =
   let r, _ = resilience_run 11 in
-  Alcotest.(check int) "three phases" 3 (List.length r.W.Resilience.phases);
+  Alcotest.(check int) "three phases" 3 (List.length r.phases);
   Alcotest.(check bool) "all scheduled faults applied" true
-    (r.W.Resilience.faults_applied = List.length r.W.Resilience.schedule
-    && r.W.Resilience.faults_applied > 0);
-  Alcotest.(check bool) "one heal record per heal step" true
-    (List.length r.W.Resilience.heals >= 1);
+    (r.faults_applied = List.length r.schedule && r.faults_applied > 0);
+  Alcotest.(check bool) "one heal record per heal step" true (List.length r.heals >= 1);
   Alcotest.(check bool) "violations observed during the faults" true
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 r.W.Resilience.violations_during > 0);
-  Alcotest.(check bool) "consistency restored" true
-    (match r.W.Resilience.consistency with Ok () -> true | Error _ -> false);
-  Alcotest.(check bool) "converged" true r.W.Resilience.converged;
-  (match r.W.Resilience.phases with
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 r.violations_during > 0);
+  Alcotest.(check string) "consistency restored" "ok" r.consistency;
+  Alcotest.(check bool) "converged" true r.converged;
+  (match r.phases with
   | [ before; _; _ ] ->
-    Alcotest.(check bool) "healthy baseline delivers" true
-      (before.W.Resilience.success > 0.99)
+    Alcotest.(check bool) "healthy baseline delivers" true (before.success > 0.99)
   | _ -> Alcotest.fail "expected before/during/after")
 
 let test_resilience_deterministic () =
@@ -341,14 +337,14 @@ let test_corrupt_log_success_bounded () =
   let built = W.Builder.grow ~params ~monitor:false ~n:60 ~seed:7 () in
   let r = W.Resilience.run ~attackers:3 ~restart:true ~corrupt_log:true built ~seed:7 () in
   Alcotest.(check bool) "the store fell back to a fresh join" true
-    (List.exists (fun (rr : System.restart_report) -> rr.System.r_fallback) r.W.Resilience.restarts);
+    (List.exists (fun (rr : Atum_sim.Artifact.restart) -> rr.fallback) r.restarts);
   List.iter
-    (fun (p : W.Resilience.phase_stats) ->
+    (fun (p : Atum_sim.Artifact.phase_stats) ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %d/%d deliveries" p.W.Resilience.phase p.delivered p.expected)
+        (Printf.sprintf "%s: %d/%d deliveries" p.phase p.delivered p.expected)
         true
-        (p.W.Resilience.success <= 1.0 && p.delivered <= p.expected))
-    r.W.Resilience.phases
+        (p.success <= 1.0 && p.delivered <= p.expected))
+    r.phases
 
 let () =
   Alcotest.run "chaos"

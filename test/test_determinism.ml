@@ -8,14 +8,15 @@
 module Atum = Atum_core.Atum
 module Json = Atum_util.Json
 module W = Atum_workload
+module A = Atum_sim.Artifact
 
 let churn_run seed =
   let built = W.Builder.grow ~trace:true ~n:24 ~seed () in
   let probe = W.Churn.probe built ~rate_per_min:6.0 ~duration:120.0 ~seed:(seed + 7) in
   let atum = built.W.Builder.atum in
   ( probe,
-    Json.to_string (Atum_sim.Metrics.to_json (Atum.metrics atum)),
-    Json.to_string (Atum_sim.Trace.to_json (Atum.trace atum)) )
+    Json.to_string (A.encode A.metrics (A.metrics_of (Atum.metrics atum))),
+    Json.to_string (A.encode A.trace (A.trace_of (Atum.trace atum))) )
 
 let test_churn_same_seed () =
   let p1, m1, t1 = churn_run 42 in
@@ -40,9 +41,9 @@ let test_telemetry_same_seed () =
     match Atum.telemetry atum with
     | None -> Alcotest.fail "Builder.grow should attach telemetry by default"
     | Some tel ->
-      ( Json.to_string (Atum_sim.Telemetry.to_json tel),
+      ( Json.to_string (A.encode A.telemetry (A.telemetry_of tel)),
         Atum_sim.Telemetry.to_csv tel,
-        Json.to_string (Atum_sim.Engine.profile_json (Atum.engine atum)) )
+        Json.to_string (A.encode A.profile (A.profile_of (Atum.engine atum))) )
   in
   let j1, c1, p1 = run 42 in
   let j2, c2, p2 = run 42 in
@@ -60,9 +61,9 @@ let chaos_run seed =
   let built = W.Builder.grow ~trace:true ~n:24 ~seed () in
   let r = W.Resilience.run ~messages_per_phase:4 ~attackers:2 ~drain:60.0 built ~seed () in
   let atum = built.W.Builder.atum in
-  ( Json.to_string (W.Resilience.to_json r),
-    Json.to_string (Atum_sim.Metrics.to_json (Atum.metrics atum)),
-    Json.to_string (Atum_sim.Trace.to_json (Atum.trace atum)) )
+  ( Json.to_string (A.encode A.resilience r),
+    Json.to_string (A.encode A.metrics (A.metrics_of (Atum.metrics atum))),
+    Json.to_string (A.encode A.trace (A.trace_of (Atum.trace atum))) )
 
 let test_chaos_same_seed () =
   let r1, m1, t1 = chaos_run 42 in

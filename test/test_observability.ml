@@ -7,6 +7,7 @@
 module Json = Atum_util.Json
 module Trace = Atum_sim.Trace
 module Flight = Atum_sim.Flight
+module A = Atum_sim.Artifact
 module Telemetry = Atum_sim.Telemetry
 module Atum = Atum_core.Atum
 module W = Atum_workload
@@ -146,9 +147,9 @@ let test_flight_trip_and_snapshot () =
   (match Flight.tripped fl with
   | None -> Alcotest.fail "trip not recorded"
   | Some tr ->
-    Alcotest.(check string) "first trip wins" "vg_oversize" tr.Flight.reason;
-    Alcotest.(check int) "vgroup captured" 3 tr.Flight.vgroup);
-  let doc = Flight.snapshot_json fl in
+    Alcotest.(check string) "first trip wins" "vg_oversize" tr.reason;
+    Alcotest.(check int) "vgroup captured" 3 tr.vgroup);
+  let doc = A.to_json (A.Postmortem (Flight.snapshot fl)) in
   (match Json.member "trace_last" doc with
   | Some tl -> (
     Alcotest.(check bool) "window recorded" true
@@ -186,7 +187,7 @@ let test_flight_armed_autodump () =
     Alcotest.(check bool) "artifact tagged" true
       (Json.member "artifact" j = Some (Json.String "postmortem"));
     Alcotest.(check bool) "schema versioned" true
-      (Json.member "schema_version" j = Some (Json.Int Flight.schema_version));
+      (Json.member "schema_version" j = Some (Json.Int A.schema_version));
     match Json.member "trigger" j with
     | Some trg ->
       Alcotest.(check bool) "trigger reason" true
@@ -209,7 +210,7 @@ let test_flight_snapshot_deterministic () =
     | Some tel -> Flight.set_telemetry fl tel
     | None -> ());
     Flight.trip fl ~reason:"test" ();
-    Json.to_string (Flight.snapshot_json fl)
+    Json.to_string (A.to_json (A.Postmortem (Flight.snapshot fl)))
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "snapshot non-trivial" true (String.length a > 500);
@@ -218,6 +219,25 @@ let test_flight_snapshot_deterministic () =
 (* ------------------------------------------------------------------ *)
 (* Analyze: sampling awareness                                         *)
 (* ------------------------------------------------------------------ *)
+
+(* The run artifact a [--json] CLI run would write, read back from its
+   bytes. *)
+let written_run atum =
+  let build_info = { A.version = "test"; git = "test"; seed = 0; cmdline = "test" } in
+  let a =
+    A.Run
+      {
+        header = { cmd = "test"; seed = 0; build_info };
+        summary = [];
+        resilience = None;
+        metrics = A.metrics_of (Atum.metrics atum);
+        trace = A.trace_of (Atum.trace atum);
+        profile = A.profile_of (Atum.engine atum);
+      }
+  in
+  match A.of_json (Json.of_string_exn (Json.to_string (A.to_json a))) with
+  | Ok a -> a
+  | Error e -> Alcotest.failf "written run artifact does not decode: %s" e
 
 let test_analyze_sampling_section () =
   let b = W.Builder.grow ~trace:true ~sample_rate:0.25 ~n:24 ~seed:7 () in
@@ -235,8 +255,7 @@ let test_analyze_sampling_section () =
   let rendered = Format.asprintf "%a" W.Analyze.pp a in
   Alcotest.(check bool) "pp warns about lossy trace" true (contains "estimates" rendered);
   (* reconstructing from a written artifact keeps the counters *)
-  let artifact = Json.Obj [ ("trace", Atum_sim.Trace.to_json (Atum.trace atum)) ] in
-  match W.Analyze.of_artifact artifact with
+  match W.Analyze.of_artifact (written_run atum) with
   | Error e -> Alcotest.failf "artifact round-trip failed: %s" e
   | Ok a2 ->
     Alcotest.(check int) "sampled_out survives round-trip" a.W.Analyze.sampled_out_total
@@ -283,7 +302,7 @@ let test_perfetto_export () =
   let doc =
     W.Perfetto.of_events
       (Trace.events (Atum.trace atum))
-      ~profile:(Atum_sim.Engine.profile_json (Atum.engine atum))
+      ~profile:(Atum_sim.Engine.profile (Atum.engine atum))
   in
   let n = structurally_valid_trace_events doc in
   Alcotest.(check bool) (Printf.sprintf "%d events, expected many" n) true (n > 100);
@@ -292,21 +311,17 @@ let test_perfetto_export () =
   Alcotest.(check bool) "has fault track" true (contains "\"faults\"" s);
   Alcotest.(check bool) "has engine track" true (contains "\"engine\"" s);
   (* determinism: rebuilding from the same artifact is byte-identical *)
-  let artifact =
-    Json.Obj
-      [
-        ("trace", Trace.to_json (Atum.trace atum));
-        ("profile", Atum_sim.Engine.profile_json (Atum.engine atum));
-      ]
-  in
-  (match W.Perfetto.of_artifact artifact with
+  (match W.Perfetto.of_artifact (written_run atum) with
   | Error e -> Alcotest.failf "of_artifact failed: %s" e
   | Ok doc2 ->
     Alcotest.(check bool) "of_artifact matches of_events" true
       (String.equal s (Json.to_string doc2)));
   Alcotest.(check string) "output naming" "ATUM_broadcast.trace.json"
     (W.Perfetto.output_name "runs/ATUM_broadcast.json");
-  match W.Perfetto.of_artifact (Json.Obj [ ("cmd", Json.String "x") ]) with
+  match
+    W.Perfetto.of_artifact
+      (A.Comparison { old_file = "a"; new_file = "b"; comparison = Json.Null })
+  with
   | Ok _ -> Alcotest.fail "traceless artifact must be rejected"
   | Error _ -> ()
 

@@ -101,7 +101,8 @@ let test_dense_determinism () =
     Printf.sprintf "%d/%.6f/%s"
       (Atum_sim.Engine.events_processed (System.engine sys))
       (System.now sys)
-      (Atum_util.Json.to_string (Atum_sim.Metrics.to_json (System.metrics sys)))
+      (Atum_util.Json.to_string
+         Atum_sim.Artifact.(encode metrics (metrics_of (System.metrics sys))))
   in
   let a = fingerprint () in
   let b = fingerprint () in

@@ -1,4 +1,5 @@
 open Atum_sim
+module A = Artifact
 
 (* Minor-heap words allocated by [f ()]; the first reading stays
    unboxed across the call, so the probe allocates nothing itself. *)
@@ -162,14 +163,14 @@ let test_engine_profile_accounting () =
   Alcotest.(check (float 1e-12)) "bucket 13 lower bound" 4.0 (Engine.delay_bucket_lo 13);
   Alcotest.(check (list (pair int int))) "a's delay histogram"
     [ (11, 1); (13, 1) ] a.Engine.delay_hist;
-  match Engine.profile_json e with
+  match Atum_sim.Artifact.(encode profile (profile_of e)) with
   | Atum_util.Json.Obj fields ->
     Alcotest.(check bool) "wall_clock_enabled false" true
       (List.assoc_opt "wall_clock_enabled" fields = Some (Atum_util.Json.Bool false));
     Alcotest.(check bool) "events_total matches" true
       (List.assoc_opt "events_total" fields
       = Some (Atum_util.Json.Int (Engine.events_processed e)))
-  | _ -> Alcotest.fail "profile_json not an object"
+  | _ -> Alcotest.fail "profile JSON not an object"
 
 let test_engine_profile_omits_unrun_labels () =
   let e = Engine.create () in
@@ -1045,32 +1046,31 @@ let test_metrics_merge () =
   Alcotest.(check (list (float 0.0))) "samples appended" [ 1.0; 2.0 ] (Metrics.samples a "lat");
   Alcotest.(check int) "source untouched" 3 (Metrics.counter b "x")
 
+(* Through bytes and back, as a consumer of the artifact reads it. *)
+let metrics_roundtrip m =
+  let s = Atum_util.Json.to_string (A.encode A.metrics (A.metrics_of ~include_series:true m)) in
+  match Result.bind (Atum_util.Json.of_string s) (A.decode A.metrics) with
+  | Error e -> Alcotest.failf "metrics round trip failed: %s" e
+  | Ok r -> r
+
+let samples_of (r : A.metrics) name =
+  match List.assoc_opt name r.series with Some s -> s.samples | None -> None
+
 let test_metrics_json_roundtrip () =
   let m = Metrics.create () in
   Metrics.incr ~by:7 m "net.drop.loss";
   Metrics.incr m "join.completed";
   List.iter (Metrics.observe m "join.latency") [ 0.5; 1.25; 3.0 ];
-  let s = Atum_util.Json.to_string (Metrics.to_json ~include_series:true m) in
-  match Atum_util.Json.of_string s with
-  | Error e -> Alcotest.failf "reparse failed: %s" e
-  | Ok j -> (
-      match Metrics.of_json j with
-      | Error e -> Alcotest.failf "of_json failed: %s" e
-      | Ok m' ->
-          Alcotest.(check (list string))
-            "counter names" (Metrics.counter_names m) (Metrics.counter_names m');
-          List.iter
-            (fun c ->
-              Alcotest.(check int) c (Metrics.counter m c) (Metrics.counter m' c))
-            (Metrics.counter_names m);
-          Alcotest.(check (list (float 1e-12)))
-            "samples" [ 0.5; 1.25; 3.0 ]
-            (Metrics.samples m' "join.latency"))
+  let r = metrics_roundtrip m in
+  Alcotest.(check (list (pair string int))) "counters"
+    (Metrics.snapshot m).Metrics.snap_counters r.counters;
+  Alcotest.(check (option (list (float 1e-12)))) "samples" (Some [ 0.5; 1.25; 3.0 ])
+    (samples_of r "join.latency")
 
 let test_metrics_json_summary_only () =
   let m = Metrics.create () in
   Metrics.observe m "lat" 4.0;
-  let j = Metrics.to_json m in
+  let j = A.encode A.metrics (A.metrics_of m) in
   (* Without include_series the summary is exported but not samples. *)
   match Atum_util.Json.member "series" j with
   | Some (Atum_util.Json.Obj [ ("lat", summary) ]) ->
@@ -1080,9 +1080,8 @@ let test_metrics_json_summary_only () =
   | _ -> Alcotest.fail "unexpected series shape"
 
 let test_metrics_merge_of_json_roundtrip () =
-  (* The bench fig8 path: each run's metrics are serialized with
-     [to_json ~include_series:true], restored with [of_json], and
-     merged into one aggregate. *)
+  (* The bench fig8 path: each run's metrics are merged into one
+     aggregate, which the artifact then exports and a reader restores. *)
   let m1 = Metrics.create () and m2 = Metrics.create () in
   Metrics.incr m1 "a";
   Metrics.incr ~by:2 m1 "b";
@@ -1091,51 +1090,40 @@ let test_metrics_merge_of_json_roundtrip () =
   Metrics.incr ~by:4 m2 "c";
   Metrics.observe m2 "lat" 3.0;
   Metrics.observe m2 "size" 9.0;
-  let restore m =
-    let s = Atum_util.Json.to_string (Metrics.to_json ~include_series:true m) in
-    match Atum_util.Json.of_string s with
-    | Error e -> Alcotest.failf "reparse failed: %s" e
-    | Ok j -> (
-        match Metrics.of_json j with
-        | Error e -> Alcotest.failf "of_json failed: %s" e
-        | Ok m' -> m')
-  in
   let agg = Metrics.create () in
-  Metrics.merge ~into:agg (restore m1);
-  Metrics.merge ~into:agg (restore m2);
-  Alcotest.(check int) "a" 1 (Metrics.counter agg "a");
-  Alcotest.(check int) "b summed across runs" 5 (Metrics.counter agg "b");
-  Alcotest.(check int) "c" 4 (Metrics.counter agg "c");
-  Alcotest.(check (list string)) "counter names" [ "a"; "b"; "c" ]
-    (Metrics.counter_names agg);
-  Alcotest.(check (list (float 1e-12))) "series appended in merge order"
-    [ 1.0; 2.0; 3.0 ] (Metrics.samples agg "lat");
-  Alcotest.(check (list (float 1e-12))) "series unique to one run" [ 9.0 ]
-    (Metrics.samples agg "size")
+  Metrics.merge ~into:agg m1;
+  Metrics.merge ~into:agg m2;
+  let r = metrics_roundtrip agg in
+  Alcotest.(check (list (pair string int))) "counters summed across runs"
+    [ ("a", 1); ("b", 5); ("c", 4) ] r.counters;
+  Alcotest.(check (option (list (float 1e-12)))) "series appended in merge order"
+    (Some [ 1.0; 2.0; 3.0 ]) (samples_of r "lat");
+  Alcotest.(check (option (list (float 1e-12)))) "series unique to one run" (Some [ 9.0 ])
+    (samples_of r "size")
 
 let test_metrics_of_json_error_paths () =
-  (* The analyzer feeds artifacts straight into [of_json]; malformed
-     input must come back as [Error _], never an exception. *)
+  (* Artifacts come from disk: malformed input must come back as
+     [Error _] naming the offending field, never an exception. *)
   let open Atum_util.Json in
-  let expect_error label json =
-    match Metrics.of_json json with
+  let expect_error label ~path json =
+    match A.decode A.metrics json with
     | Error e ->
-      Alcotest.(check bool) (label ^ ": error is prefixed") true
-        (String.length e > String.length "Metrics.of_json: ")
+      Alcotest.(check bool) (label ^ ": error names " ^ path) true
+        (String.starts_with ~prefix:path e)
     | Ok _ -> Alcotest.failf "%s: expected Error, got Ok" label
   in
-  expect_error "non-object document" (List [ Int 1 ]);
-  expect_error "string document" (String "metrics");
-  expect_error "counters not an object" (Obj [ ("counters", Int 3) ]);
-  expect_error "counter not an integer"
+  expect_error "non-object document" ~path:"expected an object" (List [ Int 1 ]);
+  expect_error "string document" ~path:"expected an object" (String "metrics");
+  expect_error "counters not an object" ~path:"counters:" (Obj [ ("counters", Int 3) ]);
+  expect_error "counter not an integer" ~path:"counters.x:"
     (Obj [ ("counters", Obj [ ("x", String "seven") ]) ]);
-  expect_error "samples not a list"
-    (Obj [ ("series", Obj [ ("lat", Obj [ ("samples", Int 1) ]) ]) ]);
-  expect_error "sample not a number"
-    (Obj [ ("series", Obj [ ("lat", Obj [ ("samples", List [ Bool true ]) ]) ]) ]);
+  let series s = Obj [ ("series", Obj [ ("lat", Obj (("n", Int 1) :: s)) ]) ] in
+  expect_error "samples not a list" ~path:"series.lat.samples:" (series [ ("samples", Int 1) ]);
+  expect_error "sample not a number" ~path:"series.lat.samples[0]:"
+    (series [ ("samples", List [ Bool true ]) ]);
   (* Absent sections are fine: an empty object is an empty snapshot. *)
-  match Metrics.of_json (Obj []) with
-  | Ok m -> Alcotest.(check (list string)) "empty snapshot" [] (Metrics.counter_names m)
+  match A.decode A.metrics (Obj []) with
+  | Ok r -> Alcotest.(check (list (pair string int))) "empty snapshot" [] r.counters
   | Error e -> Alcotest.failf "empty object should parse: %s" e
 
 (* ------------------------------------------------------------------ *)
@@ -1210,62 +1198,69 @@ let test_telemetry_json_roundtrip () =
       incr n;
       true);
   Engine.run ~until:8.5 e;
-  let j = Telemetry.to_json tel in
+  let j = A.encode A.telemetry (A.telemetry_of tel) in
   (* Through bytes and back, as [atum-cli report] reads it. *)
-  match Atum_util.Json.of_string (Atum_util.Json.to_string j) with
-  | Error err -> Alcotest.failf "reparse failed: %s" err
-  | Ok j' -> (
-    match Telemetry.of_json j' with
-    | Error err -> Alcotest.failf "of_json failed: %s" err
-    | Ok r ->
-      Alcotest.(check (float 1e-9)) "period" 2.0 r.Telemetry.r_period;
-      Alcotest.(check (list (float 1e-9))) "times" (Telemetry.times tel)
-        r.Telemetry.r_times;
-      Alcotest.(check int) "samples_total" (Telemetry.samples_total tel)
-        r.Telemetry.r_samples_total;
-      Alcotest.(check (list string)) "gauge names" [ "half"; "n" ]
-        (List.map fst r.Telemetry.r_gauges);
-      List.iter
-        (fun (name, xs) ->
-          Alcotest.(check (list (float 1e-9))) name (Telemetry.series tel name) xs)
-        r.Telemetry.r_gauges)
+  match Result.bind (Atum_util.Json.of_string (Atum_util.Json.to_string j)) (A.decode A.telemetry) with
+  | Error err -> Alcotest.failf "round trip failed: %s" err
+  | Ok r ->
+    Alcotest.(check (float 1e-9)) "period" 2.0 r.period_s;
+    Alcotest.(check (list (float 1e-9))) "times" (Telemetry.times tel) r.times;
+    Alcotest.(check int) "samples_total" (Telemetry.samples_total tel) r.samples_total;
+    Alcotest.(check (list string)) "gauge names" [ "half"; "n" ] (List.map fst r.gauges);
+    List.iter
+      (fun (name, xs) -> Alcotest.(check (list (float 1e-9))) name (Telemetry.series tel name) xs)
+      r.gauges
 
 let test_telemetry_of_json_error_paths () =
   let open Atum_util.Json in
-  let expect_error label json =
-    match Telemetry.of_json json with
-    | Error _ -> ()
+  let expect_error label ~path result =
+    match result with
+    | Error e ->
+      Alcotest.(check bool) (label ^ ": error names " ^ path) true
+        (String.starts_with ~prefix:path e)
     | Ok _ -> Alcotest.failf "%s: expected Error, got Ok" label
   in
-  expect_error "non-object" (List []);
-  expect_error "missing fields" (Obj []);
-  expect_error "wrong schema version"
-    (Obj
-       [
-         ("schema_version", Int (Telemetry.schema_version + 1));
-         ("period_s", Float 1.0);
-         ("samples_total", Int 0);
-         ("times", List []);
-         ("gauges", Obj []);
-       ]);
-  expect_error "gauge series length mismatch"
-    (Obj
-       [
-         ("schema_version", Int Telemetry.schema_version);
-         ("period_s", Float 1.0);
-         ("samples_total", Int 2);
-         ("times", List [ Float 1.0; Float 2.0 ]);
-         ("gauges", Obj [ ("x", List [ Float 0.0 ]) ]);
-       ]);
-  expect_error "non-numeric sample"
-    (Obj
-       [
-         ("schema_version", Int Telemetry.schema_version);
-         ("period_s", Float 1.0);
-         ("samples_total", Int 1);
-         ("times", List [ Float 1.0 ]);
-         ("gauges", Obj [ ("x", List [ String "one" ]) ]);
-       ])
+  let tel ?(times = [ Float 1.0 ]) gauges =
+    Obj
+      [
+        ("period_s", Float 1.0);
+        ("capacity", Int 8);
+        ("samples_total", Int (List.length times));
+        ("samples_kept", Int (List.length times));
+        ("times", List times);
+        ("gauges", Obj gauges);
+      ]
+  in
+  let decode = A.decode A.telemetry in
+  expect_error "non-object" ~path:"expected an object" (decode (List []));
+  expect_error "missing fields" ~path:"period_s: missing" (decode (Obj []));
+  expect_error "gauge series length mismatch" ~path:"gauges.x:"
+    (decode (tel ~times:[ Float 1.0; Float 2.0 ] [ ("x", List [ Float 0.0 ]) ]));
+  expect_error "non-numeric sample" ~path:"gauges.x[0]:"
+    (decode (tel [ ("x", List [ String "one" ]) ]));
+  (* The one artifact version: a timeseries artifact of any other
+     schema_version is rejected, whatever its body. *)
+  let artifact v =
+    Obj
+      [
+        ("schema_version", Int v);
+        ("cmd", String "churn");
+        ("seed", Int 1);
+        ( "build_info",
+          Obj
+            [
+              ("version", String "x"); ("git", String "x"); ("seed", Int 1); ("cmdline", String "x");
+            ] );
+        ("timeseries", tel [ ("x", List [ Float 0.0 ]) ]);
+        ("profile", Obj [ ("labels", List []) ]);
+      ]
+  in
+  (match A.of_json (artifact A.schema_version) with
+  | Ok (A.Timeseries _) -> ()
+  | Ok _ -> Alcotest.fail "decoded as the wrong artifact kind"
+  | Error e -> Alcotest.failf "current version should decode: %s" e);
+  expect_error "unsupported version is rejected" ~path:"schema_version:"
+    (A.of_json (artifact (A.schema_version + 1)))
 
 let test_telemetry_csv () =
   let e = Engine.create () in
@@ -1303,7 +1298,7 @@ let test_trace_ring_wraparound () =
   Alcotest.(check int) "dropped" 6 (Trace.dropped t);
   let nodes = List.map (fun (ev : Trace.event) -> ev.Trace.node) (Trace.events t) in
   Alcotest.(check (list int)) "oldest-first tail" [ 7; 8; 9; 10 ] nodes;
-  (match Trace.to_json t with
+  (match A.encode A.trace (A.trace_of t) with
   | Atum_util.Json.Obj fields ->
       Alcotest.(check bool) "json dropped" true
         (List.assoc_opt "dropped" fields = Some (Atum_util.Json.Int 6))
@@ -1330,7 +1325,7 @@ let test_trace_iter_fold_dropped_kinds () =
   (* The six overwritten events were all ticks. *)
   Alcotest.(check (list (pair string int))) "dropped by kind" [ ("tick", 6) ]
     (Trace.dropped_by_kind t);
-  (match Trace.to_json t with
+  (match A.encode A.trace (A.trace_of t) with
   | Atum_util.Json.Obj fields ->
       Alcotest.(check bool) "json dropped_by_kind" true
         (List.assoc_opt "dropped_by_kind" fields
@@ -1354,7 +1349,7 @@ let test_trace_correlation_fields () =
       Alcotest.(check int) "span defaults to -1" (-1) plain.Trace.span
   | _ -> Alcotest.fail "expected two events");
   (* JSON form: correlation keys present when set, omitted when unset. *)
-  match Trace.to_json t with
+  match A.encode A.trace (A.trace_of t) with
   | Atum_util.Json.Obj fields -> (
       match List.assoc_opt "events" fields with
       | Some (Atum_util.Json.List [ hop; plain ]) ->

@@ -426,7 +426,7 @@ let test_restart_scenario_deterministic () =
   let run () =
     let built = W.Builder.grow ~n:40 ~seed:5 ~monitor:false () in
     let r = W.Resilience.run ~messages_per_phase:4 ~attackers:0 ~restart:true built ~seed:5 () in
-    Json.to_string (W.Resilience.to_json r)
+    Json.to_string (Atum_sim.Artifact.(encode resilience) r)
   in
   Alcotest.(check string) "byte-identical restart runs" (run ()) (run ())
 
