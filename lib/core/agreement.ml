@@ -39,10 +39,15 @@ let decode_op s =
 
 let epoch_id vg = Printf.sprintf "vg%d/e%d" vg.vid vg.epoch
 
-let rec replica_in nid = function
-  | [] -> None | (m, r) :: rest -> if m = nid then Some r else replica_in nid rest
+(* The index of [nid]'s replica, or -1 when it has none. *)
+let replica_index reps nid = Smr_intf.index reps.ids nid
 
-let replica_of vg nid = match vg.smr with Some reps -> replica_in nid reps | None -> None
+let replica_of vg nid =
+  match vg.smr with
+  | Some reps ->
+    let i = replica_index reps nid in
+    if i >= 0 then Some reps.reps.(i) else None
+  | None -> None
 
 (* Replica [member] executed [op]: a control operation counts toward
    its pending agreement, which fires once a majority of the members
@@ -53,7 +58,7 @@ let on_execute t vg member (op : Smr_intf.op) =
     match List.find_opt (fun p -> p.op_id = id) vg.pending with
     | None -> ()
     | Some p ->
-      if not (List.mem member p.execs) then p.execs <- member :: p.execs;
+      if not (List.exists (Int.equal member) p.execs) then p.execs <- member :: p.execs;
       if List.length p.execs >= majority_of (List.length vg.members) then begin
         vg.pending <- List.filter (fun q -> q.op_id <> id) vg.pending;
         p.action ()
@@ -62,14 +67,15 @@ let on_execute t vg member (op : Smr_intf.op) =
   | None -> ()
 
 let stop_smr vg =
-  let stop = function _, Sync_rep i -> Sync_smr.stop i | _, Async_rep i -> Pbft.stop i in
-  Option.iter (List.iter stop) vg.smr;
+  let stop = function Sync_rep i -> Sync_smr.stop i | Async_rep i -> Pbft.stop i in
+  Option.iter (fun reps -> Array.iter stop reps.reps) vg.smr;
   vg.smr <- None
 
 (* One replica per correct member, ascending member id: the Sync round
-   driver walks them in that order. *)
+   driver walks them in that order.  PBFT replicas share one roster. *)
 let install_smr t vg =
   let members = vg.members and epoch = vg.epoch in
+  let roster = lazy (Pbft.roster members) in
   let g = List.length members in
   let transport self f wrap =
     {
@@ -90,10 +96,13 @@ let install_smr t vg =
       Sync_rep (Sync_smr.create ~keyring:t.keyring ~transport ~epoch_id:(epoch_id vg) ~on_execute)
     | Params.Async ->
       let transport = transport self (Smr_intf.async_f ~group_size:g) (fun m -> Async_m m) in
-      Async_rep (Pbft.create ~transport ~timeout:t.params.pbft_timeout ~on_execute)
+      Async_rep
+        (Pbft.create ~roster:(Lazy.force roster) ~transport ~timeout:t.params.pbft_timeout
+           ~on_execute)
   in
-  let correct = List.sort Int.compare (correct_members t vg) in
-  vg.smr <- Some (List.map (fun self -> (self, replica self)) correct)
+  let ids = Array.of_list (correct_members t vg) in
+  Array.sort Int.compare ids;
+  vg.smr <- Some { ids; reps = Array.map replica ids }
 
 (* Lazy SMR: bulk-built vgroups ([build_direct]) defer replica
    creation until the first agreement actually needs one — a
@@ -158,20 +167,33 @@ let propose_bcast t vg ~origin ~bid ~body =
 
 (* An SMR message for [nid]'s replica in [vg]'s current epoch. *)
 let receive vg nid ~src m =
-  match (replica_of vg nid, m) with
-  | Some (Sync_rep i), Sync_m m -> Sync_smr.receive i ~src m
-  | Some (Async_rep i), Async_m m -> Pbft.receive i ~src m
-  | Some (Sync_rep _), Async_m _ | Some (Async_rep _), Sync_m _ | None, (Sync_m _ | Async_m _) -> ()
+  match vg.smr with
+  | None -> ()
+  | Some reps -> (
+    let i = replica_index reps nid in
+    if i >= 0 then
+      match (reps.reps.(i), m) with
+      | Sync_rep r, Sync_m m -> Sync_smr.receive r ~src m
+      | Async_rep r, Async_m m -> Pbft.receive r ~src m
+      | Sync_rep _, Async_m _ | Async_rep _, Sync_m _ -> ())
 
 (* A Sync round boundary: drive every correct member's replica, in
    ascending member order so the event queue fills deterministically. *)
 let on_round_boundary t vg =
   match vg.smr with
   | Some reps ->
-    List.iter
-      (fun (member, r) ->
-        match (r, node_opt t member) with
+    Array.iteri
+      (fun k member ->
+        match (reps.reps.(k), node_opt t member) with
         | Sync_rep i, Some n when is_correct n -> Sync_smr.on_round_boundary i
         | _ -> ())
-      reps
+      reps.ids
   | None -> ()
+
+let async_replicas vg =
+  match vg.smr with
+  | None -> []
+  | Some reps ->
+    List.filter_map
+      (fun k -> match reps.reps.(k) with Async_rep r -> Some (reps.ids.(k), r) | Sync_rep _ -> None)
+      (List.init (Array.length reps.ids) Fun.id)

@@ -50,3 +50,7 @@ val receive :
 val on_round_boundary : Registry.t -> Registry.vgroup -> unit
 (** Drive the vgroup's Sync replicas of correct members through one
     round boundary, in ascending member order. *)
+
+val async_replicas : Registry.vgroup -> (Registry.node_id * Atum_smr.Pbft.t) list
+(** The current epoch's PBFT replicas by ascending member id; empty
+    under Sync or before installation. *)

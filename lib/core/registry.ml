@@ -48,6 +48,10 @@ type wire =
 
 type replica = Sync_rep of Atum_smr.Sync_smr.t | Async_rep of Atum_smr.Pbft.t
 
+(* One epoch's replicas, one per correct member: [ids] ascending and
+   [reps.(i)] the replica of [ids.(i)]. *)
+type replicas = { ids : node_id array; reps : replica array }
+
 (* An agreement in flight on its vgroup: [label] is re-proposed under
    the same [op_id] into every new epoch until a majority of the
    members has executed it, which fires [action] once and removes the
@@ -96,9 +100,9 @@ type vgroup = {
   vid : vg_id;
   mutable members : node_id list;
   mutable epoch : int;
-  (* One replica per correct member, ascending member id; [None] until
-     installed (bulk-built vgroups install lazily). *)
-  mutable smr : (node_id * replica) list option;
+  (* The current epoch's replicas; [None] until installed (bulk-built
+     vgroups install lazily). *)
+  mutable smr : replicas option;
   mutable pending : pending_op list; (* newest first *)
   mutable busy : bool; (* a shuffle / split / merge holds the vgroup *)
   mutable shuffle_pending : bool;

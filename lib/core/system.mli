@@ -66,6 +66,10 @@ type node = {
 type replica
 (** One member's SMR instance (Dolev-Strong rounds or PBFT). *)
 
+type replicas
+(** One epoch's replicas, one per correct member, found by member id
+    without a list walk. *)
+
 type pending_op
 (** An agreement proposed on a vgroup that has not fired yet. *)
 
@@ -73,9 +77,8 @@ type vgroup = {
   vid : vg_id;
   mutable members : node_id list;
   mutable epoch : int;  (** bumped on every reconfiguration *)
-  mutable smr : (node_id * replica) list option;
-      (** the current epoch's replicas, one per correct member in
-          ascending id order; [None] until installed *)
+  mutable smr : replicas option;
+      (** the current epoch's replicas; [None] until installed *)
   mutable pending : pending_op list;  (** agreements in flight, newest first *)
   mutable busy : bool;  (** held by a shuffle / split / merge *)
   mutable shuffle_pending : bool;
@@ -352,6 +355,11 @@ val vgroup_ids : t -> vg_id list
 
 val vgroup_sizes : t -> int list
 val correct_members : t -> vgroup -> node_id list
+
+val async_replicas : vgroup -> (node_id * Atum_smr.Pbft.t) list
+(** The current epoch's PBFT replicas by ascending member id; empty
+    under Sync or before installation. *)
+
 val hgraph : t -> Atum_overlay.Hgraph.t
 val check_consistency : t -> (unit, string) result
 

@@ -153,9 +153,16 @@ let digest_sub s ~off ~len =
 
 let digest s = digest_sub s ~off:0 ~len:(String.length s)
 
+let hex_digits = "0123456789abcdef"
+
 let hex raw =
-  let buf = Buffer.create (2 * String.length raw) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) raw;
-  Buffer.contents buf
+  let out = Bytes.create (2 * String.length raw) in
+  String.iteri
+    (fun i c ->
+      let b = Char.code c in
+      Bytes.unsafe_set out (2 * i) hex_digits.[b lsr 4];
+      Bytes.unsafe_set out ((2 * i) + 1) hex_digits.[b land 15])
+    raw;
+  Bytes.unsafe_to_string out
 
 let digest_hex s = hex (digest s)

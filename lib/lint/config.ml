@@ -127,9 +127,12 @@ let polymorphic_compare_idents = [ "compare"; "Stdlib.compare"; "Pervasives.comp
 (* --- M001: ignored Results ----------------------------------------- *)
 
 (* Final path components of functions in this repo that return a
-   [Result.t]; [ignore (f ...)] on any of these drops an error path. *)
+   [Result.t]; [ignore (f ...)] on any of these drops an error path.
+   [load] and [read_json] are the artifact readers ([Artifact.load],
+   [Artifact.read_json]) and [Snapshot.load]. *)
 let result_returning =
-  [ "check_consistency"; "check_overlay"; "check_invariants"; "of_json"; "of_string"; "load_file" ]
+  [ "check_consistency"; "check_overlay"; "check_invariants"; "of_json"; "of_string"; "load";
+    "read_json" ]
 
 (* --- W001: wire-message variants ------------------------------------ *)
 

@@ -16,7 +16,17 @@ type msg
 
 type t
 
+type roster
+(** The sorted member index of one epoch, built once and shared by all
+    of the epoch's replicas: membership, primaries and vote
+    de-duplication are rank lookups in it. *)
+
+val roster : Smr_intf.node_id list -> roster
+(** [roster members]; [members] must be the [members] of every
+    transport the roster is passed to. *)
+
 val create :
+  roster:roster ->
   transport:msg Smr_intf.transport ->
   timeout:float ->
   on_execute:(Smr_intf.op -> unit) ->
@@ -35,3 +45,8 @@ val stop : t -> unit
 val view : t -> int
 
 val primary : t -> Smr_intf.node_id
+
+val executed_rids : t -> string list
+(** The request ids of the executed log slots, in sequence order
+    (no-ops included): what a replica has decided, for tests that pin
+    it. *)

@@ -15,6 +15,18 @@ type 'm transport = {
   set_timer : float -> (unit -> unit) -> unit;
 }
 
+(* Binary search for [id] in [ids.(lo) .. ids.(hi - 1)]. *)
+let rec search (ids : node_id array) id lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let m = ids.(mid) in
+    if m = id then mid else if m < id then search ids id (mid + 1) hi else search ids id lo mid
+
+(** [index ids id] is the position of [id] in the ascending array
+    [ids], or -1 when it is absent.  Allocates nothing. *)
+let index ids id = search ids id 0 (Array.length ids)
+
 (** An operation as seen by the replicated state machine. *)
 type op = { origin : node_id; payload : string }
 

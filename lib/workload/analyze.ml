@@ -58,6 +58,7 @@ type result = {
   events_seen : int;
   dropped_total : int;
   dropped_by_kind : (string * int) list;
+  window : bool;  (* a postmortem window: the dropped events precede it *)
   sample_rate : float;
   sampled_out_total : int;
   sampled_out_by_kind : (string * int) list;
@@ -204,7 +205,7 @@ let feed acc (e : Trace.event) =
       | None -> (* begin dropped by ring wrap *) ())
     | _ -> ())
 
-let finish acc ~violations ~dropped_total ~dropped_by_kind ?(sample_rate = 1.0)
+let finish acc ~violations ~dropped_total ~dropped_by_kind ?(window = false) ?(sample_rate = 1.0)
     ?(sampled_out_total = 0) ?(sampled_out_by_kind = []) () =
   Hashtbl.iter
     (fun _ (name, _) ->
@@ -335,6 +336,7 @@ let finish acc ~violations ~dropped_total ~dropped_by_kind ?(sample_rate = 1.0)
     events_seen = acc.seen;
     dropped_total;
     dropped_by_kind;
+    window;
     sample_rate;
     sampled_out_total;
     sampled_out_by_kind;
@@ -368,9 +370,10 @@ let of_artifact a =
   | Some (tr, m, _) ->
     let acc = make_acc () in
     List.iter (feed acc) tr.events;
+    let window = match a with Atum_sim.Artifact.Postmortem _ -> true | _ -> false in
     Ok
       (finish acc ~violations:(violations_of m.counters) ~dropped_total:(max 0 tr.dropped)
-         ~dropped_by_kind:tr.dropped_by_kind ~sample_rate:tr.sample_rate
+         ~dropped_by_kind:tr.dropped_by_kind ~window ~sample_rate:tr.sample_rate
          ~sampled_out_total:(max 0 tr.sampled_out)
          ~sampled_out_by_kind:tr.sampled_out_by_kind ())
 
@@ -498,7 +501,10 @@ let pp ppf r =
     List.iter (fun (k, n) -> fprintf ppf "  %s: %d@," k n) r.fault_events
   end;
   if r.dropped_total > 0 then begin
-    fprintf ppf "trace incomplete: %d events dropped by ring wrap@," r.dropped_total;
+    if r.window then
+      fprintf ppf "trace incomplete: %d events precede the flight-recorder window@,"
+        r.dropped_total
+    else fprintf ppf "trace incomplete: %d events dropped by ring wrap@," r.dropped_total;
     List.iter (fun (k, n) -> fprintf ppf "  dropped %s: %d@," k n) r.dropped_by_kind
   end;
   if r.sampled_out_total > 0 then begin

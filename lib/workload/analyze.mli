@@ -60,7 +60,13 @@ type result = {
           [fault.heal], [fault.crash], ...), sorted *)
   events_seen : int;
   dropped_total : int;
+      (** events the trace does not hold: overwritten by the ring or,
+          for a postmortem, recorded before its window *)
   dropped_by_kind : (string * int) list;
+  window : bool;
+      (** the trace is a postmortem's flight-recorder window, so
+          [dropped_total] counts the events before it (not written to
+          the JSON form) *)
   sample_rate : float;  (** trace sampling rate in force, 1.0 = everything *)
   sampled_out_total : int;  (** events suppressed by sampling/level *)
   sampled_out_by_kind : (string * int) list;

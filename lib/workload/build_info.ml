@@ -2,16 +2,22 @@ let version = "1.1.0"
 
 (* One subprocess per process, at first use.  Deterministic for the
    artifact contract: within one checkout the output never changes
-   between two same-seed runs. *)
+   between two same-seed runs.  git runs in the directory of the
+   running binary, not the current one, so an artifact names the
+   checkout the binary was built in wherever it was written from. *)
 let git_describe =
   let cached = ref None in
   fun () ->
     match !cached with
     | Some v -> v
     | None ->
+      let dir = Filename.dirname Sys.executable_name in
       let v =
         try
-          let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
+          let ic =
+            Unix.open_process_in
+              ("git -C " ^ Filename.quote dir ^ " describe --always --dirty 2>/dev/null")
+          in
           let line = try input_line ic with End_of_file -> "" in
           let status = Unix.close_process_in ic in
           (match (status, line) with

@@ -9,8 +9,10 @@ val version : string
 (** The tool version reported by [atum-cli --version]. *)
 
 val git_describe : unit -> string
-(** [git describe --always --dirty] at first use (cached); ["unknown"]
-    when git or the repository is unavailable. *)
+(** [git describe --always --dirty] of the checkout holding the
+    running binary ({!Sys.executable_name}), at first use (cached);
+    ["unknown"] when git is unavailable or the binary lies outside a
+    checkout.  The current directory plays no part. *)
 
 val current : seed:int -> Atum_sim.Artifact.build_info
 (** This build's provenance for the running command line and [seed]. *)

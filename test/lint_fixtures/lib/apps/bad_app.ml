@@ -19,3 +19,6 @@ let is_unit x = x = 1.0
 
 (* M001: ignoring a Result-returning checker. *)
 let probe st = ignore (check_consistency st)
+
+(* M001: ignoring an artifact read drops its decode error. *)
+let peek p = ignore (Artifact.load p)

@@ -900,6 +900,58 @@ let test_gossip_outcome_golden () =
     (List.init 60 (fun i -> match i with 5 | 12 -> 3 | 20 -> 0 | 30 -> 6 | _ -> 8))
     (Array.to_list got)
 
+(* A pinned PBFT outcome: the CLI run [broadcast -n 24 -m 6 --seed 5
+   -p async --byzantine 2], whose two Byzantine members drive vgroup 0
+   through 175 view changes.  Traffic, engine events, each current
+   replica's final view and executed-sequence length, and a digest of
+   every executed request id in order were recorded before the replica
+   state was rebuilt around member ranks, an indexed log and vote
+   tallies; none of them may move. *)
+let test_pbft_view_change_golden () =
+  let module W = Atum_workload in
+  let module Network = Atum_sim.Network in
+  let params = { (Params.for_system_size ~protocol:Params.Async 24) with Params.seed = 5 } in
+  let built = W.Builder.grow ~params ~byzantine:2 ~n:26 ~seed:5 () in
+  ignore (W.Latency_exp.run built ~messages:6 ~gap:2.0 ~seed:5);
+  let sys = Atum.system built.W.Builder.atum in
+  let net = System.network sys in
+  Alcotest.(check (list int)) "sent/delivered/dropped/bytes" [ 282161; 281885; 276; 29145323 ]
+    [ Network.messages_sent net; Network.messages_delivered net; Network.messages_dropped net;
+      Network.bytes_sent net ];
+  Alcotest.(check (list (pair string int)))
+    "engine events"
+    [ ("net.transit", 279440); ("net.transit.batch", 124); ("saga.watchdog", 18);
+      ("smr.timer", 1558); ("system.fanout", 62); ("telemetry.sample", 188) ]
+    (List.map
+       (fun p -> (p.Atum_sim.Engine.label, p.Atum_sim.Engine.events))
+       (Atum_sim.Engine.profile (System.engine sys)));
+  let replicas =
+    List.concat_map
+      (fun vid -> List.map (fun (m, r) -> (vid, m, r)) (System.async_replicas (System.vgroup sys vid)))
+      (System.vgroup_ids sys)
+  in
+  Alcotest.(check (list (list int)))
+    "vgroup, member, final view, executed"
+    [ [ 0; 9; 0; 0 ]; [ 0; 13; 175; 5 ]; [ 0; 14; 175; 5 ]; [ 0; 15; 175; 6 ]; [ 0; 16; 175; 6 ];
+      [ 0; 18; 175; 6 ]; [ 0; 19; 175; 6 ]; [ 0; 20; 175; 6 ]; [ 0; 21; 175; 6 ];
+      [ 0; 24; 175; 6 ]; [ 0; 25; 175; 5 ]; [ 1; 0; 0; 2 ]; [ 1; 1; 0; 2 ]; [ 1; 7; 0; 2 ];
+      [ 1; 10; 0; 2 ]; [ 1; 12; 0; 2 ]; [ 1; 17; 0; 2 ]; [ 1; 22; 0; 2 ]; [ 1; 23; 0; 2 ];
+      [ 2; 2; 0; 0 ]; [ 2; 3; 8; 1 ]; [ 2; 4; 8; 1 ]; [ 2; 5; 8; 1 ]; [ 2; 6; 8; 1 ];
+      [ 2; 8; 8; 1 ]; [ 2; 11; 8; 1 ] ]
+    (List.map
+       (fun (vid, m, r) ->
+         [ vid; m; Atum_smr.Pbft.view r; List.length (Atum_smr.Pbft.executed_rids r) ])
+       replicas);
+  Alcotest.(check string) "executed request ids, in order"
+    "6bffed2724da080f968e599cc19d76a0df2b476feca10c082ff3ba8ba49b51a8"
+    (Atum_crypto.Sha256.digest_hex
+       (String.concat ""
+          (List.map
+             (fun (vid, m, r) ->
+               Printf.sprintf "%d/%d:%s;" vid m
+                 (String.concat "," (Atum_smr.Pbft.executed_rids r)))
+             replicas)))
+
 (* ------------------------------------------------------------------ *)
 (* The agreement operation codec                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1030,6 +1082,7 @@ let () =
           Alcotest.test_case "op codec examples" `Quick test_op_codec_examples;
           QCheck_alcotest.to_alcotest prop_op_roundtrip;
           QCheck_alcotest.to_alcotest prop_decode_total;
+          Alcotest.test_case "pbft view-change golden" `Quick test_pbft_view_change_golden;
         ] );
       ( "tracing",
         [

@@ -336,6 +336,29 @@ let test_sort_launders_traversal () =
   check "let ks t = Hashtbl.fold (fun k _ a -> k :: a) t [] |> List.sort_uniq compare" [];
   check "let ks t = Atum_util.Hashtbl_ext.sorted_keys ~cmp:Int.compare t" []
 
+(* M001 knows the artifact readers: dropping [Artifact.load]'s or
+   [Artifact.read_json]'s [Error] hides a malformed file. *)
+let test_ignored_artifact_read_flagged () =
+  let r = scan () in
+  let m001 =
+    List.filter
+      (fun d ->
+        String.equal d.Diagnostic.file "lib/apps/bad_app.ml"
+        && String.equal d.Diagnostic.rule "M001")
+      r.Driver.diagnostics
+  in
+  Alcotest.(check bool) "ignore (Artifact.load p) in the fixture is flagged" true
+    (List.exists (fun d -> contains ~sub:"Artifact.load" d.Diagnostic.message) m001);
+  let rules src =
+    match Engine.check_source ~file:"lib/apps/inline.ml" src with
+    | Error e -> Alcotest.failf "parse error: %s" e
+    | Ok ds -> List.map (fun d -> d.Diagnostic.rule) ds
+  in
+  Alcotest.(check (list string)) "read_json" [ "M001" ]
+    (rules "let f p = ignore (Atum_sim.Artifact.read_json p)");
+  Alcotest.(check (list string)) "a handled load is fine" []
+    (rules "let f p = match Artifact.load p with Ok a -> Some a | Error _ -> None")
+
 let () =
   Alcotest.run "lint"
     [
@@ -343,6 +366,8 @@ let () =
         [
           Alcotest.test_case "bad fixtures trip every rule" `Quick
             test_bad_fixtures_trip_every_rule;
+          Alcotest.test_case "ignored artifact read flagged" `Quick
+            test_ignored_artifact_read_flagged;
           Alcotest.test_case "good fixtures are clean" `Quick test_good_fixture_is_clean;
           Alcotest.test_case "sort launders traversal" `Quick test_sort_launders_traversal;
         ] );

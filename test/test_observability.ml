@@ -423,6 +423,28 @@ let test_cli_postmortem_byte_identity () =
     let n = structurally_valid_trace_events doc in
     Alcotest.(check bool) (Printf.sprintf "%d timeline events" n) true (n > 0)
 
+(* A postmortem's trace is the flight-recorder window: the events
+   before it are counted, and named for what they are, not as ring
+   overwrites. *)
+let test_cli_postmortem_analyze () =
+  let exe =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      "bin/atum_cli.exe"
+  in
+  if not (Sys.file_exists exe) then
+    Alcotest.fail (Printf.sprintf "cli executable missing at %s" exe);
+  let sh cmd = Alcotest.(check int) ("exit status of " ^ cmd) 0 (Sys.command cmd) in
+  sh
+    (Printf.sprintf "%s chaos -n 48 --seed 11 --json --out-dir cli_pm_an --dump-on-violation > /dev/null"
+       (Filename.quote exe));
+  sh
+    (Printf.sprintf "%s analyze %s > cli_pm_an/analyze.txt" (Filename.quote exe)
+       (Filename.quote (Filename.concat "cli_pm_an" "ATUM_postmortem.json")));
+  let out = read_file (Filename.concat "cli_pm_an" "analyze.txt") in
+  Alcotest.(check bool) "no ring wrap claimed" false (contains "ring wrap" out);
+  Alcotest.(check bool) "names the window" true (contains "precede the flight-recorder window" out)
+
 let test_cli_compare_gate () =
   let exe =
     Filename.concat
@@ -478,6 +500,8 @@ let () =
         [
           Alcotest.test_case "postmortem byte identity" `Slow
             test_cli_postmortem_byte_identity;
+          Alcotest.test_case "postmortem analyze names the window" `Slow
+            test_cli_postmortem_analyze;
           Alcotest.test_case "compare gate" `Slow test_cli_compare_gate;
         ] );
     ]

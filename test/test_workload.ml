@@ -6,6 +6,37 @@ let small_params seed =
   { Params.default with Params.hc = 3; rwl = 4; round_duration = 0.5; seed }
 
 (* ------------------------------------------------------------------ *)
+(* Build info                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Runs first in this binary, so its [git_describe] call is the
+   process's first (the result is cached): made from a directory
+   outside any checkout, it must still name the checkout the test
+   binary was built in — what git reports from the test's own
+   directory inside that checkout. *)
+let test_build_info_ignores_cwd () =
+  let home = Sys.getcwd () in
+  let tmp = Filename.temp_file "atum_build_info" "" in
+  Sys.remove tmp;
+  Sys.mkdir tmp 0o755;
+  Sys.chdir tmp;
+  let got = Fun.protect ~finally:(fun () -> Sys.chdir home) Build_info.git_describe in
+  Sys.rmdir tmp;
+  let out = Filename.temp_file "atum_git" ".txt" in
+  let expected =
+    if Sys.command ("git describe --always --dirty > " ^ Filename.quote out ^ " 2>/dev/null") <> 0
+    then "unknown"
+    else begin
+      let ic = open_in out in
+      let line = try input_line ic with End_of_file -> "" in
+      close_in ic;
+      if String.length line > 0 then line else "unknown"
+    end
+  in
+  Sys.remove out;
+  Alcotest.(check string) "git describe of the binary's checkout" expected got
+
+(* ------------------------------------------------------------------ *)
 (* Params                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -425,6 +456,8 @@ let test_cli_churn_telemetry_and_report () =
 let () =
   Alcotest.run "workload"
     [
+      ( "build_info",
+        [ Alcotest.test_case "describes the binary's checkout" `Quick test_build_info_ignores_cwd ] );
       ( "params",
         [
           Alcotest.test_case "default valid" `Quick test_params_validate_default;
