@@ -237,7 +237,7 @@ let entry_to_json (e : entry) =
     [
       ("size_mb", Json.Float e.size_mb);
       ("chunk_count", Json.Int e.chunk_count);
-      ("replicas", Json.List (List.map (fun r -> Json.Int r) (List.sort compare e.replicas)));
+      ("replicas", Json.List (List.map (fun r -> Json.Int r) (List.sort Int.compare e.replicas)));
     ]
 
 let entry_of_json j =
@@ -384,7 +384,7 @@ let indexes_converged t =
   | first :: rest ->
     let snapshot nid =
       Kv_index.fold
-        (fun k e acc -> (k, e.size_mb, e.chunk_count, List.sort compare e.replicas) :: acc)
+        (fun k e acc -> (k, e.size_mb, e.chunk_count, List.sort Int.compare e.replicas) :: acc)
         (index_of t nid) []
     in
     let reference = snapshot first in
@@ -392,7 +392,7 @@ let indexes_converged t =
 
 let place_replicas t ~owner ~name ~holders =
   let fkey = key ~owner:(owner_name owner) ~name in
-  let holders = List.sort_uniq compare holders in
+  let holders = List.sort_uniq Int.compare holders in
   (* Exact placement: the experiment controls the replica set, so any
      previous holders are dropped first. *)
   Hashtbl.iter (fun _ s -> Hashtbl.remove s fkey) t.stored;

@@ -70,7 +70,7 @@ let build ~atum ~source:src ~cycles_used ~seed =
                   end)
                 cycles
             in
-            Hashtbl.replace t.primary nid (List.sort_uniq compare prim |> fun l ->
+            Hashtbl.replace t.primary nid (List.sort_uniq Int.compare prim |> fun l ->
               (* keep a deterministic but shuffled preference order *)
               Atum_util.Rng.shuffle_list rng l);
             (* One shortcut parent per other neighboring vgroup. *)

@@ -60,7 +60,7 @@ let create_topic t name =
         t.handler { topic = name; subscriber; publisher; payload });
   Hashtbl.replace t.topic_table name st
 
-let topics t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.topic_table [])
+let topics t = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.topic_table [])
 
 let subscribe t ~topic client =
   let st = topic_state t topic in
@@ -94,7 +94,7 @@ let is_subscribed t ~topic client =
 
 let subscribers t ~topic =
   let st = topic_state t topic in
-  List.sort compare
+  List.sort String.compare
     (Hashtbl.fold
        (fun name nid acc -> if Atum.is_member st.atum nid then name :: acc else acc)
        st.clients [])

@@ -52,7 +52,9 @@ let build ?(bits = 30) ?(replicas = 4) ~node_ids () =
     node_ids;
   let ring =
     Array.of_list
-      (List.sort compare (List.map (fun nid -> (Hashtbl.find positions nid, nid)) node_ids))
+      (List.sort
+         (fun (p, a) (q, b) -> match Int.compare p q with 0 -> Int.compare a b | c -> c)
+         (List.map (fun nid -> (Hashtbl.find positions nid, nid)) node_ids))
   in
   let n = Array.length ring in
   let fingers = Hashtbl.create 64 in

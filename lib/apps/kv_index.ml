@@ -1,7 +1,7 @@
 type key = { owner : string; name : string }
 
 let compare_key a b =
-  match compare a.owner b.owner with 0 -> compare a.name b.name | c -> c
+  match String.compare a.owner b.owner with 0 -> String.compare a.name b.name | c -> c
 
 (* Backed by the B-tree store (Atum_util.Btree) — the ordered KV
    engine standing in for the paper's SQLite (§4.2.2). *)

@@ -148,7 +148,14 @@ type votes = { from_vg : vg_id; mutable voters : node_id list }
 
 (* Origin and body ride along so restart catch-up can re-deliver any
    broadcast a peer has and the restarted node missed. *)
-type bcast_meta = { started : float; b_origin : node_id; b_body : string }
+type bcast_meta = {
+  started : float;
+  b_origin : node_id;
+  b_body : string;
+  (* The WAL frame of this broadcast's delivery record, built by the
+     first member that logs it and appended by every other. *)
+  mutable b_frame : Atum_store.Replica.frame option;
+}
 
 (* One (src_vg -> dst_vg) gossip round being assembled for the current
    engine instant: every member that delivers inside one event appends
@@ -454,7 +461,7 @@ let persist t (n : node) record =
   match t.store with
   | None -> ()
   | Some store ->
-    Replica.append store ~node:n.id record;
+    Replica.append store ~node:n.id (Replica.frame store record);
     snapshot_if_due t n
 
 let persist_vg t (n : node) =

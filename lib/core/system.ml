@@ -768,6 +768,32 @@ let queue_fanout t ~dst ~src_vg ~src_size ~bid ~origin ~body ~cycle ~sender ~byt
     Engine.schedule ~label:"system.fanout" t.engine ~delay:0.0 (fun () -> flush_fanout t)
   end
 
+(* A delivery's WAL record names no node, so every member that logs
+   one broadcast logs the same frame: it is built once and kept with
+   the broadcast.  It is reused only for the origin and body the
+   broadcast was issued with; a member handed anything else (an
+   equivocated body) logs a frame of its own. *)
+let deliver_frame store meta ~bid ~origin ~body =
+  let build () =
+    Replica.frame store
+      (Json.Obj
+         [
+           ("t", Json.String "deliver");
+           ("bid", Json.Int bid);
+           ("origin", Json.Int origin);
+           ("body", Json.String body);
+         ])
+  in
+  match meta with
+  | Some m when m.b_origin = origin && String.equal m.b_body body -> (
+    match m.b_frame with
+    | Some f -> f
+    | None ->
+      let f = build () in
+      m.b_frame <- Some f;
+      f)
+  | Some _ | None -> build ()
+
 (* Per-node delivery: log it, record latency, hand it to the
    application, then gossip it to the neighbor vgroups the forward
    callback selects ([random_forward] by default). *)
@@ -778,22 +804,15 @@ let node_deliver t nid ~bid ~origin ~body =
     (* Whichever path delivers (gossip, the vgroup's own SMR, restart
        catch-up), the partial gossip votes for [bid] are dead now. *)
     Pair_tbl.remove t.bcast_votes (pair_key nid bid);
-    audit t (Audit_deliver { node = nid; bid; known = Hashtbl.mem t.bcasts bid });
+    let meta = Hashtbl.find_opt t.bcasts bid in
+    audit t (Audit_deliver { node = nid; bid; known = Option.is_some meta });
     (* The WAL record goes first; a snapshot it makes due waits until
        the application has applied the delivery, so a snapshot never
        marks a broadcast delivered whose effect it lacks. *)
     (match t.store with
-    | Some store ->
-      Replica.append store ~node:nid
-        (Json.Obj
-           [
-             ("t", Json.String "deliver");
-             ("bid", Json.Int bid);
-             ("origin", Json.Int origin);
-             ("body", Json.String body);
-           ])
+    | Some store -> Replica.append store ~node:nid (deliver_frame store meta ~bid ~origin ~body)
     | None -> ());
-    (match Hashtbl.find_opt t.bcasts bid with
+    (match meta with
     | Some meta ->
       Atum_sim.Metrics.observe t.metrics "broadcast.latency" (now t -. meta.started)
     | None -> ());
@@ -845,7 +864,8 @@ let broadcast t ~from body =
   | Some vid ->
     let bid = t.next_bid in
     t.next_bid <- bid + 1;
-    Hashtbl.replace t.bcasts bid { started = now t; b_origin = from; b_body = body };
+    Hashtbl.replace t.bcasts bid
+      { started = now t; b_origin = from; b_body = body; b_frame = None };
     Metrics.incr t.metrics "broadcast.sent";
     trace_emit t ~kind:"broadcast.sent" ~node:from ~vgroup:vid ~size:(String.length body) ~bid ();
     (* Phase one: the broadcast goes through the vgroup's SMR; each

@@ -1,31 +1,36 @@
 let block_size = 64
 
-(* An HMAC in progress: the inner hash, already fed the inner pad, and
-   that pad, which [finalize_into] turns into the outer pad in place.
-   Neither pad nor message is ever concatenated into a copy. *)
-type ctx = { inner : Sha256.ctx; pad : Bytes.t }
+(* An HMAC in progress: one hash context, already fed the inner pad,
+   and a scratch holding that pad with room for the inner digest
+   behind it.  [finalize_into] writes the inner digest into the room,
+   turns the pad into the outer pad in place and runs the outer hash
+   on the same context over the whole scratch, so neither pad nor
+   message is ever concatenated into a copy and one context serves
+   both hashes. *)
+type ctx = { hash : Sha256.ctx; pad : Bytes.t }
 
 let init ~key =
   let key = if String.length key > block_size then Sha256.digest key else key in
-  let pad = Bytes.make block_size '\x36' in
+  let pad = Bytes.make (block_size + 32) '\x36' in
   String.iteri (fun i c -> Bytes.set pad i (Char.chr (Char.code c lxor 0x36))) key;
-  let inner = Sha256.init () in
-  Sha256.feed_bytes inner pad ~off:0 ~len:block_size;
-  { inner; pad }
+  let hash = Sha256.init () in
+  Sha256.feed_bytes hash pad ~off:0 ~len:block_size;
+  { hash; pad }
 
-let feed_bytes t buf ~off ~len = Sha256.feed_bytes t.inner buf ~off ~len
-let feed t s = Sha256.feed t.inner s
+let feed_bytes t buf ~off ~len = Sha256.feed_bytes t.hash buf ~off ~len
+let feed t s = Sha256.feed t.hash s
+
+(* ipad xor opad, in every byte of a word. *)
+let ipad_to_opad = 0x6a6a6a6a6a6a6a6aL
 
 let finalize_into t dst ~off =
-  let inner = Bytes.create 32 in
-  Sha256.finalize_into t.inner inner ~off:0;
-  for i = 0 to block_size - 1 do
-    Bytes.set t.pad i (Char.chr (Char.code (Bytes.get t.pad i) lxor (0x36 lxor 0x5c)))
+  Sha256.finalize_into t.hash t.pad ~off:block_size;
+  for i = 0 to (block_size / 8) - 1 do
+    Bytes.set_int64_le t.pad (i * 8) (Int64.logxor (Bytes.get_int64_le t.pad (i * 8)) ipad_to_opad)
   done;
-  let outer = Sha256.init () in
-  Sha256.feed_bytes outer t.pad ~off:0 ~len:block_size;
-  Sha256.feed_bytes outer inner ~off:0 ~len:32;
-  Sha256.finalize_into outer dst ~off
+  Sha256.reset t.hash;
+  Sha256.feed_bytes t.hash t.pad ~off:0 ~len:(block_size + 32);
+  Sha256.finalize_into t.hash dst ~off
 
 let mac ~key msg =
   let t = init ~key in

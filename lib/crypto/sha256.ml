@@ -22,11 +22,13 @@ type ctx = {
   mutable finished : bool;
 }
 
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
+     0x5be0cd19 |]
+
 let init () =
   {
-    h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
-         0x5be0cd19 |];
+    h = Array.copy iv;
     w = Array.make 64 0;
     block = Bytes.create 64;
     block_len = 0;
@@ -34,47 +36,102 @@ let init () =
     finished = false;
   }
 
+let reset ctx =
+  Array.blit iv 0 ctx.h 0 8;
+  ctx.block_len <- 0;
+  ctx.total_len <- 0;
+  ctx.finished <- false
+
 let mask = 0xFFFFFFFF
 
 (* Rotations leave junk above bit 31 and nothing masks it until a word
    is stored: junk only moves up through xor, and, or and add, so the
    low 32 bits stay exact.  Only inputs to a right shift — the
-   schedule words and the [a]/[e] registers — must be clean. *)
-let[@inline] rotr x n = (x lsr n) lor (x lsl (32 - n))
+   schedule words and the [a]/[e] registers — must be clean.  A clean
+   word copied into bits 32-62 as well ([dup]) rotates right by any
+   [n] < 32 with one shift: bits [n .. n + 31] of the pair are the
+   rotated word. *)
+let[@inline] dup x = x lor (x lsl 32)
 
+let[@inline] big_sigma0 a =
+  let x = dup a in
+  (x lsr 2) lxor (x lsr 13) lxor (x lsr 22)
+
+let[@inline] big_sigma1 e =
+  let x = dup e in
+  (x lsr 6) lxor (x lsr 11) lxor (x lsr 25)
+
+let[@inline] small_sigma0 w =
+  let x = dup w in
+  (x lsr 7) lxor (x lsr 18) lxor (w lsr 3)
+
+let[@inline] small_sigma1 w =
+  let x = dup w in
+  (x lsr 17) lxor (x lsr 19) lxor (w lsr 10)
+
+(* [ch] and [maj] in their three-operation forms. *)
+let[@inline] ch e f g = g lxor (e land (f lxor g))
+let[@inline] maj a b c = (a land b) lor (c land (a lor b))
+
+(* The rounds run four to a loop step with the registers renamed
+   instead of shifted: a round writes only its new [e] (into the
+   register that held [d]) and its new [a] (into the one that held
+   [h]), and after four rounds the roles have rotated by four, which
+   one exchange of the two halves undoes. *)
 let process_block ctx buf off =
   let w = ctx.w and h = ctx.h in
   for t = 0 to 15 do
-    let p = off + (t * 4) in
-    Array.unsafe_set w t
-      ((Bytes.get_uint16_be buf p lsl 16) lor Bytes.get_uint16_be buf (p + 2))
+    Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be buf (off + (t * 4))) land mask)
   done;
   for t = 16 to 63 do
-    let w15 = Array.unsafe_get w (t - 15) and w2 = Array.unsafe_get w (t - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
     Array.unsafe_set w t
-      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask)
+      ((Array.unsafe_get w (t - 16)
+       + small_sigma0 (Array.unsafe_get w (t - 15))
+       + Array.unsafe_get w (t - 7)
+       + small_sigma1 (Array.unsafe_get w (t - 2)))
+      land mask)
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let ev = !e and av = !a in
+  for q = 0 to 15 do
+    let t = q * 4 in
+    (* Round t: a b c d e f g h. *)
     let t1 =
-      !hh
-      + (rotr ev 6 lxor rotr ev 11 lxor rotr ev 25)
-      + ((ev land !f) lxor (lnot ev land !g))
-      + Array.unsafe_get k t + Array.unsafe_get w t
+      !hh + big_sigma1 !e + ch !e !f !g + Array.unsafe_get k t + Array.unsafe_get w t
     in
-    let t2 = (rotr av 2 lxor rotr av 13 lxor rotr av 22) + ((av land (!b lor !c)) lor (!b land !c)) in
-    hh := !g;
-    g := !f;
-    f := ev;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !b;
-    b := av;
-    a := (t1 + t2) land mask
+    d := (!d + t1) land mask;
+    hh := (t1 + big_sigma0 !a + maj !a !b !c) land mask;
+    (* Round t+1: h a b c d e f g. *)
+    let t1 =
+      !g + big_sigma1 !d + ch !d !e !f + Array.unsafe_get k (t + 1) + Array.unsafe_get w (t + 1)
+    in
+    c := (!c + t1) land mask;
+    g := (t1 + big_sigma0 !hh + maj !hh !a !b) land mask;
+    (* Round t+2: g h a b c d e f. *)
+    let t1 =
+      !f + big_sigma1 !c + ch !c !d !e + Array.unsafe_get k (t + 2) + Array.unsafe_get w (t + 2)
+    in
+    b := (!b + t1) land mask;
+    f := (t1 + big_sigma0 !g + maj !g !hh !a) land mask;
+    (* Round t+3: f g h a b c d e. *)
+    let t1 =
+      !e + big_sigma1 !b + ch !b !c !d + Array.unsafe_get k (t + 3) + Array.unsafe_get w (t + 3)
+    in
+    a := (!a + t1) land mask;
+    e := (t1 + big_sigma0 !f + maj !f !g !hh) land mask;
+    (* Now e f g h a b c d: swap the halves back. *)
+    let x = !a in
+    a := !e;
+    e := x;
+    let x = !b in
+    b := !f;
+    f := x;
+    let x = !c in
+    c := !g;
+    g := x;
+    let x = !d in
+    d := !hh;
+    hh := x
   done;
   h.(0) <- (h.(0) + !a) land mask;
   h.(1) <- (h.(1) + !b) land mask;

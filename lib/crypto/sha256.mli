@@ -8,6 +8,10 @@ type ctx
 
 val init : unit -> ctx
 
+val reset : ctx -> unit
+(** Return a context, finalized or not, to the state {!init} gives, so
+    one context (and its buffers) serves digest after digest. *)
+
 val feed : ctx -> string -> unit
 (** Absorb bytes; may be called repeatedly. *)
 
@@ -16,7 +20,8 @@ val feed_bytes : ctx -> Bytes.t -> off:int -> len:int -> unit
     copying them out first. *)
 
 val finalize : ctx -> string
-(** Returns the 32-byte raw digest and invalidates the context. *)
+(** Returns the 32-byte raw digest and invalidates the context until
+    {!reset}. *)
 
 val finalize_into : ctx -> Bytes.t -> off:int -> unit
 (** [finalize], writing the 32-byte digest into the buffer at [off]. *)

@@ -89,7 +89,8 @@ let starts_with ~prefix s =
 
 let in_lib path = starts_with ~prefix:"lib/" path
 
-let protocol_dirs = [ "lib/smr/"; "lib/core/"; "lib/overlay/" ]
+let protocol_dirs =
+  [ "lib/smr/"; "lib/core/"; "lib/overlay/"; "lib/apps/"; "lib/store/"; "lib/crypto/" ]
 
 let in_protocol path = List.exists (fun d -> starts_with ~prefix:d path) protocol_dirs
 

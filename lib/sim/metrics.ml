@@ -1,9 +1,10 @@
 type t = {
   counters : (string, int ref) Hashtbl.t;
   series : (string, float list ref) Hashtbl.t; (* stored reversed *)
+  mutable generation : int; (* bumped by [clear], which orphans every cell *)
 }
 
-let create () = { counters = Hashtbl.create 32; series = Hashtbl.create 32 }
+let create () = { counters = Hashtbl.create 32; series = Hashtbl.create 32; generation = 0 }
 
 (* [Hashtbl.find] rather than [find_opt]: counters are bumped on every
    simulated message, and the option box would be its only allocation. *)
@@ -11,6 +12,26 @@ let incr ?(by = 1) t name =
   match Hashtbl.find t.counters name with
   | r -> r := !r + by
   | exception Not_found -> Hashtbl.replace t.counters name (ref by)
+
+(* A handle caches its counter's cell and the generation it was found
+   in; [clear] starts a new generation, so the next [bump] looks the
+   name up again.  The cell is created on the first bump, as [incr]
+   would, so holding a handle adds no counter. *)
+type handle = { owner : t; name : string; mutable cell : int ref; mutable gen : int }
+
+let handle t name = { owner = t; name; cell = ref 0; gen = -1 }
+
+let bump ?(by = 1) h =
+  if h.gen <> h.owner.generation then begin
+    (match Hashtbl.find h.owner.counters h.name with
+    | r -> h.cell <- r
+    | exception Not_found ->
+      let r = ref 0 in
+      Hashtbl.replace h.owner.counters h.name r;
+      h.cell <- r);
+    h.gen <- h.owner.generation
+  end;
+  h.cell := !(h.cell) + by
 
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
@@ -37,7 +58,8 @@ let prefix_total t prefix =
 
 let clear t =
   Hashtbl.reset t.counters;
-  Hashtbl.reset t.series
+  Hashtbl.reset t.series;
+  t.generation <- t.generation + 1
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / merge                                                    *)

@@ -8,6 +8,17 @@ val incr : ?by:int -> t -> string -> unit
 
 val counter : t -> string -> int
 
+type handle
+(** One named counter, looked up once: for a counter bumped per
+    simulated message, where {!incr}'s string hash is the cost. *)
+
+val handle : t -> string -> handle
+(** A handle on the named counter.  Taking it creates nothing: the
+    counter appears, as with {!incr}, at its first {!bump}. *)
+
+val bump : ?by:int -> handle -> unit
+(** [incr] through a handle; it stays right across {!clear}. *)
+
 val observe : t -> string -> float -> unit
 (** Append a sample to the named series. *)
 

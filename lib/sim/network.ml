@@ -39,7 +39,9 @@ type 'msg t = {
   mutable cap : int; (* length of the arrays above *)
   mutable crashed_count : int;
   mutable tagged_count : int; (* nodes with a nonzero partition tag *)
+  mutable fault_epoch : int; (* bumped by every crash, recover and partition change *)
   metrics : Metrics.t;
+  post_heal_count : Metrics.handle; (* "net.deliver.post_heal" *)
   trace : Trace.t option;
   mutable sent : int;
   mutable delivered : int;
@@ -54,6 +56,7 @@ type 'msg t = {
 }
 
 let create ?metrics ?trace engine config =
+  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   {
     engine;
     config;
@@ -65,7 +68,9 @@ let create ?metrics ?trace engine config =
     cap = 256;
     crashed_count = 0;
     tagged_count = 0;
-    metrics = (match metrics with Some m -> m | None -> Metrics.create ());
+    fault_epoch = 0;
+    metrics;
+    post_heal_count = Metrics.handle metrics "net.deliver.post_heal";
     trace;
     sent = 0;
     delivered = 0;
@@ -122,24 +127,28 @@ let set_partition t node tag =
   let old = t.partitions.(node) in
   if old = 0 && tag <> 0 then t.tagged_count <- t.tagged_count + 1
   else if old <> 0 && tag = 0 then t.tagged_count <- t.tagged_count - 1;
-  t.partitions.(node) <- tag
+  t.partitions.(node) <- tag;
+  t.fault_epoch <- t.fault_epoch + 1
 
 let heal t =
   Array.fill t.partitions 0 t.cap 0;
   t.tagged_count <- 0;
+  t.fault_epoch <- t.fault_epoch + 1;
   t.post_heal <- true
 
 let crash t node =
   ensure t node;
   if not t.crashed.(node) then begin
     t.crashed.(node) <- true;
-    t.crashed_count <- t.crashed_count + 1
+    t.crashed_count <- t.crashed_count + 1;
+    t.fault_epoch <- t.fault_epoch + 1
   end
 
 let recover t node =
   if node < t.cap && t.crashed.(node) then begin
     t.crashed.(node) <- false;
-    t.crashed_count <- t.crashed_count - 1
+    t.crashed_count <- t.crashed_count - 1;
+    t.fault_epoch <- t.fault_epoch + 1
   end;
   t.post_heal <- true
 
@@ -169,6 +178,30 @@ let partitioned_nodes t =
   end
 
 let faulted_count t = t.crashed_count + t.tagged_count
+
+(* Fault state per batch.  A batch whose senders and receivers are all
+   up and share one partition has no cut cell, whatever else is down
+   or partitioned.  [uncut] checks that once over the batch's two
+   lists instead of once per cell, and is trivially true with no fault
+   at all. *)
+let[@inline] up_in t part node = (not (is_crashed t node)) && partition_of t node = part
+
+let rec dsts_up_in t part = function
+  | [] -> true
+  | dst :: rest -> up_in t part dst && dsts_up_in t part rest
+
+let rec srcs_up_in t part = function
+  | [] -> true
+  | (src, _) :: rest -> up_in t part src && srcs_up_in t part rest
+
+let uncut t ~srcs ~dsts =
+  faulted_count t = 0
+  ||
+  match srcs with
+  | [] -> true
+  | (src, _) :: _ ->
+    let part = partition_of t src in
+    srcs_up_in t part srcs && dsts_up_in t part dsts
 
 let set_loss_boost t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Network.set_loss_boost: p outside [0, 1]";
@@ -230,7 +263,7 @@ let deliver t ~size ~src ~dst msg =
   | None -> drop t ~reason:drop_no_handler ~src ~dst
   | Some handler ->
     t.delivered <- t.delivered + 1;
-    if t.post_heal then Metrics.incr t.metrics "net.deliver.post_heal";
+    if t.post_heal then Metrics.bump t.post_heal_count;
     if tracing t then trace_emit t ~kind:"net.deliver" ~node:dst ~peer:src ~size ();
     handler ~src msg
 
@@ -239,9 +272,10 @@ let deliver t ~size ~src ~dst msg =
    actually processed: a message dropped by the delivery-time
    partition re-check or a missing handler must not advance the
    receiver's queue tail, or dropped traffic would permanently consume
-   receiver capacity. *)
-let arrive t ~size ~src ~dst msg =
-  match severed t ~src ~dst with
+   receiver capacity.  [uncut] skips the cut check: the caller knows
+   the pair is up and in one partition. *)
+let arrive t ~uncut ~size ~src ~dst msg =
+  match if uncut then None else severed t ~src ~dst with
   | Some reason -> drop t ~reason ~src ~dst
   | None -> (
     match t.config.node_capacity with
@@ -266,14 +300,14 @@ let loss_threshold t = Float.min 1.0 (t.config.drop_probability +. t.loss_boost)
    [net.send] trace, the cut check and the loss draw.  The draw is
    made even for a cut pair, so the RNG stream does not depend on the
    fault state.  The caller adds the traffic counters and reads
-   [traced] and [faulted] (any crash or partition tag at all) once per
-   batch: admission runs no callback, so neither can change between
-   the cells of one batch, and with no fault no pair is cut.  Returns
-   whether the message survives into transit. *)
-let[@inline] admit t ~traced ~faulted ~threshold ~src ~dst ~size =
+   [traced] and [uncut] once per batch: admission runs no callback,
+   so neither can change between the cells of one batch, and in an
+   uncut batch no pair is cut.  Returns whether the message survives
+   into transit. *)
+let[@inline] admit t ~traced ~uncut ~threshold ~src ~dst ~size =
   if traced then trace_emit t ~kind:"net.send" ~node:src ~peer:dst ~size ();
   let lost = Atum_util.Rng.bernoulli t.rng threshold in
-  match if faulted then severed t ~src ~dst else None with
+  match if uncut then None else severed t ~src ~dst with
   | Some reason ->
     drop t ~reason ~src ~dst;
     false
@@ -290,11 +324,11 @@ let send ?(size = 64) t ~src ~dst msg =
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + size;
   if
-    admit t ~traced:(tracing t) ~faulted:(faulted_count t > 0) ~threshold:(loss_threshold t)
+    admit t ~traced:(tracing t) ~uncut:(faulted_count t = 0) ~threshold:(loss_threshold t)
       ~src ~dst ~size
   then
     Engine.schedule ~label:"net.transit" t.engine ~delay:(transit_delay t) (fun () ->
-        arrive t ~size ~src ~dst msg)
+        arrive t ~uncut:false ~size ~src ~dst msg)
 
 (* A batch in flight is the grid it was admitted as: the [srcs] list,
    the immutable [dsts] list, and a survival bitmask with one bit per
@@ -310,36 +344,36 @@ let[@inline] set_bit mask k =
 
 let[@inline] bit mask k = Char.code (Bytes.get mask (k lsr 3)) land (1 lsl (k land 7)) <> 0
 
-let rec admit_row t ~traced ~faulted ~threshold ~src ~size mask k survived = function
+let rec admit_row t ~traced ~uncut ~threshold ~src ~size mask k survived = function
   | [] -> survived
   | dst :: rest ->
-    if admit t ~traced ~faulted ~threshold ~src ~dst ~size then begin
+    if admit t ~traced ~uncut ~threshold ~src ~dst ~size then begin
       set_bit mask k;
-      admit_row t ~traced ~faulted ~threshold ~src ~size mask (k + 1) (survived + 1) rest
+      admit_row t ~traced ~uncut ~threshold ~src ~size mask (k + 1) (survived + 1) rest
     end
-    else admit_row t ~traced ~faulted ~threshold ~src ~size mask (k + 1) survived rest
+    else admit_row t ~traced ~uncut ~threshold ~src ~size mask (k + 1) survived rest
 
-let rec admit_grid t ~traced ~faulted ~threshold ~dsts ~width mask k survived = function
+let rec admit_grid t ~traced ~uncut ~threshold ~dsts ~width mask k survived = function
   | [] -> survived
   | (src, size) :: rest ->
     t.sent <- t.sent + width;
     t.bytes <- t.bytes + (width * size);
-    let survived = admit_row t ~traced ~faulted ~threshold ~src ~size mask k survived dsts in
-    admit_grid t ~traced ~faulted ~threshold ~dsts ~width mask (k + width) survived rest
+    let survived = admit_row t ~traced ~uncut ~threshold ~src ~size mask k survived dsts in
+    admit_grid t ~traced ~uncut ~threshold ~dsts ~width mask (k + width) survived rest
 
 (* The accounting half of [arrive], for a cell whose receiver's
    handler could not act on it: the delivery-time cut and handler
    checks with their drop reasons, the delivered counter and the
-   post-heal label, but no handler call.  With no fault installed no
-   pair is cut, so the common case is two loads and a counter. *)
-let count_arrival t ~src ~dst =
-  match if faulted_count t > 0 then severed t ~src ~dst else None with
+   post-heal label, but no handler call.  In an uncut batch the common
+   case is two loads and a counter. *)
+let count_arrival t ~uncut ~src ~dst =
+  match if uncut then None else severed t ~src ~dst with
   | Some reason -> drop t ~reason ~src ~dst
   | None ->
     if not (has_handler t dst) then drop t ~reason:drop_no_handler ~src ~dst
     else begin
       t.delivered <- t.delivered + 1;
-      if t.post_heal then Metrics.incr t.metrics "net.deliver.post_heal"
+      if t.post_heal then Metrics.bump t.post_heal_count
     end
 
 (* Settled columns: bit [j] is set where the caller's [settled]
@@ -379,37 +413,41 @@ let rec all_registered t = function
   | [] -> true
   | dst :: rest -> has_handler t dst && all_registered t rest
 
-let rec arrive_row t ~src ~size mask cols k j msg = function
+(* [epoch] is the fault epoch at which the batch was found uncut, or
+   -1: a handler called during the walk may crash or partition a node,
+   and from then on each cell checks its own pair again. *)
+let rec arrive_row t ~epoch ~src ~size mask cols k j msg = function
   | [] -> ()
   | dst :: rest ->
-    if bit mask (k + j) then
-      if j < max_settled && cols land (1 lsl j) <> 0 then count_arrival t ~src ~dst
-      else arrive t ~size ~src ~dst msg;
-    arrive_row t ~src ~size mask cols k (j + 1) msg rest
+    if bit mask (k + j) then begin
+      let uncut = epoch = t.fault_epoch in
+      if j < max_settled && cols land (1 lsl j) <> 0 then count_arrival t ~uncut ~src ~dst
+      else arrive t ~uncut ~size ~src ~dst msg
+    end;
+    arrive_row t ~epoch ~src ~size mask cols k (j + 1) msg rest
 
-let rec arrive_grid t ~dsts ~width mask cols k msg = function
+let rec arrive_grid t ~epoch ~dsts ~width mask cols k msg = function
   | [] -> ()
   | (src, size) :: rest ->
-    arrive_row t ~src ~size mask cols k 0 msg dsts;
-    arrive_grid t ~dsts ~width mask cols (k + width) msg rest
+    arrive_row t ~epoch ~src ~size mask cols k 0 msg dsts;
+    arrive_grid t ~epoch ~dsts ~width mask cols (k + width) msg rest
 
 (* One arrival walk over the grid, settled cells only counted.  When
    every column is settled no handler runs, so nothing the walk reads
-   can change under it; with no fault installed and every receiver
+   can change under it; with the batch uncut and every receiver
    registered, each surviving cell is then a plain delivery, and the
    batch is counted from its mask without walking it. *)
 let arrive_batch t ~settled ~dsts mask msg srcs =
   let width = List.length dsts in
   let cols = settled_columns t settled dsts in
-  if
-    width <= max_settled && cols = (1 lsl width) - 1 && faulted_count t = 0
-    && all_registered t dsts
-  then begin
+  let uncut = uncut t ~srcs ~dsts in
+  if width <= max_settled && cols = (1 lsl width) - 1 && uncut && all_registered t dsts then begin
     let n = popcount mask in
     t.delivered <- t.delivered + n;
-    if t.post_heal then Metrics.incr ~by:n t.metrics "net.deliver.post_heal"
+    if t.post_heal then Metrics.bump ~by:n t.post_heal_count
   end
-  else arrive_grid t ~dsts ~width mask cols 0 msg srcs
+  else
+    arrive_grid t ~epoch:(if uncut then t.fault_epoch else -1) ~dsts ~width mask cols 0 msg srcs
 
 let never_settled (_ : int) = false
 
@@ -421,8 +459,8 @@ let send_group ?(settled = never_settled) t ~srcs ~dsts msg =
   let cells = width * List.length srcs in
   if cells > 0 then begin
     let mask = Bytes.make ((cells + 7) lsr 3) '\000' in
-    let traced = tracing t and faulted = faulted_count t > 0 in
-    if admit_grid t ~traced ~faulted ~threshold:(loss_threshold t) ~dsts ~width mask 0 0 srcs > 0
+    let traced = tracing t and uncut = uncut t ~srcs ~dsts in
+    if admit_grid t ~traced ~uncut ~threshold:(loss_threshold t) ~dsts ~width mask 0 0 srcs > 0
     then
       Engine.schedule ~label:"net.transit.batch" t.engine ~delay:(transit_delay t) (fun () ->
           arrive_batch t ~settled ~dsts mask msg srcs)

@@ -24,6 +24,7 @@ type t = {
   snapshot_every : int;
   logs : (int, node_log) Hashtbl.t;
   buf : Buffer.t; (* encoding scratch shared by every WAL frame and snapshot *)
+  sum : Atum_crypto.Sha256.ctx; (* checksum context shared by every WAL frame *)
   mutable appends : int;
   mutable snapshots : int;
   mutable replayed : int;
@@ -48,6 +49,7 @@ let create ?(snapshot_every = 64) ~key backend =
     snapshot_every;
     logs = Hashtbl.create 64;
     buf = Buffer.create 4096;
+    sum = Atum_crypto.Sha256.init ();
     appends = 0;
     snapshots = 0;
     replayed = 0;
@@ -63,12 +65,16 @@ let log_of t node =
     Hashtbl.replace t.logs node l;
     l
 
-let append t ~node record =
-  let n = Wal.append t.buf t.backend ~node ~name:wal_name record in
+type frame = string
+
+let frame t record = Wal.frame t.sum t.buf record
+
+let append t ~node frame =
+  t.backend.Backend.append ~node ~name:wal_name frame;
   t.appends <- t.appends + 1;
   let l = log_of t node in
   l.pending <- l.pending + 1;
-  l.bytes <- l.bytes + n
+  l.bytes <- l.bytes + String.length frame
 
 let needs_snapshot t ~node =
   match Hashtbl.find t.logs node with

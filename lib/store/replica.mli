@@ -33,7 +33,17 @@ val create : ?snapshot_every:int -> key:string -> Backend.t -> t
 
 val backend : t -> Backend.t
 
-val append : t -> node:int -> Atum_util.Json.t -> unit
+type frame
+(** One WAL record, encoded and checksummed.  It names no node: a
+    record that several nodes log alike is framed once and appended to
+    each of their logs. *)
+
+val frame : t -> Atum_util.Json.t -> frame
+(** Encode and checksum a record (see {!Wal.frame}). *)
+
+val append : t -> node:int -> frame -> unit
+(** Append a frame to the node's WAL; every append counts toward the
+    node's {!needs_snapshot} trigger and its {!log_bytes}. *)
 
 val needs_snapshot : t -> node:int -> bool
 

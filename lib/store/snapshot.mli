@@ -15,7 +15,7 @@ val save :
   Buffer.t -> Backend.t -> key:string -> node:int -> name:string -> Atum_util.Json.t -> int
 (** [save buf b ~key ~node ~name doc] writes (replacing any previous
     snapshot) and returns the blob size.  [buf] is encoding scratch
-    the caller reuses, as for {!Wal.append}. *)
+    the caller reuses, as for {!Wal.frame}. *)
 
 val load :
   Backend.t -> key:string -> node:int -> name:string ->

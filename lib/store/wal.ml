@@ -35,20 +35,21 @@ let read_be32 s off =
 
 (* The payload is encoded into the caller's reusable [buf]; the frame
    is then the one allocation: header and checksum are written into it
-   around the payload, the SHA-256 read straight from its bytes. *)
-let append buf (b : Backend.t) ~node ~name record =
+   around the payload, the SHA-256 read straight from its bytes by the
+   caller's reusable context [sum].  A frame names no node, so one
+   frame can be appended to any number of logs. *)
+let frame sum buf record =
   Buffer.clear buf;
   Json.to_buffer ~pretty:false buf record;
   let len = Buffer.length buf in
-  if len > max_record_bytes then invalid_arg "Wal.append: record too large";
+  if len > max_record_bytes then invalid_arg "Wal.frame: record too large";
   let frame = Bytes.create (header_bytes + len) in
   Bytes.set_int32_be frame 0 (Int32.of_int len);
   Buffer.blit buf 0 frame header_bytes len;
-  let sum = Sha256.init () in
+  Sha256.reset sum;
   Sha256.feed_bytes sum frame ~off:header_bytes ~len;
   Sha256.finalize_into sum frame ~off:4;
-  b.Backend.append ~node ~name (Bytes.unsafe_to_string frame);
-  Bytes.length frame
+  Bytes.unsafe_to_string frame
 
 let decode data =
   let n = String.length data in

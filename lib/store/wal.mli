@@ -20,11 +20,13 @@ val header_bytes : int
 val max_record_bytes : int
 (** A length prefix beyond this is treated as corruption. *)
 
-val append : Buffer.t -> Backend.t -> node:int -> name:string -> Atum_util.Json.t -> int
-(** [append buf b ~node ~name record] frames and appends one record;
-    returns the frame size in bytes.  [buf] is encoding scratch the
-    caller reuses across calls (its contents are overwritten); the
-    frame itself is the only allocation.  Raises [Invalid_argument]
+val frame : Atum_crypto.Sha256.ctx -> Buffer.t -> Atum_util.Json.t -> string
+(** [frame sum buf record] is [record]'s frame, ready for a backend's
+    [append].  [buf] is encoding scratch and [sum]
+    a hash context, both reused by the caller across calls (their
+    contents are overwritten); the frame itself is the only
+    allocation.  It names no node, so one frame can be appended to
+    every log that records the same thing.  Raises [Invalid_argument]
     on a record over {!max_record_bytes}. *)
 
 val replay : Backend.t -> node:int -> name:string -> Atum_util.Json.t list * status

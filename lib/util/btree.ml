@@ -25,23 +25,26 @@ let size t = t.count
 
 let is_empty t = t.count = 0
 
-(* Index of the first key >= k, and whether it is equal. *)
-let locate t node k =
-  let n = Array.length node.keys in
-  let rec scan i =
-    if i >= n then (i, false)
-    else begin
-      let c = t.cmp k (fst node.keys.(i)) in
-      if c = 0 then (i, true) else if c < 0 then (i, false) else scan (i + 1)
-    end
-  in
-  scan 0
+(* Index of the first key >= k, as one int: the index itself when
+   that key equals k, its [lnot] (negative) when it does not.  Lookups
+   run on every delivery an index applies, so neither the scan nor its
+   result allocates. *)
+let rec scan cmp keys k i =
+  if i >= Array.length keys then lnot i
+  else begin
+    let c = cmp k (fst keys.(i)) in
+    if c = 0 then i else if c < 0 then lnot i else scan cmp keys k (i + 1)
+  end
+
+let locate t node k = scan t.cmp node.keys k 0
+
+let[@inline] index_of r = if r >= 0 then r else lnot r
 
 let rec find_in t node k =
-  let i, eq = locate t node k in
-  if eq then Some (snd node.keys.(i))
+  let r = locate t node k in
+  if r >= 0 then Some (snd node.keys.(r))
   else if leaf node then None
-  else find_in t node.children.(i) k
+  else find_in t node.children.(lnot r) k
 
 let find t k = find_in t t.root k
 
@@ -81,8 +84,9 @@ let split_child t parent i =
   parent.children <- array_insert parent.children (i + 1) right
 
 let rec insert_nonfull t node k v =
-  let i, eq = locate t node k in
-  if eq then node.keys.(i) <- (k, v) (* replace *)
+  let r = locate t node k in
+  let i = index_of r in
+  if r >= 0 then node.keys.(i) <- (k, v) (* replace *)
   else if leaf node then begin
     node.keys <- array_insert node.keys i (k, v);
     t.count <- t.count + 1
@@ -179,7 +183,8 @@ let reinforce t node i =
   end
 
 let rec remove_from t node k =
-  let i, eq = locate t node k in
+  let r = locate t node k in
+  let i = index_of r and eq = r >= 0 in
   if leaf node then begin
     if eq then begin
       node.keys <- array_remove node.keys i;
@@ -207,8 +212,9 @@ let rec remove_from t node k =
   else begin
     let i = reinforce t node i in
     (* After a merge the separator set changed; re-locate. *)
-    let j, eq = locate t node k in
-    if eq then remove_from_internal_hit t node j k
+    let r = locate t node k in
+    let j = index_of r in
+    if r >= 0 then remove_from_internal_hit t node j k
     else remove_from t node.children.(min j (Array.length node.children - 1)) k;
     ignore i
   end

@@ -59,6 +59,22 @@ let test_sha_finalize_twice_raises () =
     (Invalid_argument "Sha256.finalize: context already finalized")
     (fun () -> ignore (Sha256.finalize ctx))
 
+(* One context serves digest after digest: after a [finalize] (or in
+   the middle of a message) [reset] makes it hash like a fresh one. *)
+let test_sha_reset_reuses_context () =
+  let ctx = Sha256.init () in
+  List.iter
+    (fun n ->
+      let msg = String.init n (fun i -> Char.chr ((i * 13) land 255)) in
+      Sha256.feed ctx msg;
+      Alcotest.(check string) (Printf.sprintf "%d bytes" n) (Sha256.digest msg) (Sha256.finalize ctx);
+      Sha256.reset ctx)
+    [ 0; 3; 55; 56; 64; 100; 1000 ];
+  Sha256.feed ctx "abandoned half a message";
+  Sha256.reset ctx;
+  Sha256.feed ctx "abc";
+  Alcotest.(check string) "reset mid-message" (Sha256.digest "abc") (Sha256.finalize ctx)
+
 let test_sha_lengths_55_56_64 () =
   (* Padding edge cases around the 56- and 64-byte boundaries: just
      check the incremental and one-shot paths agree and digests are
@@ -263,6 +279,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_sha_injective_on_samples;
           QCheck_alcotest.to_alcotest prop_sha_length;
           Alcotest.test_case "sub-range digest" `Quick test_sha_sub_range;
+          Alcotest.test_case "reset reuses a context" `Quick test_sha_reset_reuses_context;
         ] );
       ( "hmac",
         [

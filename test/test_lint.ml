@@ -332,9 +332,27 @@ let test_sort_launders_traversal () =
         (List.sort_uniq String.compare (List.map (fun d -> d.Diagnostic.rule) ds))
   in
   check "let ks t = Hashtbl.fold (fun k _ a -> k :: a) t []" [ "D002" ];
-  check "let ks t = List.sort compare (Hashtbl.fold (fun k _ a -> k :: a) t [])" [];
-  check "let ks t = Hashtbl.fold (fun k _ a -> k :: a) t [] |> List.sort_uniq compare" [];
+  check "let ks t = List.sort Int.compare (Hashtbl.fold (fun k _ a -> k :: a) t [])" [];
+  check "let ks t = Hashtbl.fold (fun k _ a -> k :: a) t [] |> List.sort_uniq Int.compare" [];
   check "let ks t = Atum_util.Hashtbl_ext.sorted_keys ~cmp:Int.compare t" []
+
+(* D003 covers the application, store and crypto layers as well as the
+   protocol core, and no layer above them. *)
+let test_d003_dirs () =
+  let rules file =
+    match Engine.check_source ~file "let ks l = List.sort compare l" with
+    | Error e -> Alcotest.failf "parse error: %s" e
+    | Ok ds -> List.sort_uniq String.compare (List.map (fun d -> d.Diagnostic.rule) ds)
+  in
+  List.iter
+    (fun (file, expected) -> Alcotest.(check (list string)) file expected (rules file))
+    [
+      ("lib/apps/inline.ml", [ "D003" ]);
+      ("lib/store/inline.ml", [ "D003" ]);
+      ("lib/crypto/inline.ml", [ "D003" ]);
+      ("lib/core/inline.ml", [ "D003" ]);
+      ("lib/workload/inline.ml", []);
+    ]
 
 (* M001 knows the artifact readers: dropping [Artifact.load]'s or
    [Artifact.read_json]'s [Error] hides a malformed file. *)
@@ -370,6 +388,7 @@ let () =
             test_ignored_artifact_read_flagged;
           Alcotest.test_case "good fixtures are clean" `Quick test_good_fixture_is_clean;
           Alcotest.test_case "sort launders traversal" `Quick test_sort_launders_traversal;
+          Alcotest.test_case "D003 directories" `Quick test_d003_dirs;
         ] );
       ( "effects",
         [

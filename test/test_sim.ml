@@ -883,6 +883,102 @@ let test_network_matches_reference () =
         untraced_uncapped (!skipped > 0))
     [ ("wan", wan, false); ("wan traced", wan, true); ("capacity", capped, false) ]
 
+(* Fault state per batch.  While an unrelated node is crashed and
+   another partitioned, batches among live nodes of one partition take
+   the fault-free paths; batches touching the faulted nodes, or a node
+   crashed while they are in flight or by a handler during their
+   arrival, are still cut cell by cell.  Every outcome must equal the
+   per-pair reference's, settled or not. *)
+let run_fault_script ops =
+  let log = ref [] in
+  for i = 0 to 9 do
+    ops.register i (fun ~src m ->
+        log := (Engine.now ops.engine, src, i, m, false) :: !log;
+        if m = 7 then ops.crash 6)
+  done;
+  ops.crash 9;
+  ops.set_partition 8 1;
+  ops.recover 7;
+  let srcs = [ (0, 16); (1, 24); (2, 32) ] in
+  List.iter
+    (fun settled ->
+      ops.send_group ?settled ~srcs ~dsts:[ 3; 4; 5; 6 ] 0;
+      ops.send_group ?settled ~srcs ~dsts:[ 3; 8; 9 ] 0;
+      ops.send_group ?settled ~srcs:[ (0, 8); (8, 8) ] ~dsts:[ 3; 4 ] 0;
+      ops.send_group ?settled ~srcs:[ (1, 8); (9, 8) ] ~dsts:[ 3 ] 0;
+      Engine.run ops.engine;
+      (* Crashed while in flight: column 4 is cut at arrival. *)
+      ops.send_group ?settled ~srcs ~dsts:[ 3; 4; 5 ] 0;
+      ops.crash 4;
+      Engine.run ops.engine;
+      ops.recover 4)
+    [ None; Some (fun _ -> true); Some (fun d -> d land 1 = 1) ];
+  (* Node 3's handler crashes node 6 halfway through the walk. *)
+  ops.send_group ~srcs:[ (0, 8) ] ~dsts:[ 3; 6 ] 7;
+  Engine.run ops.engine;
+  {
+    log = List.rev !log;
+    counts = ops.counters ();
+    reasons =
+      List.map
+        (fun k -> (k, Metrics.counter ops.metrics k))
+        [ "net.drop.crash"; "net.drop.partition"; "net.drop.loss"; "net.drop.no_handler";
+          "net.deliver.post_heal" ];
+    labels = List.map (fun p -> (p.Engine.label, p.Engine.events)) (Engine.profile ops.engine);
+    next_latency = ops.sample_latency ();
+  }
+
+let test_network_fault_per_batch () =
+  let config = Network.datacenter_config ~seed:4 in
+  let got = run_fault_script (real_ops ~traced:false config) in
+  let want = run_fault_script (ref_ops ~traced:false ~honour_settled:true config) in
+  check_same_run (fun w -> "fault per batch: " ^ w) ~log:(fun o -> show_log o.log) want got;
+  (* Per settled mode: 3 + 1 cells to or from node 9 cut at admission,
+     3 + 2 to or from node 8's partition, and 3 cells to node 4 once it
+     crashed in flight; then the cell to node 6, crashed by the handler
+     of the cell before it. *)
+  Alcotest.(check (list (pair string int)))
+    "drops by reason"
+    [ ("net.drop.crash", (3 * (4 + 3)) + 1); ("net.drop.partition", 3 * (3 + 2)) ]
+    (List.filteri (fun i _ -> i < 2) got.reasons);
+  let _, delivered, _, _ = got.counts in
+  Alcotest.(check int) "every other cell delivered" ((3 * (12 + 3 + 2 + 1 + 6)) + 1) delivered;
+  Alcotest.(check int) "all of them after a recover" delivered
+    (List.assoc "net.deliver.post_heal" got.reasons)
+
+(* The post-heal count goes through a counter handle; a [Metrics.clear]
+   in mid-run (as an experiment's measurement window does) must not
+   leave it counting into a dropped cell, on either arrival path. *)
+let test_network_post_heal_after_clear () =
+  let e = Engine.create () in
+  let net : int Network.t = Network.create e (Network.datacenter_config ~seed:5) in
+  let m = Network.metrics net in
+  for i = 0 to 5 do
+    Network.register net i (fun ~src:_ _ -> ())
+  done;
+  let srcs = [ (0, 8); (1, 8) ] and dsts = [ 2; 3; 4 ] in
+  let round () =
+    Network.send_group net ~srcs ~dsts 0;
+    Network.send_group ~settled:(fun _ -> true) net ~srcs ~dsts 0;
+    Network.send net ~src:0 ~dst:5 0;
+    Engine.run e
+  in
+  let post_heal () = Metrics.counter m "net.deliver.post_heal" in
+  round ();
+  Alcotest.(check bool) "no counter before a recover" false
+    (List.mem "net.deliver.post_heal" (Metrics.counter_names m));
+  Network.recover net 5;
+  round ();
+  Alcotest.(check int) "counted after a recover" 13 (post_heal ());
+  Metrics.clear m;
+  Alcotest.(check int) "cleared" 0 (post_heal ());
+  round ();
+  Alcotest.(check int) "counted again after clear" 13 (post_heal ());
+  Network.crash net 5;
+  round ();
+  Alcotest.(check int) "an unrelated crash changes nothing" 25 (post_heal ());
+  Alcotest.(check int) "the crashed node's cell dropped" 1 (Metrics.counter m "net.drop.crash")
+
 (* Transit must stay allocation-free per message: a whole
    [send_group] round to a no-op handler, tracing off, may only pay
    per-batch costs (mask, closure, settled-column mask) amortised over
@@ -1032,6 +1128,20 @@ let test_metrics_clear () =
   Metrics.clear m;
   Alcotest.(check int) "counter gone" 0 (Metrics.counter m "a");
   Alcotest.(check (list (float 0.0))) "series gone" [] (Metrics.samples m "s")
+
+let test_metrics_handle () =
+  let m = Metrics.create () in
+  let h = Metrics.handle m "h" in
+  Alcotest.(check (list string)) "a handle creates no counter" [] (Metrics.counter_names m);
+  Metrics.bump h;
+  Metrics.incr m "h";
+  Metrics.bump ~by:3 h;
+  Alcotest.(check int) "handle and name share the counter" 5 (Metrics.counter m "h");
+  Metrics.clear m;
+  Metrics.bump h;
+  Alcotest.(check int) "after clear" 1 (Metrics.counter m "h");
+  Metrics.incr m "h";
+  Alcotest.(check int) "one cell again" 2 (Metrics.counter m "h")
 
 let test_metrics_merge () =
   let a = Metrics.create () and b = Metrics.create () in
@@ -1416,6 +1526,9 @@ let () =
           Alcotest.test_case "drop reason counters" `Quick test_network_drop_reason_counters;
           Alcotest.test_case "batched transit matches per-pair reference" `Quick
             test_network_matches_reference;
+          Alcotest.test_case "fault state per batch" `Quick test_network_fault_per_batch;
+          Alcotest.test_case "post-heal count across clear" `Quick
+            test_network_post_heal_after_clear;
           Alcotest.test_case "send_group allocation per message" `Quick
             test_network_send_group_alloc;
         ] );
@@ -1439,6 +1552,7 @@ let () =
           Alcotest.test_case "counters" `Quick test_metrics_counters;
           Alcotest.test_case "series" `Quick test_metrics_series;
           Alcotest.test_case "clear" `Quick test_metrics_clear;
+          Alcotest.test_case "handle" `Quick test_metrics_handle;
           Alcotest.test_case "merge" `Quick test_metrics_merge;
           Alcotest.test_case "json roundtrip" `Quick test_metrics_json_roundtrip;
           Alcotest.test_case "json summary only" `Quick test_metrics_json_summary_only;

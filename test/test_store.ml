@@ -35,11 +35,18 @@ let wal_status =
 (* WAL framing                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Frame a record and append it to a log, as [Replica.append] does;
+   returns the frame's size. *)
+let wal_append b ~node ~name record =
+  let frame = Wal.frame (Atum_crypto.Sha256.init ()) (Buffer.create 64) record in
+  b.Backend.append ~node ~name frame;
+  String.length frame
+
 let test_wal_roundtrip () =
   let vfs = Vfs.create () in
   let b = Vfs.backend vfs in
   let records = List.init 20 obj in
-  List.iter (fun r -> ignore (Wal.append (Buffer.create 64) b ~node:3 ~name:"wal" r)) records;
+  List.iter (fun r -> ignore (wal_append b ~node:3 ~name:"wal" r)) records;
   let entries, status = Wal.replay b ~node:3 ~name:"wal" in
   Alcotest.check wal_status "complete" Wal.Complete status;
   Alcotest.(check (list json)) "all records back, in order" records entries;
@@ -51,7 +58,7 @@ let test_wal_roundtrip () =
 let test_wal_truncated_tail () =
   let vfs = Vfs.create () in
   let b = Vfs.backend vfs in
-  let sizes = List.map (fun r -> Wal.append (Buffer.create 64) b ~node:0 ~name:"wal" r) (List.init 5 obj) in
+  let sizes = List.map (fun r -> wal_append b ~node:0 ~name:"wal" r) (List.init 5 obj) in
   let keep = List.fold_left ( + ) 0 sizes - 7 in
   Alcotest.(check bool) "truncate applied" true (Vfs.truncate vfs ~node:0 ~name:"wal" ~keep);
   let entries, status = Wal.replay b ~node:0 ~name:"wal" in
@@ -65,9 +72,9 @@ let test_wal_truncated_tail () =
 let test_wal_corrupt_record () =
   let vfs = Vfs.create () in
   let b = Vfs.backend vfs in
-  let s0 = Wal.append (Buffer.create 64) b ~node:0 ~name:"wal" (obj 0) in
-  ignore (Wal.append (Buffer.create 64) b ~node:0 ~name:"wal" (obj 1));
-  ignore (Wal.append (Buffer.create 64) b ~node:0 ~name:"wal" (obj 2));
+  let s0 = wal_append b ~node:0 ~name:"wal" (obj 0) in
+  ignore (wal_append b ~node:0 ~name:"wal" (obj 1));
+  ignore (wal_append b ~node:0 ~name:"wal" (obj 2));
   (* Flip a byte inside record 1's payload: its checksum must fail. *)
   Alcotest.(check bool) "corruption applied" true
     (Vfs.corrupt_byte vfs ~node:0 ~name:"wal" ~at:(s0 + Wal.header_bytes + 2));
@@ -123,9 +130,8 @@ let test_vfs_remove_then_recreate () =
 let test_vfs_corrupt_then_replay () =
   let vfs = Vfs.create () in
   let b = Vfs.backend vfs in
-  let buf = Buffer.create 16 in
-  let s0 = Wal.append buf b ~node:0 ~name:"wal" (obj 0) in
-  ignore (Wal.append buf b ~node:0 ~name:"wal" (obj 1));
+  let s0 = wal_append b ~node:0 ~name:"wal" (obj 0) in
+  ignore (wal_append b ~node:0 ~name:"wal" (obj 1));
   let intact = Vfs.read vfs ~node:0 ~name:"wal" in
   let at = s0 + Wal.header_bytes + 3 in
   Alcotest.(check bool) "corrupted" true (Vfs.corrupt_byte vfs ~node:0 ~name:"wal" ~at);
@@ -190,7 +196,7 @@ let test_store_golden_bytes () =
   let r = Replica.create ~snapshot_every:3 ~key:"golden-key" (Vfs.backend vfs) in
   for i = 0 to 40 do
     let node = i mod 3 in
-    Replica.append r ~node (golden_record i);
+    Replica.append r ~node (Replica.frame r (golden_record i));
     if Replica.needs_snapshot r ~node then
       Replica.save_snapshot r ~node
         (Json.Obj
@@ -221,6 +227,111 @@ let test_store_golden_bytes () =
       let rc = Replica.recover r ~node in
       Alcotest.(check bool) "recovers" false (Replica.corrupt rc))
     [ 0; 1; 2 ]
+
+(* A small durable deployment end to end: Async vgroups over the WAN
+   model, AShare puts indexed by every member, snapshots every few
+   appends, and one crash-restart in the middle.  The SHA-256 of every
+   file the store holds afterwards was recorded on the write path that
+   framed each member's WAL record separately, so frames shared across
+   members must leave every stored byte where it was. *)
+let test_store_golden_durable_run () =
+  let n = 30 and seed = 21 in
+  let params = Atum_core.Params.for_system_size ~protocol:Atum_core.Params.Async ~seed n in
+  let built =
+    W.Builder.grow ~params ~net_config:(Atum_sim.Network.wan_config ~seed) ~n ~seed ()
+  in
+  let atum = built.W.Builder.atum in
+  let sys = Atum.system atum in
+  let vfs = Vfs.create ~now:(fun () -> Atum.now atum) () in
+  ignore (System.attach_store ~snapshot_every:5 sys (Vfs.backend vfs));
+  let ash = Ashare.attach atum ~rho:2 in
+  Ashare.enable_persistence ash;
+  let members = W.Builder.correct_members built in
+  let owner = List.nth members 0 and victim = List.nth members 1 in
+  let put i =
+    Ashare.put ash ~owner ~name:(Printf.sprintf "doc-%d" i)
+      (Ashare.Real (Printf.sprintf "contents of %d: %s" i (String.make (i * 5) 'z')))
+  in
+  for i = 0 to 3 do
+    put i;
+    Atum.run_for atum 5.0
+  done;
+  System.crash sys victim;
+  for i = 4 to 6 do
+    put i;
+    Atum.run_for atum 5.0
+  done;
+  System.restart sys victim;
+  for i = 7 to 9 do
+    put i;
+    Atum.run_for atum 5.0
+  done;
+  Atum.run_for atum 60.0;
+  (match System.restart_reports sys with
+  | [ r ] -> Alcotest.(check bool) "restart replayed its store" false r.System.r_fallback
+  | rs -> Alcotest.failf "expected one restart report, got %d" (List.length rs));
+  let files =
+    List.concat_map
+      (fun node ->
+        List.filter_map
+          (fun name -> Vfs.read vfs ~node ~name)
+          [ Replica.wal_name; Replica.snapshot_name ])
+      (List.init 512 Fun.id)
+  in
+  Alcotest.(check int) "every file hashed" (Vfs.file_count vfs) (List.length files);
+  Alcotest.(check bool) "snapshots taken" true (Replica.snapshots (Option.get (System.store sys)) > 0);
+  Alcotest.(check int) "files" 60 (Vfs.file_count vfs);
+  Alcotest.(check int) "bytes" 44182 (Vfs.total_bytes vfs);
+  Alcotest.(check string) "file bytes"
+    "8e92d78c8bb9970e3c8e073aefe5c9d54105fd7f012aada053d224b0bbdba46a"
+    (Atum_crypto.Sha256.digest_hex (String.concat "" (List.map Atum_crypto.Sha256.digest files)))
+
+(* A delivery's WAL frame is shared by every member that delivers the
+   broadcast as issued, never by one handed another body.  Equivocating
+   members plus heavy loss make correct members deliver forged bodies
+   for some bids (ROADMAP item 9); whatever body a member delivered,
+   its own WAL must replay exactly that body. *)
+let test_frame_follows_delivered_body () =
+  let module Network = Atum_sim.Network in
+  let params = Atum_core.Params.for_system_size ~protocol:Atum_core.Params.Async ~seed:1 120 in
+  let sys = System.create ~net_config:(Network.datacenter_config ~seed:1) params in
+  let ids = Array.of_list (System.build_direct sys ~nodes:120 ()) in
+  System.set_forward_policy sys System.flood_forward;
+  let vfs = Vfs.create () in
+  let store = System.attach_store ~snapshot_every:max_int sys (Vfs.backend vfs) in
+  for i = 0 to 11 do
+    System.make_byzantine sys ~strategy:System.Equivocate ids.((i * 10) + 3)
+  done;
+  let delivered = Hashtbl.create 1024 in
+  System.set_deliver sys (fun nid ~bid ~origin:_ body -> Hashtbl.replace delivered (nid, bid) body);
+  Network.set_loss_boost (System.network sys) 0.2;
+  List.iter (fun i -> ignore (System.broadcast sys ~from:ids.(i) (Printf.sprintf "b%d" i))) [ 0; 25; 50; 75; 100 ];
+  System.run_for sys 60.0;
+  let logged = Hashtbl.create 1024 in
+  Array.iter
+    (fun nid ->
+      let r = Replica.recover store ~node:nid in
+      Alcotest.check wal_status "log intact" Wal.Complete r.Replica.wal_status;
+      List.iter
+        (function
+          | Json.Obj [ ("t", Json.String "deliver"); ("bid", Json.Int bid); _; ("body", Json.String b) ] ->
+            Hashtbl.replace logged (nid, bid) b
+          | _ -> ())
+        r.Replica.entries)
+    ids;
+  let sorted tbl =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  in
+  Alcotest.(check (list (pair (pair int int) string)))
+    "each member's WAL holds the body it delivered" (sorted delivered) (sorted logged);
+  let bodies = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun (_, bid) b ->
+      let seen = Option.value ~default:[] (Hashtbl.find_opt bodies bid) in
+      if not (List.mem b seen) then Hashtbl.replace bodies bid (b :: seen))
+    delivered;
+  Alcotest.(check bool) "some broadcast was delivered with two bodies" true
+    (Hashtbl.fold (fun _ bs acc -> acc || List.length bs > 1) bodies false)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
@@ -257,13 +368,13 @@ let test_snapshot_roundtrip_and_auth () =
 let test_replica_snapshot_cycle () =
   let vfs = Vfs.create () in
   let r = Replica.create ~snapshot_every:4 ~key:"k" (Vfs.backend vfs) in
-  List.iter (fun i -> Replica.append r ~node:1 (obj i)) [ 0; 1; 2 ];
+  List.iter (fun i -> Replica.append r ~node:1 (Replica.frame r (obj i))) [ 0; 1; 2 ];
   Alcotest.(check bool) "below threshold" false (Replica.needs_snapshot r ~node:1);
-  Replica.append r ~node:1 (obj 3);
+  Replica.append r ~node:1 (Replica.frame r (obj 3));
   Alcotest.(check bool) "at threshold" true (Replica.needs_snapshot r ~node:1);
   Replica.save_snapshot r ~node:1 (Json.Obj [ ("state", Json.Int 42) ]);
   Alcotest.(check bool) "snapshot resets the counter" false (Replica.needs_snapshot r ~node:1);
-  Replica.append r ~node:1 (obj 4);
+  Replica.append r ~node:1 (Replica.frame r (obj 4));
   let rec_ = Replica.recover r ~node:1 in
   Alcotest.(check bool) "not corrupt" false (Replica.corrupt rec_);
   Alcotest.check json "snapshot back"
@@ -282,7 +393,7 @@ let test_replica_snapshot_cycle () =
 let test_replica_corrupt_detection () =
   let vfs = Vfs.create () in
   let r = Replica.create ~key:"k" (Vfs.backend vfs) in
-  Replica.append r ~node:2 (obj 0);
+  Replica.append r ~node:2 (Replica.frame r (obj 0));
   ignore (Vfs.corrupt_byte vfs ~node:2 ~name:Replica.wal_name ~at:(Wal.header_bytes + 1));
   Alcotest.(check bool) "corrupt WAL detected" true (Replica.corrupt (Replica.recover r ~node:2))
 
@@ -445,7 +556,13 @@ let () =
           Alcotest.test_case "remove then recreate" `Quick test_vfs_remove_then_recreate;
           Alcotest.test_case "corrupt then replay" `Quick test_vfs_corrupt_then_replay;
         ] );
-      ("golden", [ Alcotest.test_case "store bytes" `Quick test_store_golden_bytes ]);
+      ( "golden",
+        [
+          Alcotest.test_case "store bytes" `Quick test_store_golden_bytes;
+          Alcotest.test_case "durable run bytes" `Quick test_store_golden_durable_run;
+          Alcotest.test_case "frame follows the delivered body" `Quick
+            test_frame_follows_delivered_body;
+        ] );
       ( "snapshot",
         [ Alcotest.test_case "roundtrip + auth" `Quick test_snapshot_roundtrip_and_auth ] );
       ( "replica",
