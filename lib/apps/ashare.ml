@@ -13,19 +13,49 @@ type get_result = {
   data : string option;
 }
 
+(* The immutable facts of one PUT.  Every member's entry for the PUT
+   shares one [facts], decoded once from the broadcast body, with the
+   snapshot encoding of everything in the entry but its replicas:
+   [{"owner":_,"name":_,"value":{"size_mb":_,"chunk_count":_,"replicas":[]. *)
+type facts = { size_mb : float; chunk_count : int; json : string }
+
 (* Each node's view of one file: its own mutable replica list (soft
-   state), plus the immutable facts from the PUT broadcast. *)
-type entry = { size_mb : float; chunk_count : int; mutable replicas : node_id list }
+   state), plus the PUT's facts. *)
+type entry = { facts : facts; mutable replicas : node_id list }
+
+(* A broadcast body, decoded. *)
+type op =
+  | Put of { fkey : Kv_index.key; facts : facts; owner_node : node_id }
+  | Rep of { fkey : Kv_index.key; holder : node_id }
+  | Del of Kv_index.key
+  | Ignored
+
+(* Stored-replica sets, one per node, keyed by file. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = Kv_index.key
+
+  let equal (a : t) (b : t) = String.equal a.owner b.owner && String.equal a.name b.name
+  let hash (k : t) = String.hash k.owner + (31 * String.hash k.name)
+end)
+
+(* Recently decoded bodies, direct-mapped by bid: every member of a
+   broadcast delivers the same body, and a slot holds its decoding
+   until another broadcast's bid takes the slot. *)
+let decoded_slots = 256
 
 type t = {
   atum : Atum.t;
   rho : int;
   host : Bulk.host;
   rng : Atum_util.Rng.t;
-  indexes : (node_id, entry Kv_index.t) Hashtbl.t;
-  stored : (node_id, (Kv_index.key, unit) Hashtbl.t) Hashtbl.t;
+  (* Per-node state, indexed by node id. *)
+  mutable indexes : entry Kv_index.t option array;
+  mutable stored : unit Key_tbl.t option array;
   contents : (Kv_index.key, content) Hashtbl.t; (* ground-truth bytes *)
   digests : (Kv_index.key, Atum_crypto.Chunks.digest_set) Hashtbl.t;
+  decoded_bid : int array;
+  decoded_body : string array;
+  decoded_op : op array;
 }
 
 let owner_name nid = "user-" ^ string_of_int nid
@@ -38,20 +68,73 @@ let encode parts = String.concat (String.make 1 sep) parts
 
 let decode s = String.split_on_char sep s
 
+module Json = Atum_util.Json
+
+let make_facts (fkey : Kv_index.key) ~size_mb ~chunk_count =
+  let buf = Buffer.create 96 in
+  Buffer.add_string buf "{\"owner\":";
+  Json.add_string buf fkey.owner;
+  Buffer.add_string buf ",\"name\":";
+  Json.add_string buf fkey.name;
+  Buffer.add_string buf ",\"value\":{\"size_mb\":";
+  Json.add_float buf size_mb;
+  Buffer.add_string buf ",\"chunk_count\":";
+  Json.add_int buf chunk_count;
+  Buffer.add_string buf ",\"replicas\":[";
+  { size_mb; chunk_count; json = Buffer.contents buf }
+
+let decode_op body =
+  match decode body with
+  | [ "put"; owner; name; size_mb; chunks; owner_node ] -> (
+    match (float_of_string_opt size_mb, int_of_string_opt chunks, int_of_string_opt owner_node) with
+    | Some size_mb, Some chunk_count, Some owner_node ->
+      let fkey = key ~owner ~name in
+      Put { fkey; facts = make_facts fkey ~size_mb ~chunk_count; owner_node }
+    | _ -> Ignored)
+  | [ "rep"; owner; name; holder ] -> (
+    match int_of_string_opt holder with
+    | Some holder -> Rep { fkey = key ~owner ~name; holder }
+    | None -> Ignored)
+  | [ "del"; owner; name ] -> Del (key ~owner ~name)
+  | _ -> Ignored
+
+(* [body] decoded, at most once per (bid, body) while the slot holds
+   it; an equivocated body for the same bid is decoded on its own. *)
+let decoded t ~bid body =
+  let slot = bid land (decoded_slots - 1) in
+  if t.decoded_bid.(slot) = bid && String.equal t.decoded_body.(slot) body then t.decoded_op.(slot)
+  else begin
+    let op = decode_op body in
+    t.decoded_bid.(slot) <- bid;
+    t.decoded_body.(slot) <- body;
+    t.decoded_op.(slot) <- op;
+    op
+  end
+
+let grow a nid =
+  if nid < Array.length a then a
+  else begin
+    let b = Array.make (max (nid + 1) (2 * Array.length a)) None in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
 let index_of t nid =
-  match Hashtbl.find_opt t.indexes nid with
+  t.indexes <- grow t.indexes nid;
+  match t.indexes.(nid) with
   | Some ix -> ix
   | None ->
     let ix = Kv_index.create () in
-    Hashtbl.replace t.indexes nid ix;
+    t.indexes.(nid) <- Some ix;
     ix
 
 let stored_of t nid =
-  match Hashtbl.find_opt t.stored nid with
+  t.stored <- grow t.stored nid;
+  match t.stored.(nid) with
   | Some s -> s
   | None ->
-    let s = Hashtbl.create 8 in
-    Hashtbl.replace t.stored nid s;
+    let s = Key_tbl.create 8 in
+    t.stored.(nid) <- Some s;
     s
 
 let atum t = t.atum
@@ -62,7 +145,7 @@ let content_size_mb = function
   | Real s -> float_of_int (String.length s) /. 1_048_576.0
   | Synthetic mb -> mb
 
-let stores t ~node ~owner ~name = Hashtbl.mem (stored_of t node) (key ~owner ~name)
+let stores t ~node ~owner ~name = Key_tbl.mem (stored_of t node) (key ~owner ~name)
 
 let replica_count t ~node ~owner ~name =
   match Kv_index.get (index_of t node) (key ~owner ~name) with
@@ -107,11 +190,11 @@ let get t ~reader ~owner ~name ~k =
   | None -> finish 0.001 None
   | Some e ->
     let holders =
-      List.filter (fun h -> Hashtbl.mem (stored_of t h) (key ~owner ~name)) e.replicas
+      List.filter (fun h -> Key_tbl.mem (stored_of t h) (key ~owner ~name)) e.replicas
     in
     if List.mem reader holders then begin
       (* Local replica: only the integrity check costs anything. *)
-      let check = Bulk.hash_time t.host ~mb:e.size_mb ~parallel_chunks:e.chunk_count in
+      let check = Bulk.hash_time t.host ~mb:e.facts.size_mb ~parallel_chunks:e.facts.chunk_count in
       let data =
         match Hashtbl.find_opt t.contents (key ~owner ~name) with
         | Some (Real s) -> Some s
@@ -125,7 +208,7 @@ let get t ~reader ~owner ~name ~k =
       | [] -> finish 0.001 None
       | _ ->
         let corrupt, correct = List.partition (fun h -> is_byzantine t h) holders in
-        let chunks = max 1 e.chunk_count in
+        let chunks = max 1 e.facts.chunk_count in
         let nh = List.length holders in
         (* Round-robin assignment: chunk i goes to holder (i mod nh). *)
         let bad_chunks =
@@ -136,9 +219,9 @@ let get t ~reader ~owner ~name ~k =
         in
         let hosts_of l = List.map (fun _ -> t.host) l in
         let t1 =
-          Bulk.parallel_pull_time ~sources:(hosts_of holders) ~dst:t.host ~mb:e.size_mb ~chunks
+          Bulk.parallel_pull_time ~sources:(hosts_of holders) ~dst:t.host ~mb:e.facts.size_mb ~chunks
         in
-        let hash1 = Bulk.hash_time t.host ~mb:e.size_mb ~parallel_chunks:chunks in
+        let hash1 = Bulk.hash_time t.host ~mb:e.facts.size_mb ~parallel_chunks:chunks in
         if bad_chunks = 0 then begin
           let data =
             match Hashtbl.find_opt t.contents (key ~owner ~name) with
@@ -147,11 +230,11 @@ let get t ~reader ~owner ~name ~k =
           in
           finish (t1 +. hash1)
             (Some
-               { latency = t1 +. hash1; pulled_mb = e.size_mb; corrupted_chunks = 0; data })
+               { latency = t1 +. hash1; pulled_mb = e.facts.size_mb; corrupted_chunks = 0; data })
         end
         else if correct = [] then finish (t1 +. hash1) None
         else begin
-          let bad_mb = e.size_mb *. float_of_int bad_chunks /. float_of_int chunks in
+          let bad_mb = e.facts.size_mb *. float_of_int bad_chunks /. float_of_int chunks in
           let t2 =
             Bulk.parallel_pull_time ~sources:(hosts_of correct) ~dst:t.host ~mb:bad_mb
               ~chunks:bad_chunks
@@ -167,7 +250,7 @@ let get t ~reader ~owner ~name ~k =
             (Some
                {
                  latency = total;
-                 pulled_mb = e.size_mb +. bad_mb;
+                 pulled_mb = e.facts.size_mb +. bad_mb;
                  corrupted_chunks = bad_chunks;
                  data;
                })
@@ -176,147 +259,146 @@ let get t ~reader ~owner ~name ~k =
 
 (* --- Randomized replication feedback loop (Fig 5) ------------------- *)
 
-let rec maybe_replicate t nid fkey =
-  let ix = index_of t nid in
-  match Kv_index.get ix fkey with
-  | None -> ()
-  | Some e ->
-    if
-      (not (Hashtbl.mem (stored_of t nid) fkey))
-      && List.length e.replicas < t.rho
-      && is_correct_member t nid
-    then begin
-      let n = max 1 (Atum.size t.atum) in
-      let c = List.length e.replicas in
-      let prob = float_of_int (t.rho - c) /. float_of_int n in
-      if Atum_util.Rng.bernoulli t.rng prob then begin
-        (* Replicating = reading the file, then announcing. *)
-        get t ~reader:nid ~owner:fkey.Kv_index.owner ~name:fkey.Kv_index.name ~k:(function
-          | Some _ when is_correct_member t nid ->
-            Hashtbl.replace (stored_of t nid) fkey ();
-            ignore
-              (Atum.broadcast t.atum ~from:nid
-                 (encode [ "rep"; fkey.Kv_index.owner; fkey.Kv_index.name; string_of_int nid ]))
-          | _ -> ())
-      end
+let rec maybe_replicate t nid fkey e =
+  if
+    (not (Key_tbl.mem (stored_of t nid) fkey))
+    && List.length e.replicas < t.rho
+    && is_correct_member t nid
+  then begin
+    let n = max 1 (Atum.size t.atum) in
+    let c = List.length e.replicas in
+    let prob = float_of_int (t.rho - c) /. float_of_int n in
+    if Atum_util.Rng.bernoulli t.rng prob then begin
+      (* Replicating = reading the file, then announcing. *)
+      get t ~reader:nid ~owner:fkey.Kv_index.owner ~name:fkey.Kv_index.name ~k:(function
+        | Some _ when is_correct_member t nid ->
+          Key_tbl.replace (stored_of t nid) fkey ();
+          ignore
+            (Atum.broadcast t.atum ~from:nid
+               (encode [ "rep"; fkey.Kv_index.owner; fkey.Kv_index.name; string_of_int nid ]))
+        | _ -> ())
     end
+  end
 
-and handle_deliver t nid body =
-  match decode body with
-  | [ "put"; owner; name; size_mb; chunks; owner_node ] -> (
-    match (float_of_string_opt size_mb, int_of_string_opt chunks, int_of_string_opt owner_node) with
-    | Some size_mb, Some chunk_count, Some owner_node ->
-      let fkey = key ~owner ~name in
-      Kv_index.put (index_of t nid) fkey { size_mb; chunk_count; replicas = [ owner_node ] };
-      maybe_replicate t nid fkey
-    | _ -> ())
-  | [ "rep"; owner; name; holder ] -> (
-    match int_of_string_opt holder with
-    | Some holder ->
-      let fkey = key ~owner ~name in
-      (match Kv_index.get (index_of t nid) fkey with
-      | Some e ->
-        if not (List.mem holder e.replicas) then e.replicas <- holder :: e.replicas;
-        maybe_replicate t nid fkey
-      | None -> ())
-    | None -> ())
-  | [ "del"; owner; name ] ->
-    let fkey = key ~owner ~name in
+(* Apply a decoded broadcast to the node's index and stored set, and
+   hand back the entry a PUT stored or a replica announcement updated
+   (for the replication lottery); [Del] also forgets the ground truth
+   unless [replay]ing. *)
+and apply t nid ~replay = function
+  | Put { fkey; facts; owner_node } ->
+    let e = { facts; replicas = [ owner_node ] } in
+    Kv_index.put (index_of t nid) fkey e;
+    Some (fkey, e)
+  | Rep { fkey; holder } -> (
+    match Kv_index.get (index_of t nid) fkey with
+    | Some e ->
+      if not (List.mem holder e.replicas) then e.replicas <- holder :: e.replicas;
+      Some (fkey, e)
+    | None -> None)
+  | Del fkey ->
     Kv_index.remove (index_of t nid) fkey;
-    Hashtbl.remove (stored_of t nid) fkey;
-    Hashtbl.remove t.contents fkey;
-    Hashtbl.remove t.digests fkey
-  | _ -> ()
+    Key_tbl.remove (stored_of t nid) fkey;
+    if not replay then begin
+      Hashtbl.remove t.contents fkey;
+      Hashtbl.remove t.digests fkey
+    end;
+    None
+  | Ignored -> None
+
+and handle_deliver t nid ~bid body =
+  match apply t nid ~replay:false (decoded t ~bid body) with
+  | Some (fkey, e) -> maybe_replicate t nid fkey e
+  | None -> ()
 
 (* --- durable state (snapshots + WAL replay) -------------------------- *)
 
-module Json = Atum_util.Json
-
-let entry_to_json (e : entry) =
-  Json.Obj
-    [
-      ("size_mb", Json.Float e.size_mb);
-      ("chunk_count", Json.Int e.chunk_count);
-      ("replicas", Json.List (List.map (fun r -> Json.Int r) (List.sort Int.compare e.replicas)));
-    ]
-
+(* An entry as the snapshot holds it, before its key gives it facts. *)
 let entry_of_json j =
   match (Json.member "size_mb" j, Json.member "chunk_count" j, Json.member "replicas" j) with
   | Some (Json.Float size_mb), Some (Json.Int chunk_count), Some (Json.List rs) ->
     let replicas = List.filter_map (function Json.Int r -> Some r | _ -> None) rs in
-    if List.length replicas = List.length rs then Some { size_mb; chunk_count; replicas }
-    else None
+    if List.length replicas = List.length rs then Some (size_mb, chunk_count, replicas) else None
   | _ -> None
+
+let rec add_ints buf = function
+  | [] -> ()
+  | r :: rest ->
+    Buffer.add_char buf ',';
+    Json.add_int buf r;
+    add_ints buf rest
 
 (* The per-node durable state is exactly what a cold restart loses: the
    metadata index and the stored-replica set.  [contents]/[digests] are
    simulation ground truth (the "disk blocks"), not replica soft state,
-   so they survive a restart and stay out of the snapshot. *)
-let export_state t nid =
-  let stored_keys =
-    List.sort Kv_index.compare_key
-      (Hashtbl.fold (fun k () acc -> k :: acc) (stored_of t nid) [])
-  in
-  Json.Obj
-    [
-      ("index", Kv_index.to_json entry_to_json (index_of t nid));
-      ( "stored",
-        Json.List
-          (List.map
-             (fun (k : Kv_index.key) ->
-               Json.Obj [ ("owner", Json.String k.owner); ("name", Json.String k.name) ])
-             stored_keys) );
-    ]
+   so they survive a restart and stay out of the snapshot.  Written as
+   compact JSON in deterministic order: the index in key order, each
+   entry's replicas ascending, then the stored keys in key order —
+   [{"index":[{"owner":_,"name":_,"value":{"size_mb":_,"chunk_count":_,
+   "replicas":[_]}}],"stored":[{"owner":_,"name":_}]}]. *)
+let write_state t nid buf =
+  Buffer.add_string buf "{\"index\":[";
+  ignore
+    (Kv_index.fold
+       (fun _ e first ->
+         if not first then Buffer.add_char buf ',';
+         Buffer.add_string buf e.facts.json;
+         (match List.sort Int.compare e.replicas with
+         | [] -> ()
+         | r :: rest ->
+           Json.add_int buf r;
+           add_ints buf rest);
+         Buffer.add_string buf "]}}";
+         false)
+       (index_of t nid) true);
+  Buffer.add_string buf "],\"stored\":[";
+  List.iteri
+    (fun i (k : Kv_index.key) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf "{\"owner\":";
+      Json.add_string buf k.owner;
+      Buffer.add_string buf ",\"name\":";
+      Json.add_string buf k.name;
+      Buffer.add_char buf '}')
+    (List.sort Kv_index.compare_key (Key_tbl.fold (fun k () acc -> k :: acc) (stored_of t nid) []));
+  Buffer.add_string buf "]}"
 
 let wipe_state t nid =
-  Hashtbl.remove t.indexes nid;
-  Hashtbl.remove t.stored nid
+  if nid < Array.length t.indexes then t.indexes.(nid) <- None;
+  if nid < Array.length t.stored then t.stored.(nid) <- None
 
 let import_state t nid j =
   match (Json.member "index" j, Json.member "stored" j) with
   | Some ix_json, Some (Json.List stored) -> (
     match Kv_index.of_json entry_of_json ix_json with
-    | Some ix ->
-      Hashtbl.replace t.indexes nid ix;
-      let s = Hashtbl.create 8 in
+    | Some raw ->
+      let ix = Kv_index.create () in
+      Kv_index.fold
+        (fun k (size_mb, chunk_count, replicas) () ->
+          Kv_index.put ix k { facts = make_facts k ~size_mb ~chunk_count; replicas })
+        raw ();
+      t.indexes <- grow t.indexes nid;
+      t.indexes.(nid) <- Some ix;
+      let s = Key_tbl.create 8 in
       List.iter
         (fun item ->
           match (Json.member "owner" item, Json.member "name" item) with
           | Some (Json.String owner), Some (Json.String name) ->
-            Hashtbl.replace s (key ~owner ~name) ()
+            Key_tbl.replace s (key ~owner ~name) ()
           | _ -> ())
         stored;
-      Hashtbl.replace t.stored nid s
+      t.stored <- grow t.stored nid;
+      t.stored.(nid) <- Some s
     | None -> ())
   | _ -> ()
 
 (* WAL replay applies a delivered broadcast to local state only: no
    re-broadcast, no replication lottery — those already ran (and were
    themselves logged) before the crash. *)
-let replay_deliver t nid body =
-  match decode body with
-  | [ "put"; owner; name; size_mb; chunks; owner_node ] -> (
-    match (float_of_string_opt size_mb, int_of_string_opt chunks, int_of_string_opt owner_node) with
-    | Some size_mb, Some chunk_count, Some owner_node ->
-      Kv_index.put (index_of t nid) (key ~owner ~name)
-        { size_mb; chunk_count; replicas = [ owner_node ] }
-    | _ -> ())
-  | [ "rep"; owner; name; holder ] -> (
-    match int_of_string_opt holder with
-    | Some holder -> (
-      match Kv_index.get (index_of t nid) (key ~owner ~name) with
-      | Some e -> if not (List.mem holder e.replicas) then e.replicas <- holder :: e.replicas
-      | None -> ())
-    | None -> ())
-  | [ "del"; owner; name ] ->
-    let fkey = key ~owner ~name in
-    Kv_index.remove (index_of t nid) fkey;
-    Hashtbl.remove (stored_of t nid) fkey
-  | _ -> ()
+let replay_deliver t nid body = ignore (apply t nid ~replay:true (decode_op body))
 
 let enable_persistence t =
   System.set_app_state (Atum.system t.atum)
-    ~export:(fun nid -> export_state t nid)
+    ~export:(fun nid buf -> write_state t nid buf)
     ~wipe:(fun nid -> wipe_state t nid)
     ~import:(fun nid j -> import_state t nid j)
     ~replay:(fun nid ~bid:_ ~origin:_ body -> replay_deliver t nid body)
@@ -329,13 +411,16 @@ let attach atum ~rho =
       rho;
       host = Bulk.ec2_micro;
       rng = Atum_util.Rng.create 23;
-      indexes = Hashtbl.create 64;
-      stored = Hashtbl.create 64;
+      indexes = [||];
+      stored = [||];
       contents = Hashtbl.create 64;
       digests = Hashtbl.create 64;
+      decoded_bid = Array.make decoded_slots (-1);
+      decoded_body = Array.make decoded_slots "";
+      decoded_op = Array.make decoded_slots Ignored;
     }
   in
-  Atum.on_deliver atum (fun nid ~bid:_ ~origin:_ body -> handle_deliver t nid body);
+  Atum.on_deliver atum (fun nid ~bid ~origin:_ body -> handle_deliver t nid ~bid body);
   t
 
 (* --- PUT / DELETE / SEARCH ------------------------------------------ *)
@@ -348,7 +433,7 @@ let put t ~owner ~name ?(chunk_count = 10) content =
   (match content with
   | Real s -> Hashtbl.replace t.digests fkey (Atum_crypto.Chunks.digests ~chunk_count s)
   | Synthetic _ -> ());
-  Hashtbl.replace (stored_of t owner) fkey ();
+  Key_tbl.replace (stored_of t owner) fkey ();
   ignore
     (Atum.broadcast t.atum ~from:owner
        (encode
@@ -384,7 +469,7 @@ let indexes_converged t =
   | first :: rest ->
     let snapshot nid =
       Kv_index.fold
-        (fun k e acc -> (k, e.size_mb, e.chunk_count, List.sort Int.compare e.replicas) :: acc)
+        (fun k e acc -> (k, e.facts.size_mb, e.facts.chunk_count, List.sort Int.compare e.replicas) :: acc)
         (index_of t nid) []
     in
     let reference = snapshot first in
@@ -395,11 +480,11 @@ let place_replicas t ~owner ~name ~holders =
   let holders = List.sort_uniq Int.compare holders in
   (* Exact placement: the experiment controls the replica set, so any
      previous holders are dropped first. *)
-  Hashtbl.iter (fun _ s -> Hashtbl.remove s fkey) t.stored;
-  List.iter (fun h -> Hashtbl.replace (stored_of t h) fkey ()) holders;
-  Hashtbl.iter
-    (fun _ ix ->
-      match Kv_index.get ix fkey with
-      | Some e -> e.replicas <- holders
+  Array.iter (function Some s -> Key_tbl.remove s fkey | None -> ()) t.stored;
+  List.iter (fun h -> Key_tbl.replace (stored_of t h) fkey ()) holders;
+  Array.iter
+    (function
+      | Some ix -> (
+        match Kv_index.get ix fkey with Some e -> e.replicas <- holders | None -> ())
       | None -> ())
     t.indexes

@@ -78,15 +78,17 @@ val owner_name : node_id -> string
 
 (* --- durable state (snapshots + WAL replay) -------------------------- *)
 
-val export_state : t -> node_id -> Atum_util.Json.t
-(** The node's restart-critical soft state — metadata index plus
-    stored-replica set — in deterministic (sorted) order. *)
+val write_state : t -> node_id -> Buffer.t -> unit
+(** Append the node's restart-critical soft state — metadata index
+    plus stored-replica set — to the buffer as one compact JSON
+    object, in deterministic (sorted) order. *)
 
 val wipe_state : t -> node_id -> unit
 (** Forget the node's in-memory state, as a cold restart would. *)
 
 val import_state : t -> node_id -> Atum_util.Json.t -> unit
-(** Inverse of {!export_state}; ignores malformed input. *)
+(** Inverse of {!write_state}, on the decoded JSON; ignores malformed
+    input. *)
 
 val replay_deliver : t -> node_id -> string -> unit
 (** Re-apply one logged broadcast body to local state only: no

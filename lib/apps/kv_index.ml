@@ -45,22 +45,6 @@ let search t term =
 
 module Json = Atum_util.Json
 
-(* Ascending key order (Btree.fold), so equal indexes serialize to
-   identical bytes — the property the determinism artifacts rely on. *)
-let to_json value_to_json t =
-  Json.List
-    (List.rev
-       (fold
-          (fun k v acc ->
-            Json.Obj
-              [
-                ("owner", Json.String k.owner);
-                ("name", Json.String k.name);
-                ("value", value_to_json v);
-              ]
-            :: acc)
-          t []))
-
 let of_json value_of_json j =
   match j with
   | Json.List items ->

@@ -40,9 +40,7 @@ val owner_files : 'a t -> string -> (key * 'a) list
 
 (* --- snapshot codec -------------------------------------------------- *)
 
-val to_json : ('a -> Atum_util.Json.t) -> 'a t -> Atum_util.Json.t
-(** Serialize in ascending key order (equal indexes produce identical
-    bytes).  Used by the durability layer's snapshots. *)
-
 val of_json : (Atum_util.Json.t -> 'a option) -> Atum_util.Json.t -> 'a t option
-(** Inverse of {!to_json}; [None] on any malformed entry. *)
+(** Rebuild an index from the durable form: a list of
+    [{"owner":_,"name":_,"value":_}] objects, in any order.  [None] on
+    any malformed entry.  Used by the durability layer's snapshots. *)

@@ -157,20 +157,41 @@ type bcast_meta = {
   mutable b_frame : Atum_store.Replica.frame option;
 }
 
-(* One (src_vg -> dst_vg) gossip round being assembled for the current
-   engine instant: every member that delivers inside one event appends
-   itself as a sender, and a single flush event hands the whole round
-   to [Network.send_group] — one engine event per neighbor vgroup per
-   round instead of one per (sender, neighbor) pair. *)
-type fanout_entry = {
+(* One gossip round being assembled for the current engine instant:
+   the members of vgroup [r_src_vg] that deliver broadcast [r_bid]
+   before the instant's flush.  The round sends one [send_group] per
+   part (one per target vgroup), all flushed by one event — one engine
+   event per instant instead of one per (sender, neighbor) pair.
+
+   While every member picks the targets the first one picked, each
+   member is a sender of every part, so the parts share the round's
+   one sender list ([r_srcs]) and a member joins in O(1).  A member
+   that picks other targets (the view or the forward policy changed
+   mid-instant) splits the round: each part takes the shared list as
+   its own ([f_srcs]) and members join part by part from then on, as
+   if no list had been shared.  A part keeps the body, origin, cycle
+   and source size of the member that created it. *)
+type fanout_round = {
+  r_src_vg : vg_id;
+  r_bid : int;
+  r_meta : bcast_meta option;
+  r_targets : (vg_id * int) list; (* the first member's targets *)
+  r_members : node_id list; (* [r_src_vg]'s member list when the round opened *)
+  r_count : int; (* its length, reused while the list is unchanged *)
+  mutable r_parts : fanout_part list; (* reversed *)
+  mutable r_srcs : (node_id * int) list; (* (sender, bytes); reversed until the flush *)
+  mutable r_split : bool;
+  mutable r_open : bool; (* until the flush *)
+}
+
+and fanout_part = {
+  f_round : fanout_round;
   f_dst : vg_id;
-  f_src_vg : vg_id;
   f_src_size : int;
-  f_bid : int;
   f_origin : node_id;
   f_body : string;
   f_cycle : int;
-  mutable f_srcs : (node_id * int) list; (* (sender, bytes), reversed *)
+  mutable f_srcs : (node_id * int) list; (* once the round is split; reversed *)
 }
 
 (* Semantic checkpoints for an external auditor (the invariant
@@ -217,9 +238,11 @@ type t = {
   bcast_votes : votes list Pair_tbl.t; (* (node, bid) *)
   last_seen : (node_id * node_id, float) Hashtbl.t;
   mutable recycle_ids : bool; (* free node ids on depart completion *)
-  (* Gossip rounds being assembled for the current instant (reversed
-     insertion order) and whether their flush is scheduled. *)
-  mutable fanout : fanout_entry list;
+  (* Gossip rounds being assembled for the current instant: their
+     parts in reversed creation order, the open rounds by (vgroup,
+     bid), and whether their flush is scheduled. *)
+  mutable fanout : fanout_part list;
+  fanout_rounds : fanout_round Pair_tbl.t;
   mutable fanout_scheduled : bool;
   mutable hgraph : Hgraph.t;
   mutable bootstrapped : bool;
@@ -241,7 +264,7 @@ type t = {
   (* Durable per-replica state (WAL + snapshots) and the app-state
      hooks the durability layer drives; None/empty until attached. *)
   mutable store : Atum_store.Replica.t option;
-  mutable app_export : (node_id -> Atum_util.Json.t) option;
+  mutable app_export : (node_id -> Buffer.t -> unit) option; (* writes one JSON value *)
   mutable app_wipe : (node_id -> unit) option;
   mutable app_import : (node_id -> Atum_util.Json.t -> unit) option;
   mutable app_replay : (node_id -> bid:int -> origin:node_id -> string -> unit) option;
@@ -308,6 +331,7 @@ let create ?(net_config : Network.config option) ?trace_capacity (params : Param
     last_seen = Hashtbl.create 256;
     recycle_ids = false;
     fanout = [];
+    fanout_rounds = Pair_tbl.create 16;
     fanout_scheduled = false;
     hgraph = Hgraph.empty ~cycles:params.hc;
     bootstrapped = false;
@@ -440,21 +464,28 @@ module Json = Atum_util.Json
 module Replica = Atum_store.Replica
 
 (* Everything a node needs to come back cold: its registry pointer,
-   its delivered-broadcast set, and whatever the application exports.
-   WAL records since the last snapshot replay on top of this. *)
-let node_snapshot t (n : node) =
-  Json.Obj
-    [
-      ("vid", (match n.vg with Some v -> Json.Int v | None -> Json.Null));
-      ( "delivered",
-        Json.List (List.map (fun b -> Json.Int b) (Atum_util.Bitset.to_list n.delivered)) );
-      ("app", (match t.app_export with Some f -> f n.id | None -> Json.Null));
-    ]
+   its delivered-broadcast set, and whatever the application exports,
+   written straight into the store's buffer as the compact JSON
+   [{"vid":_,"delivered":[_],"app":_}].  WAL records since the last
+   snapshot replay on top of this. *)
+let write_node_snapshot t (n : node) buf =
+  Buffer.add_string buf "{\"vid\":";
+  (match n.vg with Some v -> Json.add_int buf v | None -> Buffer.add_string buf "null");
+  Buffer.add_string buf ",\"delivered\":[";
+  let first = ref true in
+  Atum_util.Bitset.iter
+    (fun b ->
+      if !first then first := false else Buffer.add_char buf ',';
+      Json.add_int buf b)
+    n.delivered;
+  Buffer.add_string buf "],\"app\":";
+  (match t.app_export with Some write -> write n.id buf | None -> Buffer.add_string buf "null");
+  Buffer.add_char buf '}'
 
 let snapshot_if_due t (n : node) =
   match t.store with
   | Some store when Replica.needs_snapshot store ~node:n.id ->
-    Replica.save_snapshot store ~node:n.id (node_snapshot t n)
+    Replica.save_snapshot store ~node:n.id (write_node_snapshot t n)
   | _ -> ()
 
 let persist t (n : node) record =

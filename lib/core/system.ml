@@ -719,50 +719,87 @@ let settled_for t ~bid d =
   | None -> true
   | Some n -> (not n.alive) || Atum_util.Bitset.mem n.delivered bid
 
-(* Drain the per-instant fan-out buffer: one [send_group] per
-   (src_vg, dst_vg, bid) round.  The buffer is cleared before sending
-   so deliveries triggered later at this timestamp start a new round. *)
+(* Drain the per-instant fan-out buffer: one [send_group] per part,
+   in the order the parts were created.  The rounds are closed before
+   sending, so deliveries triggered later at this timestamp open new
+   ones. *)
 let flush_fanout t =
-  let entries = List.rev t.fanout in
+  let parts = List.rev t.fanout in
   t.fanout <- [];
   t.fanout_scheduled <- false;
   List.iter
-    (fun e ->
-      match vgroup_opt t e.f_dst with
+    (fun p ->
+      let r = p.f_round in
+      if r.r_open then begin
+        r.r_open <- false;
+        Pair_tbl.remove t.fanout_rounds (pair_key r.r_src_vg r.r_bid);
+        if not r.r_split then r.r_srcs <- List.rev r.r_srcs
+      end)
+    parts;
+  List.iter
+    (fun p ->
+      match vgroup_opt t p.f_dst with
       | Some nbg when not nbg.retired ->
-        let bid = e.f_bid in
-        Network.send_group t.net ~settled:(fun d -> settled_for t ~bid d) ~srcs:(List.rev e.f_srcs)
+        let r = p.f_round in
+        let bid = r.r_bid in
+        Network.send_group t.net ~settled:(fun d -> settled_for t ~bid d)
+          ~srcs:(if r.r_split then List.rev p.f_srcs else r.r_srcs)
           ~dsts:nbg.members
           (Group_part
              {
-               src_vg = e.f_src_vg;
-               src_size = e.f_src_size;
-               payload = Bcast { bid; origin = e.f_origin; body = e.f_body; cycle = e.f_cycle };
+               src_vg = r.r_src_vg;
+               src_size = p.f_src_size;
+               payload = Bcast { bid; origin = p.f_origin; body = p.f_body; cycle = p.f_cycle };
              })
       | _ -> ())
-    entries
+    parts
 
-let queue_fanout t ~dst ~src_vg ~src_size ~bid ~origin ~body ~cycle ~sender ~bytes =
-  let rec find = function
-    | [] -> None
-    | (e : fanout_entry) :: rest ->
-      if e.f_dst = dst && e.f_bid = bid && e.f_src_vg = src_vg then Some e else find rest
+let find_round t vg ~bid =
+  match vg with
+  | Some vid -> Pair_tbl.find_opt t.fanout_rounds (pair_key vid bid)
+  | None -> None
+
+let add_part t r ~dst ~src_size ~origin ~body ~cycle srcs =
+  let p =
+    { f_round = r; f_dst = dst; f_src_size = src_size; f_origin = origin; f_body = body;
+      f_cycle = cycle; f_srcs = srcs }
   in
-  (match find t.fanout with
-  | Some e -> e.f_srcs <- (sender, bytes) :: e.f_srcs
+  r.r_parts <- p :: r.r_parts;
+  t.fanout <- p :: t.fanout
+
+let rec same_dsts a b =
+  match (a, b) with
+  | [], [] -> true
+  | (x, _) :: a, (y, _) :: b -> x = y && same_dsts a b
+  | _ -> false
+
+(* Member [sender] of vgroup [vg] gossips [bid] to [targets] (not
+   empty) in this instant's round, opening it if it is the first. *)
+let queue_fanout t round (vg : vgroup) ~meta ~targets ~src_size ~bid ~origin ~body sender =
+  (match round with
   | None ->
-    t.fanout <-
-      {
-        f_dst = dst;
-        f_src_vg = src_vg;
-        f_src_size = src_size;
-        f_bid = bid;
-        f_origin = origin;
-        f_body = body;
-        f_cycle = cycle;
-        f_srcs = [ (sender, bytes) ];
-      }
-      :: t.fanout);
+    let r =
+      { r_src_vg = vg.vid; r_bid = bid; r_meta = meta; r_targets = targets;
+        r_members = vg.members; r_count = src_size; r_parts = []; r_srcs = [ sender ];
+        r_split = false; r_open = true }
+    in
+    List.iter (fun (nb, cycle) -> add_part t r ~dst:nb ~src_size ~origin ~body ~cycle []) targets;
+    Pair_tbl.replace t.fanout_rounds (pair_key vg.vid bid) r
+  | Some r ->
+    if (not r.r_split) && (targets == r.r_targets || same_dsts targets r.r_targets) then
+      r.r_srcs <- sender :: r.r_srcs
+    else begin
+      if not r.r_split then begin
+        r.r_split <- true;
+        List.iter (fun p -> p.f_srcs <- r.r_srcs) r.r_parts
+      end;
+      List.iter
+        (fun (nb, cycle) ->
+          match List.find_opt (fun p -> p.f_dst = nb) r.r_parts with
+          | Some p -> p.f_srcs <- sender :: p.f_srcs
+          | None -> add_part t r ~dst:nb ~src_size ~origin ~body ~cycle [ sender ])
+        targets
+    end);
   if not t.fanout_scheduled then begin
     t.fanout_scheduled <- true;
     Engine.schedule ~label:"system.fanout" t.engine ~delay:0.0 (fun () -> flush_fanout t)
@@ -804,7 +841,14 @@ let node_deliver t nid ~bid ~origin ~body =
     (* Whichever path delivers (gossip, the vgroup's own SMR, restart
        catch-up), the partial gossip votes for [bid] are dead now. *)
     Pair_tbl.remove t.bcast_votes (pair_key nid bid);
-    let meta = Hashtbl.find_opt t.bcasts bid in
+    (* A member that joins an open round finds the broadcast's
+       metadata there. *)
+    let round = find_round t n.vg ~bid in
+    let meta =
+      match round with
+      | Some { r_meta = Some _ as meta; _ } -> meta
+      | _ -> Hashtbl.find_opt t.bcasts bid
+    in
     audit t (Audit_deliver { node = nid; bid; known = Option.is_some meta });
     (* The WAL record goes first; a snapshot it makes due waits until
        the application has applied the delivery, so a snapshot never
@@ -826,25 +870,31 @@ let node_deliver t nid ~bid ~origin ~body =
     | Some vid ->
       if Hgraph.mem t.hgraph vid then begin
         let vg = vgroup t vid in
-        let targets = gossip_targets t vg ~bid in
-        let src_size = List.length vg.members in
-        let my_rank =
-          let rec rank i = function
-            | [] -> i
-            | x :: rest -> if x = nid then i else rank (i + 1) rest
+        match gossip_targets t vg ~bid with
+        | [] -> ()
+        | targets ->
+          (* The application ran in between: find the round again
+             unless the one found above is still this vgroup's. *)
+          let round =
+            match round with
+            | Some r when r.r_open && r.r_src_vg = vid -> round
+            | _ -> find_round t n.vg ~bid
           in
-          rank 0 vg.members
-        in
-        let full = my_rank < majority_of src_size in
-        let bytes = if full then 64 + String.length body else 32 in
-        (* Vgroup-round batching: members delivering inside the same
-           engine event merge their sends to each neighbor into one
-           [send_group] round (flushed once per instant). *)
-        List.iter
-          (fun (nb, cycle) ->
-            queue_fanout t ~dst:nb ~src_vg:vid ~src_size ~bid ~origin ~body ~cycle
-              ~sender:nid ~bytes)
-          targets
+          let src_size =
+            match round with
+            | Some r when r.r_members == vg.members -> r.r_count
+            | _ -> List.length vg.members
+          in
+          let my_rank =
+            let rec rank i = function
+              | [] -> i
+              | x :: rest -> if x = nid then i else rank (i + 1) rest
+            in
+            rank 0 vg.members
+          in
+          let full = my_rank < majority_of src_size in
+          let bytes = if full then 64 + String.length body else 32 in
+          queue_fanout t round vg ~meta ~targets ~src_size ~bid ~origin ~body (nid, bytes)
       end
   end
 

@@ -216,13 +216,15 @@ val store : t -> Atum_store.Replica.t option
 
 val set_app_state :
   t ->
-  export:(node_id -> Atum_util.Json.t) ->
+  export:(node_id -> Buffer.t -> unit) ->
   wipe:(node_id -> unit) ->
   import:(node_id -> Atum_util.Json.t -> unit) ->
   replay:(node_id -> bid:int -> origin:node_id -> string -> unit) ->
   unit
 (** Let the application above the GCS (e.g. AShare) participate in
-    durability: [export] folds its per-node state into snapshots,
+    durability: [export] writes its per-node state into snapshots, as
+    one compact JSON object appended to the buffer it is given (the
+    snapshot's ["app"] member, which [import] gets back decoded),
     [wipe]/[import] reset and restore it during {!restart}, and
     [replay] applies one logged broadcast locally (no re-broadcast, no
     [set_deliver] callback — workload counters must not double-count

@@ -7,15 +7,20 @@ let block_size = 64
    on the same context over the whole scratch, so neither pad nor
    message is ever concatenated into a copy and one context serves
    both hashes. *)
-type ctx = { hash : Sha256.ctx; pad : Bytes.t }
+type ctx = { hash : Sha256.ctx; pad : Bytes.t; ipad : Bytes.t (* the key's inner pad *) }
+
+let reset t =
+  Bytes.blit t.ipad 0 t.pad 0 block_size;
+  Sha256.reset t.hash;
+  Sha256.feed_bytes t.hash t.pad ~off:0 ~len:block_size
 
 let init ~key =
   let key = if String.length key > block_size then Sha256.digest key else key in
-  let pad = Bytes.make (block_size + 32) '\x36' in
-  String.iteri (fun i c -> Bytes.set pad i (Char.chr (Char.code c lxor 0x36))) key;
-  let hash = Sha256.init () in
-  Sha256.feed_bytes hash pad ~off:0 ~len:block_size;
-  { hash; pad }
+  let ipad = Bytes.make block_size '\x36' in
+  String.iteri (fun i c -> Bytes.set ipad i (Char.chr (Char.code c lxor 0x36))) key;
+  let t = { hash = Sha256.init (); pad = Bytes.create (block_size + 32); ipad } in
+  reset t;
+  t
 
 let feed_bytes t buf ~off ~len = Sha256.feed_bytes t.hash buf ~off ~len
 let feed t s = Sha256.feed t.hash s

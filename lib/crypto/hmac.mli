@@ -21,4 +21,9 @@ val init : key:string -> ctx
 val feed_bytes : ctx -> Bytes.t -> off:int -> len:int -> unit
 
 val finalize_into : ctx -> Bytes.t -> off:int -> unit
-(** Write the 32-byte tag at [off]; the context is spent. *)
+(** Write the 32-byte tag at [off]; the context is spent until
+    {!reset}. *)
+
+val reset : ctx -> unit
+(** Start a new message under the same key, as a fresh {!init} would,
+    without deriving the key's pad again or allocating. *)

@@ -50,10 +50,14 @@ type 'msg t = {
   (* Fault-injection overrides (see Fault).  All identity by default,
      so an undisturbed run is bit-identical to one without the fields. *)
   mutable loss_boost : float; (* added to config.drop_probability *)
+  mutable loss_cut : int; (* the loss probability as [Rng.bernoulli_below]'s threshold *)
   mutable latency_factor : float; (* multiplies each sampled transit latency *)
   mutable capacity_factor : float; (* multiplies node_capacity (degrade < 1.0) *)
   mutable post_heal : bool; (* a heal/recover happened; label deliveries *)
 }
+
+let cut_of ~drop_probability ~boost =
+  Atum_util.Rng.bernoulli_threshold (Float.min 1.0 (drop_probability +. boost))
 
 let create ?metrics ?trace engine config =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
@@ -77,6 +81,7 @@ let create ?metrics ?trace engine config =
     dropped = 0;
     bytes = 0;
     loss_boost = 0.0;
+    loss_cut = cut_of ~drop_probability:config.drop_probability ~boost:0.0;
     latency_factor = 1.0;
     capacity_factor = 1.0;
     post_heal = false;
@@ -205,7 +210,8 @@ let uncut t ~srcs ~dsts =
 
 let set_loss_boost t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Network.set_loss_boost: p outside [0, 1]";
-  t.loss_boost <- p
+  t.loss_boost <- p;
+  t.loss_cut <- cut_of ~drop_probability:t.config.drop_probability ~boost:p
 
 let loss_boost t = t.loss_boost
 
@@ -218,8 +224,6 @@ let latency_factor t = t.latency_factor
 let set_capacity_factor t f =
   if f <= 0.0 then invalid_arg "Network.set_capacity_factor: factor must be positive";
   t.capacity_factor <- f
-
-let capacity_factor t = t.capacity_factor
 
 (* Trace sites test [tracing] before building their optional
    arguments, so a disabled trace costs one load and no boxing. *)
@@ -294,8 +298,6 @@ let arrive t ~uncut ~size ~src ~dst msg =
             deliver t ~size ~src ~dst msg)
       end)
 
-let loss_threshold t = Float.min 1.0 (t.config.drop_probability +. t.loss_boost)
-
 (* Admission, the one per-message step every send shares: the
    [net.send] trace, the cut check and the loss draw.  The draw is
    made even for a cut pair, so the RNG stream does not depend on the
@@ -306,7 +308,7 @@ let loss_threshold t = Float.min 1.0 (t.config.drop_probability +. t.loss_boost)
    into transit. *)
 let[@inline] admit t ~traced ~uncut ~threshold ~src ~dst ~size =
   if traced then trace_emit t ~kind:"net.send" ~node:src ~peer:dst ~size ();
-  let lost = Atum_util.Rng.bernoulli t.rng threshold in
+  let lost = Atum_util.Rng.bernoulli_below t.rng threshold in
   match if uncut then None else severed t ~src ~dst with
   | Some reason ->
     drop t ~reason ~src ~dst;
@@ -324,7 +326,7 @@ let send ?(size = 64) t ~src ~dst msg =
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + size;
   if
-    admit t ~traced:(tracing t) ~uncut:(faulted_count t = 0) ~threshold:(loss_threshold t)
+    admit t ~traced:(tracing t) ~uncut:(faulted_count t = 0) ~threshold:t.loss_cut
       ~src ~dst ~size
   then
     Engine.schedule ~label:"net.transit" t.engine ~delay:(transit_delay t) (fun () ->
@@ -360,6 +362,33 @@ let rec admit_grid t ~traced ~uncut ~threshold ~dsts ~width mask k survived = fu
     t.bytes <- t.bytes + (width * size);
     let survived = admit_row t ~traced ~uncut ~threshold ~src ~size mask k survived dsts in
     admit_grid t ~traced ~uncut ~threshold ~dsts ~width mask (k + width) survived rest
+
+(* The tight admission loop, for a batch that is uncut and untraced:
+   no cell can be cut and none is traced, so each cell is one loss
+   draw and, if it survives, one bit, with the same draws in the same
+   order as the per-cell path.  Losses are counted once per row;
+   admission runs no callback, so nothing can read a counter between
+   the cells of a row. *)
+let rec admit_cells rng ~threshold mask k stop lost =
+  if k = stop then lost
+  else if Atum_util.Rng.bernoulli_below rng threshold then
+    admit_cells rng ~threshold mask (k + 1) stop (lost + 1)
+  else begin
+    set_bit mask k;
+    admit_cells rng ~threshold mask (k + 1) stop lost
+  end
+
+let rec admit_plain t ~threshold ~width mask k survived = function
+  | [] -> survived
+  | (_, size) :: rest ->
+    t.sent <- t.sent + width;
+    t.bytes <- t.bytes + (width * size);
+    let lost = admit_cells t.rng ~threshold mask k (k + width) 0 in
+    if lost > 0 then begin
+      t.dropped <- t.dropped + lost;
+      Metrics.incr ~by:lost t.metrics drop_loss
+    end;
+    admit_plain t ~threshold ~width mask (k + width) (survived + width - lost) rest
 
 (* The accounting half of [arrive], for a cell whose receiver's
    handler could not act on it: the delivery-time cut and handler
@@ -460,8 +489,12 @@ let send_group ?(settled = never_settled) t ~srcs ~dsts msg =
   if cells > 0 then begin
     let mask = Bytes.make ((cells + 7) lsr 3) '\000' in
     let traced = tracing t and uncut = uncut t ~srcs ~dsts in
-    if admit_grid t ~traced ~uncut ~threshold:(loss_threshold t) ~dsts ~width mask 0 0 srcs > 0
-    then
+    let threshold = t.loss_cut in
+    let survived =
+      if uncut && not traced then admit_plain t ~threshold ~width mask 0 0 srcs
+      else admit_grid t ~traced ~uncut ~threshold ~dsts ~width mask 0 0 srcs
+    in
+    if survived > 0 then
       Engine.schedule ~label:"net.transit.batch" t.engine ~delay:(transit_delay t) (fun () ->
           arrive_batch t ~settled ~dsts mask msg srcs)
   end
@@ -472,9 +505,3 @@ let messages_sent t = t.sent
 let messages_delivered t = t.delivered
 let messages_dropped t = t.dropped
 let bytes_sent t = t.bytes
-
-let reset_counters t =
-  t.sent <- 0;
-  t.delivered <- 0;
-  t.dropped <- 0;
-  t.bytes <- 0

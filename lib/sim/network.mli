@@ -76,7 +76,9 @@ val send_group :
     (src, dst) pair is admitted exactly like a {!send} — counters,
     ["net.send"] trace, partition/crash check and one loss draw — in
     src-major, then destination order; the latency is drawn once after
-    admission, and only when some pair survived.
+    admission, and only when some pair survived.  A batch that no
+    fault cuts is admitted untraced in a tight loop with the same
+    draws, bits and counts.
 
     In flight, the batch is the [srcs] and [dsts] lists it was
     admitted with plus a survival bitmask of one bit per cell, so
@@ -139,9 +141,6 @@ val partitioned_nodes : 'msg t -> int list
 (** Node ids with a nonzero partition tag, ascending.  O(1) when no
     partition is installed. *)
 
-val faulted_count : 'msg t -> int
-(** [crashed + partition-tagged] node count — O(1). *)
-
 (* --- fault-injection overrides (identity by default) ----------------- *)
 
 val set_loss_boost : 'msg t -> float -> unit
@@ -162,8 +161,6 @@ val set_capacity_factor : 'msg t -> float -> unit
     degrades).  No effect when [node_capacity] is [None].  Used by
     {!Fault.Capacity_degrade}. *)
 
-val capacity_factor : 'msg t -> float
-
 (* --- counters -------------------------------------------------------- *)
 
 val messages_sent : 'msg t -> int
@@ -176,4 +173,3 @@ val messages_dropped : 'msg t -> int
     capacity. *)
 
 val bytes_sent : 'msg t -> int
-val reset_counters : 'msg t -> unit

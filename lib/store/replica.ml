@@ -25,6 +25,7 @@ type t = {
   logs : (int, node_log) Hashtbl.t;
   buf : Buffer.t; (* encoding scratch shared by every WAL frame and snapshot *)
   sum : Atum_crypto.Sha256.ctx; (* checksum context shared by every WAL frame *)
+  mac : Atum_crypto.Hmac.ctx; (* tag context shared by every snapshot *)
   mutable appends : int;
   mutable snapshots : int;
   mutable replayed : int;
@@ -50,6 +51,7 @@ let create ?(snapshot_every = 64) ~key backend =
     logs = Hashtbl.create 64;
     buf = Buffer.create 4096;
     sum = Atum_crypto.Sha256.init ();
+    mac = Atum_crypto.Hmac.init ~key;
     appends = 0;
     snapshots = 0;
     replayed = 0;
@@ -86,8 +88,8 @@ let reset_log t node ~bytes =
   l.pending <- 0;
   l.bytes <- bytes
 
-let save_snapshot t ~node doc =
-  let n = Snapshot.save t.buf t.backend ~key:t.key ~node ~name:snapshot_name doc in
+let save_snapshot t ~node write =
+  let n = Snapshot.save t.buf t.mac t.backend ~node ~name:snapshot_name write in
   Wal.reset t.backend ~node ~name:wal_name;
   t.snapshots <- t.snapshots + 1;
   reset_log t node ~bytes:n

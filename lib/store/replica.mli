@@ -3,7 +3,7 @@
 
     The runtime appends one record per state change; once a node has
     accumulated [snapshot_every] appends, {!needs_snapshot} turns true
-    and the caller folds its full state into {!save_snapshot}, which
+    and the caller writes its full state into {!save_snapshot}, which
     truncates the WAL.  {!recover} loads snapshot + WAL prefix and
     reports what survived; the fresh-join fall-back policy on
     corruption belongs to the caller (see [System.restart]). *)
@@ -47,8 +47,10 @@ val append : t -> node:int -> frame -> unit
 
 val needs_snapshot : t -> node:int -> bool
 
-val save_snapshot : t -> node:int -> Atum_util.Json.t -> unit
-(** Write the snapshot, then truncate the node's WAL. *)
+val save_snapshot : t -> node:int -> (Buffer.t -> unit) -> unit
+(** Write the snapshot whose compact-JSON payload the writer appends
+    to the buffer it is given (see {!Snapshot.save}), then truncate
+    the node's WAL. *)
 
 val recover : t -> node:int -> recovery
 

@@ -16,20 +16,21 @@ let version = 1
 
 let header_bytes = String.length magic + 1 + 32
 
-(* One allocation, the blob: the payload is encoded into the caller's
-   reusable [buf], copied in behind the header, and the tag is computed
-   over the version byte and payload where they lie and written into
-   its slot between them. *)
-let save buf (b : Backend.t) ~key ~node ~name doc =
+(* One allocation, the blob: [write] streams the payload into the
+   caller's reusable [buf], it is copied in behind the header, and the
+   tag is computed with the caller's reusable [mac] over the version
+   byte and payload where they lie and written into its slot between
+   them. *)
+let save buf mac (b : Backend.t) ~node ~name write =
   Buffer.clear buf;
-  Json.to_buffer ~pretty:false buf doc;
+  write buf;
   let len = Buffer.length buf in
   let vpos = String.length magic in
   let blob = Bytes.create (header_bytes + len) in
   Bytes.blit_string magic 0 blob 0 vpos;
   Bytes.set blob vpos (Char.chr version);
   Buffer.blit buf 0 blob header_bytes len;
-  let mac = Hmac.init ~key in
+  Hmac.reset mac;
   Hmac.feed_bytes mac blob ~off:vpos ~len:1;
   Hmac.feed_bytes mac blob ~off:header_bytes ~len;
   Hmac.finalize_into mac blob ~off:(vpos + 1);

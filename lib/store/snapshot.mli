@@ -12,10 +12,14 @@ val version : int
 val header_bytes : int
 
 val save :
-  Buffer.t -> Backend.t -> key:string -> node:int -> name:string -> Atum_util.Json.t -> int
-(** [save buf b ~key ~node ~name doc] writes (replacing any previous
-    snapshot) and returns the blob size.  [buf] is encoding scratch
-    the caller reuses, as for {!Wal.frame}. *)
+  Buffer.t -> Atum_crypto.Hmac.ctx -> Backend.t -> node:int -> name:string ->
+  (Buffer.t -> unit) -> int
+(** [save buf mac b ~node ~name write] writes the snapshot whose
+    payload [write] appends to [buf] (one compact JSON document),
+    replacing any previous snapshot, and returns the blob size.  [buf]
+    is encoding scratch and [mac] an HMAC context under the
+    deployment key, both reused by the caller across calls, as for
+    {!Wal.frame}. *)
 
 val load :
   Backend.t -> key:string -> node:int -> name:string ->

@@ -17,9 +17,6 @@ type status =
 val header_bytes : int
 (** Frame overhead per record: 4 (length) + 32 (SHA-256). *)
 
-val max_record_bytes : int
-(** A length prefix beyond this is treated as corruption. *)
-
 val frame : Atum_crypto.Sha256.ctx -> Buffer.t -> Atum_util.Json.t -> string
 (** [frame sum buf record] is [record]'s frame, ready for a backend's
     [append].  [buf] is encoding scratch and [sum]
@@ -27,7 +24,8 @@ val frame : Atum_crypto.Sha256.ctx -> Buffer.t -> Atum_util.Json.t -> string
     contents are overwritten); the frame itself is the only
     allocation.  It names no node, so one frame can be appended to
     every log that records the same thing.  Raises [Invalid_argument]
-    on a record over {!max_record_bytes}. *)
+    on a record over 64 MiB, the bound beyond which {!replay} treats a
+    length prefix as corruption. *)
 
 val replay : Backend.t -> node:int -> name:string -> Atum_util.Json.t list * status
 (** Decode the log front to back; a missing file is [([], Complete)]. *)

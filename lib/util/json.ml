@@ -73,13 +73,17 @@ let newline buf ~pretty depth =
     for _ = 1 to depth do Buffer.add_string buf "  " done
   end
 
+let add_float buf x =
+  if not (Float.is_finite x) then Buffer.add_string buf "null"
+  else Buffer.add_string buf (float_to_string x)
+
+let add_string = escape_string
+
 let rec write buf ~pretty depth = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> add_int buf i
-  | Float x ->
-    if not (Float.is_finite x) then Buffer.add_string buf "null"
-    else Buffer.add_string buf (float_to_string x)
+  | Float x -> add_float buf x
   | String s -> escape_string buf s
   | List [] -> Buffer.add_string buf "[]"
   | List (x :: xs) ->

@@ -25,6 +25,18 @@ val to_string : ?pretty:bool -> t -> string
 
 val to_buffer : ?pretty:bool -> Buffer.t -> t -> unit
 
+(** {2 Streaming}
+
+    The compact writer's bytes for one scalar, for a caller that
+    writes a document straight into a buffer instead of building the
+    tree: the same bytes [to_buffer ~pretty:false] writes for
+    [Int], [Float] and [String]. *)
+
+val add_int : Buffer.t -> int -> unit
+val add_float : Buffer.t -> float -> unit
+val add_string : Buffer.t -> string -> unit
+(** Quoted and escaped. *)
+
 val write_file : ?pretty:bool -> path:string -> t -> unit
 (** [to_string] plus a trailing newline, written atomically enough for
     our purposes (single [open_out]/[close_out]). *)

@@ -44,6 +44,16 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let[@inline] bernoulli t p = float t 1.0 < p
 
+(* [float t 1.0 < p] compares the exact real [r / 2^53] with [p], so
+   it holds exactly when [r < p * 2^53], and, [r] being an integer,
+   exactly when [r < ceil (p * 2^53)].  Scaling by a power of two is
+   exact, and the ceiling is at most [2^53]: the integer test consumes
+   the same draw and gives the same answer as [bernoulli]. *)
+let bernoulli_threshold p =
+  if p >= 1.0 then 1 lsl 53 else if p > 0.0 then Float.to_int (Float.ceil (Float.ldexp p 53)) else 0
+
+let[@inline] bernoulli_below t k = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) < k
+
 let exponential t rate =
   let u = 1.0 -. float t 1.0 in
   -.log u /. rate

@@ -36,6 +36,15 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
+val bernoulli_threshold : float -> int
+(** [bernoulli_threshold p] is [ceil (p * 2^53)], clamped to
+    [\[0, 2^53\]]. *)
+
+val bernoulli_below : t -> int -> bool
+(** [bernoulli_below t (bernoulli_threshold p)] consumes the same draw
+    as [bernoulli t p] and returns the same result, comparing ints
+    instead of floats. *)
+
 val exponential : t -> float -> float
 (** [exponential t rate] samples Exp(rate); mean [1. /. rate]. *)
 

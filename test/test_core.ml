@@ -900,6 +900,132 @@ let test_gossip_outcome_golden () =
     (List.init 60 (fun i -> match i with 5 | 12 -> 3 | 20 -> 0 | 30 -> 6 | _ -> 8))
     (Array.to_list got)
 
+(* A run's observable record for the fan-out goldens: the network
+   totals, the trace's length, and a digest of its events (sender,
+   destination and bytes of every admitted cell, the sender vgroup and
+   cycle of every hop, in order). *)
+let trace_digest sys =
+  let module Network = Atum_sim.Network in
+  let module Trace = Atum_sim.Trace in
+  let net = System.network sys in
+  let events = Trace.events (System.trace sys) in
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (e : Trace.event) ->
+      Printf.bprintf buf "%h %s %d %d %d %d %d %d;" e.Trace.time e.Trace.kind e.Trace.node
+        e.Trace.peer e.Trace.size e.Trace.bid e.Trace.parent e.Trace.cycle)
+    events;
+  ( [ Network.messages_sent net; Network.messages_delivered net; Network.messages_dropped net;
+      Network.bytes_sent net; List.length events ],
+    Atum_crypto.Sha256.digest_hex (Buffer.contents buf) )
+
+(* Gossip rounds whose targets change mid-instant.  Members of one
+   vgroup that deliver a broadcast in one engine instant share one
+   round; here the second member of every vgroup to deliver a
+   broadcast replaces the forward policy before it gossips, dropping
+   targets (flood to a coin per link) or adding them back (coin to
+   flood), so rounds split and members join part by part, under three
+   equivocators and a loss boost.  The run's whole trace (every
+   admitted cell's sender, destination and bytes in admission order,
+   and every hop's sender vgroup and cycle), every delivery and the
+   network totals were recorded before rounds shared a sender list;
+   none of them may move. *)
+let test_fanout_rounds_golden () =
+  let module Network = Atum_sim.Network in
+  let sys =
+    System.create
+      ~net_config:{ (Network.datacenter_config ~seed:41) with Network.latency = Network.Fixed 0.001 }
+      ~trace_capacity:400_000 quick_sync_params
+  in
+  Atum_sim.Trace.set_enabled (System.trace sys) true;
+  let ids = Array.of_list (System.build_direct sys ~nodes:60 ()) in
+  List.iter (fun i -> System.make_byzantine sys ~strategy:System.Equivocate ids.(i)) [ 7; 23; 41 ];
+  Network.set_loss_boost (System.network sys) 0.2;
+  let coin ~bid ~from_vg ~cycle ~neighbor = (bid + from_vg + cycle + neighbor) land 1 = 0 in
+  let first = Hashtbl.create 64 and count = Hashtbl.create 64 in
+  let log = Buffer.create 4096 in
+  let switches = ref 0 and mid_instant = ref 0 in
+  System.set_deliver sys (fun nid ~bid ~origin body ->
+      Printf.bprintf log "%h %d %d %d %s;" (System.now sys) nid bid origin body;
+      match (System.node sys nid).System.vg with
+      | None -> ()
+      | Some vid ->
+        let k = Option.value ~default:0 (Hashtbl.find_opt count (vid, bid)) in
+        Hashtbl.replace count (vid, bid) (k + 1);
+        if k = 0 then Hashtbl.replace first (vid, bid) (System.now sys)
+        else if k = 1 then begin
+          incr switches;
+          if Float.equal (Hashtbl.find first (vid, bid)) (System.now sys) then incr mid_instant;
+          System.set_forward_policy sys (if !switches land 1 = 1 then coin else System.flood_forward)
+        end);
+  List.iter (fun i -> ignore (System.broadcast sys ~from:ids.(i) (Printf.sprintf "m%d" i))) [ 0; 13; 30; 52 ];
+  System.run_for sys 4.0;
+  List.iter (fun i -> ignore (System.broadcast sys ~from:ids.(i) (Printf.sprintf "n%d" i))) [ 5; 44 ];
+  System.run_for sys 10.0;
+  Alcotest.(check bool) "policy replaced mid-instant" true (!mid_instant > 0);
+  let totals, trace = trace_digest sys in
+  Alcotest.(check (list int)) "sent/delivered/dropped/bytes, trace events" [ 8322; 6610; 1712; 472452; 21822 ] totals;
+  Alcotest.(check string) "trace" "42a6d169f1866e763b07d21a76588c00bef077b1f10d091d58ad84c0c5921cf2" trace;
+  Alcotest.(check string) "deliveries" "cafd54f29901bfaa370aebcc7bfc7dfc202840328efd0e11aa6988659ecf5980"
+    (Atum_crypto.Sha256.digest_hex (Buffer.contents log))
+
+(* A member that delivers an equivocated body joins the round its
+   vgroup-mates opened in the same instant: the round keeps the body,
+   origin, cycle and source size of the member that opened it, and the
+   forger's sender entry carries its own bytes.  Vgroup [b]'s members
+   are held until an equivocating member [z] of neighbor [a] has sent
+   them its forged parts; then, in one instant, [b]'s first member
+   accepts from [a]'s honest senders and the second completes its
+   majority with [z]'s forged part.  Recorded before rounds shared a
+   sender list. *)
+let test_fanout_equivocated_body_golden () =
+  let module Network = Atum_sim.Network in
+  let sys =
+    System.create
+      ~net_config:{ (Network.datacenter_config ~seed:43) with Network.latency = Network.Fixed 0.001 }
+      ~trace_capacity:400_000 quick_sync_params
+  in
+  Atum_sim.Trace.set_enabled (System.trace sys) true;
+  let ids = System.build_direct sys ~nodes:60 () in
+  System.set_forward_policy sys System.flood_forward;
+  let origin = List.hd ids in
+  let a = System.vgroup sys (Option.get (System.node sys origin).System.vg) in
+  let b =
+    System.vgroup sys
+      (List.find (fun v -> v <> a.System.vid) (Atum_overlay.Hgraph.neighbor_set (System.hgraph sys) a.System.vid))
+  in
+  let z = List.find (fun m -> m <> origin) a.System.members in
+  System.make_byzantine sys ~strategy:System.Equivocate z;
+  let log = Buffer.create 4096 and forgers = Hashtbl.create 4 in
+  System.set_deliver sys (fun nid ~bid ~origin body ->
+      Printf.bprintf log "%h %d %d %d %s;" (System.now sys) nid bid origin body;
+      if not (String.equal body "eq") then Hashtbl.replace forgers nid ());
+  let held = List.map (fun m -> (m, hold sys m)) b.System.members in
+  ignore (System.broadcast sys ~from:origin "eq");
+  System.run_for sys 6.0;
+  let from_a m = List.filter (fun (s, _) -> List.mem s a.System.members) ((fst (List.assoc m held)) ()) in
+  let honest m = List.filter (fun (s, _) -> s <> z) (from_a m) in
+  let forged m = List.filter (fun (s, _) -> s = z) (from_a m) in
+  let needed = (List.length a.System.members / 2) + 1 in
+  let b1 = List.nth b.System.members 0 and b2 = List.nth b.System.members 1 in
+  Alcotest.(check bool) "forged part held" true (forged b2 <> []);
+  Alcotest.(check bool) "enough honest parts" true (List.length (honest b1) >= needed);
+  let feed m parts =
+    let real = snd (List.assoc m held) in
+    Network.register (System.network sys) m real;
+    List.iter (fun (s, w) -> real ~src:s w) parts
+  in
+  feed b1 (honest b1);
+  feed b2 (List.filteri (fun i _ -> i < needed - 1) (honest b2) @ forged b2);
+  List.iter (fun m -> if m <> b1 && m <> b2 then feed m (honest m)) b.System.members;
+  System.run_for sys 6.0;
+  Alcotest.(check bool) "forged body delivered" true (Hashtbl.mem forgers b2);
+  let totals, trace = trace_digest sys in
+  Alcotest.(check (list int)) "sent/delivered/dropped/bytes, trace events" [ 1681; 1681; 0; 92344; 4774 ] totals;
+  Alcotest.(check string) "trace" "2800b5ea79f92fd231fc06b6e47e20f6496b0bf9179240d1d2994db18b226983" trace;
+  Alcotest.(check string) "deliveries" "ff0c3135c19fbf045a859797a005a2277aa978a5d0fefbdffa5562efcc2ad04c"
+    (Atum_crypto.Sha256.digest_hex (Buffer.contents log))
+
 (* A pinned PBFT outcome: the CLI run [broadcast -n 24 -m 6 --seed 5
    -p async --byzantine 2], whose two Byzantine members drive vgroup 0
    through 175 view changes.  Traffic, engine events, each current
@@ -1076,6 +1202,9 @@ let () =
           Alcotest.test_case "direct to crashed node never fires" `Quick
             test_direct_to_crashed_node_never_fires;
           Alcotest.test_case "gossip outcome golden" `Quick test_gossip_outcome_golden;
+          Alcotest.test_case "fan-out rounds golden" `Quick test_fanout_rounds_golden;
+          Alcotest.test_case "equivocated body joins a round" `Quick
+            test_fanout_equivocated_body_golden;
         ] );
       ( "agreement",
         [

@@ -681,9 +681,11 @@ type net_ops = {
   sample_latency : unit -> float;
 }
 
-let real_ops ~traced config =
+let real_ops ?trace ~traced config =
   let engine = Engine.create () in
-  let trace = if traced then Some (Trace.create ~enabled:true ()) else None in
+  let trace =
+    match trace with Some _ -> trace | None -> if traced then Some (Trace.create ~enabled:true ()) else None
+  in
   let net : int Network.t = Network.create ?trace engine config in
   {
     engine;
@@ -978,6 +980,75 @@ let test_network_post_heal_after_clear () =
   round ();
   Alcotest.(check int) "an unrelated crash changes nothing" 25 (post_heal ());
   Alcotest.(check int) "the crashed node's cell dropped" 1 (Metrics.counter m "net.drop.crash")
+
+(* The tight admission loop (an uncut, untraced batch) against the
+   per-cell path.  Every grid shape and loss probability is admitted
+   by the batched network untraced, by the same network traced (which
+   admits cell by cell) and by the per-pair reference: the survival
+   mask (read as the cells that reach their handlers, in order), the
+   traffic counters, the loss count and the RNG's next draw must all
+   agree; the reference draws with [Rng.bernoulli].  0.375 * 2^53 is an integer, so the int threshold's ceiling
+   is a no-op there.  A crashed receiver cuts its cells, so its batch
+   must still take the per-cell path: its cells are crash drops, never
+   loss drops, which the reference checks; a traced batch must still
+   trace every cell. *)
+let test_network_tight_admission () =
+  let shapes = [ (1, 0); (0, 4); (1, 1); (1, 7); (2, 4); (3, 3); (7, 10) ] in
+  let run ~traced ~crashed p (ns, nd) mk =
+    let config = { (Network.datacenter_config ~seed:29) with Network.drop_probability = p } in
+    let ops, sends = mk ~traced config in
+    let log = ref [] in
+    for i = 0 to 19 do
+      ops.register i (fun ~src m -> log := Printf.sprintf "%d->%d #%d" src i m :: !log)
+    done;
+    Option.iter ops.crash crashed;
+    let srcs = List.init ns (fun i -> (i, 8 + (3 * i))) and dsts = List.init nd (fun j -> 10 + j) in
+    for round = 1 to 6 do
+      ops.send_group ~srcs ~dsts round
+    done;
+    Engine.run ops.engine;
+    let sent, delivered, dropped, bytes = ops.counters () in
+    ( List.rev !log,
+      [ sent; delivered; dropped; bytes ],
+      List.map
+        (fun k -> (k, Metrics.counter ops.metrics k))
+        [ "net.drop.loss"; "net.drop.crash" ],
+      ops.sample_latency (),
+      sends () )
+  in
+  let real ~traced config =
+    let trace = Trace.create ~enabled:traced () in
+    ( real_ops ~trace ~traced config,
+      fun () ->
+        List.length
+          (List.filter (fun (e : Trace.event) -> String.equal e.Trace.kind "net.send") (Trace.events trace)) )
+  in
+  let reference ~traced config = (ref_ops ~traced ~honour_settled:true config, fun () -> 0) in
+  List.iter
+    (fun crashed ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun ((ns, nd) as shape) ->
+              let ctx what =
+                Printf.sprintf "p=%g %dx%d%s: %s" p ns nd
+                  (if Option.is_some crashed then " crashed receiver" else "")
+                  what
+              in
+              let log, counts, reasons, next, _ = run ~traced:false ~crashed p shape real in
+              let tlog, tcounts, treasons, tnext, traced_sends = run ~traced:true ~crashed p shape real in
+              let rlog, rcounts, rreasons, rnext, _ = run ~traced:false ~crashed p shape reference in
+              List.iter
+                (fun (who, l, c, r, n) ->
+                  Alcotest.(check (list string)) (ctx (who ^ ": survivors")) l log;
+                  Alcotest.(check (list int)) (ctx (who ^ ": sent/delivered/dropped/bytes")) c counts;
+                  Alcotest.(check (list (pair string int))) (ctx (who ^ ": drops")) r reasons;
+                  Alcotest.(check (float 0.0)) (ctx (who ^ ": next draw")) n next)
+                [ ("traced", tlog, tcounts, treasons, tnext); ("reference", rlog, rcounts, rreasons, rnext) ];
+              Alcotest.(check int) (ctx "every cell traced") (6 * ns * nd) traced_sends)
+            shapes)
+        [ 0.0; 0.001; 0.5; 1.0; 0.375 ])
+    [ None; Some 12 ]
 
 (* Transit must stay allocation-free per message: a whole
    [send_group] round to a no-op handler, tracing off, may only pay
@@ -1529,6 +1600,8 @@ let () =
           Alcotest.test_case "fault state per batch" `Quick test_network_fault_per_batch;
           Alcotest.test_case "post-heal count across clear" `Quick
             test_network_post_heal_after_clear;
+          Alcotest.test_case "tight admission matches the per-cell path" `Quick
+            test_network_tight_admission;
           Alcotest.test_case "send_group allocation per message" `Quick
             test_network_send_group_alloc;
         ] );

@@ -188,6 +188,9 @@ let golden_record i =
       ("body2", Json.String (Printf.sprintf "payload-%d-\"%s\"" i (String.make (i * 13) 'x')));
     ]
 
+(* A snapshot writer for a ready-made document. *)
+let json_writer doc buf = Json.to_buffer ~pretty:false buf doc
+
 (* A fixed sequence of appends and snapshots over three nodes; the
    resulting file bytes were hashed on the original write path (whole
    strings, Int32 SHA-256), so the on-disk format cannot drift. *)
@@ -199,12 +202,13 @@ let test_store_golden_bytes () =
     Replica.append r ~node (Replica.frame r (golden_record i));
     if Replica.needs_snapshot r ~node then
       Replica.save_snapshot r ~node
-        (Json.Obj
-           [
-             ("vid", Json.Int node);
-             ("upto", Json.Int i);
-             ("docs", Json.List (List.init (i mod 5) golden_record));
-           ])
+        (json_writer
+           (Json.Obj
+              [
+                ("vid", Json.Int node);
+                ("upto", Json.Int i);
+                ("docs", Json.List (List.init (i mod 5) golden_record));
+              ]))
   done;
   let files =
     List.concat_map
@@ -341,7 +345,9 @@ let test_snapshot_roundtrip_and_auth () =
   let vfs = Vfs.create () in
   let b = Vfs.backend vfs in
   let state = Json.Obj [ ("vid", Json.Int 2); ("delivered", Json.List [ Json.Int 1 ]) ] in
-  ignore (Snapshot.save (Buffer.create 64) b ~key:"k" ~node:5 ~name:"snap" state);
+  ignore
+    (Snapshot.save (Buffer.create 64) (Atum_crypto.Hmac.init ~key:"k") b ~node:5 ~name:"snap"
+       (json_writer state));
   (match Snapshot.load b ~key:"k" ~node:5 ~name:"snap" with
   | Ok (Some j) -> Alcotest.check json "round-trips" state j
   | Ok None -> Alcotest.fail "snapshot vanished"
@@ -361,6 +367,118 @@ let test_snapshot_roundtrip_and_auth () =
   | Ok (Some _) -> Alcotest.fail "phantom snapshot"
   | Error e -> Alcotest.fail e
 
+(* AShare's streamed snapshot state against the tree the snapshot
+   used to be built as, encoded by [Json.to_buffer ~pretty:false]:
+   the index in key order, each entry's replicas ascending, then the
+   stored keys in key order.  Random indexes with awkward names and
+   sizes, unsorted replica lists and empty parts are imported, written
+   and compared byte for byte; the written bytes must import back to
+   the same state. *)
+let ashare_reference_tree ~index ~stored =
+  let key_order ((o1, n1), _) ((o2, n2), _) =
+    match String.compare o1 o2 with 0 -> String.compare n1 n2 | c -> c
+  in
+  let entry ((owner, name), (size_mb, chunk_count, replicas)) =
+    Json.Obj
+      [
+        ("owner", Json.String owner);
+        ("name", Json.String name);
+        ( "value",
+          Json.Obj
+            [
+              ("size_mb", Json.Float size_mb);
+              ("chunk_count", Json.Int chunk_count);
+              ("replicas", Json.List (List.map (fun r -> Json.Int r) (List.sort Int.compare replicas)));
+            ] );
+      ]
+  in
+  Json.Obj
+    [
+      ("index", Json.List (List.map entry (List.sort key_order index)));
+      ( "stored",
+        Json.List
+          (List.map
+             (fun ((owner, name), ()) ->
+               Json.Obj [ ("owner", Json.String owner); ("name", Json.String name) ])
+             (List.sort key_order (List.map (fun k -> (k, ())) stored))) );
+    ]
+
+let test_ashare_streamed_state () =
+  let ash = Ashare.attach (Atum.create ()) ~rho:3 in
+  let rng = Atum_util.Rng.create 77 in
+  let alphabet = [| "a"; "b"; "\""; "\\"; "\x01"; "\n"; "\xc3\xa9"; "\xff"; "\x80"; "z"; "0" |] in
+  let str () =
+    String.concat "" (List.init (Atum_util.Rng.int rng 5) (fun _ -> Atum_util.Rng.pick_array rng alphabet))
+  in
+  let sizes = [| 0.1; 1e-7; 3.0; 1e15; 1e20; 5e-324; 0.0; 2.5 |] in
+  let written nid =
+    let buf = Buffer.create 256 in
+    Ashare.write_state ash nid buf;
+    Buffer.contents buf
+  in
+  for case = 0 to 199 do
+    (* Keys are unique per index, as a B-tree keeps them; case 0 is
+       empty, and every fifth case has no stored set. *)
+    let keys = Hashtbl.create 16 in
+    let n = if case = 0 then 0 else Atum_util.Rng.int rng 12 in
+    for _ = 1 to n do
+      Hashtbl.replace keys (str (), str ()) ()
+    done;
+    let ks = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) keys []) in
+    let index =
+      List.map
+        (fun k ->
+          ( k,
+            ( Atum_util.Rng.pick_array rng sizes,
+              Atum_util.Rng.int rng 40,
+              List.init (Atum_util.Rng.int rng 5) (fun _ -> Atum_util.Rng.int rng 1000) ) ))
+        (Atum_util.Rng.shuffle_list rng ks)
+    in
+    let stored =
+      if case mod 5 = 0 then [] else List.filter (fun _ -> Atum_util.Rng.bool rng) (Atum_util.Rng.shuffle_list rng ks)
+    in
+    (* The import form: entries and replicas in whatever order. *)
+    let import_form =
+      Json.Obj
+        [
+          ( "index",
+            Json.List
+              (List.map
+                 (fun ((owner, name), (size_mb, chunk_count, replicas)) ->
+                   Json.Obj
+                     [
+                       ("owner", Json.String owner);
+                       ("name", Json.String name);
+                       ( "value",
+                         Json.Obj
+                           [
+                             ("size_mb", Json.Float size_mb);
+                             ("chunk_count", Json.Int chunk_count);
+                             ("replicas", Json.List (List.map (fun r -> Json.Int r) replicas));
+                           ] );
+                     ])
+                 index) );
+          ( "stored",
+            Json.List
+              (List.map
+                 (fun (owner, name) -> Json.Obj [ ("owner", Json.String owner); ("name", Json.String name) ])
+                 stored) );
+        ]
+    in
+    let nid = 1 + (case mod 7) in
+    Ashare.wipe_state ash nid;
+    Ashare.import_state ash nid import_form;
+    let want = Buffer.create 256 in
+    Json.to_buffer ~pretty:false want (ashare_reference_tree ~index ~stored);
+    let got = written nid in
+    Alcotest.(check string) (Printf.sprintf "case %d: bytes" case) (Buffer.contents want) got;
+    (* The written bytes restore the same state on another node. *)
+    Ashare.import_state ash 100 (Json.of_string_exn got);
+    Alcotest.(check string) (Printf.sprintf "case %d: import restores" case) got (written 100);
+    Alcotest.(check int) (Printf.sprintf "case %d: index size" case) (List.length index)
+      (Ashare.index_size ash ~node:100)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Replica manager                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -372,7 +490,7 @@ let test_replica_snapshot_cycle () =
   Alcotest.(check bool) "below threshold" false (Replica.needs_snapshot r ~node:1);
   Replica.append r ~node:1 (Replica.frame r (obj 3));
   Alcotest.(check bool) "at threshold" true (Replica.needs_snapshot r ~node:1);
-  Replica.save_snapshot r ~node:1 (Json.Obj [ ("state", Json.Int 42) ]);
+  Replica.save_snapshot r ~node:1 (json_writer (Json.Obj [ ("state", Json.Int 42) ]));
   Alcotest.(check bool) "snapshot resets the counter" false (Replica.needs_snapshot r ~node:1);
   Replica.append r ~node:1 (Replica.frame r (obj 4));
   let rec_ = Replica.recover r ~node:1 in
@@ -564,7 +682,11 @@ let () =
             test_frame_follows_delivered_body;
         ] );
       ( "snapshot",
-        [ Alcotest.test_case "roundtrip + auth" `Quick test_snapshot_roundtrip_and_auth ] );
+        [
+          Alcotest.test_case "roundtrip + auth" `Quick test_snapshot_roundtrip_and_auth;
+          Alcotest.test_case "ashare state streamed as the tree's bytes" `Quick
+            test_ashare_streamed_state;
+        ] );
       ( "replica",
         [
           Alcotest.test_case "snapshot cycle" `Quick test_replica_snapshot_cycle;
