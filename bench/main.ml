@@ -6,8 +6,8 @@
    Usage:   dune exec bench/main.exe [-- fig4 fig6 ... micro] [--json] [--out-dir DIR]
             [--trace-cap EVENTS]
    Scale:   ATUM_BENCH_SCALE=quick|default|full  (default: default)
-   Trace:   --trace-cap / ATUM_TRACE_CAP size the trace ring; default
-            auto-sizes by tier (Trace.capacity_for_scale)
+   Trace:   --trace-cap sizes the trace ring; default auto-sizes by
+            tier (Trace.capacity_for_scale)
 
    With [--json] (or ATUM_BENCH_JSON=DIR) every figure also writes a
    machine-readable BENCH_<fig>.json artifact into the out-dir
@@ -34,19 +34,13 @@ let scale_name =
 let json_dir = ref (Sys.getenv_opt "ATUM_BENCH_JSON")
 
 (* Trace ring sizing for traced benchmarks: --trace-cap flag, else
-   ATUM_TRACE_CAP, else auto-size by tier so 100k/1M runs don't wrap
-   the ring within their first simulated seconds. *)
+   auto-size by tier so 100k/1M runs don't wrap the ring within their
+   first simulated seconds. *)
 let trace_cap_flag = ref 0
 
 let trace_cap_for ~n =
   if !trace_cap_flag > 0 then !trace_cap_flag
-  else
-    match Sys.getenv_opt "ATUM_TRACE_CAP" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some cap when cap > 0 -> cap
-      | _ -> Atum_sim.Trace.capacity_for_scale ~nodes:n)
-    | None -> Atum_sim.Trace.capacity_for_scale ~nodes:n
+  else Atum_sim.Trace.capacity_for_scale ~nodes:n
 
 (* Wall-clock time is the only nondeterministic field in a benchmark
    artifact; zeroing it (ATUM_BENCH_JSON_CANON) makes same-seed runs

@@ -62,8 +62,7 @@ let trace_cap_arg =
         ~doc:
           "Trace ring capacity in events.  0 (the default) auto-sizes by system \
            scale (65536 up to 10k nodes, then 131072/524288/1048576 at the \
-           10k/100k/1M tiers); the ATUM_TRACE_CAP environment variable overrides \
-           the auto-sizing but not an explicit flag.")
+           10k/100k/1M tiers).")
 
 let trace_sample_arg =
   Arg.(
@@ -85,18 +84,9 @@ let dump_arg =
            telemetry rows, engine profile, metrics and the trigger — into the \
            --out-dir.")
 
-(* Precedence: explicit --trace-cap flag, then ATUM_TRACE_CAP, then
-   auto-sizing by scale.  The env override exists so wrapper scripts
-   (CI, bench sweeps) can resize rings without threading a flag. *)
+(* An explicit --trace-cap, else auto-sizing by scale. *)
 let resolve_trace_cap ~flag ~n =
-  if flag > 0 then flag
-  else
-    match Sys.getenv_opt "ATUM_TRACE_CAP" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some cap when cap > 0 -> cap
-      | _ -> Atum_sim.Trace.capacity_for_scale ~nodes:n)
-    | None -> Atum_sim.Trace.capacity_for_scale ~nodes:n
+  if flag > 0 then flag else Atum_sim.Trace.capacity_for_scale ~nodes:n
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -593,8 +583,8 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:
          "Run the determinism & protocol-safety linter over the repository sources: the \
-          per-file AST rules plus the repo-wide effect-propagation and domain-safety \
-          analysis (see LINT.md).  Exits non-zero on any violation not suppressed by the \
+          per-file AST rules plus the repo-wide effect-propagation, domain-safety and \
+          unused-export analysis (see LINT.md).  Exits non-zero on any violation not suppressed by the \
           allowlist.  With --json, writes ATUM_lint.json and the ATUM_lint_state.json \
           mutable-state inventory.")
     Term.(

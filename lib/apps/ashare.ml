@@ -472,8 +472,13 @@ let indexes_converged t =
         (fun k e acc -> (k, e.facts.size_mb, e.facts.chunk_count, List.sort Int.compare e.replicas) :: acc)
         (index_of t nid) []
     in
+    let same_entry ((k : Kv_index.key), size, chunks, replicas)
+        ((k' : Kv_index.key), size', chunks', replicas') =
+      String.equal k.owner k'.owner && String.equal k.name k'.name && Float.equal size size'
+      && Int.equal chunks chunks' && List.equal Int.equal replicas replicas'
+    in
     let reference = snapshot first in
-    List.for_all (fun nid -> snapshot nid = reference) rest
+    List.for_all (fun nid -> List.equal same_entry (snapshot nid) reference) rest
 
 let place_replicas t ~owner ~name ~holders =
   let fkey = key ~owner:(owner_name owner) ~name in

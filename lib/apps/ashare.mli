@@ -90,11 +90,6 @@ val import_state : t -> node_id -> Atum_util.Json.t -> unit
 (** Inverse of {!write_state}, on the decoded JSON; ignores malformed
     input. *)
 
-val replay_deliver : t -> node_id -> string -> unit
-(** Re-apply one logged broadcast body to local state only: no
-    re-broadcast, no replication lottery (those already ran before the
-    crash). *)
-
 val enable_persistence : t -> unit
 (** Register the four hooks above with [System.set_app_state] so an
     attached durable store snapshots and replays AShare state across

@@ -31,8 +31,6 @@ val source : t -> node_id
 val parents : t -> node_id -> node_id list
 (** Primary parents, in preference order (first = first pushed). *)
 
-val shortcut_parents : t -> node_id -> node_id list
-
 val check_forest : t -> (unit, string) result
 (** Every correct node must be reachable from the source through
     correct parents. *)

@@ -41,8 +41,6 @@ val size : t -> int
 val position_of : t -> int -> int
 (** A node's ring position. *)
 
-val key_position : t -> string -> int
-
 val holders : t -> string -> int list
 (** The [replicas] successors responsible for a key (as of the
     snapshot). *)

@@ -25,7 +25,6 @@ let on_forward t f = System.set_forward_policy t f
 let crash t nid = System.crash t nid
 
 let start_heartbeats = System.start_heartbeats
-let stop_heartbeats = System.stop_heartbeats
 
 let run_for = System.run_for
 let run_until = System.run_until

@@ -22,7 +22,7 @@ val create :
   t
 (** A fresh, empty deployment.  Defaults to {!Params.default} (Sync)
     with the matching network model.  [trace_capacity] sizes the trace
-    ring (default {!Atum_sim.Trace.default_capacity}). *)
+    ring (default 65536 events). *)
 
 val bootstrap : t -> node_id
 (** §3.3.1: create the instance — a single vgroup containing a single
@@ -56,15 +56,14 @@ val on_forward :
     decision must be deterministic in its arguments: it stands for the
     whole vgroup, so the runtime takes it once per (vgroup, broadcast)
     and every correct member forwards by it.  Default:
-    {!System.random_forward} — always the designated cycle, every other
-    link with probability 1/2. *)
+    the random policy — always the designated cycle, every other link
+    with probability 1/2. *)
 
 val crash : t -> node_id -> unit
 (** Silence a node (it stops sending anything, including heartbeats,
     and will eventually be evicted if heartbeats are running). *)
 
 val start_heartbeats : t -> unit
-val stop_heartbeats : t -> unit
 
 (* --- simulation control ------------------------------------------- *)
 

@@ -71,7 +71,3 @@ let validate t =
     Error "eviction_timeout must cover at least one heartbeat period"
   else Ok ()
 
-let pp fmt t =
-  Format.fprintf fmt "{%s; hc=%d; rwl=%d; g=[%d,%d]; round=%.2fs}"
-    (match t.protocol with Sync -> "sync" | Async -> "async")
-    t.hc t.rwl t.gmin t.gmax t.round_duration

@@ -31,5 +31,3 @@ val for_system_size : ?protocol:protocol -> ?seed:int -> int -> t
     system size, as §6.1.1 does per experiment. *)
 
 val validate : t -> (unit, string) result
-
-val pp : Format.formatter -> t -> unit

@@ -1058,7 +1058,6 @@ let start_heartbeats t =
     Engine.schedule ~label:"heartbeat" t.engine ~delay:t.params.heartbeat_period (heartbeat_loop t)
   end
 
-let stop_heartbeats t = t.heartbeats_running <- false
 
 (* ------------------------------------------------------------------ *)
 (* Wire dispatch                                                       *)
@@ -1555,10 +1554,8 @@ let byzantine_concentration t =
    matches vgroup.members), every active vgroup is an H-graph vertex,
    and no node belongs to two vgroups. *)
 
-(* Per-vgroup invariant body, shared by the full sweep and the
-   incremental [check_vgroups].  Error order stays reproducible: the
-   arena (and the incremental caller's deduped list) walk ascending
-   vgroup ids. *)
+(* Per-vgroup invariant body.  Error order stays reproducible: the
+   arena walks ascending vgroup ids. *)
 let check_vgroup_into t errors vid vg =
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   if vg.retired then begin
@@ -1608,22 +1605,6 @@ let check_consistency t =
       | Some vg when not vg.retired -> ()
       | _ -> err "overlay vertex %d is not an active vgroup" v)
     (Hgraph.vertices t.hgraph);
-  match !errors with [] -> Ok () | es -> Error (String.concat "; " (List.rev es))
-
-(* Incremental variant: check only the listed vgroup ids (typically
-   [dirty_since] output plus fault candidates).  Member backlinks are
-   covered by the per-vgroup body; every mutation that can break a
-   node's pointer marks the vgroups on both ends dirty, so a sweep
-   over the dirty set sees every potential violation.  Cost is
-   proportional to the vgroups checked, not the system size. *)
-let check_vgroups t vids =
-  let errors = ref [] in
-  List.iter
-    (fun vid ->
-      match vgroup_opt t vid with
-      | None -> ()
-      | Some vg -> check_vgroup_into t errors vid vg)
-    vids;
   match !errors with [] -> Ok () | es -> Error (String.concat "; " (List.rev es))
 
 let run_until t time = Engine.run ~until:time t.engine

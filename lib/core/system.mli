@@ -44,10 +44,6 @@ type byz_strategy =
   | Join_leave_attack
   | Target_vgroup of { vg : vg_id; inner : byz_strategy }
 
-val strategy_name : byz_strategy -> string
-(** Short stable name (["mute"], ["equivocate"], ...) used in metric
-    keys and artifacts. *)
-
 (** A node's runtime state.  [vg = None] means the node is not (or no
     longer) part of the system. *)
 type node = {
@@ -105,8 +101,7 @@ type wire
 (* --- construction and simulation control ---------------------------- *)
 
 val create : ?net_config:Atum_sim.Network.config -> ?trace_capacity:int -> Params.t -> t
-(** [trace_capacity] sizes the trace ring (default
-    {!Atum_sim.Trace.default_capacity}; see
+(** [trace_capacity] sizes the trace ring (default 65536 events; see
     {!Atum_sim.Trace.capacity_for_scale} for large runs). *)
 
 val engine : t -> Atum_sim.Engine.t
@@ -123,8 +118,7 @@ val attach_telemetry :
 (** Register the standard gauge set (system/vgroup sizes, Byzantine
     count, engine queue depth, in-flight messages, bytes and drops per
     period, active sagas, [monitor.violation.*] deltas — 15 gauges)
-    and start sampling every [period] (default
-    {!Atum_sim.Telemetry.default_period}) simulated seconds.
+    and start sampling every [period] (default 5) simulated seconds.
     Idempotent: a second call returns the already-attached instance.
     Sampling only reads state, so it never perturbs a seeded run. *)
 
@@ -273,8 +267,10 @@ val set_audit : t -> (audit -> unit) option -> unit
 
 val set_forward_policy :
   t -> (bid:int -> from_vg:vg_id -> cycle:int -> neighbor:vg_id -> bool) -> unit
-(** Replace the gossip forward callback.  The default is
-    {!random_forward}; latency-sensitive applications flood
+(** Replace the gossip forward callback.  The default forwards on a
+    designated cycle always (deterministic delivery) and on every other
+    link with probability 1/2, decided by a hash all members compute
+    identically; latency-sensitive applications flood
     ({!flood_forward}), throughput-oriented ones restrict to fewer
     cycles (§3.3.4).  The callback must be deterministic in its
     arguments: {!gossip_targets} memoises its decisions, and this
@@ -290,15 +286,9 @@ val gossip_targets : t -> vgroup -> bid:int -> (vg_id * int) list
 
 val flood_forward : bid:int -> from_vg:vg_id -> cycle:int -> neighbor:vg_id -> bool
 
-val random_forward : bid:int -> from_vg:vg_id -> cycle:int -> neighbor:vg_id -> bool
-(** Forward on a designated cycle always (deterministic delivery) and
-    on every other link with probability 1/2, decided by a hash all
-    members compute identically. *)
-
 (* --- heartbeats / eviction ------------------------------------------ *)
 
 val start_heartbeats : t -> unit
-val stop_heartbeats : t -> unit
 
 (* --- overlay protocols (exposed for tests and experiments) ----------- *)
 
@@ -324,10 +314,6 @@ val group_send :
     to it; [k] fires once, when a majority of the destination has
     accepted.  [on_fail] runs instead when either vgroup is gone. *)
 
-val shuffle : t -> vgroup -> unit
-val split : t -> vgroup -> unit
-val merge : t -> vgroup -> attempts:int -> unit
-
 val agree : t -> vgroup -> ?parent:int -> string -> (unit -> unit) -> unit
 (** Run one operation through the vgroup's SMR; the action fires once,
     when a majority of members have executed it.  [parent] links the
@@ -348,9 +334,6 @@ val live_nodes : t -> node list
 val system_size : t -> int
 (** O(1): a maintained counter, not a registry recount. *)
 
-val live_byzantine_count : t -> int
-(** O(1) maintained counter: Byzantine nodes among {!live_nodes}. *)
-
 val vgroup_count : t -> int
 val vgroup_ids : t -> vg_id list
 (** Every vgroup id ever created, retired ones included, sorted. *)
@@ -364,11 +347,6 @@ val async_replicas : vgroup -> (node_id * Atum_smr.Pbft.t) list
 
 val hgraph : t -> Atum_overlay.Hgraph.t
 val check_consistency : t -> (unit, string) result
-
-val check_vgroups : t -> vg_id list -> (unit, string) result
-(** Incremental slice of {!check_consistency}: validate only the
-    listed vgroups (unknown ids are skipped).  Cost is proportional to
-    the vgroups checked.  Combine with {!dirty_since}. *)
 
 val dirty_cursor : t -> int
 (** Current position in the dirty log.  Hand it back to

@@ -10,7 +10,6 @@ let register kr identity =
     Hashtbl.replace kr.secrets identity (Sha256.digest (identity ^ ":" ^ raw))
   end
 
-let is_registered kr identity = Hashtbl.mem kr.secrets identity
 
 let sign kr ~signer msg =
   let secret = Hashtbl.find kr.secrets signer in

@@ -20,8 +20,6 @@ val register : keyring -> string -> unit
 (** [register kr identity] generates a key pair for [identity].
     Idempotent. *)
 
-val is_registered : keyring -> string -> bool
-
 val sign : keyring -> signer:string -> string -> t
 (** Raises [Not_found] if [signer] is not registered. *)
 

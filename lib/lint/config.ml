@@ -77,6 +77,13 @@ let rules =
          closure writes a module-level mutable global; under parallel sweeps two \
          domains race on it";
     };
+    {
+      id = "I001";
+      severity = Error;
+      summary =
+        "unused export: a val in a lib/ interface that no other module uses; \
+         delete it, or narrow it to its module";
+    };
   ]
 
 let find_rule id = List.find (fun r -> String.equal r.id id) rules
@@ -93,6 +100,13 @@ let protocol_dirs =
   [ "lib/smr/"; "lib/core/"; "lib/overlay/"; "lib/apps/"; "lib/store/"; "lib/crypto/" ]
 
 let in_protocol path = List.exists (fun d -> starts_with ~prefix:d path) protocol_dirs
+
+(* The sources whose uses keep a lib/ export alive (I001).  perfbench
+   counts: it is a frozen benchmark, so an export it reads must stay.
+   The lint fixtures are deliberately odd code, not users. *)
+let reference_dirs = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ]
+
+let reference_excluded = [ "test/lint_fixtures" ]
 
 (* --- D001: determinism escape hatches ------------------------------ *)
 
@@ -114,9 +128,8 @@ let hashtbl_traversals = [ "Hashtbl.iter"; "Hashtbl.fold"; "Stdlib.Hashtbl.iter"
 let sort_functions =
   [
     "List.sort"; "List.sort_uniq"; "List.stable_sort"; "List.fast_sort"; "Array.sort";
-    "Hashtbl_ext.sorted_bindings"; "Hashtbl_ext.sorted_keys"; "Hashtbl_ext.sorted_iter";
+    "Hashtbl_ext.sorted_bindings"; "Hashtbl_ext.sorted_keys";
     "Atum_util.Hashtbl_ext.sorted_bindings"; "Atum_util.Hashtbl_ext.sorted_keys";
-    "Atum_util.Hashtbl_ext.sorted_iter";
   ]
 
 (* --- D003: polymorphic comparison ---------------------------------- *)

@@ -7,7 +7,8 @@
    ([Engine]) run on each parse tree while [Index] accumulates the
    value index and call graph.  Pass 2 ([Effects]) then derives the
    interprocedural findings (E001/S001/S002) and the machine-readable
-   state inventory from the whole-repo index. *)
+   state inventory from the whole-repo index, and [Exports] the unused
+   exports (I001). *)
 
 let schema_version = 2
 
@@ -28,11 +29,12 @@ let ok r =
   unsuppressed r = [] && r.parse_errors = [] && r.allow_errors = []
   && ((not r.strict_allow) || r.stale_allows = [])
 
-(* Deterministic recursive listing of .ml files under [dir] (relative
-   to [root]), skipping build and VCS artifacts. *)
-let rec list_ml_files ~root dir =
+(* Deterministic recursive listing of the files under [dir] (relative
+   to [root]) whose name ends in one of [suffixes], skipping build and
+   VCS artifacts and the directories in [skip]. *)
+let rec list_files ~skip ~suffixes ~root dir =
   let abs = Filename.concat root dir in
-  if not (Sys.file_exists abs && Sys.is_directory abs) then []
+  if not (Sys.file_exists abs && Sys.is_directory abs) || List.mem dir skip then []
   else begin
     let entries = Sys.readdir abs in
     Array.sort String.compare entries;
@@ -41,8 +43,9 @@ let rec list_ml_files ~root dir =
         if String.equal name "_build" || String.equal name ".git" then acc
         else begin
           let rel = dir ^ "/" ^ name in
-          if Sys.is_directory (Filename.concat root rel) then acc @ list_ml_files ~root rel
-          else if Filename.check_suffix name ".ml" then acc @ [ rel ]
+          if Sys.is_directory (Filename.concat root rel) then
+            acc @ list_files ~skip ~suffixes ~root rel
+          else if List.exists (Filename.check_suffix name) suffixes then acc @ [ rel ]
           else acc
         end)
       [] entries
@@ -50,24 +53,44 @@ let rec list_ml_files ~root dir =
 
 (* The shared pipeline over already-read sources: parse once, run the
    per-file pass, build the index, run the repo-wide pass, apply the
-   allowlist.  [sources] must be deterministic in order. *)
+   allowlist.  [sources] are the linted .ml and .mli files;
+   [references] are further .ml files read only for the uses that keep
+   an export alive (I001).  Both must be deterministic in order. *)
 let scan_sources ?(allow = ([] : Allowlist.t)) ?(allow_errors = []) ?(strict_allow = false)
-    ~sources () =
+    ?(references = []) ~sources () =
   let parsed = ref [] in
+  let interfaces = ref [] in
   let diags = ref [] in
   let parse_errors = ref [] in
+  let parse parser (file, source) =
+    match Engine.parse parser ~file source with
+    | Ok tree -> Some (file, tree)
+    | Error msg ->
+      parse_errors := (file, msg) :: !parse_errors;
+      None
+  in
   List.iter
-    (fun (file, source) ->
-      match Engine.parse_source ~file source with
-      | Ok structure ->
-        parsed := (file, structure) :: !parsed;
-        diags := Engine.check_structure ~file structure :: !diags
-      | Error msg -> parse_errors := (file, msg) :: !parse_errors)
+    (fun ((file, _) as src) ->
+      if Filename.check_suffix file ".mli" then
+        Option.iter
+          (fun i -> if Config.in_lib file then interfaces := i :: !interfaces)
+          (parse Parse.interface src)
+      else
+        Option.iter
+          (fun ((_, structure) as p) ->
+            parsed := p :: !parsed;
+            diags := Engine.check_structure ~file structure :: !diags)
+          (parse Parse.implementation src))
     sources;
-  let index = Index.build (List.rev !parsed) in
+  let parsed = List.rev !parsed in
+  let references = parsed @ List.filter_map (parse Parse.implementation) references in
+  let index = Index.build parsed in
   let effect_diags, state = Effects.analyze ~index ~allow in
+  let export_diags =
+    Exports.diagnostics index ~interfaces:(List.rev !interfaces) ~references
+  in
   let diagnostics =
-    List.sort Diagnostic.compare (List.concat (effect_diags :: !diags))
+    List.sort Diagnostic.compare (List.concat (effect_diags :: export_diags :: !diags))
   in
   List.iter (fun d -> Allowlist.suppress allow d) diagnostics;
   {
@@ -80,10 +103,20 @@ let scan_sources ?(allow = ([] : Allowlist.t)) ?(allow_errors = []) ?(strict_all
     state;
   }
 
+(* Lints [dirs]; the rest of [Config.reference_dirs] is read for uses
+   only. *)
 let scan ?allow ?allow_errors ?strict_allow ~root ~dirs () =
-  let files = List.concat_map (fun d -> list_ml_files ~root d) dirs in
-  let sources = List.map (fun file -> (file, Engine.read_file ~root ~file)) files in
-  scan_sources ?allow ?allow_errors ?strict_allow ~sources ()
+  let read files = List.map (fun file -> (file, Engine.read_file ~root ~file)) files in
+  let files = List.concat_map (list_files ~skip:[] ~suffixes:[ ".ml"; ".mli" ] ~root) dirs in
+  let references =
+    List.filter
+      (fun f -> not (List.mem f files))
+      (List.concat_map
+         (list_files ~skip:Config.reference_excluded ~suffixes:[ ".ml" ] ~root)
+         Config.reference_dirs)
+  in
+  scan_sources ?allow ?allow_errors ?strict_allow ~references:(read references)
+    ~sources:(read files) ()
 
 let run ?strict_allow ~root ~dirs ~allow_file () =
   let allow, allow_errors = Allowlist.load allow_file in

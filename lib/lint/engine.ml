@@ -212,11 +212,11 @@ let check_structure ~file structure =
   it.Ast_iterator.structure it structure;
   List.sort Diagnostic.compare ctx.diags
 
-let parse_source ~file source =
+let parse parser ~file source =
   let lexbuf = Lexing.from_string source in
   Location.init lexbuf file;
-  match Parse.implementation lexbuf with
-  | structure -> Ok structure
+  match parser lexbuf with
+  | tree -> Ok tree
   | exception exn ->
     let msg =
       match Location.error_of_exn exn with
@@ -224,6 +224,8 @@ let parse_source ~file source =
       | _ -> Printexc.to_string exn
     in
     Error (String.trim msg)
+
+let parse_source ~file source = parse Parse.implementation ~file source
 
 let check_source ~file source =
   Result.map (check_structure ~file) (parse_source ~file source)

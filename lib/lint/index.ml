@@ -7,10 +7,10 @@
    - A file's canonical module name comes from its path:
      lib/util/hashtbl_ext.ml -> Atum_util.Hashtbl_ext (the dune
      library wrapper), bin/atum_cli.ml -> Atum_cli.
-   - Toplevel [module X = Path] aliases and [open Path] are honoured
-     when resolving spelled names; anything that still does not match
-     an indexed module (Stdlib, external libraries) resolves to
-     nothing and drops out of the graph.
+   - Toplevel [module X = Path] aliases, [open Path] and [include
+     Path] are honoured when resolving spelled names; anything that
+     still does not match an indexed module (Stdlib, external
+     libraries) resolves to nothing and drops out of the graph.
    - A bare identifier reference counts as a call edge: a function
      passed eta-reduced to [Engine.every] or [List.iter] will be
      invoked, and the analysis must follow it.
@@ -59,6 +59,7 @@ type module_info = {
   m_file : string;
   mutable m_aliases : (string * string) list; (* local name -> spelled target *)
   mutable m_opens : string list; (* spelled targets, in order *)
+  mutable m_includes : string list; (* spelled targets, in order *)
   mutable m_values : string list; (* every toplevel binding name *)
 }
 
@@ -185,16 +186,16 @@ let ingest_types t structure =
       | _ -> ())
     structure
 
-(* Expand a leading local alias: with [module E = Atum_sim.Engine] in
-   scope, "E.every" becomes "Atum_sim.Engine.every". *)
-let expand_alias (m : module_info) name =
-  match String.index_opt name '.' with
-  | None -> name
-  | Some i -> (
-    let head = String.sub name 0 i in
-    match List.assoc_opt head m.m_aliases with
-    | Some target -> target ^ String.sub name i (String.length name - i)
-    | None -> name)
+(* Expand a leading alias: with [module E = Atum_sim.Engine] in
+   [aliases], "E.every" becomes "Atum_sim.Engine.every" and "E"
+   becomes "Atum_sim.Engine". *)
+let expand_alias aliases name =
+  let head, rest =
+    match String.index_opt name '.' with
+    | Some i -> (String.sub name 0 i, String.sub name i (String.length name - i))
+    | None -> (name, "")
+  in
+  match List.assoc_opt head aliases with Some target -> target ^ rest | None -> name
 
 (* Is this application handing a closure to the engine scheduler?  The
    alias-expanded spelling must end in Engine.(schedule|schedule_at|
@@ -222,21 +223,21 @@ let scan_body (m : module_info) (fn : fn) body =
   let expr self e =
     match e.pexp_desc with
     | Pexp_ident { txt; _ } ->
-      let name = expand_alias m (longident_name txt) in
+      let name = expand_alias m.m_aliases (longident_name txt) in
       if is_banned_entropy name then
         fn.impure <- { spelling = name; use_line = line_of e.pexp_loc } :: fn.impure;
       record_call ~loc:e.pexp_loc name
     | Pexp_setfield (target, _, value) ->
       (match (peel target).pexp_desc with
       | Pexp_ident { txt; _ } ->
-        record_write ~loc:e.pexp_loc (expand_alias m (longident_name txt))
+        record_write ~loc:e.pexp_loc (expand_alias m.m_aliases (longident_name txt))
       | _ -> ());
       self.Ast_iterator.expr self target;
       self.Ast_iterator.expr self value
     | Pexp_apply (head, args) -> (
       match (peel head).pexp_desc with
       | Pexp_ident { txt; _ } ->
-        let name = expand_alias m (longident_name txt) in
+        let name = expand_alias m.m_aliases (longident_name txt) in
         if is_banned_entropy name then
           fn.impure <- { spelling = name; use_line = line_of e.pexp_loc } :: fn.impure;
         record_call ~loc:e.pexp_loc name;
@@ -252,7 +253,7 @@ let scan_body (m : module_info) (fn : fn) body =
            | Some (_, arg) -> (
              match (peel arg).pexp_desc with
              | Pexp_ident { txt; _ } ->
-               record_write ~loc:e.pexp_loc (expand_alias m (longident_name txt))
+               record_write ~loc:e.pexp_loc (expand_alias m.m_aliases (longident_name txt))
              | _ -> ())
            | None -> ());
         if is_engine_scheduler ~file:fn.fn_file name then begin
@@ -291,7 +292,7 @@ let global_of_binding (m : module_info) ~file ~line name expr =
   | Pexp_apply (head, _) -> (
     match (peel head).pexp_desc with
     | Pexp_ident { txt; _ } ->
-      let spelled = expand_alias m (longident_name txt) in
+      let spelled = expand_alias m.m_aliases (longident_name txt) in
       let matches l = mem_s spelled l || mem_s (last_two spelled) l in
       if matches Config.atomic_constructors then
         Some
@@ -309,22 +310,39 @@ let global_of_binding (m : module_info) ~file ~line name expr =
     | _ -> None)
   | _ -> None
 
+(* A module's toplevel scope, read off its structure: aliases, opens,
+   includes and every bound value name. *)
+let scope_of ~file structure =
+  let m =
+    { m_name = module_of_file file; m_file = file; m_aliases = []; m_opens = [];
+      m_includes = []; m_values = [] }
+  in
+  List.iter
+    (fun item ->
+      match item.pstr_desc with
+      | Pstr_module
+          { pmb_name = { txt = Some name; _ };
+            pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
+        m.m_aliases <- (name, longident_name txt) :: m.m_aliases
+      | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
+        m.m_opens <- m.m_opens @ [ longident_name txt ]
+      | Pstr_include { pincl_mod = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
+        m.m_includes <- m.m_includes @ [ longident_name txt ]
+      | Pstr_value (_, bindings) ->
+        List.iter (fun vb -> m.m_values <- pattern_vars vb.pvb_pat @ m.m_values) bindings
+      | _ -> ())
+    structure;
+  m
+
 let ingest_values t (m : module_info) structure =
   List.iter
     (fun item ->
       match item.pstr_desc with
-      | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } -> (
-        match pmb_expr.pmod_desc with
-        | Pmod_ident { txt; _ } -> m.m_aliases <- (name, longident_name txt) :: m.m_aliases
-        | _ -> ())
-      | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
-        m.m_opens <- m.m_opens @ [ longident_name txt ]
       | Pstr_value (_, bindings) ->
         List.iter
           (fun vb ->
             let vars = pattern_vars vb.pvb_pat in
             let line = line_of vb.pvb_loc in
-            List.iter (fun v -> m.m_values <- v :: m.m_values) vars;
             match vars with
             | [] ->
               (* [let () = ...] initialisation code still calls and
@@ -379,10 +397,7 @@ let build parsed =
   let mods =
     List.map
       (fun (file, structure) ->
-        let m =
-          { m_name = module_of_file file; m_file = file; m_aliases = []; m_opens = [];
-            m_values = [] }
-        in
+        let m = scope_of ~file structure in
         register_module t m;
         (m, structure))
       parsed
@@ -407,37 +422,60 @@ let resolve_module t ~from_module path =
     | Some c -> Some c
     | None -> ( match cs with c :: _ -> Some c | [] -> None))
 
-let module_has_value t canonical value =
-  match Hashtbl.find_opt t.modules canonical with
-  | Some m -> mem_s value m.m_values
-  | None -> false
+(* The modules through which [value] is reached in scope [m]: [m]
+   itself when it binds [value], else [m] followed by the chain through
+   whichever of its [include]s provides it (the last one wins). *)
+let rec include_chain t (m : module_info) value =
+  if mem_s value m.m_values then Some [ m.m_name ]
+  else
+    List.find_map
+      (fun inc ->
+        match resolve_module t ~from_module:m.m_name inc with
+        | Some c when not (String.equal c m.m_name) ->
+          Option.bind (Hashtbl.find_opt t.modules c) (fun im ->
+              Option.map (fun chain -> m.m_name :: chain) (include_chain t im value))
+        | _ -> None)
+      (List.rev m.m_includes)
 
-(* Resolve a spelled (already alias-expanded) name from [from_module]
-   to a canonical Module.value, or None for anything external. *)
+(* Resolve a spelled (already alias-expanded) name seen in scope [m]
+   with [opens] in force to every canonical Module.value it names:
+   the spelled module's own name first, then each module it reaches
+   through [include], ending at the definition.  [] for anything
+   external. *)
+let resolve_chain t (m : module_info) ~opens name =
+  let in_module c value =
+    Option.bind (Hashtbl.find_opt t.modules c) (fun cm -> include_chain t cm value)
+  in
+  (* A module path is tried under each open first: with [open
+     Atum_sim] in force, [Engine] is Atum_sim.Engine. *)
+  let module_path path =
+    match List.find_opt (fun o -> Hashtbl.mem t.modules (o ^ "." ^ path)) opens with
+    | Some o -> Some (o ^ "." ^ path)
+    | None -> resolve_module t ~from_module:m.m_name path
+  in
+  let chain, value =
+    match String.rindex_opt name '.' with
+    | None ->
+      ( (match include_chain t m name with
+        | Some _ as own -> own
+        | None ->
+          List.find_map
+            (fun o ->
+              Option.bind (resolve_module t ~from_module:m.m_name o) (fun c -> in_module c name))
+            opens),
+        name )
+    | Some i ->
+      let value = String.sub name (i + 1) (String.length name - i - 1) in
+      ( Option.bind (module_path (String.sub name 0 i)) (fun c -> in_module c value),
+        value )
+  in
+  List.map (fun c -> c ^ "." ^ value) (Option.value ~default:[] chain)
+
+(* Resolve a spelled name from [from_module] to the canonical
+   Module.value that defines it, or None for anything external. *)
 let resolve t ~from_module name =
-  match String.rindex_opt name '.' with
-  | None ->
-    let value = name in
-    if module_has_value t from_module value then Some (from_module ^ "." ^ value)
-    else begin
-      let m = Hashtbl.find_opt t.modules from_module in
-      let opens = match m with Some m -> m.m_opens | None -> [] in
-      List.fold_left
-        (fun acc o ->
-          match acc with
-          | Some _ -> acc
-          | None -> (
-            match resolve_module t ~from_module o with
-            | Some c when module_has_value t c value -> Some (c ^ "." ^ value)
-            | _ -> None))
-        None opens
-    end
-  | Some i -> (
-    let path = String.sub name 0 i in
-    let value = String.sub name (i + 1) (String.length name - i - 1) in
-    match resolve_module t ~from_module path with
-    | Some c when module_has_value t c value -> Some (c ^ "." ^ value)
-    | _ -> None)
+  Option.bind (Hashtbl.find_opt t.modules from_module) (fun m ->
+      List.nth_opt (List.rev (resolve_chain t m ~opens:m.m_opens name)) 0)
 
 (* --- deterministic views --------------------------------------------- *)
 

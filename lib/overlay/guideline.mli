@@ -4,11 +4,6 @@
     distribution is indistinguishable from uniform under Pearson's χ²
     test at a given confidence level. *)
 
-val endpoint_counts :
-  vgroups:int -> hc:int -> rwl:int -> samples:int -> seed:int -> int array
-(** Run [samples] walks of length [rwl] from a fixed worst-case start
-    vertex on a fresh random H-graph and histogram the endpoints. *)
-
 val walk_is_uniform :
   ?confidence:float -> vgroups:int -> hc:int -> rwl:int -> samples:int -> seed:int -> unit -> bool
 

@@ -7,9 +7,6 @@
     the communication machinery (bulk RNG, backward phase or
     certificate chains, §5.1) on top of the same hop choices. *)
 
-val step : Hgraph.t -> Atum_util.Rng.t -> int -> int
-(** One hop from a vertex along a random incident link. *)
-
 val walk : Hgraph.t -> Atum_util.Rng.t -> start:int -> length:int -> int
 (** Endpoint of a [length]-hop walk. *)
 
@@ -27,7 +24,7 @@ val choice_index : degree:int -> int -> int
 (** [choice_index ~degree choice] reduces a pre-drawn hop decision to
     a uniform link index in [\[0, degree)].  Unlike [choice mod
     degree] this has no modulo bias, so a replayed walk is distributed
-    exactly like a live walk ({!step}'s uniform [Rng.pick]).
+    exactly like a live walk (one uniform [Rng.pick] per hop).
     Deterministic in [choice].  Raises [Invalid_argument] when
     [degree <= 0]. *)
 
@@ -35,7 +32,7 @@ val walk_with_choices : Hgraph.t -> start:int -> choices:int list -> int
 (** Replay a walk from pre-drawn hop decisions. *)
 
 val step_fast : Hgraph.t -> Atum_util.Rng.t -> int -> int
-(** Allocation-free variant of {!step} for large-scale simulation:
-    picks one of the 2·hc incident links by index. *)
+(** One hop, allocation-free, for large-scale simulation: picks one of
+    the 2·hc incident links by index. *)
 
 val walk_fast : Hgraph.t -> Atum_util.Rng.t -> start:int -> length:int -> int

@@ -22,13 +22,6 @@ type host = {
 val ec2_micro : host
 (** The paper's instance type: modest, download > upload. *)
 
-val setup_overhead : float
-(** Per-connection handshake cost in seconds. *)
-
-val slow_start_penalty : mb:float -> rate:float -> float
-(** Extra seconds lost to the congestion-window ramp; bounded, so it
-    vanishes relative to large transfers. *)
-
 val single_stream_time : src:host -> dst:host -> mb:float -> float
 (** Wall time to move [mb] megabytes over one stream. *)
 

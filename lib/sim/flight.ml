@@ -1,5 +1,4 @@
 let filename = "ATUM_postmortem.json"
-let default_window = 512
 
 (* All recorder state lives in this instance record — no module-level
    mutables, so concurrent engines each own an independent recorder. *)
@@ -15,7 +14,7 @@ type t = {
   mutable last_path : string option;
 }
 
-let create ?(window = default_window) ?dir ~engine ~trace ~metrics () =
+let create ?(window = 512) ?dir ~engine ~trace ~metrics () =
   if window <= 0 then invalid_arg "Flight.create: window must be positive";
   {
     engine;
@@ -49,21 +48,13 @@ let snapshot t : Artifact.flight =
     profile = Artifact.profile_of t.engine;
   }
 
-let dump ?dir t =
-  let dir =
-    match (dir, t.dir) with
-    | Some d, _ -> d
-    | None, Some d -> d
-    | None, None -> "."
-  in
-  let path = Artifact.write ~dir filename (Artifact.Postmortem (snapshot t)) in
-  t.dumps <- t.dumps + 1;
-  t.last_path <- Some path;
-  path
-
 let trip t ~reason ?(detail = "") ?(node = -1) ?(vgroup = -1) ?(bid = -1) () =
   match t.trigger with
   | Some _ -> () (* first trigger wins; later violations are in metrics *)
   | None ->
     t.trigger <- Some { Artifact.at = Engine.now t.engine; reason; detail; node; vgroup; bid };
-    (match t.dir with Some _ -> ignore (dump t : string) | None -> ())
+    match t.dir with
+    | Some dir ->
+      t.last_path <- Some (Artifact.write ~dir filename (Artifact.Postmortem (snapshot t)));
+      t.dumps <- t.dumps + 1
+    | None -> ()

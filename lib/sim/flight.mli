@@ -15,10 +15,7 @@
     failure. *)
 
 val filename : string
-(** ["ATUM_postmortem.json"] — the fixed basename {!dump} writes. *)
-
-val default_window : int
-(** 512 trace events. *)
+(** ["ATUM_postmortem.json"] — the fixed basename of a postmortem. *)
 
 type t
 
@@ -32,10 +29,10 @@ val create :
   t
 (** [window] is the last-K trace-event count (default 512).  When
     [dir] is given the recorder is {e armed}: the first {!trip} dumps
-    [dir ^ "/" ^ filename] immediately, capturing state at the moment
-    of failure.  Without [dir], trips are recorded and the caller
-    decides when (whether) to {!dump}.  Raises [Invalid_argument] on
-    a non-positive window. *)
+    [dir ^ "/" ^ filename] immediately (directories created as
+    needed), capturing state at the moment of failure.  Without [dir],
+    trips are only recorded.  Raises [Invalid_argument] on a
+    non-positive window. *)
 
 val set_telemetry : t -> Telemetry.t -> unit
 (** Attach the telemetry sampler whose rows the snapshot includes. *)
@@ -54,17 +51,12 @@ val trip :
 
 val tripped : t -> Artifact.trigger option
 
-val dump : ?dir:string -> t -> string
-(** Write the snapshot to [dir ^ "/" ^ filename] (directories created
-    as needed; [dir] defaults to the arming directory, else ["."]) and
-    return the path.  Usable whether or not the recorder tripped —
-    an untripped dump has a [null] trigger. *)
-
 val dumps : t -> int
 (** Postmortems written so far. *)
 
 val last_path : t -> string option
 
 val snapshot : t -> Artifact.flight
-(** The postmortem record {!dump} writes as an
-    {!Artifact.Postmortem}. *)
+(** The postmortem record an armed {!trip} writes as an
+    {!Artifact.Postmortem}; an untripped snapshot has a [null]
+    trigger. *)

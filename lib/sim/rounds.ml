@@ -13,7 +13,6 @@ let create engine ~round_duration =
 
 let round_duration t = t.duration
 
-let current_round t = t.round
 
 let subscribe t f =
   let id = t.next_id in

@@ -11,8 +11,6 @@ val create : Engine.t -> round_duration:float -> t
 
 val round_duration : t -> float
 
-val current_round : t -> int
-
 val subscribe : t -> (int -> unit) -> int
 (** [subscribe t f] calls [f round] at every round boundary; returns a
     subscription id. *)

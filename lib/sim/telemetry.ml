@@ -1,8 +1,5 @@
 module Json = Atum_util.Json
 
-let default_period = 5.0
-let default_capacity = 4096
-
 type gauge = { g_name : string; g_read : unit -> float }
 
 type t = {
@@ -20,7 +17,7 @@ type t = {
   mutable total : int;
 }
 
-let create ?(period = default_period) ?(capacity = default_capacity) engine =
+let create ?(period = 5.0) ?(capacity = 4096) engine =
   if period <= 0.0 then invalid_arg "Telemetry.create: period must be positive";
   if capacity <= 0 then invalid_arg "Telemetry.create: capacity must be positive";
   {

@@ -12,14 +12,11 @@
 
 type t
 
-val default_period : float
-(** 5 simulated seconds. *)
-
-val default_capacity : int
-(** 4096 samples (~5.7 simulated hours at the default period). *)
-
 val create : ?period:float -> ?capacity:int -> Engine.t -> t
-(** Raises [Invalid_argument] on a non-positive period or capacity. *)
+(** Sample every [period] simulated seconds (default 5) into a ring of
+    [capacity] samples (default 4096, ~5.7 simulated hours at the
+    default period).  Raises [Invalid_argument] on a non-positive
+    period or capacity. *)
 
 val period : t -> float
 val capacity : t -> int

@@ -89,7 +89,6 @@ let set_sample_rate t rate =
   t.sample_rate <- rate;
   t.sample_threshold <- int_of_float (rate *. float_of_int sample_one)
 
-let debug_enabled t = t.debug
 let set_debug t flag = t.debug <- flag
 
 let sampled_out t = t.sampled_out

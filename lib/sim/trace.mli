@@ -50,8 +50,6 @@ val create : ?capacity:int -> ?enabled:bool -> unit -> t
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
-val default_capacity : int
-
 val capacity_for_scale : nodes:int -> int
 (** Recommended ring capacity for an [nodes]-node run: the default
     65536 up to 10k nodes, then 131072 / 524288 / 1048576 at the 10k /
@@ -77,8 +75,6 @@ val set_sample_rate : t -> float -> unit
     with the deterministic [Hashtbl.hash], so same-seed runs admit
     the same events and an admitted broadcast keeps its full hop
     lineage.  Raises [Invalid_argument] outside [0, 1]. *)
-
-val debug_enabled : t -> bool
 
 val set_debug : t -> bool -> unit
 (** Enable [Debug]-level kinds (default off). *)

@@ -2,11 +2,9 @@
 
     A backend is a record of functions over a per-node flat namespace:
     each node id owns a handful of named files (a write-ahead log, a
-    snapshot).  Two implementations exist — {!Vfs}, an in-simulation
-    virtual filesystem whose contents are plain deterministic bytes,
-    and {!File_backend}, a thin real-directory backend used outside
-    the simulation — so the WAL/snapshot machinery above never knows
-    which world it is writing to. *)
+    snapshot).  The WAL/snapshot machinery above sees only this record;
+    {!Vfs}, an in-simulation virtual filesystem whose contents are
+    plain deterministic bytes, implements it. *)
 
 type t = {
   load : node:int -> name:string -> string option;

@@ -57,7 +57,6 @@ let create ?(snapshot_every = 64) ~key backend =
     replayed = 0;
   }
 
-let backend t = t.backend
 
 let log_of t node =
   match Hashtbl.find t.logs node with

@@ -31,8 +31,6 @@ val create : ?snapshot_every:int -> key:string -> Backend.t -> t
 (** [snapshot_every] (default 64, >= 1) appends between snapshots;
     [key] authenticates snapshots (per deployment). *)
 
-val backend : t -> Backend.t
-
 type frame
 (** One WAL record, encoded and checksummed.  It names no node: a
     record that several nodes log alike is framed once and appended to

@@ -6,9 +6,6 @@
     loads as [Error] — treated by recovery exactly like a corrupt
     WAL record (fresh-join fallback). *)
 
-val magic : string
-val version : int
-
 val header_bytes : int
 
 val save :

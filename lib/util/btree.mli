@@ -35,9 +35,6 @@ val min_binding : ('k, 'v) t -> ('k * 'v) option
 
 val max_binding : ('k, 'v) t -> ('k * 'v) option
 
-val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
-(** In ascending key order. *)
-
 val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
 (** In ascending key order. *)
 

@@ -27,6 +27,3 @@ let sorted_bindings ~cmp tbl =
 let sorted_keys ~cmp tbl =
   Atomic.incr sorts;
   List.sort cmp (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
-
-let sorted_iter ~cmp f tbl =
-  List.iter (fun (k, v) -> f k v) (sorted_bindings ~cmp tbl)

@@ -20,7 +20,3 @@ val sorted_bindings : cmp:('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> ('a * 'b) l
 
 val sorted_keys : cmp:('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> 'a list
 (** All keys, sorted with [cmp]. *)
-
-val sorted_iter : cmp:('a -> 'a -> int) -> ('a -> 'b -> unit) -> ('a, 'b) Hashtbl.t -> unit
-(** [iter] in ascending key order — a drop-in for [Hashtbl.iter] where
-    the side effects are order-sensitive. *)

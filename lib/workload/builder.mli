@@ -33,8 +33,8 @@ val grow :
     quiet-Byzantine (§6.1.3). Parameters default to
     {!Atum_core.Params.for_system_size}.  [trace] (default [false])
     enables the deployment's structured event trace before growth
-    starts, with [trace_capacity] ring slots (default
-    {!Atum_sim.Trace.default_capacity}) and, when [sample_rate] is
+    starts, with [trace_capacity] ring slots (default 65536) and, when
+    [sample_rate] is
     given, that fraction of [Sampled]-level kinds admitted
     ({!Atum_sim.Trace.set_sample_rate}); [monitor] (default [false])
     attaches an {!Atum_core.Monitor} with the default config, whose

@@ -40,9 +40,6 @@ type result = {
 
 val direction_of_key : string -> direction
 
-val flatten : Atum_util.Json.t -> (string * float) list
-(** Sorted (path, value) pairs, for tests and tooling. *)
-
 val run :
   ?threshold:float ->
   old_json:Atum_util.Json.t ->

@@ -50,13 +50,15 @@ let latency_row ~label (r : Latency_exp.result) =
 let spark_levels = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83"; "\xe2\x96\x84";
                       "\xe2\x96\x85"; "\xe2\x96\x86"; "\xe2\x96\x87"; "\xe2\x96\x88" |]
 
-let sparkline ?(width = 60) xs =
+(* A series in at most 60 cells of U+2581..U+2588 blocks; empty input
+   renders as "", a constant series at the lowest level. *)
+let sparkline xs =
   match xs with
   | [] -> ""
   | _ ->
     let xs = Array.of_list xs in
     let n = Array.length xs in
-    let width = min width n in
+    let width = min 60 n in
     (* Downsample by averaging equal slices so spikes survive zoom-out
        better than point sampling would. *)
     let cell i =

@@ -14,12 +14,6 @@ val latency_row : label:string -> Latency_exp.result -> Atum_util.Json.t
 (** One Fig-8 CDF row: sample count, p10/p50/p90/p99/max latency and
     delivery fraction ([null] percentiles when there are no samples). *)
 
-val sparkline : ?width:int -> float list -> string
-(** Downsample a series to at most [width] (default 60) cells by slice
-    averaging and render it with U+2581..U+2588 block characters.
-    Empty input renders as the empty string; a constant series renders
-    at the lowest level. *)
-
 val pp_resilience : Format.formatter -> Atum_sim.Artifact.resilience -> unit
 (** The chaos experiment's summary: deployment, fault schedule,
     per-phase delivery success, heals, violations, restarts and the

@@ -377,6 +377,72 @@ let test_ignored_artifact_read_flagged () =
   Alcotest.(check (list string)) "a handled load is fine" []
     (rules "let f p = match Artifact.load p with Ok a -> Some a | Error _ -> None")
 
+(* --- I001: unused exports ---------------------------------------------- *)
+
+(* [Atum_util.Thing] exports [v]; [users] are further linted sources
+   and [references] files read for uses only.  Returns the exports
+   left open, by name. *)
+let unused_exports ?allow ?(references = []) ?(mli = "val v : int -> int\n")
+    ?(ml = "let v x = x + 1\n") users =
+  let sources = ("lib/util/thing.mli", mli) :: ("lib/util/thing.ml", ml) :: users in
+  let r = Driver.scan_sources ?allow ~references ~sources () in
+  Alcotest.(check (list string)) "no parse errors" [] (List.map fst r.Driver.parse_errors);
+  List.filter_map
+    (fun d ->
+      if String.equal d.Diagnostic.rule "I001" then
+        Some (Printf.sprintf "%s:%d" d.Diagnostic.file d.Diagnostic.line)
+      else None)
+    (Driver.unsuppressed r)
+
+let test_i001_own_module_use_is_flagged () =
+  Alcotest.(check (list string))
+    "inner is used only by Thing itself; outer by another module"
+    [ "lib/util/thing.mli:1" ]
+    (unused_exports
+       ~mli:"val inner : int -> int\nval outer : int -> int\n"
+       ~ml:"let inner x = x + 1\nlet outer x = inner x\n"
+       [ ("lib/core/user.ml", "let f = Atum_util.Thing.outer 3\n") ]);
+  Alcotest.(check (list string)) "no user at all" [ "lib/util/thing.mli:1" ]
+    (unused_exports [])
+
+(* Every route by which another module can reach [Thing.v] keeps it. *)
+let test_i001_routes_count_as_uses () =
+  let used ?references users name =
+    Alcotest.(check (list string)) name [] (unused_exports ?references users)
+  in
+  used [ ("lib/core/user.ml", "module T = Atum_util.Thing\nlet f = T.v 1\n") ] "module alias";
+  used [ ("lib/core/user.ml", "open Atum_util.Thing\nlet f = v 1\n") ] "open";
+  used [ ("lib/core/user.ml", "let f = Atum_util.Thing.(v 1)\n") ] "local open";
+  used
+    [
+      ("lib/util/facade.ml", "include Thing\n");
+      ("bin/main.ml", "let f = Atum_util.Facade.v 1\n");
+    ]
+    "include";
+  used ~references:[ ("test/test_thing.ml", "let () = ignore (Atum_util.Thing.v 1)\n") ] []
+    "a test file";
+  used
+    ~references:[ ("perfbench/workload.ml", "open Atum_util\nlet f = Thing.v 1\n") ]
+    [] "a perfbench file"
+
+let test_i001_doc_reference_is_not_a_use () =
+  Alcotest.(check (list string)) "{!Thing.v} in doc comments only"
+    [ "lib/util/thing.mli:1" ]
+    (unused_exports
+       [
+         ("lib/core/user.mli", "(** Wraps {!Atum_util.Thing.v}. *)\nval f : int -> int\n");
+         ("lib/core/user.ml", "(** Same as {!Atum_util.Thing.v}. *)\nlet f x = x\n");
+         ("bin/main.ml", "let () = ignore (Atum_core.User.f 1)\n");
+       ])
+
+let test_i001_allowlisted () =
+  let allow, errs =
+    Allowlist.of_string "I001:lib/util/thing.mli:1 # the documented entry point"
+  in
+  Alcotest.(check (list string)) "parses" [] errs;
+  Alcotest.(check (list string)) "suppressed" [] (unused_exports ~allow []);
+  Alcotest.(check int) "and not stale" 0 (List.length (Allowlist.stale allow))
+
 let () =
   Alcotest.run "lint"
     [
@@ -403,6 +469,16 @@ let () =
             test_domain_safety_rules;
           Alcotest.test_case "pre-fix hashtbl_ext counter is caught" `Quick
             test_s001_catches_prefix_hashtbl_ext;
+        ] );
+      ( "unused-exports",
+        [
+          Alcotest.test_case "an export only its own module uses is flagged" `Quick
+            test_i001_own_module_use_is_flagged;
+          Alcotest.test_case "alias, open, include, test and perfbench uses count" `Quick
+            test_i001_routes_count_as_uses;
+          Alcotest.test_case "a doc-comment reference is not a use" `Quick
+            test_i001_doc_reference_is_not_a_use;
+          Alcotest.test_case "an allowlisted export stays quiet" `Quick test_i001_allowlisted;
         ] );
       ( "allowlist",
         [
