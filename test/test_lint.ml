@@ -470,7 +470,7 @@ let () =
           Alcotest.test_case "pre-fix hashtbl_ext counter is caught" `Quick
             test_s001_catches_prefix_hashtbl_ext;
         ] );
-      ( "unused-exports",
+      ( "unused-export",
         [
           Alcotest.test_case "an export only its own module uses is flagged" `Quick
             test_i001_own_module_use_is_flagged;
