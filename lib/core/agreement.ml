@@ -58,8 +58,7 @@ let on_execute t vg member (op : Smr_intf.op) =
     match List.find_opt (fun p -> p.op_id = id) vg.pending with
     | None -> ()
     | Some p ->
-      if not (List.exists (Int.equal member) p.execs) then p.execs <- member :: p.execs;
-      if List.length p.execs >= majority_of (List.length vg.members) then begin
+      if count_vote p.execs member >= majority_of (size vg) then begin
         vg.pending <- List.filter (fun q -> q.op_id <> id) vg.pending;
         p.action ()
       end)
@@ -72,15 +71,14 @@ let stop_smr vg =
   vg.smr <- None
 
 (* One replica per correct member, ascending member id: the Sync round
-   driver walks them in that order.  PBFT replicas share one roster. *)
+   driver walks them in that order.  Every replica shares the roster. *)
 let install_smr t vg =
-  let members = vg.members and epoch = vg.epoch in
-  let roster = lazy (Pbft.roster members) in
-  let g = List.length members in
+  let roster = vg.roster and epoch = vg.epoch and g = size vg in
   let transport self f wrap =
     {
       Smr_intf.self;
-      members;
+      members = roster.members;
+      ids = roster.ids;
       f;
       send =
         (fun dst m ->
@@ -97,11 +95,9 @@ let install_smr t vg =
     | Params.Async ->
       let transport = transport self (Smr_intf.async_f ~group_size:g) (fun m -> Async_m m) in
       Async_rep
-        (Pbft.create ~roster:(Lazy.force roster) ~transport ~timeout:t.params.pbft_timeout
-           ~on_execute)
+        (Pbft.create ~transport ~timeout:t.params.pbft_timeout ~on_execute)
   in
-  let ids = Array.of_list (correct_members t vg) in
-  Array.sort Int.compare ids;
+  let ids = Array.of_seq (Seq.filter (fun m -> is_correct (node t m)) (Array.to_seq roster.ids)) in
   vg.smr <- Some { ids; reps = Array.map replica ids }
 
 (* Lazy SMR: bulk-built vgroups ([build_direct]) defer replica
@@ -110,10 +106,7 @@ let install_smr t vg =
    up front.  A no-op on every saga-built vgroup, whose instances are
    installed eagerly by [reconfigure]. *)
 let ensure_smr t vg =
-  if Option.is_none vg.smr && vg.members <> [] && not vg.retired then install_smr t vg
-
-let proposer_of t vg =
-  match correct_members t vg with [] -> None | m :: _ -> Some m
+  if Option.is_none vg.smr && size vg > 0 && not vg.retired then install_smr t vg
 
 let propose vg proposer op =
   match replica_of vg proposer with
@@ -129,15 +122,15 @@ let propose vg proposer op =
 let reconfigure t vg =
   stop_smr vg;
   vg.epoch <- vg.epoch + 1;
-  if vg.members <> [] && not vg.retired then begin
+  if size vg > 0 && not vg.retired then begin
     install_smr t vg;
     List.iter
       (fun p ->
         if List.memq p vg.pending then begin
-          p.execs <- [];
+          p.execs <- tally vg.roster;
           Option.iter
             (fun m -> propose vg m (Control { id = p.op_id; label = p.label }))
-            (proposer_of t vg)
+            (first_correct t vg)
         end)
       vg.pending
   end;
@@ -153,8 +146,8 @@ let agree t vg ?parent label action =
       span_end t ~saga:"agree" ~vgroup:vg.vid span;
       action ()
     in
-    vg.pending <- { op_id = id; label; action; execs = [] } :: vg.pending;
-    Option.iter (fun m -> propose vg m (Control { id; label })) (proposer_of t vg)
+    vg.pending <- { op_id = id; label; action; execs = tally vg.roster } :: vg.pending;
+    Option.iter (fun m -> propose vg m (Control { id; label })) (first_correct t vg)
   end
 
 (* A broadcast's first phase bypasses [pending]: its origin proposes it
@@ -162,7 +155,7 @@ let agree t vg ?parent label action =
    it across an epoch change. *)
 let propose_bcast t vg ~origin ~bid ~body =
   ensure_smr t vg;
-  let proposer = if is_correct (node t origin) then Some origin else proposer_of t vg in
+  let proposer = if is_correct (node t origin) then Some origin else first_correct t vg in
   Option.iter (fun m -> propose vg m (Bcast { bid; origin; body })) proposer
 
 (* An SMR message for [nid]'s replica in [vg]'s current epoch. *)

@@ -43,7 +43,7 @@ let vgroup_of t nid =
   match System.node_opt t nid with Some n -> n.System.vg | None -> None
 
 let members_of_vgroup t vid =
-  match System.vgroup_opt t vid with Some vg -> vg.System.members | None -> []
+  match System.vgroup_opt t vid with Some vg -> System.members vg | None -> []
 
 let metrics = System.metrics
 let trace = System.trace

@@ -82,7 +82,7 @@ let check_vgroup t ~transient vid =
           (Printf.sprintf "retired vgroup %d still in overlay" vid)
     end
     else begin
-      let size = List.length vg.System.members in
+      let size = System.size vg in
       (* The size envelope is only meaningful for a quiescent vgroup:
          at audit time [check_size] has not run yet, and a busy or
          shuffle-pending vgroup is already being corrected (splits and
@@ -97,15 +97,10 @@ let check_vgroup t ~transient vid =
           violate t "vg_undersize" ~vgroup:vid
             (Printf.sprintf "vgroup %d has %d members (min %d)" vid size t.cfg.s_lo)
       end;
-      let byz =
-        List.length
-          (List.filter
-             (fun m ->
-               match System.node_opt t.sys m with
-               | Some n -> n.System.byzantine
-               | None -> false)
-             vg.System.members)
+      let byzantine m =
+        match System.node_opt t.sys m with Some n -> n.System.byzantine | None -> false
       in
+      let byz = List.length (List.filter byzantine (System.members vg)) in
       if byz > 0 && 2 * byz >= size then
         violate t "byz_majority" ~vgroup:vid
           (Printf.sprintf "vgroup %d has %d Byzantine of %d members" vid byz size);
@@ -117,7 +112,7 @@ let check_vgroup t ~transient vid =
          evicted) — which is exactly the signal the recovery
          verifier's time-to-heal measurement polls for. *)
       let net = System.network t.sys in
-      let live = List.filter (fun m -> not (Network.is_crashed net m)) vg.System.members in
+      let live = List.filter (fun m -> not (Network.is_crashed net m)) (System.members vg) in
       (match live with
       | [] | [ _ ] -> ()
       | first :: rest ->
@@ -130,7 +125,7 @@ let check_vgroup t ~transient vid =
           if Network.is_crashed net m then
             violate t "vg_crashed" ~node:m ~vgroup:vid
               (Printf.sprintf "vgroup %d member %d is crashed" vid m))
-        vg.System.members
+        (System.members vg)
     end
 
 (* One vgroup check with retention bookkeeping: a vgroup that

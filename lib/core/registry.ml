@@ -21,6 +21,16 @@ module Grouping = Atum_overlay.Grouping
 type node_id = int
 type vg_id = int
 
+(* A vgroup's membership between two writes ([set_members]), immutable:
+   [members] in join order, which decides who sends full parts, and
+   [ids] ascending, with [ranks.(i)] the join position of [ids.(i)]. *)
+type roster = { members : node_id list; ids : node_id array; ranks : int array; size : int }
+
+(* The distinct senders counted toward a majority: ranks in the roster
+   of the part that opened the tally, ids of senders outside it. *)
+type tally =
+  { t_roster : roster; t_ranks : Bytes.t; mutable t_outside : node_id list; mutable t_count : int }
+
 (* A control group message with a continuation carries its own
    acceptance state: one [gm_accept] per message ([needed] destination
    members must accept), and one row per destination member (the
@@ -30,9 +40,9 @@ type gm_payload =
   | Control of { label : string; row : gm_row option }
   | Bcast of { bid : int; origin : node_id; body : string; cycle : int }
 
-and gm_row = { gm : gm_accept; mutable voters : node_id list; mutable accepted : bool }
+and gm_row = { gm : gm_accept; senders : tally }
 
-and gm_accept = { needed : int; k : unit -> unit; mutable accepts : int; mutable fired : bool }
+and gm_accept = { needed : int; k : unit -> unit; mutable accepts : int }
 
 (* SMR traffic of either protocol family, tagged with the vgroup epoch
    whose replicas it belongs to. *)
@@ -42,7 +52,7 @@ type smr_msg = Sync_m of Atum_smr.Sync_smr.msg | Async_m of Atum_smr.Pbft.msg
    message is delivered and dies with the message if it is dropped. *)
 type wire =
   | Smr_msg of { vg : vg_id; epoch : int; m : smr_msg }
-  | Group_part of { src_vg : vg_id; src_size : int; payload : gm_payload }
+  | Group_part of { src_vg : vg_id; roster : roster; payload : gm_payload }
   | Direct of { label : string; k : unit -> unit }
   | Heartbeat
 
@@ -60,7 +70,7 @@ type pending_op = {
   op_id : int;
   label : string;
   action : unit -> unit;
-  mutable execs : node_id list;
+  mutable execs : tally; (* the members that executed it this epoch *)
 }
 
 (* How an adversarial node behaves.  [Mute] is the original
@@ -98,7 +108,7 @@ type node = {
 
 type vgroup = {
   vid : vg_id;
-  mutable members : node_id list;
+  mutable roster : roster; (* written only by [set_members] *)
   mutable epoch : int;
   (* The current epoch's replicas; [None] until installed (bulk-built
      vgroups install lazily). *)
@@ -144,7 +154,7 @@ let pair_key a b =
 (* Senders one node has heard from one source vgroup for a broadcast
    it has not delivered yet; a (node, bid) entry holds one per source
    vgroup and is dropped whole on delivery. *)
-type votes = { from_vg : vg_id; mutable voters : node_id list }
+type votes = { from_vg : vg_id; voters : tally }
 
 (* Origin and body ride along so restart catch-up can re-deliver any
    broadcast a peer has and the restarted node missed. *)
@@ -170,14 +180,12 @@ type bcast_meta = {
    mid-instant) splits the round: each part takes the shared list as
    its own ([f_srcs]) and members join part by part from then on, as
    if no list had been shared.  A part keeps the body, origin, cycle
-   and source size of the member that created it. *)
+   and source roster of the member that created it. *)
 type fanout_round = {
   r_src_vg : vg_id;
   r_bid : int;
   r_meta : bcast_meta option;
   r_targets : (vg_id * int) list; (* the first member's targets *)
-  r_members : node_id list; (* [r_src_vg]'s member list when the round opened *)
-  r_count : int; (* its length, reused while the list is unchanged *)
   mutable r_parts : fanout_part list; (* reversed *)
   mutable r_srcs : (node_id * int) list; (* (sender, bytes); reversed until the flush *)
   mutable r_split : bool;
@@ -187,7 +195,7 @@ type fanout_round = {
 and fanout_part = {
   f_round : fanout_round;
   f_dst : vg_id;
-  f_src_size : int;
+  f_roster : roster;
   f_origin : node_id;
   f_body : string;
   f_cycle : int;
@@ -432,7 +440,48 @@ let node_name id = "node-" ^ string_of_int id
 
 let is_correct n = n.alive && not n.byzantine
 
-let correct_members t vg = List.filter (fun m -> is_correct (node t m)) vg.members
+let members vg = vg.roster.members
+
+let size vg = vg.roster.size
+
+let roster members =
+  let order = Array.of_list members in
+  let ranks = Array.init (Array.length order) Fun.id in
+  Array.stable_sort (fun a b -> Int.compare order.(a) order.(b)) ranks;
+  { members; ids = Array.map (Array.get order) ranks; ranks; size = Array.length order }
+
+(* [id]'s join position, or -1 when absent. *)
+let rank (r : roster) id =
+  let i = Atum_smr.Smr_intf.index r.ids id in
+  if i < 0 then -1 else r.ranks.(i)
+
+let has_member vg id = rank vg.roster id >= 0
+
+(* The one write of a vgroup's membership. *)
+let set_members t vg members =
+  vg.roster <- roster members;
+  mark_dirty t vg.vid
+
+let tally roster =
+  { t_roster = roster; t_ranks = Bytes.make roster.size '\000'; t_outside = []; t_count = 0 }
+
+(* Count sender [id] once, by rank or else by id; the tally's count. *)
+let count_vote tl id =
+  let r = rank tl.t_roster id in
+  if r >= 0 && Bytes.get tl.t_ranks r = '\000' then begin
+    Bytes.set tl.t_ranks r '\001';
+    tl.t_count <- tl.t_count + 1
+  end
+  else if r < 0 && not (List.exists (Int.equal id) tl.t_outside) then begin
+    tl.t_outside <- id :: tl.t_outside;
+    tl.t_count <- tl.t_count + 1
+  end;
+  tl.t_count
+
+let correct_members t vg = List.filter (fun m -> is_correct (node t m)) (members vg)
+
+(* In join order: the proposer, certificate signer and failure detector. *)
+let first_correct t vg = List.find_opt (fun m -> is_correct (node t m)) (members vg)
 
 let majority_of count = (count / 2) + 1
 
@@ -531,7 +580,7 @@ let add_vgroup t ~members ~busy =
     Atum_util.Arena.alloc_with t.vgroups (fun vid ->
         {
           vid;
-          members;
+          roster = roster [];
           epoch = 0;
           smr = None;
           pending = [];
@@ -546,8 +595,9 @@ let add_vgroup t ~members ~busy =
         })
   in
   t.active_vgroups <- t.active_vgroups + 1;
-  mark_dirty t vid;
-  vgroup t vid
+  let vg = vgroup t vid in
+  set_members t vg members;
+  vg
 
 (* In ascending id order (the arena walks slots in index order):
    callers feed this list to seeded Rng picks (Builder, Churn), so
@@ -579,7 +629,7 @@ let vgroup_ids t =
 let vgroup_sizes t =
   List.rev
     (Atum_util.Arena.fold
-       (fun _ vg acc -> if vg.retired then acc else List.length vg.members :: acc)
+       (fun _ vg acc -> if vg.retired then acc else size vg :: acc)
        t.vgroups [])
 
 let fresh_gm_id t =

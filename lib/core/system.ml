@@ -29,25 +29,25 @@ let group_send t ~src_vg ~dst_vg ~label ?size ?k ?on_fail () =
     ignore (fresh_gm_id t : int);
     let gm =
       Option.map
-        (fun k -> { needed = majority_of (List.length dst.members); k; accepts = 0; fired = false })
+        (fun k -> { needed = majority_of dst.roster.size; k; accepts = 0 })
         k
     in
     let senders = correct_members t src in
-    let src_size = List.length src.members in
-    let full_senders = majority_of src_size in
+    let roster = src.roster in
+    let full_senders = majority_of roster.size in
     let base_size = match size with Some s -> s | None -> control_bytes label in
     Metrics.incr t.metrics "gm.sent";
     defer t (fun () ->
         (* One part per destination, shared by every sender; without
            a continuation acceptance is unobservable, so no rows. *)
-        let part row = Group_part { src_vg; src_size; payload = Control { label; row } } in
+        let part row = Group_part { src_vg; roster; payload = Control { label; row } } in
         let parts =
           match gm with
           | Some gm ->
-            List.map (fun d -> (d, part (Some { gm; voters = []; accepted = false }))) dst.members
+            List.map (fun d -> (d, part (Some { gm; senders = tally roster }))) (members dst)
           | None ->
             let shared = part None in
-            List.map (fun d -> (d, shared)) dst.members
+            List.map (fun d -> (d, shared)) (members dst)
         in
         List.iteri
           (fun i s ->
@@ -76,12 +76,12 @@ let direct_send t ~src ~dst ~label ?(k = ignore) () =
    (§5.1, "random walk certificates"). *)
 let certificate t ~walk_id ~hop ~from_vg ~next =
   match vgroup_opt t from_vg with
-  | Some vg when not vg.retired -> (
-    match correct_members t vg with
-    | [] -> None
-    | signer :: _ ->
-      let payload = Printf.sprintf "walk:%d/hop:%d/%d->%d" walk_id hop from_vg next in
-      Some (Atum_crypto.Signature.sign t.keyring ~signer:(node_name signer) payload, payload))
+  | Some vg when not vg.retired ->
+    Option.map
+      (fun signer ->
+        let payload = Printf.sprintf "walk:%d/hop:%d/%d->%d" walk_id hop from_vg next in
+        (Atum_crypto.Signature.sign t.keyring ~signer:(node_name signer) payload, payload))
+      (first_correct t vg)
   | _ -> None
 
 let verify_certificates t chain =
@@ -194,7 +194,7 @@ let notify_neighbors t vg =
     List.iter
       (fun nb ->
         group_send t ~src_vg:vg.vid ~dst_vg:nb ~label:"reconfig"
-          ~size:(64 * List.length vg.members)
+          ~size:(64 * size vg)
           ())
       neighbors
   end
@@ -206,18 +206,17 @@ let seed_last_seen t vg member =
         if Atum_util.Arena.mem t.nodes peer then
           Hashtbl.replace t.last_seen (peer, member) (now t)
       end)
-    vg.members
+    (members vg)
 
 let add_member t vg member =
-  vg.members <- vg.members @ [ member ];
+  set_members t vg (members vg @ [ member ]);
   set_node_vg t (node t member) (Some vg.vid);
   seed_last_seen t vg member;
   reconfigure t vg;
   notify_neighbors t vg
 
 let remove_member t vg member =
-  vg.members <- List.filter (fun m -> m <> member) vg.members;
-  mark_dirty t vg.vid;
+  set_members t vg (List.filter (fun m -> m <> member) (members vg));
   let n = node t member in
   if Option.equal Int.equal n.vg (Some vg.vid) then set_node_vg t n None;
   reconfigure t vg;
@@ -231,7 +230,7 @@ let remove_member t vg member =
    shuffle / split / merge recursion. *)
 let rec check_size t vg =
   if (not vg.retired) && not vg.busy then begin
-    let size = List.length vg.members in
+    let size = size vg in
     if Grouping.needs_split ~gmax:t.params.gmax ~size then split t vg
     else if Grouping.needs_merge ~gmin:t.params.gmin ~size && vgroup_count t > 1 then
       merge t vg ~attempts:5
@@ -304,12 +303,11 @@ and split t vg =
         else begin
           Metrics.incr t.metrics "vgroup.split";
           trace_emit t ~kind:"vgroup.split" ~vgroup:vg.vid ();
-          let keep, depart = Grouping.split_halves t.rng vg.members in
+          let keep, depart = Grouping.split_halves t.rng (members vg) in
           let e = add_vgroup t ~members:depart ~busy:true in
           let evid = e.vid in
           arm_saga_watchdog t e;
-          vg.members <- keep;
-          mark_dirty t vg.vid;
+          set_members t vg keep;
           List.iter (fun m -> set_node_vg t (node t m) (Some evid)) depart;
           reconfigure t vg;
           reconfigure t e;
@@ -382,14 +380,13 @@ and merge t vg ~attempts =
               else begin
                 Metrics.incr t.metrics "vgroup.merge";
                 trace_emit t ~kind:"vgroup.merge" ~vgroup:mvid ();
-                let moving = vg.members in
+                let moving = members vg in
                 Hgraph.remove t.hgraph vg.vid;
                 retire_vgroup t vg;
-                vg.members <- [];
+                set_members t vg [];
                 stop_smr vg;
                 List.iter (fun x -> set_node_vg t (node t x) (Some mvid)) moving;
-                m.members <- m.members @ moving;
-                mark_dirty t mvid;
+                set_members t m (members m @ moving);
                 List.iter (fun x -> seed_last_seen t m x) moving;
                 reconfigure t m;
                 notify_neighbors t m;
@@ -417,8 +414,8 @@ and shuffle t vg =
     arm_saga_watchdog t vg;
     Metrics.incr t.metrics "shuffle.started";
     let span = span_begin t ~saga:"shuffle" ~vgroup:vg.vid () in
-    let members0 = vg.members in
-    let remaining = ref (List.length members0) in
+    let members0 = members vg in
+    let remaining = ref (size vg) in
     let finish_one () =
       decr remaining;
       if !remaining = 0 then begin
@@ -446,9 +443,9 @@ and shuffle t vg =
               match vgroup_opt t pvid with
               | Some p
                 when (not p.retired) && p.vid <> vg.vid
-                     && List.mem m vg.members && p.members <> []
+                     && has_member vg m && size p > 0
                      && not (node t m).exchanging ->
-                let partner = Rng.pick t.rng p.members in
+                let partner = Rng.pick t.rng (members p) in
                 if (node t partner).exchanging then begin
                   Metrics.incr t.metrics "exchange.suppressed";
                   finish_one ()
@@ -468,8 +465,8 @@ and shuffle t vg =
                   let proceed () =
                           if
                             vg.retired || p.retired
-                            || (not (List.mem m vg.members))
-                            || not (List.mem partner p.members)
+                            || (not (has_member vg m))
+                            || not (has_member p partner)
                           then begin
                             release ();
                             Metrics.incr t.metrics "exchange.suppressed";
@@ -477,10 +474,10 @@ and shuffle t vg =
                           end
                           else begin
                             (* Swap m and partner. *)
-                            vg.members <-
-                              List.map (fun x -> if x = m then partner else x) vg.members;
-                            p.members <-
-                              List.map (fun x -> if x = partner then m else x) p.members;
+                            set_members t vg
+                              (List.map (fun x -> if x = m then partner else x) (members vg));
+                            set_members t p
+                              (List.map (fun x -> if x = partner then m else x) (members p));
                             set_node_vg t (node t m) (Some p.vid);
                             set_node_vg t (node t partner) (Some vg.vid);
                             seed_last_seen t vg partner;
@@ -538,7 +535,7 @@ let join t ~joiner ~contact ?(k = fun _ -> ()) () =
                       match vgroup_opt t dvid with
                       | Some _ ->
                         (* C tells j the composition of D; j contacts D. *)
-                        direct_send t ~src:(List.hd c.members) ~dst:joiner
+                        direct_send t ~src:(List.hd (members c)) ~dst:joiner
                           ~label:"join-assign"
                           ~k:(fun () ->
                             match vgroup_opt t dvid with
@@ -621,7 +618,7 @@ let rec depart t ~target ~reason ?(k = fun () -> ()) () =
           if (not !fired) && n.alive && Option.is_some n.vg then
             depart t ~target ~reason ~k ());
       agree t vg ~parent:span (reason ^ ":" ^ string_of_int target) (fun () ->
-          if vg.retired || not (List.mem target vg.members) then begin
+          if vg.retired || not (has_member vg target) then begin
             span_end t ~saga ~node:target span;
             (* If the node is genuinely gone we are done; if it moved
                to another vgroup mid-saga, the watchdog re-issues. *)
@@ -633,14 +630,14 @@ let rec depart t ~target ~reason ?(k = fun () -> ()) () =
             span_end t ~saga ~node:target ~vgroup:vid span;
             k ();
             if t.recycle_ids && Option.is_none n.vg then release_node t target;
-            if vg.members = [] then begin
+            if size vg = 0 then begin
               (* Last member gone: retire the vgroup entirely. *)
               if vgroup_count t > 1 then Hgraph.remove t.hgraph vg.vid;
               retire_vgroup t vg;
               stop_smr vg
             end
             else if
-              Grouping.needs_merge ~gmin:t.params.gmin ~size:(List.length vg.members)
+              Grouping.needs_merge ~gmin:t.params.gmin ~size:(size vg)
               && vgroup_count t > 1
             then merge t vg ~attempts:5 (* shuffle deferred until after merge *)
             else shuffle t vg
@@ -744,13 +741,10 @@ let flush_fanout t =
         let bid = r.r_bid in
         Network.send_group t.net ~settled:(fun d -> settled_for t ~bid d)
           ~srcs:(if r.r_split then List.rev p.f_srcs else r.r_srcs)
-          ~dsts:nbg.members
+          ~dsts:(members nbg)
           (Group_part
-             {
-               src_vg = r.r_src_vg;
-               src_size = p.f_src_size;
-               payload = Bcast { bid; origin = p.f_origin; body = p.f_body; cycle = p.f_cycle };
-             })
+             { src_vg = r.r_src_vg; roster = p.f_roster;
+               payload = Bcast { bid; origin = p.f_origin; body = p.f_body; cycle = p.f_cycle } })
       | _ -> ())
     parts
 
@@ -759,9 +753,9 @@ let find_round t vg ~bid =
   | Some vid -> Pair_tbl.find_opt t.fanout_rounds (pair_key vid bid)
   | None -> None
 
-let add_part t r ~dst ~src_size ~origin ~body ~cycle srcs =
+let add_part t r ~dst ~roster ~origin ~body ~cycle srcs =
   let p =
-    { f_round = r; f_dst = dst; f_src_size = src_size; f_origin = origin; f_body = body;
+    { f_round = r; f_dst = dst; f_roster = roster; f_origin = origin; f_body = body;
       f_cycle = cycle; f_srcs = srcs }
   in
   r.r_parts <- p :: r.r_parts;
@@ -775,15 +769,15 @@ let rec same_dsts a b =
 
 (* Member [sender] of vgroup [vg] gossips [bid] to [targets] (not
    empty) in this instant's round, opening it if it is the first. *)
-let queue_fanout t round (vg : vgroup) ~meta ~targets ~src_size ~bid ~origin ~body sender =
+let queue_fanout t round (vg : vgroup) ~meta ~targets ~bid ~origin ~body sender =
+  let roster = vg.roster in
   (match round with
   | None ->
     let r =
-      { r_src_vg = vg.vid; r_bid = bid; r_meta = meta; r_targets = targets;
-        r_members = vg.members; r_count = src_size; r_parts = []; r_srcs = [ sender ];
-        r_split = false; r_open = true }
+      { r_src_vg = vg.vid; r_bid = bid; r_meta = meta; r_targets = targets; r_parts = [];
+        r_srcs = [ sender ]; r_split = false; r_open = true }
     in
-    List.iter (fun (nb, cycle) -> add_part t r ~dst:nb ~src_size ~origin ~body ~cycle []) targets;
+    List.iter (fun (nb, cycle) -> add_part t r ~dst:nb ~roster ~origin ~body ~cycle []) targets;
     Pair_tbl.replace t.fanout_rounds (pair_key vg.vid bid) r
   | Some r ->
     if (not r.r_split) && (targets == r.r_targets || same_dsts targets r.r_targets) then
@@ -797,7 +791,7 @@ let queue_fanout t round (vg : vgroup) ~meta ~targets ~src_size ~bid ~origin ~bo
         (fun (nb, cycle) ->
           match List.find_opt (fun p -> p.f_dst = nb) r.r_parts with
           | Some p -> p.f_srcs <- sender :: p.f_srcs
-          | None -> add_part t r ~dst:nb ~src_size ~origin ~body ~cycle [ sender ])
+          | None -> add_part t r ~dst:nb ~roster ~origin ~body ~cycle [ sender ])
         targets
     end);
   if not t.fanout_scheduled then begin
@@ -880,21 +874,9 @@ let node_deliver t nid ~bid ~origin ~body =
             | Some r when r.r_open && r.r_src_vg = vid -> round
             | _ -> find_round t n.vg ~bid
           in
-          let src_size =
-            match round with
-            | Some r when r.r_members == vg.members -> r.r_count
-            | _ -> List.length vg.members
-          in
-          let my_rank =
-            let rec rank i = function
-              | [] -> i
-              | x :: rest -> if x = nid then i else rank (i + 1) rest
-            in
-            rank 0 vg.members
-          in
-          let full = my_rank < majority_of src_size in
+          let full = rank vg.roster nid < majority_of (size vg) in
           let bytes = if full then 64 + String.length body else 32 in
-          queue_fanout t round vg ~meta ~targets ~src_size ~bid ~origin ~body (nid, bytes)
+          queue_fanout t round vg ~meta ~targets ~bid ~origin ~body (nid, bytes)
       end
   end
 
@@ -941,7 +923,7 @@ let byz_gossip t n ~bid ~origin ~mutate =
     if Hgraph.mem t.hgraph vid then begin
       let vg = vgroup t vid in
       let targets = List.map (fun (nb, cycles) -> (nb, List.hd cycles)) (gossip_view t vg) in
-      let src_size = List.length vg.members in
+      let roster = vg.roster in
       defer t (fun () ->
           List.iter
             (fun (nb, cycle) ->
@@ -949,13 +931,9 @@ let byz_gossip t n ~bid ~origin ~mutate =
               | Some nbg when not nbg.retired ->
                 let body = mutate cycle in
                 Network.send_multi ~size:(64 + String.length body) t.net ~src:n.id
-                  ~dsts:nbg.members
+                  ~dsts:(members nbg)
                   (Group_part
-                     {
-                       src_vg = vid;
-                       src_size;
-                       payload = Bcast { bid; origin; body; cycle };
-                     })
+                     { src_vg = vid; roster; payload = Bcast { bid; origin; body; cycle } })
               | _ -> ())
             targets)
     end
@@ -1003,7 +981,8 @@ let heartbeat_sweep t =
      vgroups in ascending id order. *)
   Atum_util.Arena.iter
     (fun _ vg ->
-      if (not vg.retired) && List.length vg.members > 1 then begin
+      if (not vg.retired) && size vg > 1 then begin
+        let members = members vg in
         (* Everyone (including Byzantine nodes, which have an interest
            in not being evicted) heartbeats its vgroup peers. *)
         List.iter
@@ -1013,8 +992,8 @@ let heartbeat_sweep t =
               List.iter
                 (fun peer ->
                   if peer <> m then Network.send ~size:32 t.net ~src:m ~dst:peer Heartbeat)
-                vg.members)
-          vg.members;
+                members)
+          members;
         (* Byzantine members periodically propose to evict correct
            peers (§6.1.3); correct members check their own evidence and
            ignore proposals about nodes they have recently heard. *)
@@ -1023,11 +1002,11 @@ let heartbeat_sweep t =
             let n = node t m in
             if n.alive && n.byzantine then
               Metrics.incr t.metrics "byzantine.evict_proposal")
-          vg.members;
-        (* The lowest correct member checks for silent peers. *)
-        match correct_members t vg with
-        | [] -> ()
-        | detector :: _ ->
+          members;
+        (* The first correct member checks for silent peers. *)
+        match first_correct t vg with
+        | None -> ()
+        | Some detector ->
           List.iter
             (fun peer ->
               if peer <> detector then begin
@@ -1041,7 +1020,7 @@ let heartbeat_sweep t =
                 in
                 if now t -. last > t.params.eviction_timeout then evict t ~target:peer ()
               end)
-            vg.members
+            members
       end)
     t.vgroups
 
@@ -1063,12 +1042,6 @@ let start_heartbeats t =
 (* Wire dispatch                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let rec mem_id (x : node_id) = function [] -> false | y :: rest -> x = y || mem_id x rest
-
-let rec votes_from vid = function
-  | [] -> raise Not_found
-  | v :: rest -> if v.from_vg = vid then v else votes_from vid rest
-
 (* Every live node records heartbeats and runs the continuation of a
    direct message — a Byzantine node keeps pretending, and a join-leave
    attacker wants in.  A Byzantine node runs no replica; of group
@@ -1086,44 +1059,37 @@ let handle_wire t nid ~src wire =
       | Some vg when vg.epoch = epoch && (not vg.retired) && not n.byzantine ->
         receive vg nid ~src m
       | _ -> ())
-    | Group_part { src_vg; src_size; payload } ->
+    | Group_part { src_vg; roster; payload } ->
       if n.byzantine then begin
         match payload with
         | Control _ -> ()
         | Bcast { bid; origin; body; cycle = _ } -> byz_on_bcast t n ~bid ~origin ~body
       end
       else begin
-        let needed_src = majority_of src_size in
+        let needed_src = majority_of roster.size in
         match payload with
         | Control { label = _; row = None } -> ()
         | Control { label = _; row = Some row } ->
-          if (not row.accepted) && not (mem_id src row.voters) then begin
-            row.voters <- src :: row.voters;
-            if List.length row.voters >= needed_src then begin
-              row.accepted <- true;
-              row.voters <- [];
-              let gm = row.gm in
-              gm.accepts <- gm.accepts + 1;
-              if (not gm.fired) && gm.accepts >= gm.needed then begin
-                gm.fired <- true;
-                gm.k ()
-              end
-            end
+          (* Each member accepts once; the [needed]-th acceptance fires. *)
+          if row.senders.t_count < needed_src && count_vote row.senders src >= needed_src
+          then begin
+            let gm = row.gm in
+            gm.accepts <- gm.accepts + 1;
+            if gm.accepts = gm.needed then gm.k ()
           end
         | Bcast { bid; origin; body; cycle } ->
           if not (Atum_util.Bitset.mem n.delivered bid) then begin
             let key = pair_key nid bid in
             let per_src = try Pair_tbl.find t.bcast_votes key with Not_found -> [] in
             let v =
-              match votes_from src_vg per_src with
-              | v -> v
-              | exception Not_found ->
-                let v = { from_vg = src_vg; voters = [] } in
+              match List.find_opt (fun v -> v.from_vg = src_vg) per_src with
+              | Some v -> v
+              | None ->
+                let v = { from_vg = src_vg; voters = tally roster } in
                 Pair_tbl.replace t.bcast_votes key (v :: per_src);
                 v
             in
-            if not (mem_id src v.voters) then v.voters <- src :: v.voters;
-            if List.length v.voters >= needed_src then begin
+            if count_vote v.voters src >= needed_src then begin
               (* Gossip lineage: this node accepts the broadcast from
                  vgroup [src_vg]; first delivery is a hop edge in the
                  dissemination tree. *)
@@ -1267,7 +1233,7 @@ let start_catchup t (report : restart_report) nid ~t0 =
     | Some vid -> (
       match vgroup_opt t vid with
       | Some vg when not vg.retired ->
-        List.find_opt (fun m -> m <> nid && is_correct (node t m)) vg.members
+        List.find_opt (fun m -> m <> nid && is_correct (node t m)) (members vg)
       | _ -> None)
   in
   match peer with
@@ -1398,7 +1364,7 @@ let restart ?contact t nid =
     match n.vg with
     | Some vid -> (
       match vgroup_opt t vid with
-      | Some vg -> (not vg.retired) && List.mem nid vg.members
+      | Some vg -> (not vg.retired) && has_member vg nid
       | None -> false)
     | None -> false
   in
@@ -1501,11 +1467,11 @@ let start_target t nid ~target =
           leave t ~target:nid ()
         | None -> (
           landed := false;
-          match correct_members t tvg with
-          | [] -> ()
-          | contact :: _ ->
-            Metrics.incr t.metrics "byzantine.target.attempt";
-            join t ~joiner:nid ~contact ()));
+          Option.iter
+            (fun contact ->
+              Metrics.incr t.metrics "byzantine.target.attempt";
+              join t ~joiner:nid ~contact ())
+            (first_correct t tvg)));
         true
       | _ -> false)
 
@@ -1541,12 +1507,10 @@ let byzantine_concentration t =
   (* max fraction of Byzantine members over all vgroups *)
   Atum_util.Arena.fold
     (fun _ vg acc ->
-      if vg.retired || vg.members = [] then acc
+      if vg.retired || size vg = 0 then acc
       else begin
-        let byz =
-          List.length (List.filter (fun m -> (node t m).byzantine) vg.members)
-        in
-        Float.max acc (float_of_int byz /. float_of_int (List.length vg.members))
+        let byz = List.length (List.filter (fun m -> (node t m).byzantine) (members vg)) in
+        Float.max acc (float_of_int byz /. float_of_int (size vg))
       end)
     t.vgroups 0.0
 
@@ -1569,7 +1533,7 @@ let check_vgroup_into t errors vid vg =
         if Hgraph.successor_opt t.hgraph ~cycle vid = None then
           err "settled vgroup %d absent from cycle %d" vid cycle
       done;
-    if vg.members = [] then err "active vgroup %d is empty" vid;
+    if size vg = 0 then err "active vgroup %d is empty" vid;
     List.iter
       (fun m ->
         match node_opt t m with
@@ -1578,8 +1542,9 @@ let check_vgroup_into t errors vid vg =
           if not (Option.equal Int.equal n.vg (Some vid)) then
             err "node %d in vgroup %d's member list but points to %s" m vid
               (match n.vg with None -> "none" | Some v -> string_of_int v))
-      vg.members;
-    if List.length (List.sort_uniq Int.compare vg.members) <> List.length vg.members then
+      (members vg);
+    (* A repeated id has one rank, so some other position mismatches. *)
+    if List.exists Fun.id (List.mapi (fun i m -> rank vg.roster m <> i) (members vg)) then
       err "vgroup %d has duplicate members" vid
   end
 
@@ -1596,7 +1561,7 @@ let check_consistency t =
         | None -> err "node %d points to unknown vgroup %d" nid vid
         | Some vg ->
           if vg.retired then err "node %d points to retired vgroup %d" nid vid
-          else if not (List.mem nid vg.members) then
+          else if not (has_member vg nid) then
             err "node %d points to vgroup %d but is not a member" nid vid))
     t.nodes;
   List.iter

@@ -69,9 +69,12 @@ type replicas
 type pending_op
 (** An agreement proposed on a vgroup that has not fired yet. *)
 
+type roster
+(** A vgroup's membership between two writes, with ranks by id. *)
+
 type vgroup = {
   vid : vg_id;
-  mutable members : node_id list;
+  mutable roster : roster;  (** written only by {!set_members} *)
   mutable epoch : int;  (** bumped on every reconfiguration *)
   mutable smr : replicas option;
       (** the current epoch's replicas; [None] until installed *)
@@ -339,6 +342,17 @@ val vgroup_ids : t -> vg_id list
 (** Every vgroup id ever created, retired ones included, sorted. *)
 
 val vgroup_sizes : t -> int list
+
+val members : vgroup -> node_id list
+(** In join order. *)
+
+val size : vgroup -> int
+(** O(1). *)
+
+val set_members : t -> vgroup -> node_id list -> unit
+(** The one write of a vgroup's membership; the nodes' [vg] pointers
+    and the replicas are the caller's to keep consistent. *)
+
 val correct_members : t -> vgroup -> node_id list
 
 val async_replicas : vgroup -> (node_id * Atum_smr.Pbft.t) list

@@ -12,16 +12,6 @@ type msg =
   | Viewchange of { new_view : int; prepared : (int * request) list }
   | Newview of { view : int; assignments : (int * request) list }
 
-(* The members of one epoch in ascending id order, shared by all of the
-   epoch's replicas.  A member's rank is its index here; the primary of
-   view [v] has rank [v mod n]. *)
-type roster = Smr_intf.node_id array
-
-let roster members =
-  let r = Array.of_list members in
-  Array.sort Int.compare r;
-  r
-
 (* Prepare (or commit) votes for one sequence number, kept so that
    votes arriving before the pre-prepare (common under random
    latencies) are not lost.  A member votes at most once per view and
@@ -95,8 +85,7 @@ type t = {
   tr : msg Smr_intf.transport;
   timeout : float;
   on_execute : Smr_intf.op -> unit;
-  roster : roster;
-  n : int;
+  n : int; (* a member's rank is its index in the transport's [ids] *)
   rank : int; (* this replica's own rank *)
   quorum : int;
   mutable log : entry option array; (* indexed by seq; seqs are dense from 1 *)
@@ -111,14 +100,13 @@ type t = {
   mutable stopped : bool;
 }
 
-let create ~roster ~transport ~timeout ~on_execute =
+let create ~transport ~timeout ~on_execute =
   {
     tr = transport;
     timeout;
     on_execute;
-    roster;
-    n = Array.length roster;
-    rank = Smr_intf.index roster transport.Smr_intf.self;
+    n = Array.length transport.Smr_intf.ids;
+    rank = Smr_intf.index transport.Smr_intf.ids transport.Smr_intf.self;
     quorum = (2 * transport.Smr_intf.f) + 1;
     log = [||];
     view = 0;
@@ -134,7 +122,7 @@ let create ~roster ~transport ~timeout ~on_execute =
 
 let view t = t.view
 
-let primary_of t v = t.roster.(v mod t.n)
+let primary_of t v = t.tr.Smr_intf.ids.(v mod t.n)
 
 let primary t = primary_of t t.view
 
@@ -439,7 +427,7 @@ let handle_request t req =
 
 let receive t ~src m =
   if not t.stopped then begin
-    let rank = Smr_intf.index t.roster src in
+    let rank = Smr_intf.index t.tr.Smr_intf.ids src in
     if rank >= 0 then
       match m with
       | Request req -> handle_request t req

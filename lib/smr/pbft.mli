@@ -16,22 +16,13 @@ type msg
 
 type t
 
-type roster
-(** The sorted member index of one epoch, built once and shared by all
-    of the epoch's replicas: membership, primaries and vote
-    de-duplication are rank lookups in it. *)
-
-val roster : Smr_intf.node_id list -> roster
-(** [roster members]; [members] must be the [members] of every
-    transport the roster is passed to. *)
-
 val create :
-  roster:roster ->
   transport:msg Smr_intf.transport ->
   timeout:float ->
   on_execute:(Smr_intf.op -> unit) ->
   t
-(** [timeout] is the view-change timer: how long a member waits for
+(** Membership, primaries and vote de-duplication are rank lookups in
+    the transport's [ids].  [timeout] is the view-change timer: how long a member waits for
     one of its requests to execute before suspecting the primary. *)
 
 val propose : t -> string -> unit

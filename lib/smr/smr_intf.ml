@@ -10,6 +10,7 @@ type node_id = int
 type 'm transport = {
   self : node_id;
   members : node_id list;  (** includes [self]; fixed for the instance *)
+  ids : node_id array;  (** [members] ascending, shared by the epoch's instances *)
   f : int;  (** fault threshold this instance is configured for *)
   send : node_id -> 'm -> unit;
   set_timer : float -> (unit -> unit) -> unit;

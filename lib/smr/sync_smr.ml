@@ -55,7 +55,7 @@ let instance_for t sender =
   match List.assoc_opt sender t.instances with
   | Some ds -> Some ds
   | None ->
-    if List.mem sender t.tr.members then begin
+    if Smr_intf.index t.tr.ids sender >= 0 then begin
       let instance_id = Printf.sprintf "%s/s%d/n%d" t.epoch_id t.slot sender in
       let ds =
         Dolev_strong.create ~keyring:t.keyring ~self:t.tr.self ~members:t.tr.members

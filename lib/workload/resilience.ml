@@ -29,7 +29,7 @@ let largest_vgroup sys =
     (fun acc vid ->
       match System.vgroup_opt sys vid with
       | Some vg when not vg.System.retired ->
-        let size = List.length vg.System.members in
+        let size = System.size vg in
         (match acc with
         | Some (_, best) when best >= size -> acc
         | _ -> Some (vid, size))
@@ -47,8 +47,8 @@ let default_schedule (built : Builder.built) =
     match target with
     | Some (vid, _) ->
       let vg = System.vgroup sys vid in
-      let keep = max 1 (List.length vg.System.members / 2) in
-      List.filteri (fun i _ -> i < keep) vg.System.members
+      let keep = max 1 (System.size vg / 2) in
+      List.filteri (fun i _ -> i < keep) (System.members vg)
     | None -> []
   in
   let victims =

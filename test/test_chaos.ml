@@ -36,7 +36,7 @@ let test_monitor_sees_partition () =
   (* Split one vgroup's replicas across the partition boundary. *)
   let vid = List.hd (System.vgroup_ids sys) in
   let vg = System.vgroup sys vid in
-  (match vg.System.members with
+  (match System.members vg with
   | m :: _ -> Network.set_partition net m 1
   | [] -> Alcotest.fail "empty vgroup");
   Alcotest.(check bool) "vg_partitioned during the fault" true (Monitor.sweep mon > 0);

@@ -557,7 +557,7 @@ let active_vgroups sys =
   List.filter_map
     (fun vid ->
       match System.vgroup_opt sys vid with
-      | Some vg when (not vg.System.retired) && vg.System.members <> [] -> Some vg
+      | Some vg when (not vg.System.retired) && System.members vg <> [] -> Some vg
       | _ -> None)
     (System.vgroup_ids sys)
 
@@ -583,11 +583,11 @@ let test_monitor_flags_forced_faults () =
   (match active_vgroups sys with
   | vg1 :: vg2 :: vg3 :: _ ->
       (* Oversize: pad the membership list past the envelope. *)
-      while List.length vg1.System.members <= cfg.Monitor.s_hi do
-        vg1.System.members <- vg1.System.members @ vg1.System.members
+      while System.size vg1 <= cfg.Monitor.s_hi do
+        System.set_members sys vg1 (System.members vg1 @ System.members vg1)
       done;
       (* Byzantine majority: corrupt every member of one vgroup. *)
-      List.iter (System.make_byzantine sys) vg2.System.members;
+      List.iter (System.make_byzantine sys) (System.members vg2);
       (* Retired vgroup left wired into the overlay. *)
       vg3.System.retired <- true
   | _ -> Alcotest.fail "expected at least three active vgroups");
@@ -667,7 +667,7 @@ let hold sys nid =
 
 let test_group_message_acceptance () =
   let sys, _, src, dst = direct_pair ~nodes:40 () in
-  let senders = src.System.members and dests = dst.System.members in
+  let senders = System.members src and dests = System.members dst in
   let needed_src = (List.length senders / 2) + 1 and needed_dst = (List.length dests / 2) + 1 in
   Alcotest.(check bool) "senders needed > 1" true (needed_src > 1);
   let held = List.map (fun d -> (d, hold sys d)) dests in
@@ -713,14 +713,14 @@ let test_group_message_acceptance () =
 let test_smr_delivery_drops_gossip_votes () =
   let sys, _, a, _ = direct_pair ~nodes:40 () in
   System.set_forward_policy sys System.flood_forward;
-  let origin = List.hd a.System.members in
-  let x = List.nth a.System.members (List.length a.System.members - 1) in
+  let origin = List.hd (System.members a) in
+  let x = List.nth (System.members a) (System.size a - 1) in
   let got, real = hold sys x in
   let bid = System.broadcast sys ~from:origin "votes" in
   System.run_for sys 10.0;
   let delivered () = Atum_util.Bitset.mem (System.node sys x).System.delivered bid in
   Alcotest.(check bool) "held member has not delivered" false (delivered ());
-  let from_a (s, _) = List.mem s a.System.members in
+  let from_a (s, _) = List.mem s (System.members a) in
   let smr, gossip = List.partition from_a (got ()) in
   (* One gossip part from a neighbor vgroup: a partial vote. *)
   let s, w = List.hd gossip in
@@ -737,11 +737,11 @@ let test_release_drops_gossip_votes () =
   let sys, _, a, b = direct_pair ~nodes:40 () in
   System.set_id_recycling sys true;
   let y = System.spawn_node sys () in
-  let got, _ = hold sys (List.hd b.System.members) in
-  let bid = System.broadcast sys ~from:(List.hd a.System.members) "votes" in
+  let got, _ = hold sys (List.hd (System.members b)) in
+  let bid = System.broadcast sys ~from:(List.hd (System.members a)) "votes" in
   System.run_for sys 10.0;
   (* Feed the spawned node one part meant for a member of [b]. *)
-  let s, w = List.find (fun (s, _) -> List.mem s a.System.members) (got ()) in
+  let s, w = List.find (fun (s, _) -> List.mem s (System.members a)) (got ()) in
   (Option.get (Atum_sim.Network.handler_of (System.network sys) y)) ~src:s w;
   Alcotest.(check bool) "partial vote recorded" true (List.mem (y, bid) (System.partial_votes sys));
   System.release_node sys y;
@@ -994,20 +994,20 @@ let test_fanout_equivocated_body_golden () =
     System.vgroup sys
       (List.find (fun v -> v <> a.System.vid) (Atum_overlay.Hgraph.neighbor_set (System.hgraph sys) a.System.vid))
   in
-  let z = List.find (fun m -> m <> origin) a.System.members in
+  let z = List.find (fun m -> m <> origin) (System.members a) in
   System.make_byzantine sys ~strategy:System.Equivocate z;
   let log = Buffer.create 4096 and forgers = Hashtbl.create 4 in
   System.set_deliver sys (fun nid ~bid ~origin body ->
       Printf.bprintf log "%h %d %d %d %s;" (System.now sys) nid bid origin body;
       if not (String.equal body "eq") then Hashtbl.replace forgers nid ());
-  let held = List.map (fun m -> (m, hold sys m)) b.System.members in
+  let held = List.map (fun m -> (m, hold sys m)) (System.members b) in
   ignore (System.broadcast sys ~from:origin "eq");
   System.run_for sys 6.0;
-  let from_a m = List.filter (fun (s, _) -> List.mem s a.System.members) ((fst (List.assoc m held)) ()) in
+  let from_a m = List.filter (fun (s, _) -> List.mem s (System.members a)) ((fst (List.assoc m held)) ()) in
   let honest m = List.filter (fun (s, _) -> s <> z) (from_a m) in
   let forged m = List.filter (fun (s, _) -> s = z) (from_a m) in
-  let needed = (List.length a.System.members / 2) + 1 in
-  let b1 = List.nth b.System.members 0 and b2 = List.nth b.System.members 1 in
+  let needed = (System.size a / 2) + 1 in
+  let b1 = List.nth (System.members b) 0 and b2 = List.nth (System.members b) 1 in
   Alcotest.(check bool) "forged part held" true (forged b2 <> []);
   Alcotest.(check bool) "enough honest parts" true (List.length (honest b1) >= needed);
   let feed m parts =
@@ -1017,7 +1017,7 @@ let test_fanout_equivocated_body_golden () =
   in
   feed b1 (honest b1);
   feed b2 (List.filteri (fun i _ -> i < needed - 1) (honest b2) @ forged b2);
-  List.iter (fun m -> if m <> b1 && m <> b2 then feed m (honest m)) b.System.members;
+  List.iter (fun m -> if m <> b1 && m <> b2 then feed m (honest m)) (System.members b);
   System.run_for sys 6.0;
   Alcotest.(check bool) "forged body delivered" true (Hashtbl.mem forgers b2);
   let totals, trace = trace_digest sys in

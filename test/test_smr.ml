@@ -195,6 +195,7 @@ let make_sync_cluster ?(quiet = []) ~g () =
           {
             Smr_intf.self;
             members;
+            ids = Array.of_list members;
             f;
             send = (fun dst m -> queue := (dst, self, m) :: !queue);
             set_timer = (fun _ _ -> ());
@@ -351,7 +352,6 @@ let make_pbft_cluster ?(quiet = []) ?(timeout = 2.0) ~n () =
     Atum_sim.Network.create engine (Atum_sim.Network.datacenter_config ~seed:7)
   in
   let members = List.init n Fun.id in
-  let roster = Pbft.roster members in
   let correct = List.filter (fun i -> not (List.mem i quiet)) members in
   let f = Smr_intf.async_f ~group_size:n in
   let plogs = Hashtbl.create n in
@@ -364,13 +364,14 @@ let make_pbft_cluster ?(quiet = []) ?(timeout = 2.0) ~n () =
           {
             Smr_intf.self;
             members;
+            ids = Array.of_list members;
             f;
             send = (fun dst m -> Atum_sim.Network.send net ~src:self ~dst m);
             set_timer = (fun delay fn -> Atum_sim.Engine.schedule engine ~delay fn);
           }
         in
         let inst =
-          Pbft.create ~roster ~transport ~timeout ~on_execute:(fun op ->
+          Pbft.create ~transport ~timeout ~on_execute:(fun op ->
               log := (op.Smr_intf.origin, op.payload) :: !log)
         in
         Atum_sim.Network.register net self (fun ~src m -> Pbft.receive inst ~src m);
@@ -564,7 +565,6 @@ let pool_take rng p i =
 let run_scheduled ~n ~quiet_primary ~primary_last ~ops ~steps ~seed =
   let rng = Atum_util.Rng.create seed in
   let members = List.init n Fun.id in
-  let roster = Pbft.roster members in
   let f = Smr_intf.async_f ~group_size:n in
   (* Messages from node 0, the view-0 primary, and from everyone else. *)
   let from_primary = { items = [||]; len = 0 } and others = { items = [||]; len = 0 } in
@@ -578,6 +578,7 @@ let run_scheduled ~n ~quiet_primary ~primary_last ~ops ~steps ~seed =
           {
             Smr_intf.self;
             members;
+            ids = Array.of_list members;
             f;
             send = (fun dst m -> pool_push (if self = 0 then from_primary else others) (self, dst, m));
             set_timer =
@@ -588,7 +589,7 @@ let run_scheduled ~n ~quiet_primary ~primary_last ~ops ~steps ~seed =
         in
         replicas.(self) <-
           Some
-            (Pbft.create ~roster ~transport ~timeout:1.0 ~on_execute:(fun op ->
+            (Pbft.create ~transport ~timeout:1.0 ~on_execute:(fun op ->
                  logs.(self) <- op.Smr_intf.payload :: logs.(self)))
       end)
     members;
