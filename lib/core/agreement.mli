@@ -25,6 +25,11 @@ val ensure_smr : Registry.t -> Registry.vgroup -> unit
     epoch, unless it has replicas already (bulk-built vgroups install
     lazily). *)
 
+val on_execute :
+  Registry.t -> Registry.vgroup -> Registry.node_id -> Atum_smr.Smr_intf.op -> unit
+(** A member's replica executed an operation: count the member once
+    toward its pending agreement, or deliver the broadcast at it. *)
+
 val stop_smr : Registry.vgroup -> unit
 (** Stop the vgroup's replicas and drop them. *)
 

@@ -171,10 +171,15 @@ let sweep_dirty t =
 
 let on_audit t = function
   | System.Audit_reconfig vid -> check_vgroup t ~transient:true vid
-  | System.Audit_deliver { node; bid; known } ->
-    if not known then
+  | System.Audit_deliver { node; bid; body } ->
+    (match System.sent_body t.sys bid with
+    | None ->
       violate t "unknown_bid" ~node ~bid
-        (Printf.sprintf "node %d delivered bid %d that was never broadcast" node bid);
+        (Printf.sprintf "node %d delivered bid %d that was never broadcast" node bid)
+    | Some sent ->
+      if not (String.equal sent body) then
+        violate t "forged_delivery" ~node ~bid
+          (Printf.sprintf "node %d delivered a body of bid %d its origin never sent" node bid));
     if Hashtbl.mem t.seen (node, bid) then
       violate t "dup_delivery" ~node ~bid
         (Printf.sprintf "node %d delivered bid %d twice" node bid)

@@ -3,8 +3,9 @@
     Continuously re-checks the registry properties that
     {!System.check_consistency} asserts only on demand: vgroup sizes
     inside a configured envelope, Byzantine members in the minority of
-    every vgroup, no delivery of a broadcast id that was never issued,
-    no duplicate delivery per node, and no retired vgroup still
+    every vgroup, no delivery of a broadcast id that was never issued
+    or of a body its origin never sent, no duplicate delivery per
+    node, and no retired vgroup still
     reachable in the overlay.  Checks run from a periodic engine task
     ({!config.period}) and synchronously from the {!System.audit}
     hook on every reconfiguration and delivery.
@@ -12,7 +13,8 @@
     Each violation increments a ["monitor.violation.<kind>"] counter
     in the system's metrics, emits a trace event of the same kind, and
     — with [fail_fast] — raises {!Violation}.  Kinds: [vg_oversize],
-    [vg_undersize], [byz_majority], [unknown_bid], [dup_delivery],
+    [vg_undersize], [byz_majority], [unknown_bid], [forged_delivery],
+    [dup_delivery],
     [retired_reachable], plus two fault-aware kinds for the chaos
     layer: [vg_partitioned] (an active vgroup's live members straddle
     a network partition) and [vg_crashed] (a member is in the crashed

@@ -151,10 +151,12 @@ let pair_key a b =
   if a lsr 31 <> 0 || b lsr 31 <> 0 then invalid_arg "System.pair_key: id out of range";
   (a lsl 31) lor b
 
-(* Senders one node has heard from one source vgroup for a broadcast
-   it has not delivered yet; a (node, bid) entry holds one per source
-   vgroup and is dropped whole on delivery. *)
-type votes = { from_vg : vg_id; voters : tally }
+(* Senders one node has heard vouch for one message (origin and body)
+   of a broadcast it has not delivered yet, from one source vgroup: the
+   group-message rule (§5.1) accepts only a majority for the same
+   message.  A (node, bid) entry holds one per (source vgroup, message)
+   and is dropped whole on delivery. *)
+type votes = { from_vg : vg_id; origin : node_id; body : string; voters : tally }
 
 (* Origin and body ride along so restart catch-up can re-deliver any
    broadcast a peer has and the restarted node missed. *)
@@ -206,7 +208,7 @@ and fanout_part = {
    monitor): fired synchronously at the point where the registry or a
    node's delivery log actually changes. *)
 type audit =
-  | Audit_deliver of { node : node_id; bid : int; known : bool }
+  | Audit_deliver of { node : node_id; bid : int; body : string }
   | Audit_reconfig of vg_id
 
 (* One completed-or-in-flight [restart]: when the node came back, when

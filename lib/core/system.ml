@@ -843,7 +843,7 @@ let node_deliver t nid ~bid ~origin ~body =
       | Some { r_meta = Some _ as meta; _ } -> meta
       | _ -> Hashtbl.find_opt t.bcasts bid
     in
-    audit t (Audit_deliver { node = nid; bid; known = Option.is_some meta });
+    audit t (Audit_deliver { node = nid; bid; body });
     (* The WAL record goes first; a snapshot it makes due waits until
        the application has applied the delivery, so a snapshot never
        marks a broadcast delivered whose effect it lacks. *)
@@ -1081,11 +1081,12 @@ let handle_wire t nid ~src wire =
           if not (Atum_util.Bitset.mem n.delivered bid) then begin
             let key = pair_key nid bid in
             let per_src = try Pair_tbl.find t.bcast_votes key with Not_found -> [] in
+            let same v = v.from_vg = src_vg && v.origin = origin && String.equal v.body body in
             let v =
-              match List.find_opt (fun v -> v.from_vg = src_vg) per_src with
+              match List.find_opt same per_src with
               | Some v -> v
               | None ->
-                let v = { from_vg = src_vg; voters = tally roster } in
+                let v = { from_vg = src_vg; origin; body; voters = tally roster } in
                 Pair_tbl.replace t.bcast_votes key (v :: per_src);
                 v
             in
@@ -1396,6 +1397,8 @@ let restart ?contact t nid =
   end
 
 let restart_reports t = List.rev t.restarts
+
+let sent_body t bid = Option.map (fun m -> m.b_body) (Hashtbl.find_opt t.bcasts bid)
 
 (* --- periodic drivers for the active Byzantine strategies ----------- *)
 

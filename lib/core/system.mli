@@ -257,12 +257,16 @@ val broadcast : t -> from:node_id -> string -> int
 
 val set_deliver : t -> (node_id -> bid:int -> origin:node_id -> string -> unit) -> unit
 
+val sent_body : t -> int -> string option
+(** The body {!broadcast} issued the id with; [None] for an id it never
+    issued.  An oracle read, for the invariant monitor. *)
+
 (** Semantic checkpoints fired synchronously where the registry or a
     node's delivery log changes — the invariant monitor subscribes via
-    {!set_audit}.  [Audit_deliver.known] is whether the delivered
-    broadcast id was ever issued by {!broadcast} on this instance. *)
+    {!set_audit}.  [Audit_deliver.body] is the body the node
+    delivered. *)
 type audit =
-  | Audit_deliver of { node : node_id; bid : int; known : bool }
+  | Audit_deliver of { node : node_id; bid : int; body : string }
   | Audit_reconfig of vg_id
 
 val set_audit : t -> (audit -> unit) option -> unit
@@ -321,6 +325,12 @@ val agree : t -> vgroup -> ?parent:int -> string -> (unit -> unit) -> unit
 (** Run one operation through the vgroup's SMR; the action fires once,
     when a majority of members have executed it.  [parent] links the
     agreement's trace span under an enclosing saga. *)
+
+val on_execute : t -> vgroup -> node_id -> Atum_smr.Smr_intf.op -> unit
+(** What the vgroup does when a member's replica executes an
+    operation: count the member once toward its pending agreement, or
+    deliver a broadcast at it.  Exposed so tests can drive it without
+    a replica. *)
 
 (* --- introspection --------------------------------------------------- *)
 

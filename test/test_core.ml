@@ -928,8 +928,10 @@ let trace_digest sys =
    equivocators and a loss boost.  The run's whole trace (every
    admitted cell's sender, destination and bytes in admission order,
    and every hop's sender vgroup and cycle), every delivery and the
-   network totals were recorded before rounds shared a sender list;
-   none of them may move. *)
+   network totals were recorded before rounds shared a sender list,
+   and recorded again when acceptance became content-keyed: a forged
+   part no longer completes a majority, so no member delivers or
+   re-gossips a forged body.  Nothing else may move them. *)
 let test_fanout_rounds_golden () =
   let module Network = Atum_sim.Network in
   let sys =
@@ -944,9 +946,10 @@ let test_fanout_rounds_golden () =
   let coin ~bid ~from_vg ~cycle ~neighbor = (bid + from_vg + cycle + neighbor) land 1 = 0 in
   let first = Hashtbl.create 64 and count = Hashtbl.create 64 in
   let log = Buffer.create 4096 in
-  let switches = ref 0 and mid_instant = ref 0 in
+  let switches = ref 0 and mid_instant = ref 0 and forged = ref 0 in
   System.set_deliver sys (fun nid ~bid ~origin body ->
       Printf.bprintf log "%h %d %d %d %s;" (System.now sys) nid bid origin body;
+      if String.contains body '/' then incr forged;
       match (System.node sys nid).System.vg with
       | None -> ()
       | Some vid ->
@@ -963,22 +966,24 @@ let test_fanout_rounds_golden () =
   List.iter (fun i -> ignore (System.broadcast sys ~from:ids.(i) (Printf.sprintf "n%d" i))) [ 5; 44 ];
   System.run_for sys 10.0;
   Alcotest.(check bool) "policy replaced mid-instant" true (!mid_instant > 0);
+  Alcotest.(check int) "forged deliveries" 0 !forged;
   let totals, trace = trace_digest sys in
-  Alcotest.(check (list int)) "sent/delivered/dropped/bytes, trace events" [ 8322; 6610; 1712; 472452; 21822 ] totals;
-  Alcotest.(check string) "trace" "42a6d169f1866e763b07d21a76588c00bef077b1f10d091d58ad84c0c5921cf2" trace;
-  Alcotest.(check string) "deliveries" "cafd54f29901bfaa370aebcc7bfc7dfc202840328efd0e11aa6988659ecf5980"
+  Alcotest.(check (list int)) "sent/delivered/dropped/bytes, trace events" [ 8190; 6507; 1683; 463722; 21548 ] totals;
+  Alcotest.(check string) "trace" "df58ae4998b9fdf86e78b1dbb224dfd5d5b9f2f80ef08b22a8920d1f8a0ee44b" trace;
+  Alcotest.(check string) "deliveries" "873fdfaa11518d0a3701ba16420204b6a9463ad4c8ee6016b4d961d7f06dcbae"
     (Atum_crypto.Sha256.digest_hex (Buffer.contents log))
 
-(* A member that delivers an equivocated body joins the round its
-   vgroup-mates opened in the same instant: the round keeps the body,
-   origin, cycle and source size of the member that opened it, and the
-   forger's sender entry carries its own bytes.  Vgroup [b]'s members
-   are held until an equivocating member [z] of neighbor [a] has sent
-   them its forged parts; then, in one instant, [b]'s first member
-   accepts from [a]'s honest senders and the second completes its
-   majority with [z]'s forged part.  Recorded before rounds shared a
-   sender list. *)
-let test_fanout_equivocated_body_golden () =
+(* A forged part does not complete a majority for the honest body.
+   Vgroup [b]'s members are held until an equivocating member [z] of
+   neighbor [a] has sent them its forged parts; then, in one instant,
+   [b]'s first member is handed [a]'s honest parts and the second one
+   honest part short of [a]'s majority plus [z]'s forged parts.  While
+   votes were keyed by sender alone, [z]'s part completed the second
+   member's majority and it delivered and re-gossiped the forged body;
+   keyed by message, the forged parts count only toward the forged
+   body.  The totals and digests were recorded with content-keyed
+   acceptance. *)
+let test_equivocated_body_not_delivered () =
   let module Network = Atum_sim.Network in
   let sys =
     System.create
@@ -1017,13 +1022,16 @@ let test_fanout_equivocated_body_golden () =
   in
   feed b1 (honest b1);
   feed b2 (List.filteri (fun i _ -> i < needed - 1) (honest b2) @ forged b2);
+  Alcotest.(check bool) "short of a majority for any body" false
+    (Atum_util.Bitset.mem (System.node sys b2).System.delivered 0);
   List.iter (fun m -> if m <> b1 && m <> b2 then feed m (honest m)) (System.members b);
   System.run_for sys 6.0;
-  Alcotest.(check bool) "forged body delivered" true (Hashtbl.mem forgers b2);
+  Alcotest.(check bool) "forged body not delivered" false (Hashtbl.mem forgers b2);
+  Alcotest.(check int) "no forged delivery anywhere" 0 (Hashtbl.length forgers);
   let totals, trace = trace_digest sys in
-  Alcotest.(check (list int)) "sent/delivered/dropped/bytes, trace events" [ 1681; 1681; 0; 92344; 4774 ] totals;
-  Alcotest.(check string) "trace" "2800b5ea79f92fd231fc06b6e47e20f6496b0bf9179240d1d2994db18b226983" trace;
-  Alcotest.(check string) "deliveries" "ff0c3135c19fbf045a859797a005a2277aa978a5d0fefbdffa5562efcc2ad04c"
+  Alcotest.(check (list int)) "sent/delivered/dropped/bytes, trace events" [ 1657; 1657; 0; 90664; 4701 ] totals;
+  Alcotest.(check string) "trace" "2c3f009b8fa1d1c05dfe585c476c1ffd66d9ee4faa90c4ed56c9ec7fda95e4ea" trace;
+  Alcotest.(check string) "deliveries" "dac254faa2220bb38730794e1b2cf273f6d25c8d78838e8347090efe286653f7"
     (Atum_crypto.Sha256.digest_hex (Buffer.contents log))
 
 (* A pinned PBFT outcome: the CLI run [broadcast -n 24 -m 6 --seed 5
@@ -1130,6 +1138,132 @@ let test_op_codec_examples () =
     (fun s -> Alcotest.(check bool) (Printf.sprintf "%S rejected" s) false (decodes s))
     [ ""; "op"; "op#5"; "op#05#x"; "op#+5#x"; "op#x#y"; "bcast#1#2"; "bcast#1#0x2#b"; "nop#1#x" ]
 
+(* ------------------------------------------------------------------ *)
+(* Vote tallies and content-keyed acceptance                           *)
+(* ------------------------------------------------------------------ *)
+
+(* One broadcast's parts at one member, under two rosters of the source
+   vgroup: [a]'s members gossip under its roster, then [a] gains member
+   [y] (a new roster) and [y] gossips under that one.  The tally counts
+   the old roster's senders by rank and [y], outside it, by id; a
+   repeated part counts once whichever roster it names. *)
+let test_tally_across_roster_change () =
+  let sys, _, a, b = direct_pair ~nodes:40 () in
+  System.set_forward_policy sys System.flood_forward;
+  let senders = System.members a in
+  let x = List.hd (System.members b) in
+  let got, real = hold sys x in
+  let bid = System.broadcast sys ~from:(List.hd senders) "rosters" in
+  System.run_for sys 10.0;
+  let from_a = List.filter (fun (s, _) -> List.mem s senders) (got ()) in
+  Alcotest.(check int) "one part per sender of [a]" (List.length senders) (List.length from_a);
+  (* [y] joins [a] and accepts the broadcast from [a]'s parts. *)
+  let y = System.spawn_node sys () in
+  System.set_members sys a (senders @ [ y ]);
+  (System.node sys y).System.vg <- Some a.System.vid;
+  let y_handler = Option.get (Atum_sim.Network.handler_of (System.network sys) y) in
+  List.iter (fun (s, w) -> y_handler ~src:s w) from_a;
+  System.run_for sys 1.0;
+  let y_part = List.assoc y (got ()) in
+  let needed = (List.length senders / 2) + 1 in
+  Alcotest.(check bool) "old roster opens the tally" true (needed > 2);
+  let delivered () = Atum_util.Bitset.mem (System.node sys x).System.delivered bid in
+  let short = List.filteri (fun i _ -> i < needed - 2) from_a in
+  List.iter (fun (s, w) -> real ~src:s w) short;
+  real ~src:y y_part;
+  real ~src:y y_part;
+  List.iter (fun (s, w) -> real ~src:s w) short;
+  Alcotest.(check bool) "one sender short: not delivered" false (delivered ());
+  Alcotest.(check bool) "partial vote held" true (List.mem (x, bid) (System.partial_votes sys));
+  let s, w = List.nth from_a (needed - 2) in
+  real ~src:s w;
+  Alcotest.(check bool) "majority reached: delivered" true (delivered ())
+
+(* A replica that reports one execution twice counts once toward the
+   agreement's majority. *)
+let test_execution_counted_once () =
+  let sys = System.create quick_sync_params in
+  let ids = System.build_direct sys ~nodes:12 () in
+  let vg = System.vgroup sys (Option.get (System.node sys (List.hd ids)).System.vg) in
+  let fired = ref 0 in
+  System.agree sys vg "once" (fun () -> incr fired);
+  let op =
+    { Atum_smr.Smr_intf.origin = List.hd ids;
+      payload = Agreement.encode_op (Agreement.Control { id = 0; label = "once" }) }
+  in
+  let members = System.members vg in
+  let needed = (System.size vg / 2) + 1 in
+  Alcotest.(check bool) "majority above one" true (needed > 1);
+  let exec m = System.on_execute sys vg m op in
+  List.iteri (fun i m -> if i < needed - 1 then (exec m; exec m)) members;
+  Alcotest.(check int) "one short of a majority" 0 !fired;
+  exec (List.nth members (needed - 1));
+  Alcotest.(check int) "majority fires" 1 !fired
+
+(* ROADMAP item 9's probe, reduced: 120 nodes with 12 equivocators, a
+   loss boost that removes honest parts, flooding, five broadcasts.
+   While votes were keyed by sender alone, forged parts completed
+   majorities in every one of these runs (14-248 forged deliveries
+   each); keyed by message, none may. *)
+let forged_under_loss ~params ~loss ~seed =
+  let module Network = Atum_sim.Network in
+  let sys =
+    System.create ~net_config:(Network.datacenter_config ~seed) { params with Params.seed }
+  in
+  let ids = Array.of_list (System.build_direct sys ~nodes:120 ()) in
+  System.set_forward_policy sys System.flood_forward;
+  Array.iteri
+    (fun i id -> if i mod 10 = 5 then System.make_byzantine sys ~strategy:System.Equivocate id)
+    ids;
+  let mon = Monitor.attach sys in
+  let sent = Hashtbl.create 8 and delivered = ref 0 and forged = ref 0 in
+  System.set_deliver sys (fun _ ~bid ~origin:_ body ->
+      incr delivered;
+      if not (String.equal (Hashtbl.find sent bid) body) then incr forged);
+  Network.set_loss_boost (System.network sys) loss;
+  List.iteri
+    (fun k i ->
+      let body = Printf.sprintf "probe-%d" k in
+      Hashtbl.replace sent (System.broadcast sys ~from:ids.(i) body) body)
+    [ 0; 21; 42; 63; 84 ];
+  System.run_for sys 60.0;
+  (!delivered, !forged, List.assoc_opt "forged_delivery" (Monitor.violations mon))
+
+let test_no_forged_delivery_under_loss () =
+  List.iter
+    (fun (name, params, loss) ->
+      List.iter
+        (fun seed ->
+          let delivered, forged, flagged = forged_under_loss ~params ~loss ~seed in
+          let run = Printf.sprintf "%s loss %.1f seed %d" name loss seed in
+          Alcotest.(check bool) (run ^ ": delivers") true (delivered > 0);
+          Alcotest.(check int) (run ^ ": forged deliveries") 0 forged;
+          Alcotest.(check (option int)) (run ^ ": monitor") None flagged)
+        [ 1; 2 ])
+    [ ("async", quick_async_params, 0.2); ("sync", quick_sync_params, 0.4) ]
+
+(* Past the fault bound the rule cannot hold: a Byzantine majority of
+   equivocators in [a] all forge the same body per cycle, so together
+   they vouch for it, and the monitor flags the member that accepts. *)
+let test_monitor_forged_delivery () =
+  let sys, ids, a, b = direct_pair ~params:quick_sync_params ~nodes:60 () in
+  System.set_forward_policy sys System.flood_forward;
+  let mon = Monitor.attach sys in
+  let byz = List.filteri (fun i _ -> i <= System.size a / 2) (System.members a) in
+  List.iter (System.make_byzantine sys ~strategy:System.Equivocate) byz;
+  let x = List.hd (System.members b) in
+  let got, real = hold sys x in
+  let origin =
+    List.find
+      (fun m -> not (List.mem m (System.members a) || List.mem m (System.members b)))
+      ids
+  in
+  ignore (System.broadcast sys ~from:origin "genuine");
+  System.run_for sys 10.0;
+  List.iter (fun (s, w) -> if List.mem s byz then real ~src:s w) (got ());
+  Alcotest.(check (option int)) "forged_delivery flagged" (Some 1)
+    (List.assoc_opt "forged_delivery" (Monitor.violations mon))
+
 let () =
   Alcotest.run "core"
     [
@@ -1167,6 +1301,8 @@ let () =
         [
           Alcotest.test_case "minority tolerated" `Slow test_byzantine_minority_broadcast_still_works;
           Alcotest.test_case "not evicted" `Slow test_byzantine_not_evicted;
+          Alcotest.test_case "no forged delivery under loss" `Quick
+            test_no_forged_delivery_under_loss;
         ] );
       ( "churn",
         [
@@ -1190,6 +1326,7 @@ let () =
           Alcotest.test_case "clean run" `Slow test_monitor_clean_run;
           Alcotest.test_case "forced faults flagged" `Slow test_monitor_flags_forced_faults;
           Alcotest.test_case "duplicate delivery flagged" `Slow test_monitor_dup_delivery;
+          Alcotest.test_case "forged delivery flagged" `Quick test_monitor_forged_delivery;
         ] );
       ( "group-msg",
         [
@@ -1203,8 +1340,10 @@ let () =
             test_direct_to_crashed_node_never_fires;
           Alcotest.test_case "gossip outcome golden" `Quick test_gossip_outcome_golden;
           Alcotest.test_case "fan-out rounds golden" `Quick test_fanout_rounds_golden;
-          Alcotest.test_case "equivocated body joins a round" `Quick
-            test_fanout_equivocated_body_golden;
+          Alcotest.test_case "equivocated body not delivered" `Quick
+            test_equivocated_body_not_delivered;
+          Alcotest.test_case "tally across a roster change" `Quick
+            test_tally_across_roster_change;
         ] );
       ( "agreement",
         [
@@ -1212,6 +1351,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_op_roundtrip;
           QCheck_alcotest.to_alcotest prop_decode_total;
           Alcotest.test_case "pbft view-change golden" `Quick test_pbft_view_change_golden;
+          Alcotest.test_case "execution counted once" `Quick test_execution_counted_once;
         ] );
       ( "tracing",
         [

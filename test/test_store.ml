@@ -292,9 +292,13 @@ let test_store_golden_durable_run () =
 
 (* A delivery's WAL frame is shared by every member that delivers the
    broadcast as issued, never by one handed another body.  Equivocating
-   members plus heavy loss make correct members deliver forged bodies
-   for some bids (ROADMAP item 9); whatever body a member delivered,
-   its own WAL must replay exactly that body. *)
+   members plus heavy loss put forged bodies in flight.  Acceptance
+   keyed by message keeps a Byzantine minority from getting one
+   delivered, so one vgroup is given a Byzantine majority, past the
+   fault bound: its equivocators forge the same body per cycle and
+   together vouch for it, and some correct members deliver it.
+   Whatever body a member delivered, its own WAL must replay exactly
+   that body. *)
 let test_frame_follows_delivered_body () =
   let module Network = Atum_sim.Network in
   let params = Atum_core.Params.for_system_size ~protocol:Atum_core.Params.Async ~seed:1 120 in
@@ -306,10 +310,21 @@ let test_frame_follows_delivered_body () =
   for i = 0 to 11 do
     System.make_byzantine sys ~strategy:System.Equivocate ids.((i * 10) + 3)
   done;
+  let origins = [ 0; 25; 50; 75; 100 ] in
+  let captured =
+    List.find
+      (fun vg -> not (List.exists (fun i -> List.mem ids.(i) (System.members vg)) origins))
+      (List.map (System.vgroup sys) (System.vgroup_ids sys))
+  in
+  List.iteri
+    (fun i m ->
+      if i <= System.size captured / 2 && not (System.node sys m).System.byzantine then
+        System.make_byzantine sys ~strategy:System.Equivocate m)
+    (System.members captured);
   let delivered = Hashtbl.create 1024 in
   System.set_deliver sys (fun nid ~bid ~origin:_ body -> Hashtbl.replace delivered (nid, bid) body);
   Network.set_loss_boost (System.network sys) 0.2;
-  List.iter (fun i -> ignore (System.broadcast sys ~from:ids.(i) (Printf.sprintf "b%d" i))) [ 0; 25; 50; 75; 100 ];
+  List.iter (fun i -> ignore (System.broadcast sys ~from:ids.(i) (Printf.sprintf "b%d" i))) origins;
   System.run_for sys 60.0;
   let logged = Hashtbl.create 1024 in
   Array.iter
