@@ -58,7 +58,7 @@ type module_info = {
   m_name : string; (* canonical *)
   m_file : string;
   mutable m_aliases : (string * string) list; (* local name -> spelled target *)
-  mutable m_opens : string list; (* spelled targets, in order *)
+  mutable m_opens : string list; (* spelled targets, last first: it shadows the rest *)
   mutable m_includes : string list; (* spelled targets, in order *)
   mutable m_values : string list; (* every toplevel binding name *)
 }
@@ -78,11 +78,18 @@ let library_prefix dir =
      directory wraps into Atum_<d>. *)
   if String.equal dir "lint" then "Atum_linter" else "Atum_" ^ dir
 
+(* A lib/ file is named as its library wraps it; any other file by its
+   path, so bench/main.ml and perfbench/main.ml stay two modules. *)
 let module_of_file file =
   let base = String.capitalize_ascii (Filename.remove_extension (Filename.basename file)) in
   match String.split_on_char '/' file with
   | "lib" :: dir :: _ :: _ -> library_prefix dir ^ "." ^ base
-  | _ -> base
+  | _ -> (
+    match Filename.dirname file with
+    | "." -> base
+    | dir ->
+      let dirs = List.map String.capitalize_ascii (String.split_on_char '/' dir) in
+      String.concat "." (dirs @ [ base ]))
 
 (* --- small syntax helpers ------------------------------------------- *)
 
@@ -325,7 +332,7 @@ let scope_of ~file structure =
             pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
         m.m_aliases <- (name, longident_name txt) :: m.m_aliases
       | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
-        m.m_opens <- m.m_opens @ [ longident_name txt ]
+        m.m_opens <- longident_name txt :: m.m_opens
       | Pstr_include { pincl_mod = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
         m.m_includes <- m.m_includes @ [ longident_name txt ]
       | Pstr_value (_, bindings) ->
@@ -438,7 +445,8 @@ let rec include_chain t (m : module_info) value =
       (List.rev m.m_includes)
 
 (* Resolve a spelled (already alias-expanded) name seen in scope [m]
-   with [opens] in force to every canonical Module.value it names:
+   with [opens] in force, innermost (last) first, since a later open
+   shadows an earlier one, to every canonical Module.value it names:
    the spelled module's own name first, then each module it reaches
    through [include], ending at the definition.  [] for anything
    external. *)

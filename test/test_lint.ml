@@ -107,6 +107,49 @@ let test_sanctioned_wrapper_silences_callers () =
   Alcotest.(check (list string)) "unsanctioned: D001 at the source" [ "D001" ]
     (rules_hit "lib/sim/opt_clock.ml" r0)
 
+(* OCaml resolves a name through the last [open] that binds it.  Both
+   a bare name and a module path must: [Wall] and [Atum_sim.Clock]
+   read the wall clock (D001), [Fixed] and [Atum_util.Clock] do not,
+   and E001 follows whichever the caller really calls. *)
+let test_last_open_wins () =
+  let sources =
+    [
+      ("lib/sim/wall.ml", "let now () = Unix.gettimeofday ()\n");
+      ("lib/util/fixed.ml", "let now () = 0.0\n");
+      ("lib/sim/clock.ml", "let read () = Unix.gettimeofday ()\n");
+      ("lib/util/clock.ml", "let read () = 0.0\n");
+      ("lib/core/fixed_last.ml", "open Atum_sim.Wall\nopen Atum_util.Fixed\nlet stamp () = now ()\n");
+      ("lib/core/wall_last.ml", "open Atum_util.Fixed\nopen Atum_sim.Wall\nlet stamp () = now ()\n");
+      ("lib/core/util_last.ml", "open Atum_sim\nopen Atum_util\nlet stamp () = Clock.read ()\n");
+      ("lib/core/sim_last.ml", "open Atum_util\nopen Atum_sim\nlet stamp () = Clock.read ()\n");
+    ]
+  in
+  let r = Driver.scan_sources ~sources () in
+  Alcotest.(check (list string)) "no parse errors" [] (List.map fst r.Driver.parse_errors);
+  List.iter
+    (fun (file, rules) -> Alcotest.(check (list string)) file rules (rules_hit file r))
+    [
+      ("lib/core/fixed_last.ml", []);
+      ("lib/core/wall_last.ml", [ "E001" ]);
+      ("lib/core/util_last.ml", []);
+      ("lib/core/sim_last.ml", [ "E001" ]);
+    ]
+
+(* Files outside lib/ are modules named by their path: two main.ml
+   files in two directories are both in the index, so each one's task
+   closure resolves to its own function. *)
+let test_main_files_stay_distinct () =
+  let main step =
+    Printf.sprintf "let %s () = ()\nlet start e = Engine.every e ~period:1.0 (fun () -> %s (); true)\n"
+      step step
+  in
+  let r =
+    Driver.scan_sources ~sources:[ ("bench/main.ml", main "tick"); ("perfbench/main.ml", main "step") ] ()
+  in
+  Alcotest.(check (list string)) "no parse errors" [] (List.map fst r.Driver.parse_errors);
+  Alcotest.(check (list string)) "both task roots" [ "Bench.Main.tick"; "Perfbench.Main.step" ]
+    r.Driver.state.Atum_linter.Effects.task_roots
+
 (* --- domain safety (S001/S002) --------------------------------------- *)
 
 let test_domain_safety_rules () =
@@ -462,6 +505,8 @@ let () =
             test_effect_propagation;
           Alcotest.test_case "sanctioned wrapper silences callers" `Quick
             test_sanctioned_wrapper_silences_callers;
+          Alcotest.test_case "the last open wins" `Quick test_last_open_wins;
+          Alcotest.test_case "main files stay distinct" `Quick test_main_files_stay_distinct;
         ] );
       ( "domain-safety",
         [
