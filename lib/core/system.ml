@@ -1042,6 +1042,14 @@ let start_heartbeats t =
 (* Wire dispatch                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* A receiver's votes for one message from one source vgroup.  A
+   toplevel function, so a part allocates no closure to find them. *)
+let rec message_votes src_vg origin body = function
+  | [] -> raise Not_found
+  | v :: rest ->
+    if v.from_vg = src_vg && v.origin = origin && String.equal v.body body then v
+    else message_votes src_vg origin body rest
+
 (* Every live node records heartbeats and runs the continuation of a
    direct message — a Byzantine node keeps pretending, and a join-leave
    attacker wants in.  A Byzantine node runs no replica; of group
@@ -1081,11 +1089,10 @@ let handle_wire t nid ~src wire =
           if not (Atum_util.Bitset.mem n.delivered bid) then begin
             let key = pair_key nid bid in
             let per_src = try Pair_tbl.find t.bcast_votes key with Not_found -> [] in
-            let same v = v.from_vg = src_vg && v.origin = origin && String.equal v.body body in
             let v =
-              match List.find_opt same per_src with
-              | Some v -> v
-              | None ->
+              match message_votes src_vg origin body per_src with
+              | v -> v
+              | exception Not_found ->
                 let v = { from_vg = src_vg; origin; body; voters = tally roster } in
                 Pair_tbl.replace t.bcast_votes key (v :: per_src);
                 v
