@@ -9,7 +9,7 @@
    Trace:   --trace-cap sizes the trace ring; default auto-sizes by
             tier (Trace.capacity_for_scale)
 
-   With [--json] (or ATUM_BENCH_JSON=DIR) every figure also writes a
+   With [--json] every figure also writes a
    machine-readable BENCH_<fig>.json artifact into the out-dir
    (default _artifacts/, created if missing) carrying the same rows as
    the text output plus seed, scale, build provenance and wall time —
@@ -31,7 +31,7 @@ let scale =
 let scale_name =
   match scale with `Quick -> "quick" | `Default -> "default" | `Full -> "full"
 
-let json_dir = ref (Sys.getenv_opt "ATUM_BENCH_JSON")
+let json_dir = ref None
 
 (* Trace ring sizing for traced benchmarks: --trace-cap flag, else
    auto-size by tier so 100k/1M runs don't wrap the ring within their
@@ -736,8 +736,8 @@ let all_figs =
   ]
 
 let () =
-  (* Strip --json / --out-dir DIR (CLI overrides the ATUM_BENCH_JSON
-     env var); whatever remains names the figures to run. *)
+  (* Strip --json / --out-dir DIR; whatever remains names the figures
+     to run. *)
   let json_flag = ref false in
   let out_dir = ref None in
   let rec parse acc = function
@@ -766,12 +766,7 @@ let () =
   in
   let names = parse [] (List.tl (Array.to_list Sys.argv)) in
   let requested = if names = [] then List.map fst all_figs else names in
-  (match (!json_flag, !out_dir) with
-  | true, dir -> json_dir := Some (Option.value dir ~default:"_artifacts")
-  | false, Some dir ->
-    (* --out-dir redirects even env-enabled artifact runs. *)
-    if !json_dir <> None then json_dir := Some dir
-  | false, None -> ());
+  if !json_flag then json_dir := Some (Option.value !out_dir ~default:"_artifacts");
   Printf.printf "Atum benchmark harness — scale=%s\n" scale_name;
   let t0 = Unix.gettimeofday () in
   List.iter

@@ -10,8 +10,7 @@
      analyze    reconstruct causality from an ATUM_*.json artifact
      export-trace  convert a traced artifact to Chrome trace_event JSON (Perfetto)
      compare    diff two artifacts metric by metric, exit non-zero on regression
-     report     render a run, timeseries, resilience or postmortem artifact
-     lint       run the determinism & protocol-safety linter (LINT.md) *)
+     report     render a run, timeseries, resilience or postmortem artifact *)
 
 open Cmdliner
 
@@ -539,58 +538,6 @@ let report_cmd =
           or malformed FILE.")
     Term.(const run $ file_arg)
 
-let lint_cmd =
-  let module Driver = Atum_linter.Driver in
-  let root_arg =
-    Arg.(value & opt dir "." & info [ "root" ] ~docv:"DIR" ~doc:"Repository root to scan from.")
-  in
-  let allow_arg =
-    Arg.(
-      value
-      & opt string "lint.allow"
-      & info [ "allow" ] ~docv:"FILE"
-          ~doc:"Allowlist file (rule:file:line # reason), relative to the root.")
-  in
-  let verbose_arg =
-    Arg.(value & flag & info [ "verbose" ] ~doc:"Print allowlisted findings too.")
-  in
-  let strict_allow_arg =
-    Arg.(
-      value & flag
-      & info [ "strict-allow" ]
-          ~doc:"Fail on stale allowlist entries too (CI mode: the allowlist cannot rot).")
-  in
-  let dirs_arg =
-    Arg.(
-      value
-      & pos_all string [ "lib"; "bin" ]
-      & info [] ~docv:"DIR" ~doc:"Directories to scan, relative to the root.")
-  in
-  let run root allow verbose strict_allow dirs json out_dir =
-    let allow_file = if Filename.is_relative allow then Filename.concat root allow else allow in
-    let r = Driver.run ~strict_allow ~root ~dirs ~allow_file () in
-    Driver.print_human ~verbose Format.std_formatter r;
-    if json then begin
-      mkdir_p out_dir;
-      let path = Driver.write_json ~dir:out_dir r in
-      Printf.printf "json             : wrote %s\n" path;
-      let spath = Driver.write_state_json ~dir:out_dir r in
-      Printf.printf "json             : wrote %s\n" spath
-    end;
-    if not (Driver.ok r) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Run the determinism & protocol-safety linter over the repository sources: the \
-          per-file AST rules plus the repo-wide effect-propagation, domain-safety and \
-          unused-export analysis (see LINT.md).  Exits non-zero on any violation not suppressed by the \
-          allowlist.  With --json, writes ATUM_lint.json and the ATUM_lint_state.json \
-          mutable-state inventory.")
-    Term.(
-      const run $ root_arg $ allow_arg $ verbose_arg $ strict_allow_arg $ dirs_arg $ json_arg
-      $ out_dir_arg)
-
 let dht_cmd =
   let byz_pct_arg =
     Arg.(value & opt int 0 & info [ "byzantine-pct" ] ~docv:"PCT" ~doc:"Percent of Byzantine routers.")
@@ -619,5 +566,5 @@ let () =
        (Cmd.group info
           [
             grow_cmd; broadcast_cmd; churn_cmd; guideline_cmd; simulate_cmd; chaos_cmd;
-            analyze_cmd; export_trace_cmd; compare_cmd; report_cmd; lint_cmd; dht_cmd;
+            analyze_cmd; export_trace_cmd; compare_cmd; report_cmd; dht_cmd;
           ]))

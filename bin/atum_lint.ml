@@ -1,9 +1,10 @@
 (* atum-lint: the repo's determinism & protocol-safety linter.
 
-   Parses every .ml under the given directories (default: lib bin)
-   with compiler-libs and enforces the rule set in LINT.md.  Exits
-   non-zero on any violation that is not suppressed by lint.allow, so
-   a dune rule can gate `dune runtest` on a clean tree. *)
+   Reads the typed tree (the .cmt/.cmti that `dune build @check`
+   writes) of every .ml and .mli under the given directories (default:
+   lib bin) and enforces the rule set in LINT.md.  Exits non-zero on
+   any violation that is not suppressed by lint.allow, so a dune rule
+   can gate `dune runtest` on a clean tree. *)
 
 module Driver = Atum_linter.Driver
 

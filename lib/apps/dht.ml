@@ -23,7 +23,7 @@ let hash_to_position ~bits s =
   !v land ((1 lsl bits) - 1)
 
 (* First ring entry at or after [p] (circular). *)
-let successor_entry ring p =
+let successor_entry ring (p : int) =
   let n = Array.length ring in
   let rec search lo hi =
     if lo >= hi then lo else begin
@@ -112,7 +112,7 @@ let alive t nid = not (Hashtbl.mem t.dead nid)
 let usable t nid = alive t nid && not (Hashtbl.mem t.byz nid)
 
 (* circular interval (a, b] *)
-let between ~a ~b p = if a < b then a < p && p <= b else p > a || p <= b
+let between ~a ~b (p : int) = if a < b then a < p && p <= b else p > a || p <= b
 
 (* One recursive routing attempt.  Dead nodes are detectable (requests
    time out), so routes detour around them; a quiet Byzantine node is

@@ -764,7 +764,7 @@ let add_part t r ~dst ~roster ~origin ~body ~cycle srcs =
 let rec same_dsts a b =
   match (a, b) with
   | [], [] -> true
-  | (x, _) :: a, (y, _) :: b -> x = y && same_dsts a b
+  | (x, _) :: a, (y, _) :: b -> Int.equal x y && same_dsts a b
   | _ -> false
 
 (* Member [sender] of vgroup [vg] gossips [bid] to [targets] (not

@@ -32,8 +32,9 @@ let rules =
       id = "D003";
       severity = Error;
       summary =
-        "polymorphic compare/=/<> on structured data in lib/smr, lib/core, \
-         lib/overlay: protocol state needs module-specific compare/equal";
+        "polymorphic comparison (=, <>, <, compare, min, ...) at a type the compiler \
+         does not specialise, in protocol, application, store and crypto code: protocol \
+         state needs a monomorphic compare/equal";
     };
     {
       id = "F001";
@@ -108,35 +109,49 @@ let reference_dirs = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ]
 
 let reference_excluded = [ "test/lint_fixtures" ]
 
+(* Every name below is canonical: the path the compiler resolves a
+   use to, with dune's [Lib__M] mangling unfolded ([Index]).  However
+   the source spells it ([Hashtbl.fold], [Stdlib.Hashtbl.fold], an
+   [open Hashtbl], a [module H = Hashtbl] alias), a use of the stdlib
+   fold is [Stdlib.Hashtbl.fold]. *)
+
 (* --- D001: determinism escape hatches ------------------------------ *)
 
-(* Exact identifiers that read the wall clock or per-process entropy.
-   Any use of the stdlib [Random] module is banned wholesale: seeded
-   randomness must flow through [Atum_util.Rng]. *)
+(* Values that read the wall clock or per-process entropy.  Any use of
+   the stdlib [Random] module is banned wholesale: seeded randomness
+   must flow through [Atum_util.Rng]. *)
 let banned_idents =
-  [ "Unix.gettimeofday"; "Unix.time"; "Unix.gmtime"; "Unix.localtime"; "Sys.time" ]
+  [ "Unix.gettimeofday"; "Unix.time"; "Unix.gmtime"; "Unix.localtime"; "Stdlib.Sys.time" ]
 
-let banned_prefixes = [ "Random."; "Stdlib.Random." ]
+let is_entropy name =
+  List.mem name banned_idents || starts_with ~prefix:"Stdlib.Random." name
 
 (* --- D002: order-dependent traversals ------------------------------ *)
 
-let hashtbl_traversals = [ "Hashtbl.iter"; "Hashtbl.fold"; "Stdlib.Hashtbl.iter"; "Stdlib.Hashtbl.fold" ]
+let hashtbl_traversals = [ "Stdlib.Hashtbl.iter"; "Stdlib.Hashtbl.fold" ]
 
 (* Functions that impose a total order on (or deterministically
    consume) whatever flowed into them; a Hashtbl traversal nested in
    their arguments is considered laundered. *)
 let sort_functions =
   [
-    "List.sort"; "List.sort_uniq"; "List.stable_sort"; "List.fast_sort"; "Array.sort";
-    "Hashtbl_ext.sorted_bindings"; "Hashtbl_ext.sorted_keys";
+    "Stdlib.List.sort"; "Stdlib.List.sort_uniq"; "Stdlib.List.stable_sort";
+    "Stdlib.List.fast_sort"; "Stdlib.Array.sort";
     "Atum_util.Hashtbl_ext.sorted_bindings"; "Atum_util.Hashtbl_ext.sorted_keys";
   ]
 
-(* --- D003: polymorphic comparison ---------------------------------- *)
+(* --- D003/F001: comparison ------------------------------------------- *)
 
-let eq_operators = [ "="; "<>"; "=="; "!=" ]
+(* The stdlib comparisons that are polymorphic unless the compiler
+   specialises them at the type they are used at (D003). *)
+let polymorphic_comparisons =
+  [
+    "Stdlib.="; "Stdlib.<>"; "Stdlib.<"; "Stdlib.>"; "Stdlib.<="; "Stdlib.>=";
+    "Stdlib.compare"; "Stdlib.min"; "Stdlib.max";
+  ]
 
-let polymorphic_compare_idents = [ "compare"; "Stdlib.compare"; "Pervasives.compare" ]
+(* Equality operators whose float-literal operand is F001. *)
+let eq_operators = [ "Stdlib.="; "Stdlib.<>"; "Stdlib.=="; "Stdlib.!=" ]
 
 (* --- M001: ignored Results ----------------------------------------- *)
 
@@ -150,71 +165,58 @@ let result_returning =
 
 (* --- W001: wire-message variants ------------------------------------ *)
 
-(* Constructors of the variants that cross the simulated network:
-   Registry.wire with its SMR payload, Registry.gm_payload, the
-   Agreement.op that SMR payloads encode, and Pbft.msg.  A match that
-   names any of these must stay exhaustive.
-
-   The second group is *reserved* for the versioned binary codec
-   (ROADMAP item 3): the codec PR must name its frame constructors
-   from this list so every decoder match is exhaustiveness-policed
-   from the first commit, exactly as simplexmq's versioned Protocol
-   commands are. *)
-let wire_constructors =
+(* The variants that cross the simulated network: Registry.wire with
+   its SMR payload and group-message payload, the Agreement.op that SMR
+   payloads encode, and Pbft.msg.  A match over any of these must stay
+   exhaustive.  The versioned binary codec (ROADMAP item 3) adds its
+   frame type here, so every decoder match is policed from its first
+   commit. *)
+let wire_types =
   [
-    (* Registry.wire and its SMR payload *)
-    "Smr_msg"; "Group_part"; "Direct"; "Heartbeat"; "Sync_m"; "Async_m";
-    (* Registry.gm_payload and Agreement.op *)
-    "Control"; "Bcast";
-    (* Pbft.msg *)
-    "Request"; "Preprepare"; "Prepare"; "Commit"; "Viewchange"; "Newview";
+    "Atum_core.Registry.wire"; "Atum_core.Registry.smr_msg"; "Atum_core.Registry.gm_payload";
+    "Atum_core.Agreement.op"; "Atum_smr.Pbft.msg";
   ]
 
 (* --- S001/S002: module-level mutable state --------------------------- *)
 
-(* Applications whose *toplevel* result is shared mutable state.  A
-   [let] of one of these at module level is S001; the same call inside
+(* Applications whose *toplevel* result is shared mutable state, with
+   the kind the state inventory records.  A [let] of one of these at
+   module level is S001 unless the kind is [atomic] (domain-safe by
+   construction: inventoried but never flagged); the same call inside
    a function body builds per-call state and is fine. *)
 let mutable_constructors =
   [
-    "ref"; "Stdlib.ref";
-    "Hashtbl.create"; "Stdlib.Hashtbl.create";
-    "Buffer.create"; "Stdlib.Buffer.create";
-    "Bytes.create"; "Bytes.make";
-    "Array.make"; "Array.create_float"; "Array.init";
-    "Queue.create"; "Stack.create";
+    ("Stdlib.ref", "ref");
+    ("Stdlib.Hashtbl.create", "hashtbl");
+    ("Stdlib.Buffer.create", "buffer");
+    ("Stdlib.Bytes.create", "bytes"); ("Stdlib.Bytes.make", "bytes");
+    ("Stdlib.Array.make", "array"); ("Stdlib.Array.create_float", "array");
+    ("Stdlib.Array.init", "array");
+    ("Stdlib.Queue.create", "queue"); ("Stdlib.Stack.create", "stack");
+    ("Stdlib.Atomic.make", "atomic");
   ]
 
-(* Domain-safe by construction: inventoried in ATUM_lint_state.json
-   but never flagged by S001/S002. *)
-let atomic_constructors = [ "Atomic.make"; "Stdlib.Atomic.make" ]
-
-(* Write spellings recognised by the pass-1 indexer.  [assign] mutate
-   their first argument; [setfield] is the [g.f <- e] form handled
-   structurally. *)
+(* Mutators recognised by the pass-1 indexer: each mutates its first
+   unlabelled argument.  The [g.f <- e] form is handled structurally. *)
 let write_functions =
-  [
-    ":="; "incr"; "decr";
-    "Hashtbl.add"; "Hashtbl.replace"; "Hashtbl.remove"; "Hashtbl.reset"; "Hashtbl.clear";
-    "Buffer.add_char"; "Buffer.add_string"; "Buffer.add_bytes"; "Buffer.clear"; "Buffer.reset";
-    "Array.set"; "Array.unsafe_set"; "Array.fill"; "Array.blit";
-    "Bytes.set"; "Bytes.unsafe_set"; "Bytes.fill"; "Bytes.blit";
-    "Queue.push"; "Queue.add"; "Queue.pop"; "Queue.take"; "Queue.clear";
-    "Stack.push"; "Stack.pop"; "Stack.clear";
-    (* Atomics mutate too — S002 exempts them, but the state inventory
-       still records who writes them. *)
-    "Atomic.set"; "Atomic.exchange"; "Atomic.incr"; "Atomic.decr";
-    "Atomic.fetch_and_add"; "Atomic.compare_and_set";
-  ]
+  List.map (( ^ ) "Stdlib.")
+    [
+      ":="; "incr"; "decr";
+      "Hashtbl.add"; "Hashtbl.replace"; "Hashtbl.remove"; "Hashtbl.reset"; "Hashtbl.clear";
+      "Buffer.add_char"; "Buffer.add_string"; "Buffer.add_bytes"; "Buffer.clear"; "Buffer.reset";
+      "Array.set"; "Array.unsafe_set"; "Array.fill"; "Array.blit";
+      "Bytes.set"; "Bytes.unsafe_set"; "Bytes.fill"; "Bytes.blit";
+      "Queue.push"; "Queue.add"; "Queue.pop"; "Queue.take"; "Queue.clear";
+      "Stack.push"; "Stack.pop"; "Stack.clear";
+      (* Atomics mutate too — S002 exempts them, but the state inventory
+         still records who writes them. *)
+      "Atomic.set"; "Atomic.exchange"; "Atomic.incr"; "Atomic.decr";
+      "Atomic.fetch_and_add"; "Atomic.compare_and_set";
+    ]
 
 (* --- E001/S002: call-graph roots ------------------------------------- *)
 
 (* A closure passed to one of these runs inside the simulation engine;
-   everything it calls is task-reachable (S002's scope).  Matched on
-   the alias-expanded spelling's last two components so
-   [Engine.every], [Atum_sim.Engine.every] and a [module E = ...]
-   alias all count; the bare spelling only counts inside
-   lib/sim/engine.ml itself. *)
-let engine_schedulers = [ "schedule"; "schedule_at"; "every" ]
-
-let engine_module_file = "lib/sim/engine.ml"
+   everything it calls is task-reachable (S002's scope). *)
+let engine_schedulers =
+  [ "Atum_sim.Engine.schedule"; "Atum_sim.Engine.schedule_at"; "Atum_sim.Engine.every" ]

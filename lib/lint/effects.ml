@@ -52,9 +52,7 @@ let in_lib file = Config.starts_with ~prefix:"lib/" file
 (* Resolved, deduplicated callee list per function, deterministic. *)
 let resolved_calls index (fn : Index.fn) =
   List.sort_uniq String.compare
-    (List.filter_map
-       (fun (c : Index.call) -> Index.resolve index ~from_module:fn.Index.fn_module c.Index.callee)
-       fn.Index.calls)
+    (List.filter_map (fun (c : Index.call) -> Index.resolve index c.Index.callee) fn.Index.calls)
 
 (* Forward closure over the call graph from [roots] (canonical fns). *)
 let reachable_from index roots =
@@ -195,9 +193,7 @@ let analyze ~index ~allow =
          (fun (fn : Index.fn) ->
            List.filter_map
              (fun (c : Index.call) ->
-               if c.Index.call_in_task then
-                 Index.resolve index ~from_module:fn.Index.fn_module c.Index.callee
-               else None)
+               if c.Index.call_in_task then Index.resolve index c.Index.callee else None)
              fn.Index.calls)
          fns)
   in
@@ -211,7 +207,7 @@ let analyze ~index ~allow =
     (fun (fn : Index.fn) ->
       List.iter
         (fun (w : Index.write) ->
-          match Index.resolve index ~from_module:fn.Index.fn_module w.Index.target with
+          match Index.resolve index w.Index.target with
           | None -> ()
           | Some gfq -> (
             match Index.find_global index gfq with

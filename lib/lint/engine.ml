@@ -1,26 +1,25 @@
-(* The AST pass: parse one .ml file with compiler-libs and walk its
-   Parsetree with an [Ast_iterator], emitting diagnostics for the rule
-   set in [Config].
+(* The per-file pass: walk one module's typed tree with a
+   [Tast_iterator], emitting diagnostics for the rule set in [Config].
+   Every name is the compiler's ([Index.path_name]), so a rule matches
+   a use however it is spelled.
 
-   Everything here is syntactic — there is no type information — so
-   each rule is an approximation documented in LINT.md:
-
-   - D003 flags the bare polymorphic [compare] and any [=]/[<>] whose
-     operand is a constructor *with a payload* (a tuple, record, or
-     [Some x]-style application).  Comparing against constant
-     constructors ([None], [[]], [true]) only inspects the tag and
-     never descends into payloads, so it stays legal.
-   - D002 clears a [Hashtbl.fold] that is syntactically nested inside
-     (or piped into) one of [Config.sort_functions]; anything else is
-     flagged and must be fixed or allowlisted.
+   - D003 flags a stdlib comparison used at a type the compiler does
+     not specialise (see [specialised]).  Comparing against a constant
+     constructor ([None], [[]]) only inspects the tag and never
+     descends into a payload, so it stays legal.
+   - D002 clears a [Hashtbl.fold] that is nested inside (or piped
+     into) one of [Config.sort_functions]; anything else is flagged and
+     must be fixed or allowlisted.
    - M001 matches [ignore (f ...)] by the final path component of [f]
      against [Config.result_returning].
-   - W001 fires on a guard-free [_]/variable arm of any [match] or
-     [function] whose other arms name a wire constructor. *)
+   - W001 fires on a guard-free [_]/variable arm of a [match] or
+     [function] over one of [Config.wire_types] that has some other,
+     refutable arm. *)
 
-open Parsetree
+open Typedtree
 
 type context = {
+  scope : Index.scope;
   file : string;
   mutable sort_depth : int;
   mutable diags : Diagnostic.t list;
@@ -37,205 +36,145 @@ let report ctx ~rule ~loc fmt =
         :: ctx.diags)
     fmt
 
-let longident_name lid = String.concat "." (Longident.flatten lid)
+let name ctx e = Index.ident_name ctx.scope e
 
-let ident_name e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (longident_name txt)
-  | _ -> None
-
-let last_component name =
-  match String.rindex_opt name '.' with
-  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-  | None -> name
-
-let mem_s name l = List.exists (String.equal name) l
-
-let is_eq_op name = mem_s name Config.eq_operators
-let is_sort_name name = mem_s name Config.sort_functions
-let is_traversal name = mem_s name Config.hashtbl_traversals
-
-let is_banned_entropy name =
-  mem_s name Config.banned_idents
-  || List.exists (fun p -> Config.starts_with ~prefix:p name) Config.banned_prefixes
-
-(* [List.sort cmp] partially applied, or a full sort application —
-   either side of a [|>]/[@@] pipe counts. *)
-let is_sortish_expr e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> is_sort_name (longident_name txt)
-  | Pexp_apply (f, _) -> (
-    match ident_name f with Some n -> is_sort_name n | None -> false)
-  | _ -> false
+let is_sortish ctx e =
+  let head = match e.exp_desc with Texp_apply (f, _) -> f | _ -> e in
+  Option.fold ~none:false ~some:(fun n -> List.mem n Config.sort_functions) (name ctx head)
 
 let is_float_literal e =
-  match e.pexp_desc with
-  | Pexp_constant (Pconst_float _) -> true
+  match e.exp_desc with Texp_constant (Const_float _) -> true | _ -> false
+
+let is_constant_constructor e =
+  match e.exp_desc with
+  | Texp_construct (_, _, []) | Texp_variant (_, None) -> true
   | _ -> false
 
-(* Structured operand of [=]/[<>]: polymorphic comparison will descend
-   into a payload.  Constant constructors compare by tag only. *)
-let is_structural e =
-  match e.pexp_desc with
-  | Pexp_construct (_, Some _) -> true
-  | Pexp_variant (_, Some _) -> true
-  | Pexp_tuple _ -> true
-  | Pexp_record _ -> true
-  | Pexp_array _ -> true
-  | _ -> false
+(* The compiler specialises a comparison at an immediate type (int,
+   char, bool, a variant of constant constructors) and at float,
+   string, bytes and the boxed integers; anywhere else it calls the
+   polymorphic runtime compare. *)
+let specialised env ty =
+  Typeopt.maybe_pointer_type env ty = Lambda.Immediate
+  || List.exists (Typeopt.is_base_type env ty)
+       Predef.[ path_float; path_string; path_bytes; path_int32; path_int64; path_nativeint ]
 
-let rec pattern_mentions_wire p =
-  match p.ppat_desc with
-  | Ppat_construct ({ txt; _ }, arg) ->
-    mem_s (last_component (longident_name txt)) Config.wire_constructors
-    || (match arg with Some (_, inner) -> pattern_mentions_wire inner | None -> false)
-  | Ppat_or (a, b) -> pattern_mentions_wire a || pattern_mentions_wire b
-  | Ppat_alias (inner, _) | Ppat_constraint (inner, _) | Ppat_open (_, inner)
-  | Ppat_exception inner | Ppat_lazy inner ->
-    pattern_mentions_wire inner
-  | Ppat_tuple ps -> List.exists pattern_mentions_wire ps
-  | _ -> false
-
-let is_catch_all p =
-  match p.ppat_desc with Ppat_any | Ppat_var _ -> true | _ -> false
+(* D003 for the comparison [e] (a [t -> t -> _] instance) at [loc]. *)
+let check_comparison ctx ~loc e =
+  let env = ctx.scope.Index.unit_.Index.env e.exp_env in
+  match (Types.get_desc (Ctype.expand_head env e.exp_type), e.exp_desc) with
+  | Tarrow (_, ty, _, _), Texp_ident (p, _, _) when not (specialised env ty) ->
+    report ctx ~rule:"D003" ~loc
+      "polymorphic (%s) at type %s in protocol code; use a monomorphic compare/equal \
+       (Int.compare, String.equal, the type's own)"
+      (Path.last p)
+      (Format.asprintf "%a" Printtyp.type_expr ty)
+  | _ -> ()
 
 (* --- per-expression checks ------------------------------------------ *)
 
-let check_ident ctx ~loc name =
-  if Config.in_lib ctx.file && is_banned_entropy name then
-    report ctx ~rule:"D001" ~loc
-      "%s reaches outside the simulation for time or entropy; use the engine clock and \
-       Atum_util.Rng"
-      name;
-  if Config.in_protocol ctx.file then begin
-    if mem_s name Config.polymorphic_compare_idents then
-      report ctx ~rule:"D003" ~loc
-        "polymorphic %s on protocol data; pass a module-specific comparator (Int.compare, \
-         String.compare, ...)"
-        name
-    else if is_eq_op name then
-      report ctx ~rule:"D003" ~loc
-        "polymorphic (%s) passed as a function in protocol code; use a module-specific equal"
-        name
-  end
-
-let check_eq_application ctx ~loc op args =
-  let exprs = List.map snd args in
-  if List.exists is_float_literal exprs then
-    report ctx ~rule:"F001" ~loc
-      "float-literal equality with (%s); use Float.equal or an explicit sign/epsilon test" op;
-  if Config.in_protocol ctx.file && List.exists is_structural exprs then
-    report ctx ~rule:"D003" ~loc
-      "structural (%s) on a constructor payload in protocol code; use a module-specific \
-       equal (Option.equal, List.equal, ...)"
-      op
+let check_ident ctx e =
+  match name ctx e with
+  | None -> ()
+  | Some n ->
+    if Config.in_lib ctx.file && Config.is_entropy n then
+      report ctx ~rule:"D001" ~loc:e.exp_loc
+        "%s reaches outside the simulation for time or entropy; use the engine clock and \
+         Atum_util.Rng"
+        n;
+    if Config.in_protocol ctx.file && List.mem n Config.polymorphic_comparisons then
+      check_comparison ctx ~loc:e.exp_loc e
 
 let check_ignore ctx ~loc args =
   match args with
-  | [ (_, arg) ] -> (
-    match arg.pexp_desc with
-    | Pexp_apply (f, _) -> (
-      match ident_name f with
-      | Some n when mem_s (last_component n) Config.result_returning ->
-        report ctx ~rule:"M001" ~loc
-          "ignore of %s drops a Result error path; match on it or log the Error" n
-      | _ -> ())
-    | _ -> ())
+  | [ { exp_desc = Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ } as f, _); _ } ]
+    when List.mem (Path.last p) Config.result_returning ->
+    report ctx ~rule:"M001" ~loc
+      "ignore of %s drops a Result error path; match on it or log the Error"
+      (Option.value ~default:(Path.name p) (name ctx f))
   | _ -> ()
 
-let check_match ctx cases =
-  if List.exists (fun c -> pattern_mentions_wire c.pc_lhs) cases then
+let is_catch_all (p : pattern) = match p.pat_desc with Tpat_any | Tpat_var _ -> true | _ -> false
+
+(* [arms] are the value patterns of a match over [ty], with guards. *)
+let check_match ctx ~env ty arms =
+  if
+    List.exists (fun (p, _) -> not (is_catch_all p)) arms
+    && Option.fold ~none:false
+         ~some:(fun n -> List.mem n Config.wire_types)
+         (Index.type_name ctx.scope env ty)
+  then
     List.iter
-      (fun c ->
-        if Option.is_none c.pc_guard && is_catch_all c.pc_lhs then
-          report ctx ~rule:"W001" ~loc:c.pc_lhs.ppat_loc
+      (fun ((p : pattern), guard) ->
+        if Option.is_none guard && is_catch_all p then
+          report ctx ~rule:"W001" ~loc:p.pat_loc
             "catch-all arm in a match over a wire-message variant; name every constructor \
              so new messages fail to compile")
-      cases
+      arms
 
 (* --- the iterator --------------------------------------------------- *)
 
 let iterator ctx =
-  let super = Ast_iterator.default_iterator in
+  let super = Tast_iterator.default_iterator in
   let with_sort f =
     ctx.sort_depth <- ctx.sort_depth + 1;
     f ();
     ctx.sort_depth <- ctx.sort_depth - 1
   in
   let expr self e =
-    match e.pexp_desc with
-    | Pexp_ident { txt; _ } -> check_ident ctx ~loc:e.pexp_loc (longident_name txt)
-    | Pexp_apply (f, args) -> (
-      let visit_args () = List.iter (fun (_, a) -> self.Ast_iterator.expr self a) args in
-      match ident_name f with
-      | Some op when is_eq_op op ->
+    match e.exp_desc with
+    | Texp_ident _ -> check_ident ctx e
+    | Texp_apply (f, args) -> (
+      let args = List.filter_map snd args in
+      let visit_args () = List.iter (self.Tast_iterator.expr self) args in
+      match (f.exp_desc, name ctx f) with
+      | Texp_ident (p, _, _), Some op
+        when List.mem op Config.eq_operators || List.mem op Config.polymorphic_comparisons ->
         (* The operator itself is handled here; do not visit [f], so a
-           bare [=] reaching [check_ident] is a first-class use. *)
-        check_eq_application ctx ~loc:e.pexp_loc op args;
+           bare comparison reaching [check_ident] is a first-class use. *)
+        if List.mem op Config.eq_operators && List.exists is_float_literal args then
+          report ctx ~rule:"F001" ~loc:e.exp_loc
+            "float-literal equality with (%s); use Float.equal or an explicit sign/epsilon test"
+            (Path.last p);
+        if
+          Config.in_protocol ctx.file
+          && List.mem op Config.polymorphic_comparisons
+          && not (List.exists is_constant_constructor args)
+        then check_comparison ctx ~loc:e.exp_loc f;
         visit_args ()
-      | Some "|>" -> (
-        match args with
-        | [ (_, lhs); (_, rhs) ] when is_sortish_expr rhs ->
-          self.Ast_iterator.expr self rhs;
-          with_sort (fun () -> self.Ast_iterator.expr self lhs)
-        | _ -> super.Ast_iterator.expr self e)
-      | Some "@@" -> (
-        match args with
-        | [ (_, lhs); (_, rhs) ] when is_sortish_expr lhs ->
-          self.Ast_iterator.expr self lhs;
-          with_sort (fun () -> self.Ast_iterator.expr self rhs)
-        | _ -> super.Ast_iterator.expr self e)
-      | Some n when is_sort_name n -> with_sort visit_args
-      | Some n when is_traversal n ->
+      | _ when is_sortish ctx f ->
+        (* A sort application, or a partial one applied to what is
+           piped into it: the typer rewrites [x |> List.sort cmp] and
+           [List.sort cmp @@ x] to [(List.sort cmp) x]. *)
+        self.expr self f;
+        with_sort visit_args
+      | _, Some n when List.mem n Config.hashtbl_traversals ->
         if ctx.sort_depth = 0 then
-          report ctx ~rule:"D002" ~loc:e.pexp_loc
+          report ctx ~rule:"D002" ~loc:e.exp_loc
             "%s enumerates buckets in nondeterministic order; sort the result in the same \
              expression (Atum_util.Hashtbl_ext) or allowlist with a commutativity argument"
             n;
         visit_args ()
-      | Some n when String.equal (last_component n) "ignore" ->
-        check_ignore ctx ~loc:e.pexp_loc args;
+      | _, Some "Stdlib.ignore" ->
+        check_ignore ctx ~loc:e.exp_loc args;
         visit_args ()
-      | _ -> super.Ast_iterator.expr self e)
-    | Pexp_match (_, cases) | Pexp_function cases ->
-      check_match ctx cases;
-      super.Ast_iterator.expr self e
-    | _ -> super.Ast_iterator.expr self e
+      | _ -> super.expr self e)
+    | Texp_match (scrutinee, cases, _) ->
+      check_match ctx ~env:e.exp_env scrutinee.exp_type
+        (List.filter_map
+           (fun c -> Option.map (fun p -> (p, c.c_guard)) (fst (split_pattern c.c_lhs)))
+           cases);
+      super.expr self e
+    | Texp_function { cases = c :: _ as cases; _ } ->
+      check_match ctx ~env:e.exp_env c.c_lhs.pat_type
+        (List.map (fun c -> (c.c_lhs, c.c_guard)) cases);
+      super.expr self e
+    | _ -> super.expr self e
   in
-  { super with Ast_iterator.expr }
+  { super with expr }
 
-(* --- entry points --------------------------------------------------- *)
-
-let check_structure ~file structure =
-  let ctx = { file; sort_depth = 0; diags = [] } in
+let check scope structure =
+  let ctx = { scope; file = scope.Index.unit_.Index.file; sort_depth = 0; diags = [] } in
   let it = iterator ctx in
-  it.Ast_iterator.structure it structure;
+  it.structure it structure;
   List.sort Diagnostic.compare ctx.diags
-
-let parse parser ~file source =
-  let lexbuf = Lexing.from_string source in
-  Location.init lexbuf file;
-  match parser lexbuf with
-  | tree -> Ok tree
-  | exception exn ->
-    let msg =
-      match Location.error_of_exn exn with
-      | Some (`Ok report) -> Format.asprintf "%a" Location.print_report report
-      | _ -> Printexc.to_string exn
-    in
-    Error (String.trim msg)
-
-let parse_source ~file source = parse Parse.implementation ~file source
-
-let check_source ~file source =
-  Result.map (check_structure ~file) (parse_source ~file source)
-
-let read_file ~root ~file =
-  let path = Filename.concat root file in
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let source = really_input_string ic len in
-  close_in ic;
-  source
-
-let parse_file ~root ~file = parse_source ~file (read_file ~root ~file)

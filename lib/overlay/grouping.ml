@@ -1,6 +1,6 @@
-let needs_split ~gmax ~size = size > gmax
+let needs_split ~gmax ~(size : int) = size > gmax
 
-let needs_merge ~gmin ~size = size < gmin
+let needs_merge ~gmin ~(size : int) = size < gmin
 
 let split_halves rng members =
   let a = Array.of_list members in

@@ -1,6 +1,8 @@
-(* Negative fixture for atum-lint (never compiled, only parsed).  The
-   fixture root makes this file lib/apps/bad_app.ml, so the lib/-wide
-   rules apply. *)
+(* Negative fixture for atum-lint (typed against the compiled
+   libraries, never linked).  The fixture root makes this file
+   lib/apps/bad_app.ml, so the lib/-wide rules apply. *)
+
+let check_consistency _ = Ok ()
 
 (* D001: wall clock in lib/. *)
 let now () = Unix.gettimeofday ()
@@ -21,4 +23,4 @@ let is_unit x = x = 1.0
 let probe st = ignore (check_consistency st)
 
 (* M001: ignoring an artifact read drops its decode error. *)
-let peek p = ignore (Artifact.load p)
+let peek p = ignore (Atum_sim.Artifact.load p)

@@ -1,5 +1,5 @@
 (* Negative fixture: entropy wrapped two-plus calls deep and across a
-   module boundary.  The syntactic D001 pass cannot see anything here;
+   module boundary.  The per-file D001 pass cannot see anything here;
    only the call-graph propagation (E001) can. *)
 
 (* E001: two calls deep, via Atum_sim.Entropy_core.wrapped. *)

@@ -2,7 +2,7 @@
    Shows the sanctioned spellings of the patterns the bad fixtures
    trip. *)
 
-type wire = Preprepare of int | Prepare of int | Commit of int
+let check_consistency _ = Ok ()
 
 let keys tbl = Atum_util.Hashtbl_ext.sorted_keys ~cmp:String.compare tbl
 
@@ -12,4 +12,4 @@ let is_unit x = Float.equal x 1.0
 
 let probe st = match check_consistency st with Ok () -> true | Error _ -> false
 
-let handle m = match m with Preprepare n -> n | Prepare _ -> 0 | Commit _ -> 0
+let handle (m : Atum_core.Agreement.op) = match m with Control c -> c.id | Bcast b -> b.bid

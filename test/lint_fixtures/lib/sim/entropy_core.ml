@@ -1,5 +1,5 @@
-(* Negative fixture for the effect-propagation pass (never compiled,
-   only parsed).  The direct entropy read below is D001; [wrapped]
+(* Negative fixture for the effect-propagation pass (typed, never
+   linked).  The direct entropy read below is D001; [wrapped]
    hides it one call deep and must be flagged E001. *)
 
 (* D001: direct OS entropy. *)

@@ -1,5 +1,5 @@
-(* Negative fixture for the domain-safety rules (never compiled, only
-   parsed).  Module-level mutable state is S001; writing it from a
+(* Negative fixture for the domain-safety rules (typed, never
+   linked).  Module-level mutable state is S001; writing it from a
    function reachable out of an Engine task closure is S002. *)
 
 (* S001: toplevel ref. *)

@@ -2,30 +2,58 @@
 
    The fixtures under lint_fixtures/ mirror the repo layout (lib/smr/,
    lib/sim/, lib/apps/) so path-scoped rules apply exactly as they do
-   on the real tree.  The bad fixtures must trip every rule — this is
-   the negative test demonstrating that the dune lint gate would fail
-   a tree that reintroduces a violation — and the good fixtures must
-   stay silent.
+   on the real tree.  They are typed in memory, as dune would compile
+   them, against the compiled libraries of this build.  The bad
+   fixtures must trip every rule — this is the negative test
+   demonstrating that the dune lint gate would fail a tree that
+   reintroduces a violation — and the good fixtures must stay silent.
 
-   The v2 two-pass analysis gets the same treatment: entropy wrapped
-   two calls deep across a module boundary must be flagged (E001), an
+   The two-pass analysis gets the same treatment: entropy wrapped two
+   calls deep across a module boundary must be flagged (E001), an
    allowlisted Prof_clock-style source must sanction its callers,
    S001/S002 must fire on the stateful fixture and stay silent on the
    atomic/local one, and ATUM_lint_state.json must round-trip
    deterministically. *)
 
 module Driver = Atum_linter.Driver
-module Engine = Atum_linter.Engine
 module Allowlist = Atum_linter.Allowlist
 module Diagnostic = Atum_linter.Diagnostic
 
 (* The executable lives in _build/default/test/, next to the copied
-   fixture tree — resolve relative to it so the test works under both
-   [dune runtest] and [dune exec]. *)
-let fixture_root = Filename.concat (Filename.dirname Sys.executable_name) "lint_fixtures"
+   fixture tree and below the compiled libraries — resolve relative to
+   it so the test works under both [dune runtest] and [dune exec]. *)
+let test_dir = Filename.dirname Sys.executable_name
 
-let scan ?allow ?strict_allow () =
-  Driver.scan ?allow ?strict_allow ~root:fixture_root ~dirs:[ "lib" ] ()
+let fixture_root = Filename.concat test_dir "lint_fixtures"
+
+(* Each library's compiled interfaces (lib/<d>/.atum_<d>.objs/byte),
+   and the stdlib's unix, which in-memory sources are typed against. *)
+let include_dirs =
+  let lib = Filename.concat (Filename.dirname test_dir) "lib" in
+  "+unix"
+  :: List.filter Sys.file_exists
+       (List.map
+          (fun d -> Filename.concat lib (Printf.sprintf "%s/.atum_%s.objs/byte" d d))
+          (List.sort String.compare (Array.to_list (Sys.readdir lib))))
+
+let scan_sources ?allow ?allow_errors ?strict_allow ?references ~sources () =
+  Driver.scan_sources ?allow ?allow_errors ?strict_allow ?references ~include_dirs ~sources ()
+
+let fixtures =
+  List.map
+    (fun file ->
+      (file, In_channel.with_open_bin (Filename.concat fixture_root file) In_channel.input_all))
+    (Driver.list_files ~skip:[] ~suffixes:[ ".ml" ] ~root:fixture_root "lib")
+
+let scan ?allow ?allow_errors ?strict_allow () =
+  scan_sources ?allow ?allow_errors ?strict_allow ~sources:fixtures ()
+
+(* The findings in one in-memory source [file]. *)
+let check_source ~file src =
+  let r = scan_sources ~sources:[ (file, src) ] () in
+  match r.Driver.parse_errors with
+  | (_, e) :: _ -> Error e
+  | [] -> Ok (List.filter (fun d -> String.equal d.Diagnostic.file file) r.Driver.diagnostics)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -56,6 +84,8 @@ let test_bad_fixtures_trip_every_rule () =
 
 let test_good_fixture_is_clean () =
   let r = scan () in
+  Alcotest.(check (list string)) "no parse errors" []
+    (List.map fst r.Driver.parse_errors);
   Alcotest.(check (list string)) "sanctioned spellings produce nothing" []
     (rules_hit "lib/apps/good_app.ml" r);
   Alcotest.(check (list string)) "atomic/local state produces nothing" []
@@ -124,7 +154,7 @@ let test_last_open_wins () =
       ("lib/core/sim_last.ml", "open Atum_util\nopen Atum_sim\nlet stamp () = Clock.read ()\n");
     ]
   in
-  let r = Driver.scan_sources ~sources () in
+  let r = scan_sources ~sources () in
   Alcotest.(check (list string)) "no parse errors" [] (List.map fst r.Driver.parse_errors);
   List.iter
     (fun (file, rules) -> Alcotest.(check (list string)) file rules (rules_hit file r))
@@ -140,14 +170,37 @@ let test_last_open_wins () =
    closure resolves to its own function. *)
 let test_main_files_stay_distinct () =
   let main step =
-    Printf.sprintf "let %s () = ()\nlet start e = Engine.every e ~period:1.0 (fun () -> %s (); true)\n"
+    Printf.sprintf
+      "let %s () = ()\n\
+       let start e = Atum_sim.Engine.every e ~period:1.0 (fun () -> %s (); true)\n"
       step step
   in
   let r =
-    Driver.scan_sources ~sources:[ ("bench/main.ml", main "tick"); ("perfbench/main.ml", main "step") ] ()
+    scan_sources ~sources:[ ("bench/main.ml", main "tick"); ("perfbench/main.ml", main "step") ] ()
   in
   Alcotest.(check (list string)) "no parse errors" [] (List.map fst r.Driver.parse_errors);
   Alcotest.(check (list string)) "both task roots" [ "Bench.Main.tick"; "Perfbench.Main.step" ]
+    r.Driver.state.Atum_linter.Effects.task_roots
+
+(* A [let module] alias and a local open name the scheduler as well as
+   a toplevel alias does: each closure below makes a task root. *)
+let test_local_scheduler_spellings () =
+  let sources =
+    [
+      ( "lib/core/aliased.ml",
+        "let tick () = ()\n\
+         let start e =\n\
+        \  let module E = Atum_sim.Engine in\n\
+        \  E.every e ~period:1.0 (fun () -> tick (); true)\n" );
+      ( "lib/core/opened.ml",
+        "let step () = ()\n\
+         let start e = Atum_sim.(Engine.every e ~period:1.0 (fun () -> step (); true))\n" );
+    ]
+  in
+  let r = scan_sources ~sources () in
+  Alcotest.(check (list string)) "no parse errors" [] (List.map fst r.Driver.parse_errors);
+  Alcotest.(check (list string)) "both task roots"
+    [ "Atum_core.Aliased.tick"; "Atum_core.Opened.step" ]
     r.Driver.state.Atum_linter.Effects.task_roots
 
 (* --- domain safety (S001/S002) --------------------------------------- *)
@@ -186,10 +239,11 @@ let test_s001_catches_prefix_hashtbl_ext () =
         \  List.sort cmp (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])\n" );
       ( "lib/core/monitor.ml",
         "let sweep tbl = Atum_util.Hashtbl_ext.sorted_keys ~cmp:Int.compare tbl\n\
-         let attach e tbl = Engine.every e ~period:1.0 (fun () -> ignore (sweep tbl); true)\n" );
+         let attach e tbl =\n\
+        \  Atum_sim.Engine.every e ~period:1.0 (fun () -> ignore (sweep tbl); true)\n" );
     ]
   in
-  let r = Driver.scan_sources ~sources () in
+  let r = scan_sources ~sources () in
   Alcotest.(check (list string)) "no parse errors" [] (List.map fst r.Driver.parse_errors);
   Alcotest.(check (list string))
     "pre-fix tree: S001 on the counter, S002 on the task-reachable writer"
@@ -201,6 +255,27 @@ let test_s001_catches_prefix_hashtbl_ext () =
       r.Driver.diagnostics
   in
   Alcotest.(check int) "flagged at the counter's definition line" 1 s001.Diagnostic.line
+
+(* A function-local [hits] is not the module's [hits]: bumping it
+   inside an engine task writes no global, so the global is S001 but
+   there is no S002. *)
+let test_local_shadows_global () =
+  let sources =
+    [
+      ( "lib/sim/counter.ml",
+        "let hits = ref 0\n\
+         let total () = !hits\n\
+         let start e =\n\
+        \  Engine.every e ~period:1.0 (fun () ->\n\
+        \      let hits = ref 0 in\n\
+        \      incr hits;\n\
+        \      !hits > 0)\n" );
+    ]
+  in
+  let r = scan_sources ~sources () in
+  Alcotest.(check (list string)) "no parse errors" [] (List.map fst r.Driver.parse_errors);
+  Alcotest.(check (list string)) "S001 on the global, no S002" [ "S001" ]
+    (rules_hit "lib/sim/counter.ml" r)
 
 (* --- allowlist -------------------------------------------------------- *)
 
@@ -233,7 +308,7 @@ let test_allowlist_suppresses () =
   in
   let allow, allow_errors = Allowlist.of_string allow_text in
   Alcotest.(check int) "one malformed line" 1 (List.length allow_errors);
-  let r = Driver.scan ~allow ~root:fixture_root ~dirs:[ "lib" ] () in
+  let r = scan ~allow () in
   Alcotest.(check int) "all findings suppressed" 0 (List.length (Driver.unsuppressed r));
   Alcotest.(check int)
     "stale: the deliberate entry plus every vanished E001"
@@ -249,7 +324,7 @@ let test_allowlist_suppresses () =
 let test_wildcard_line () =
   let allow, errs = Allowlist.of_string "D003:lib/smr/bad_protocol.ml:* # whole file" in
   Alcotest.(check (list string)) "parses" [] errs;
-  let r = Driver.scan ~allow ~root:fixture_root ~dirs:[ "lib" ] () in
+  let r = scan ~allow () in
   Alcotest.(check (list string)) "only W001 left open in protocol fixture" [ "W001" ]
     (List.sort_uniq String.compare
        (List.filter_map
@@ -272,7 +347,7 @@ let test_duplicate_entries_are_errors () =
     (match errs with
     | [ e ] -> contains ~sub:"lint.allow:3" e && contains ~sub:"first at line 1" e
     | _ -> false);
-  let r = Driver.scan ~allow:entries ~allow_errors:errs ~root:fixture_root ~dirs:[ "lib" ] () in
+  let r = scan ~allow:entries ~allow_errors:errs () in
   Alcotest.(check bool) "duplicates fail the gate" false (Driver.ok r)
 
 let test_strict_allow_promotes_stale () =
@@ -283,11 +358,11 @@ let test_strict_allow_promotes_stale () =
   (* Suppress nothing real: every fixture finding stays open, so use a
      tree slice with no findings to isolate the stale behaviour. *)
   let sources = [ ("lib/apps/clean.ml", "let id x = x\n") ] in
-  let lenient = Driver.scan_sources ~allow ~sources () in
+  let lenient = scan_sources ~allow ~sources () in
   Alcotest.(check int) "entry is stale" 1 (List.length lenient.Driver.stale_allows);
   Alcotest.(check bool) "lenient: stale alone keeps the gate green" true
     (Driver.ok lenient);
-  let strict = Driver.scan_sources ~allow ~strict_allow:true ~sources () in
+  let strict = scan_sources ~allow ~strict_allow:true ~sources () in
   Alcotest.(check bool) "strict: stale fails the gate" false (Driver.ok strict)
 
 (* --- artifacts -------------------------------------------------------- *)
@@ -367,7 +442,7 @@ let test_sort_launders_traversal () =
      traversal is fine exactly when a sort consumes it in the same
      expression. *)
   let check src expected_rules =
-    match Engine.check_source ~file:"lib/apps/inline.ml" src with
+    match check_source ~file:"lib/apps/inline.ml" src with
     | Error e -> Alcotest.failf "parse error: %s" e
     | Ok ds ->
       Alcotest.(check (list string))
@@ -383,7 +458,7 @@ let test_sort_launders_traversal () =
    protocol core, and no layer above them. *)
 let test_d003_dirs () =
   let rules file =
-    match Engine.check_source ~file "let ks l = List.sort compare l" with
+    match check_source ~file "let ks l = List.sort compare l" with
     | Error e -> Alcotest.failf "parse error: %s" e
     | Ok ds -> List.sort_uniq String.compare (List.map (fun d -> d.Diagnostic.rule) ds)
   in
@@ -395,6 +470,32 @@ let test_d003_dirs () =
       ("lib/crypto/inline.ml", [ "D003" ]);
       ("lib/core/inline.ml", [ "D003" ]);
       ("lib/workload/inline.ml", []);
+    ]
+
+(* D003 judges the type a comparison is used at, however it is
+   spelled: [=] between two computed lists of tuples (the shape of
+   Ashare.indexes_converged) and [compare] at a type variable are
+   polymorphic; [=] at int, float or string, or against [None], is
+   not. *)
+let test_d003_on_types () =
+  let rules src =
+    match check_source ~file:"lib/core/inline.ml" src with
+    | Error e -> Alcotest.failf "type error: %s" e
+    | Ok ds -> List.map (fun d -> d.Diagnostic.rule) ds
+  in
+  List.iter
+    (fun (src, expected) -> Alcotest.(check (list string)) src expected (rules src))
+    [
+      ( "let converged a b =\n\
+        \  let xs = List.map (fun i -> (i, float_of_int i)) a in\n\
+        \  let ys = List.map (fun i -> (i, float_of_int i)) b in\n\
+        \  xs = ys\n",
+        [ "D003" ] );
+      ("let order a b = compare a b\n", [ "D003" ]);
+      ("let same (a : int) b = a = b\n", []);
+      ("let same (a : float) b = a = b\n", []);
+      ("let same (a : string) b = a = b\n", []);
+      ("let unset (a : int option) = a = None\n", []);
     ]
 
 (* M001 knows the artifact readers: dropping [Artifact.load]'s or
@@ -411,14 +512,14 @@ let test_ignored_artifact_read_flagged () =
   Alcotest.(check bool) "ignore (Artifact.load p) in the fixture is flagged" true
     (List.exists (fun d -> contains ~sub:"Artifact.load" d.Diagnostic.message) m001);
   let rules src =
-    match Engine.check_source ~file:"lib/apps/inline.ml" src with
+    match check_source ~file:"lib/apps/inline.ml" src with
     | Error e -> Alcotest.failf "parse error: %s" e
     | Ok ds -> List.map (fun d -> d.Diagnostic.rule) ds
   in
   Alcotest.(check (list string)) "read_json" [ "M001" ]
     (rules "let f p = ignore (Atum_sim.Artifact.read_json p)");
   Alcotest.(check (list string)) "a handled load is fine" []
-    (rules "let f p = match Artifact.load p with Ok a -> Some a | Error _ -> None")
+    (rules "let f p = match Atum_sim.Artifact.load p with Ok a -> Some a | Error _ -> None")
 
 (* --- I001: unused exports ---------------------------------------------- *)
 
@@ -428,7 +529,7 @@ let test_ignored_artifact_read_flagged () =
 let unused_exports ?allow ?(references = []) ?(mli = "val v : int -> int\n")
     ?(ml = "let v x = x + 1\n") users =
   let sources = ("lib/util/thing.mli", mli) :: ("lib/util/thing.ml", ml) :: users in
-  let r = Driver.scan_sources ?allow ~references ~sources () in
+  let r = scan_sources ?allow ~references ~sources () in
   Alcotest.(check (list string)) "no parse errors" [] (List.map fst r.Driver.parse_errors);
   List.filter_map
     (fun d ->
@@ -498,6 +599,7 @@ let () =
           Alcotest.test_case "good fixtures are clean" `Quick test_good_fixture_is_clean;
           Alcotest.test_case "sort launders traversal" `Quick test_sort_launders_traversal;
           Alcotest.test_case "D003 directories" `Quick test_d003_dirs;
+          Alcotest.test_case "D003 judges the type compared at" `Quick test_d003_on_types;
         ] );
       ( "effects",
         [
@@ -507,6 +609,8 @@ let () =
             test_sanctioned_wrapper_silences_callers;
           Alcotest.test_case "the last open wins" `Quick test_last_open_wins;
           Alcotest.test_case "main files stay distinct" `Quick test_main_files_stay_distinct;
+          Alcotest.test_case "local alias and open make task roots" `Quick
+            test_local_scheduler_spellings;
         ] );
       ( "domain-safety",
         [
@@ -514,6 +618,8 @@ let () =
             test_domain_safety_rules;
           Alcotest.test_case "pre-fix hashtbl_ext counter is caught" `Quick
             test_s001_catches_prefix_hashtbl_ext;
+          Alcotest.test_case "a local shadowing a global is no write" `Quick
+            test_local_shadows_global;
         ] );
       ( "unused-export",
         [

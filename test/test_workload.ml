@@ -294,18 +294,22 @@ let test_bench_json_deterministic () =
   in
   if not (Sys.file_exists exe) then
     Alcotest.fail (Printf.sprintf "bench executable missing at %s" exe);
-  let run dir =
+  (* The artifact embeds its command line, so both runs write to the
+     same out-dir; the first artifact is read before the second run. *)
+  let dir = "bench_json" in
+  let run () =
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let cmd =
       Printf.sprintf
-        "ATUM_BENCH_SCALE=quick ATUM_BENCH_JSON_CANON=1 ATUM_BENCH_JSON=%s %s fig6 \
+        "ATUM_BENCH_SCALE=quick ATUM_BENCH_JSON_CANON=1 %s fig6 --json --out-dir %s \
          > /dev/null"
-        (Filename.quote dir) (Filename.quote exe)
+        (Filename.quote exe) (Filename.quote dir)
     in
     Alcotest.(check int) ("exit status of " ^ cmd) 0 (Sys.command cmd);
     read_file (Filename.concat dir "BENCH_fig6.json")
   in
-  let a = run "bench_json_a" and b = run "bench_json_b" in
+  let a = run () in
+  let b = run () in
   Alcotest.(check bool) "artifact non-trivial" true (String.length a > 200);
   Alcotest.(check bool) "byte-identical across same-seed runs" true (String.equal a b);
   match Atum_util.Json.of_string a with
