@@ -1,9 +1,10 @@
 (* Agreement inside a vgroup: one replicated state machine per epoch,
    Dolev-Strong rounds under Sync and PBFT under Async (§3.1, §5).
    Every membership change stops the epoch's replicas, installs new
-   ones and re-proposes the agreements still pending on the vgroup —
-   the SMART-style carry-over of DESIGN.md.  What replicas execute is a
-   typed [op], encoded to the string the SMR layer signs and digests. *)
+   ones and re-proposes the agreements and broadcasts still pending on
+   the vgroup — the SMART-style carry-over of DESIGN.md.  What replicas
+   execute is a typed [op], encoded to the string the SMR layer signs
+   and digests. *)
 
 open Registry
 module Network = Atum_sim.Network
@@ -49,21 +50,24 @@ let replica_of vg nid =
     if i >= 0 then Some reps.reps.(i) else None
   | None -> None
 
-(* Replica [member] executed [op]: a control operation counts toward
-   its pending agreement, which fires once a majority of the members
-   has executed it; a broadcast is delivered at [member]. *)
+let rec find_pending payload = function
+  | [] -> None
+  | p :: rest -> if String.equal p.payload payload then Some p else find_pending payload rest
+
+(* Replica [member] executed [op]: a broadcast is delivered at
+   [member], and the member counts toward the op's pending agreement,
+   which fires once a majority of the members has executed it. *)
 let on_execute t vg member (op : Smr_intf.op) =
-  match decode_op op.payload with
-  | Some (Control { id; label = _ }) -> (
-    match List.find_opt (fun p -> p.op_id = id) vg.pending with
-    | None -> ()
-    | Some p ->
-      if count_vote p.execs member >= majority_of (size vg) then begin
-        vg.pending <- List.filter (fun q -> q.op_id <> id) vg.pending;
-        p.action ()
-      end)
+  (match decode_op op.payload with
   | Some (Bcast { bid; origin; body }) -> t.deliver_agreed member ~bid ~origin ~body
+  | Some (Control _) | None -> ());
+  match find_pending op.payload vg.pending with
   | None -> ()
+  | Some p ->
+    if count_vote p.execs member >= majority_of (size vg) then begin
+      vg.pending <- List.filter (fun q -> q != p) vg.pending;
+      p.action ()
+    end
 
 let stop_smr vg =
   let stop = function Sync_rep i -> Sync_smr.stop i | Async_rep i -> Pbft.stop i in
@@ -108,17 +112,18 @@ let install_smr t vg =
 let ensure_smr t vg =
   if Option.is_none vg.smr && size vg > 0 && not vg.retired then install_smr t vg
 
-let propose vg proposer op =
+let propose vg proposer payload =
   match replica_of vg proposer with
-  | Some (Sync_rep i) -> Sync_smr.propose i (encode_op op)
-  | Some (Async_rep i) -> Pbft.propose i (encode_op op)
+  | Some (Sync_rep i) -> Sync_smr.propose i payload
+  | Some (Async_rep i) -> Pbft.propose i payload
   | None -> ()
 
 (* Membership changed: stop the old epoch's replicas, start the new
-   ones, and re-propose every agreement still pending (the SMART-style
-   carry-over).  A re-proposal can execute synchronously (a one-member
-   PBFT group), and the action it fires can complete other pending
-   ops; those have left [vg.pending] and are skipped. *)
+   ones, and re-propose every agreement and broadcast still pending
+   (the SMART-style carry-over).  A re-proposal can execute
+   synchronously (a one-member PBFT group), and the action it fires can
+   complete other pending ops; those have left [vg.pending] and are
+   skipped. *)
 let reconfigure t vg =
   stop_smr vg;
   vg.epoch <- vg.epoch + 1;
@@ -128,9 +133,7 @@ let reconfigure t vg =
       (fun p ->
         if List.memq p vg.pending then begin
           p.execs <- tally vg.roster;
-          Option.iter
-            (fun m -> propose vg m (Control { id = p.op_id; label = p.label }))
-            (first_correct t vg)
+          Option.iter (fun m -> propose vg m p.payload) (first_correct t vg)
         end)
       vg.pending
   end;
@@ -146,17 +149,21 @@ let agree t vg ?parent label action =
       span_end t ~saga:"agree" ~vgroup:vg.vid span;
       action ()
     in
-    vg.pending <- { op_id = id; label; action; execs = tally vg.roster } :: vg.pending;
-    Option.iter (fun m -> propose vg m (Control { id; label })) (first_correct t vg)
+    let payload = encode_op (Control { id; label }) in
+    vg.pending <- { payload; action; execs = tally vg.roster } :: vg.pending;
+    Option.iter (fun m -> propose vg m payload) (first_correct t vg)
   end
 
-(* A broadcast's first phase bypasses [pending]: its origin proposes it
-   if correct, the vgroup's proposer otherwise, and nothing re-proposes
-   it across an epoch change. *)
+(* A broadcast's first phase is pending like a control op, with no
+   action: its origin proposes it if correct, the vgroup's proposer
+   otherwise, and every epoch change re-proposes it until a majority
+   of the members has executed it. *)
 let propose_bcast t vg ~origin ~bid ~body =
   ensure_smr t vg;
+  let payload = encode_op (Bcast { bid; origin; body }) in
+  vg.pending <- { payload; action = ignore; execs = tally vg.roster } :: vg.pending;
   let proposer = if is_correct (node t origin) then Some origin else first_correct t vg in
-  Option.iter (fun m -> propose vg m (Bcast { bid; origin; body })) proposer
+  Option.iter (fun m -> propose vg m payload) proposer
 
 (* An SMR message for [nid]'s replica in [vg]'s current epoch. *)
 let receive vg nid ~src m =

@@ -35,7 +35,7 @@ val stop_smr : Registry.vgroup -> unit
 
 val reconfigure : Registry.t -> Registry.vgroup -> unit
 (** Membership changed: bump the epoch, replace the replicas and
-    re-propose every pending agreement. *)
+    re-propose every pending agreement and broadcast. *)
 
 val agree : Registry.t -> Registry.vgroup -> ?parent:int -> string -> (unit -> unit) -> unit
 (** Propose a [Control] operation and keep it pending on the vgroup
@@ -44,7 +44,8 @@ val agree : Registry.t -> Registry.vgroup -> ?parent:int -> string -> (unit -> u
 val propose_bcast :
   Registry.t -> Registry.vgroup -> origin:Registry.node_id -> bid:int -> body:string -> unit
 (** Propose a broadcast's [Bcast] operation, through [origin] if it is
-    correct.  Not pending: an epoch change before it executes drops
+    correct, and keep it pending on the vgroup until a majority of the
+    members has executed it: an epoch change before then re-proposes
     it. *)
 
 val receive :

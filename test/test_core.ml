@@ -390,6 +390,37 @@ let test_agreement_survives_reconfiguration () =
         (match !fired_in with Some e -> e > epoch | None -> false))
     [ quick_sync_params; quick_async_params ]
 
+let test_broadcast_survives_reconfiguration () =
+  (* A broadcast is pending on its vgroup like an agreement: its origin
+     crashes right after proposing it, so it cannot execute in that
+     epoch, and evicting the origin changes the epoch.  The new epoch
+     re-proposes it, and every member that stays delivers it. *)
+  List.iter
+    (fun params ->
+      let t = Atum.create ~params () in
+      ignore (grow t ~target:16 ~settle:120.0);
+      Atum.run_for t 300.0;
+      let sys = Atum.system t in
+      let vid = Option.get (Atum.vgroup_of t 0) in
+      let vg = System.vgroup sys vid in
+      let epoch = vg.System.epoch in
+      let origin = List.hd (System.correct_members sys vg) in
+      let bid = System.broadcast sys ~from:origin "carried" in
+      System.crash sys origin;
+      System.evict sys ~target:origin ();
+      Atum.run_for t 600.0;
+      Alcotest.(check bool) "epoch changed" true (vg.System.epoch > epoch);
+      let stayed = List.filter (fun m -> m <> origin) (System.correct_members sys vg) in
+      Alcotest.(check bool) "members stayed" true (stayed <> []);
+      List.iter
+        (fun m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "member %d delivered" m)
+            true
+            (Atum_util.Bitset.mem (System.node sys m).System.delivered bid))
+        stayed)
+    [ quick_sync_params; quick_async_params ]
+
 let test_broadcast_storm () =
   (* Every node publishes at once; every correct node must deliver
      every message exactly once. *)
@@ -1288,6 +1319,8 @@ let () =
           Alcotest.test_case "broadcast storm" `Slow test_broadcast_storm;
           Alcotest.test_case "agreement survives reconfiguration" `Slow
             test_agreement_survives_reconfiguration;
+          Alcotest.test_case "broadcast survives reconfiguration" `Slow
+            test_broadcast_survives_reconfiguration;
         ] );
       ( "membership",
         [
