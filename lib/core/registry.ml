@@ -32,17 +32,21 @@ type tally =
   { t_roster : roster; t_ranks : Bytes.t; mutable t_outside : node_id list; mutable t_count : int }
 
 (* A control group message with a continuation carries its own
-   acceptance state: one [gm_accept] per message ([needed] destination
-   members must accept), and one row per destination member (the
-   senders it has heard until it accepts), which only that member
-   reads or writes.  The state dies with the last part in flight. *)
+   acceptance state: [needed] destination members must accept, and
+   [rows.(i)] tallies the senders that member [dst_ids.(i)] (the
+   destination roster's ascending ids) has heard until it accepts.
+   The state dies with the message. *)
 type gm_payload =
-  | Control of { label : string; row : gm_row option }
+  | Control of { label : string; accept : gm_accept option }
   | Bcast of { bid : int; origin : node_id; body : string; cycle : int }
 
-and gm_row = { gm : gm_accept; senders : tally }
-
-and gm_accept = { needed : int; k : unit -> unit; mutable accepts : int }
+and gm_accept = {
+  needed : int;
+  k : unit -> unit;
+  mutable accepts : int;
+  dst_ids : node_id array;
+  rows : tally array;
+}
 
 (* SMR traffic of either protocol family, tagged with the vgroup epoch
    whose replicas it belongs to. *)

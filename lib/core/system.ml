@@ -17,43 +17,36 @@ include Agreement
 let control_bytes label = 64 + String.length label
 
 (* A group message src -> dst: every correct member of src sends to
-   every member of dst.  Digest substitution (§5.1): only a majority of
-   the senders ship the full payload, the rest send a digest — modelled
-   in the byte accounting.  [k], if given, fires once, when a majority
-   of dst's members have individually accepted (i.e. the vgroup as an
-   entity has received the group message). *)
+   every member of dst, as one [Network.send_group] batch (one latency
+   sample, loss drawn per pair).  Digest substitution (§5.1): only a
+   majority of the senders ship the full payload, the rest send a
+   digest — modelled in the byte accounting.  [k], if given, fires
+   once, when a majority of dst's members have individually accepted
+   (i.e. the vgroup as an entity has received the group message). *)
 let group_send t ~src_vg ~dst_vg ~label ?size ?k ?on_fail () =
   match (vgroup_opt t src_vg, vgroup_opt t dst_vg) with
   | Some src, Some dst when (not src.retired) && not dst.retired ->
     (* Acceptance needs no id, but walk ids share the sequence. *)
     ignore (fresh_gm_id t : int);
-    let gm =
-      Option.map
-        (fun k -> { needed = majority_of dst.roster.size; k; accepts = 0 })
-        k
-    in
-    let senders = correct_members t src in
     let roster = src.roster in
     let full_senders = majority_of roster.size in
     let base_size = match size with Some s -> s | None -> control_bytes label in
+    let srcs =
+      List.mapi (fun i s -> (s, if i < full_senders then base_size else 32)) (correct_members t src)
+    in
     Metrics.incr t.metrics "gm.sent";
     defer t (fun () ->
-        (* One part per destination, shared by every sender; without
-           a continuation acceptance is unobservable, so no rows. *)
-        let part row = Group_part { src_vg; roster; payload = Control { label; row } } in
-        let parts =
-          match gm with
-          | Some gm ->
-            List.map (fun d -> (d, part (Some { gm; senders = tally roster }))) (members dst)
-          | None ->
-            let shared = part None in
-            List.map (fun d -> (d, shared)) (members dst)
+        (* Without a continuation acceptance is unobservable, so no rows. *)
+        let dr = dst.roster in
+        let accept =
+          Option.map
+            (fun k ->
+              let rows = Array.map (fun _ -> tally roster) dr.ids in
+              { needed = majority_of dr.size; k; accepts = 0; dst_ids = dr.ids; rows })
+            k
         in
-        List.iteri
-          (fun i s ->
-            let bytes = if i < full_senders then base_size else 32 in
-            List.iter (fun (d, p) -> Network.send ~size:bytes t.net ~src:s ~dst:d p) parts)
-          senders)
+        Network.send_group t.net ~srcs ~dsts:dr.members
+          (Group_part { src_vg; roster; payload = Control { label; accept } }))
   | _ ->
     Metrics.incr t.metrics "gm.undeliverable";
     (* The destination vanished (merged away) before we could talk to
@@ -1076,14 +1069,15 @@ let handle_wire t nid ~src wire =
       else begin
         let needed_src = majority_of roster.size in
         match payload with
-        | Control { label = _; row = None } -> ()
-        | Control { label = _; row = Some row } ->
-          (* Each member accepts once; the [needed]-th acceptance fires. *)
-          if row.senders.t_count < needed_src && count_vote row.senders src >= needed_src
+        | Control { label = _; accept = None } -> ()
+        | Control { label = _; accept = Some a } ->
+          (* Each destination member accepts once; the [needed]-th
+             acceptance fires. *)
+          let i = Atum_smr.Smr_intf.index a.dst_ids nid in
+          if i >= 0 && a.rows.(i).t_count < needed_src && count_vote a.rows.(i) src >= needed_src
           then begin
-            let gm = row.gm in
-            gm.accepts <- gm.accepts + 1;
-            if gm.accepts = gm.needed then gm.k ()
+            a.accepts <- a.accepts + 1;
+            if a.accepts = a.needed then a.k ()
           end
         | Bcast { bid; origin; body; cycle } ->
           if not (Atum_util.Bitset.mem n.delivered bid) then begin
