@@ -535,7 +535,11 @@ let join t ~joiner ~contact ?(k = fun _ -> ()) () =
                             | Some d when (not d.retired) && j.alive ->
                               agree t d ~parent:span ("add:" ^ string_of_int joiner)
                                 (fun () ->
-                                  if d.retired || not j.alive then fail ()
+                                  (* One join per node: a second saga of
+                                     [joiner] that lands after the first
+                                     fails. *)
+                                  if d.retired || (not j.alive) || Option.is_some j.vg then
+                                    fail ()
                                   else begin
                                     add_member t d joiner;
                                     Metrics.incr t.metrics "join.completed";

@@ -390,6 +390,33 @@ let test_agreement_survives_reconfiguration () =
         (match !fired_in with Some e -> e > epoch | None -> false))
     [ quick_sync_params; quick_async_params ]
 
+let test_overlapping_joins_land_once () =
+  (* A node that asks two contacts in different vgroups to join it
+     ends in exactly one vgroup: the saga that lands second fails. *)
+  let t = Atum.create ~params:quick_sync_params () in
+  ignore (grow t ~target:24 ~settle:120.0);
+  Atum.run_for t 300.0;
+  let sys = Atum.system t in
+  let c1, c2 =
+    match System.vgroup_ids sys with
+    | a :: b :: _ ->
+      (List.hd (System.members (System.vgroup sys a)), List.hd (System.members (System.vgroup sys b)))
+    | _ -> Alcotest.fail "expected two vgroups"
+  in
+  let j = System.spawn_node sys () in
+  let landed = ref 0 in
+  System.join sys ~joiner:j ~contact:c1 ~k:(fun _ -> incr landed) ();
+  System.join sys ~joiner:j ~contact:c2 ~k:(fun _ -> incr landed) ();
+  Atum.run_for t 600.0;
+  Alcotest.(check int) "one join landed" 1 !landed;
+  let holding =
+    List.filter (fun v -> List.mem j (System.members (System.vgroup sys v))) (System.vgroup_ids sys)
+  in
+  Alcotest.(check (list int)) "one membership" holding
+    (Option.to_list (System.node sys j).System.vg);
+  Alcotest.(check int) "in one vgroup" 1 (List.length holding);
+  check_ok "registry" (System.check_consistency sys)
+
 let test_broadcast_survives_reconfiguration () =
   (* A broadcast is pending on its vgroup like an agreement: its origin
      crashes right after proposing it, so it cannot execute in that
@@ -1347,6 +1374,7 @@ let () =
           Alcotest.test_case "crash eviction" `Slow test_crash_eviction;
           Alcotest.test_case "partition tolerance" `Slow test_partitioned_minority_does_not_block;
           Alcotest.test_case "crash eviction (async)" `Slow test_crash_eviction_async;
+          Alcotest.test_case "overlapping joins land once" `Slow test_overlapping_joins_land_once;
         ] );
       ( "byzantine",
         [
