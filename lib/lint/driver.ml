@@ -31,25 +31,47 @@ let ok r =
 
 (* Deterministic recursive listing of the files under [dir] (relative
    to [root]) whose name ends in one of [suffixes], skipping build and
-   VCS artifacts and the directories in [skip]. *)
+   VCS artifacts and the directories in [skip].  An entry removed while
+   it is listed (dune replaces build outputs in a build context that
+   other rules are writing) is skipped. *)
 let rec list_files ~skip ~suffixes ~root dir =
-  let abs = Filename.concat root dir in
-  if not (Sys.file_exists abs && Sys.is_directory abs) || List.mem dir skip then []
-  else begin
-    let entries = Sys.readdir abs in
+  match if List.mem dir skip then [||] else Sys.readdir (Filename.concat root dir) with
+  | exception Sys_error _ -> []
+  | entries ->
     Array.sort String.compare entries;
     Array.fold_left
       (fun acc name ->
         if String.equal name "_build" || String.equal name ".git" then acc
         else begin
           let rel = dir ^ "/" ^ name in
-          if Sys.is_directory (Filename.concat root rel) then
-            acc @ list_files ~skip ~suffixes ~root rel
-          else if List.exists (Filename.check_suffix name) suffixes then acc @ [ rel ]
-          else acc
+          match Sys.is_directory (Filename.concat root rel) with
+          | true -> acc @ list_files ~skip ~suffixes ~root rel
+          | false -> if List.exists (Filename.check_suffix name) suffixes then acc @ [ rel ] else acc
+          | exception Sys_error _ -> acc
         end)
       [] entries
-  end
+
+(* The checkout [root] belongs to: the directory above [_build] when
+   [root] is a dune build context (the [@lint] rule runs in
+   [_build/default]), else [root] itself. *)
+let checkout root =
+  let abs = if Filename.is_relative root then Filename.concat (Sys.getcwd ()) root else root in
+  let ctx =
+    if String.equal (Filename.basename abs) Filename.current_dir_name then Filename.dirname abs
+    else abs
+  in
+  let build = Filename.dirname ctx in
+  if String.equal (Filename.basename build) "_build" then Filename.dirname build else root
+
+(* [list_files] over [dirs], keeping only files whose source is in the
+   checkout: dune generates an empty interface for each executable in
+   the build context, and the lint scans the same files wherever it
+   runs. *)
+let source_files ~skip ~suffixes ~root dirs =
+  let checkout = checkout root in
+  List.filter
+    (fun f -> Sys.file_exists (Filename.concat checkout f))
+    (List.concat_map (list_files ~skip ~suffixes ~root) dirs)
 
 let message exn =
   match Location.error_of_exn exn with
@@ -154,12 +176,11 @@ let load ~root ~loaded files =
    [Config.reference_dirs] is read for uses only. *)
 let scan ?allow ?allow_errors ?strict_allow ~root ~dirs () =
   let loaded = ref [] in
-  let files = List.concat_map (list_files ~skip:[] ~suffixes:[ ".ml"; ".mli" ] ~root) dirs in
+  let files = source_files ~skip:[] ~suffixes:[ ".ml"; ".mli" ] ~root dirs in
   let references =
     List.filter
       (fun f -> not (List.mem f files))
-      (List.concat_map
-         (list_files ~skip:Config.reference_excluded ~suffixes:[ ".ml" ] ~root)
+      (source_files ~skip:Config.reference_excluded ~suffixes:[ ".ml" ] ~root
          Config.reference_dirs)
   in
   let sources, errors = load ~root ~loaded files in

@@ -372,6 +372,30 @@ let tmp_dir name =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   dir
 
+(* A dune build context holds an empty interface for each executable.
+   The lint lists only files whose source is in the checkout, so it
+   scans the same files from the checkout and from inside _build. *)
+let test_generated_interfaces_skipped () =
+  let checkout = tmp_dir "atum_lint_checkout_test" in
+  let ctx = Filename.concat checkout "_build/default" in
+  List.iter
+    (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+    [ Filename.concat checkout "bin"; Filename.concat checkout "_build"; ctx;
+      Filename.concat ctx "bin" ];
+  let write path = Out_channel.with_open_bin path (fun oc -> output_string oc "") in
+  List.iter
+    (fun f ->
+      write (Filename.concat checkout f);
+      write (Filename.concat ctx f))
+    [ "bin/main.ml"; "bin/lib.ml"; "bin/lib.mli" ];
+  write (Filename.concat ctx "bin/main.mli");
+  let list root = Driver.source_files ~skip:[] ~suffixes:[ ".ml"; ".mli" ] ~root [ "bin" ] in
+  let expected = [ "bin/lib.ml"; "bin/lib.mli"; "bin/main.ml" ] in
+  Alcotest.(check (list string)) "from the checkout" expected (list checkout);
+  Alcotest.(check (list string)) "from the build context" expected (list ctx);
+  Alcotest.(check (list string)) "from the build context as ." expected
+    (list (Filename.concat ctx Filename.current_dir_name))
+
 let test_json_artifact () =
   let r = scan () in
   let dir = tmp_dir "atum_lint_json_test" in
@@ -639,6 +663,11 @@ let () =
             test_duplicate_entries_are_errors;
           Alcotest.test_case "strict-allow promotes stale to failure" `Quick
             test_strict_allow_promotes_stale;
+        ] );
+      ( "files",
+        [
+          Alcotest.test_case "generated interfaces are skipped" `Quick
+            test_generated_interfaces_skipped;
         ] );
       ( "json",
         [
