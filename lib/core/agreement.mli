@@ -27,8 +27,8 @@ val ensure_smr : Registry.t -> Registry.vgroup -> unit
 
 val on_execute :
   Registry.t -> Registry.vgroup -> Registry.node_id -> Atum_smr.Smr_intf.op -> unit
-(** A member's replica executed an operation: count the member once
-    toward its pending agreement, or deliver the broadcast at it. *)
+(** A member's replica executed an operation: deliver a broadcast at
+    it, and count the member once toward the op's pending agreement. *)
 
 val stop_smr : Registry.vgroup -> unit
 (** Stop the vgroup's replicas and drop them. *)

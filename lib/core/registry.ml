@@ -66,11 +66,11 @@ type replica = Sync_rep of Atum_smr.Sync_smr.t | Async_rep of Atum_smr.Pbft.t
    [reps.(i)] the replica of [ids.(i)]. *)
 type replicas = { ids : node_id array; reps : replica array }
 
-(* An agreement in flight on its vgroup: the encoded op [payload] is
-   re-proposed into every new epoch until a majority of the members has
-   executed it, which fires [action] once and removes the op from the
-   vgroup's [pending] list.  The payload is the op's key: it carries a
-   control op's unique id or a broadcast's bid. *)
+(* An agreement or broadcast in flight on its vgroup: the encoded op
+   [payload] is re-proposed into every new epoch until a majority of
+   the members has executed it, which fires [action] once and removes
+   the op from the vgroup's [pending] list.  The payload is the op's
+   key: it carries a control op's unique id or a broadcast's bid. *)
 type pending_op = {
   payload : string;
   action : unit -> unit;

@@ -67,7 +67,8 @@ type replicas
     without a list walk. *)
 
 type pending_op
-(** An agreement proposed on a vgroup that has not fired yet. *)
+(** An agreement or broadcast proposed on a vgroup that a majority of
+    its members has not executed yet. *)
 
 type roster
 (** A vgroup's membership between two writes, with ranks by id. *)
@@ -78,7 +79,8 @@ type vgroup = {
   mutable epoch : int;  (** bumped on every reconfiguration *)
   mutable smr : replicas option;
       (** the current epoch's replicas; [None] until installed *)
-  mutable pending : pending_op list;  (** agreements in flight, newest first *)
+  mutable pending : pending_op list;
+      (** agreements and broadcasts in flight, newest first *)
   mutable busy : bool;  (** held by a shuffle / split / merge *)
   mutable shuffle_pending : bool;
   mutable retired : bool;  (** merged away or emptied *)
@@ -316,9 +318,11 @@ val group_send :
   unit ->
   unit
 (** Control group message [src_vg -> dst_vg] (§5.1): every correct
-    member of the source sends to every member of the destination.  A
+    member of the source sends to every member of the destination, as
+    one {!Atum_sim.Network.send_group} batch (one latency sample).  A
     destination member accepts once a majority of the source has sent
-    to it; [k] fires once, when a majority of the destination has
+    to it; a node outside the destination's roster ignores the
+    message.  [k] fires once, when a majority of the destination has
     accepted.  [on_fail] runs instead when either vgroup is gone. *)
 
 val agree : t -> vgroup -> ?parent:int -> string -> (unit -> unit) -> unit
@@ -328,8 +332,8 @@ val agree : t -> vgroup -> ?parent:int -> string -> (unit -> unit) -> unit
 
 val on_execute : t -> vgroup -> node_id -> Atum_smr.Smr_intf.op -> unit
 (** What the vgroup does when a member's replica executes an
-    operation: count the member once toward its pending agreement, or
-    deliver a broadcast at it.  Exposed so tests can drive it without
+    operation: deliver a broadcast at it, and count the member once
+    toward the op's pending agreement.  Exposed so tests can drive it without
     a replica. *)
 
 (* --- introspection --------------------------------------------------- *)
