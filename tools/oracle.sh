@@ -5,10 +5,11 @@
 #
 # Builds this checkout and writes the canonical artifact set into
 # OUT_DIR: the chaos runs (plain, --restart, --corrupt-log) with their
-# stdout, the broadcast runs under -p sync, -p async and
-# -p async --byzantine 2, a churn run, `analyze --json` and
-# `export-trace` of the traced artifacts, and the canonical quick
-# `bench scale`.  Every command runs in a scratch directory with
+# stdout, plus plain chaos at seed 11, the broadcast runs under -p sync,
+# -p async and -p async --byzantine 2, a churn run, `analyze --json`
+# and `export-trace` of the traced artifacts, and the canonical quick
+# `bench scale`, fig6 (growth splits), fig7 (churn merges) and fig13
+# (shuffle suppression), so every saga kind runs.  Every command runs in a scratch directory with
 # relative --out-dir names, so the embedded command lines do not depend
 # on OUT_DIR, and `build_info.git` is blanked.  A refactor proves
 # itself with
@@ -40,6 +41,8 @@ for mode in plain restart corrupt-log; do
   mkdir -p "chaos_$mode"
   "$cli" chaos -n 60 --seed 7 $flag --json --out-dir "chaos_$mode" > "chaos_$mode/stdout.txt"
 done
+mkdir -p chaos_seed11
+"$cli" chaos -n 60 --seed 11 --json --out-dir chaos_seed11 > chaos_seed11/stdout.txt
 "$cli" analyze chaos_plain/ATUM_resilience.json --json --out-dir chaos_plain > /dev/null
 "$cli" export-trace chaos_plain/ATUM_resilience.json --out-dir chaos_plain > /dev/null
 
@@ -55,6 +58,9 @@ done
 "$cli" churn --json --out-dir churn > /dev/null
 
 ATUM_BENCH_SCALE=quick ATUM_BENCH_JSON_CANON=1 "$bench" scale --json --out-dir scale > /dev/null
+for fig in fig6 fig7 fig13; do
+  ATUM_BENCH_SCALE=quick ATUM_BENCH_JSON_CANON=1 "$bench" "$fig" --json --out-dir "$fig" > /dev/null
+done
 
 # Blank the one field that names the checkout rather than the run.
 find . -type f | sort | while read -r f; do
