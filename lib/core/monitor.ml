@@ -84,12 +84,12 @@ let check_vgroup t ~transient vid =
     else begin
       let size = System.size vg in
       (* The size envelope is only meaningful for a quiescent vgroup:
-         at audit time [check_size] has not run yet, and a busy or
-         shuffle-pending vgroup is already being corrected (splits and
+         at audit time [check_size] has not run yet, and a vgroup a
+         saga holds or has queued a shuffle on is already being
+         corrected (splits and
          merges re-check the size synchronously when they finish, so a
          healthy out-of-envelope vgroup is never idle). *)
-      if (not transient) && (not vg.System.busy) && not vg.System.shuffle_pending
-      then begin
+      if (not transient) && System.idle t.sys vg then begin
         if size > t.cfg.s_hi then
           violate t "vg_oversize" ~vgroup:vid
             (Printf.sprintf "vgroup %d has %d members (max %d)" vid size t.cfg.s_hi);

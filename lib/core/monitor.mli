@@ -32,8 +32,8 @@ type config = {
 
 val default_config : Params.t -> config
 (** period 5s, size envelope [\[1, 2*gmax\]], no fail-fast.  The
-    envelope is enforced only for quiescent vgroups — one with a saga
-    running ([busy]) or queued ([shuffle_pending]) is already being
+    envelope is enforced only for quiescent vgroups ({!System.idle}) —
+    one that a saga holds or has queued a shuffle on is already being
     corrected, and splits/merges re-check the size synchronously when
     they finish. *)
 

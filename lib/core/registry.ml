@@ -106,7 +106,6 @@ type node = {
   mutable byzantine : bool;
   mutable strategy : byz_strategy;
   mutable alive : bool;
-  mutable exchanging : bool; (* engaged in a shuffle exchange right now *)
   delivered : Atum_util.Bitset.t; (* broadcast ids this node delivered *)
 }
 
@@ -118,10 +117,8 @@ type vgroup = {
      vgroups install lazily). *)
   mutable smr : replicas option;
   mutable pending : pending_op list; (* newest first *)
-  mutable busy : bool; (* a shuffle / split / merge holds the vgroup *)
-  mutable shuffle_pending : bool;
+  mutable busy : bool; (* a saga holds the vgroup; written only by the saga table *)
   mutable retired : bool;
-  mutable saga_gen : int; (* increments when a saga takes the vgroup *)
   (* Cached gossip view: the neighbor list annotated with the cycles
      linking to it, sorted by neighbor id — recomputed only when the
      overlay generation moves (one sort per topology change, not one
@@ -133,6 +130,38 @@ type vgroup = {
      is rebuilt or the forward policy replaced, which reset [fwd_bid]. *)
   mutable fwd_bid : int;
   mutable fwd_targets : (vg_id * int) list;
+}
+
+(* Sagas (§3.3) as data: each join, leave, eviction, split, merge,
+   shuffle and shuffle exchange in flight is one record in the saga
+   table, and its continuations are closures over the record.  A saga
+   is Proposing until it holds what it changes, Holding until its
+   agreements have executed and Committed while it carries the change
+   out.  A stalled saga stays in the table. *)
+type saga_kind = Join | Leave | Evict | Split | Merge | Shuffle | Exchange
+type saga_phase = Proposing | Holding | Committed
+type saga_wait = Agreements of int | Walks of int | Message
+
+type saga = {
+  id : int; (* its key in the table *)
+  kind : saga_kind;
+  mutable span : int; (* -1 until begun; an exchange nests in its shuffle's *)
+  mutable phase : saga_phase;
+  mutable vgroups : vg_id list; (* taken; finishing releases them all *)
+  mutable nodes : node_id list; (* held: an exchange's two *)
+  mutable waits : saga_wait;
+  mutable deadline : float; (* when its holds time out or its departure is re-issued *)
+}
+
+(* The sagas in flight by id, the saga holding each busy vgroup, the
+   exchange holding each engaged node, and the vgroups a shuffle is
+   queued on until they are free. *)
+type saga_table = {
+  mutable next_saga : int;
+  live : (int, saga) Hashtbl.t;
+  held : (vg_id, saga) Hashtbl.t;
+  engaged : (node_id, saga) Hashtbl.t;
+  queued : (vg_id, unit) Hashtbl.t;
 }
 
 (* Acceptance scratch is keyed by (node, id) int pairs, packed into one
@@ -265,6 +294,7 @@ type t = {
   mutable next_op : int;
   bcasts : (int, bcast_meta) Hashtbl.t;
   mutable next_span : int;
+  sagas : saga_table;
   mutable on_deliver : node_id -> bid:int -> origin:node_id -> string -> unit;
   (* Hands a broadcast that a member's replica executed to the gossip
      layer; [System.create] points it at [node_deliver]. *)
@@ -354,6 +384,9 @@ let create ?(net_config : Network.config option) ?trace_capacity (params : Param
     next_op = 0;
     bcasts = Hashtbl.create 64;
     next_span = 0;
+    sagas =
+      { next_saga = 0; live = Hashtbl.create 64; held = Hashtbl.create 16;
+        engaged = Hashtbl.create 16; queued = Hashtbl.create 16 };
     on_deliver = (fun _ ~bid:_ ~origin:_ _ -> ());
     deliver_agreed = (fun _ ~bid:_ ~origin:_ ~body:_ -> ());
     on_audit = None;
@@ -581,7 +614,7 @@ let retire_vgroup t vg =
     mark_dirty t vg.vid
   end
 
-let add_vgroup t ~members ~busy =
+let add_vgroup t ~members =
   let vid =
     Atum_util.Arena.alloc_with t.vgroups (fun vid ->
         {
@@ -590,10 +623,8 @@ let add_vgroup t ~members ~busy =
           epoch = 0;
           smr = None;
           pending = [];
-          busy;
-          shuffle_pending = false;
+          busy = false;
           retired = false;
-          saga_gen = 0;
           nbrs_gen = -1;
           nbrs = [];
           fwd_bid = -1;
@@ -604,6 +635,69 @@ let add_vgroup t ~members ~busy =
   let vg = vgroup t vid in
   set_members t vg members;
   vg
+
+(* ------------------------------------------------------------------ *)
+(* The saga table: the only writer of [vgroup.busy]                    *)
+(* ------------------------------------------------------------------ *)
+
+let saga_name = function
+  | Join -> "join" | Leave -> "leave" | Evict -> "evict" | Split -> "split" | Merge -> "merge"
+  | Shuffle -> "shuffle" | Exchange -> "exchange"
+
+let enter t kind waits =
+  let s =
+    { id = t.sagas.next_saga; kind; span = -1; phase = Proposing; vgroups = []; nodes = [];
+      waits; deadline = infinity }
+  in
+  t.sagas.next_saga <- s.id + 1;
+  Hashtbl.replace t.sagas.live s.id s;
+  s
+
+(* One awaited agreement or walk is back; whether it was the last. *)
+let arrived s =
+  match s.waits with
+  | Agreements n -> s.waits <- Agreements (n - 1); n = 1
+  | Walks n -> s.waits <- Walks (n - 1); n = 1
+  | Message -> true
+
+(* The one schedule site of saga timers: a hold's timeout and a
+   departure's re-issue, which are the saga's deadline, a merge's retry
+   and a walk's restart. *)
+let after t ?saga ~label ~delay f =
+  Option.iter (fun s -> s.deadline <- now t +. delay) saga;
+  Engine.schedule ~label t.engine ~delay f
+
+let take t s vg =
+  vg.busy <- true;
+  Hashtbl.replace t.sagas.held vg.vid s;
+  s.vgroups <- s.vgroups @ [ vg.vid ];
+  s.phase <- Holding
+
+let release t vid =
+  Hashtbl.remove t.sagas.held vid;
+  (vgroup t vid).busy <- false
+
+(* The saga leaves the table, releases every vgroup it took (also one
+   its timeout released and a later saga took since) and every node it
+   holds, and ends its span. *)
+let finish t s ?node ?vgroup () =
+  Hashtbl.remove t.sagas.live s.id;
+  List.iter (release t) s.vgroups;
+  List.iter (Hashtbl.remove t.sagas.engaged) s.nodes;
+  if s.span >= 0 then span_end t ~saga:(saga_name s.kind) ?node ?vgroup s.span
+
+(* Whether a shuffle was queued on [vg]; it no longer is. *)
+let dequeue t vg =
+  let queued = Hashtbl.mem t.sagas.queued vg.vid in
+  Hashtbl.remove t.sagas.queued vg.vid;
+  queued
+
+let engaged t nid = Hashtbl.mem t.sagas.engaged nid
+
+let idle t vg = (not vg.busy) && not (Hashtbl.mem t.sagas.queued vg.vid)
+
+let sagas t =
+  List.sort (fun a b -> Int.compare a.id b.id) (Hashtbl.fold (fun _ s acc -> s :: acc) t.sagas.live [])
 
 (* In ascending id order (the arena walks slots in index order):
    callers feed this list to seeded Rng picks (Builder, Churn), so

@@ -94,29 +94,20 @@ let start_walk ?parent t ~from_vg ~k =
   let span = span_begin t ~saga:"walk" ~vgroup:from_vg ?parent () in
   let rec forward v path certs = function
     | [] -> terminate v path certs
+    | _ :: _ when not (Hgraph.mem t.hgraph v) -> lost ()
     | c :: rest ->
-      if not (Hgraph.mem t.hgraph v) then begin
-        Metrics.incr t.metrics "walk.lost";
-        restart ()
-      end
-      else begin
-        let links = Hgraph.neighbors t.hgraph v in
-        let _, next = List.nth links (Random_walk.choice_index ~degree:(List.length links) c) in
-        let certs =
-          if t.params.protocol = Params.Async then
-            match certificate t ~walk_id ~hop:(List.length path) ~from_vg:v ~next with
-            | Some cert -> cert :: certs
-            | None -> certs
-          else certs
-        in
-        group_send t ~src_vg:v ~dst_vg:next ~label:"walk-step"
-          ~size:(96 + (8 * List.length rest))
-          ~k:(fun () -> forward next (v :: path) certs rest)
-          ~on_fail:(fun () ->
-            Metrics.incr t.metrics "walk.lost";
-            restart ())
-          ()
-      end
+      let links = Hgraph.neighbors t.hgraph v in
+      let _, next = List.nth links (Random_walk.choice_index ~degree:(List.length links) c) in
+      let certs =
+        if t.params.protocol = Params.Async then
+          match certificate t ~walk_id ~hop:(List.length path) ~from_vg:v ~next with
+          | Some cert -> cert :: certs
+          | None -> certs
+        else certs
+      in
+      group_send t ~src_vg:v ~dst_vg:next ~label:"walk-step" ~size:(96 + (8 * List.length rest))
+        ~k:(fun () -> forward next (v :: path) certs rest)
+        ~on_fail:lost ()
   and terminate v path certs =
     match t.params.protocol with
     | Params.Async ->
@@ -125,50 +116,41 @@ let start_walk ?parent t ~from_vg ~k =
       group_send t ~src_vg:v ~dst_vg:from_vg ~label:"walk-cert"
         ~size:(64 + (80 * List.length certs))
         ~k:(fun () ->
-          if verify_certificates t certs then finish v
+          if verify_certificates t certs then selected v
           else begin
             Metrics.incr t.metrics "walk.cert_rejected";
             restart ()
           end)
-        ~on_fail:(fun () ->
-          Metrics.incr t.metrics "walk.lost";
-          restart ())
-        ()
+        ~on_fail:lost ()
     | Params.Sync ->
-      ignore certs;
       (* Backward phase: retrace the forwarding path, so the origin
-         learns the selected vgroup and they can talk directly. *)
-      let final = v in
-      let rec back_from v path =
-        match path with
-        | [] -> finish final
+         learns the selected vgroup and they can talk directly.  A
+         relay that vanished on the way back loses the walk. *)
+      let rec back_from v' = function
+        | [] -> selected v
         | prev :: rest ->
-          group_send t ~src_vg:v ~dst_vg:prev ~label:"walk-back"
+          group_send t ~src_vg:v' ~dst_vg:prev ~label:"walk-back"
             ~k:(fun () -> back_from prev rest)
-            ~on_fail:(fun () ->
-              (* a relay on the return path vanished: the origin would
-                 time out and re-issue the walk *)
-              Metrics.incr t.metrics "walk.lost";
-              restart ())
-            ()
+            ~on_fail:lost ()
       in
       back_from v path
-  and finish v =
+  and selected v =
     match vgroup_opt t v with
     | Some dst when not dst.retired ->
       Metrics.incr t.metrics "walk.completed";
       trace_emit t ~kind:"walk.completed" ~vgroup:v ();
       span_end t ~saga:"walk" ~vgroup:v span;
       k v
-    | _ ->
-      Metrics.incr t.metrics "walk.lost";
-      restart ()
+    | _ -> lost ()
+  and lost () =
+    Metrics.incr t.metrics "walk.lost";
+    restart ()
   and restart () =
     (* The walk stepped onto a vgroup that was merged away mid-walk;
        start over from the origin, unless the origin itself is gone. *)
     match vgroup_opt t from_vg with
     | Some src when not src.retired ->
-      Engine.schedule ~label:"walk.restart" t.engine ~delay:0.01 (fun () ->
+      after t ~label:"walk.restart" ~delay:0.01 (fun () ->
           let choices = Random_walk.bulk_choices t.rng ~length:t.params.rwl in
           forward from_vg [] [] choices)
     | _ ->
@@ -258,60 +240,62 @@ and ensure_on_all_cycles t vg =
     done
   end
 
+(* A saga enters the table, takes [holds] and begins its span. *)
+and start t kind ?(holds = []) ?node ?vgroup waits =
+  let s = enter t kind waits in
+  List.iter (hold t s) holds;
+  s.span <- span_begin t ~saga:(saga_name kind) ?node ?vgroup ();
+  s
+
+(* Saga [s] takes [vg] until it finishes or the hold times out. *)
+and hold t s vg =
+  take t s vg;
+  let timeout = Float.max 90.0 (float_of_int (6 * t.params.rwl) *. t.params.round_duration) in
+  after t ~saga:s ~label:"saga.watchdog" ~delay:timeout (fun () -> expire t s vg)
+
 (* A saga can stall when a participant vgroup vanishes mid-protocol (a
    group message becomes undeliverable, an agreement's vgroup retires).
    Real deployments recover with timeouts; so do we: if the vgroup is
-   still held by the same saga after the deadline, release it, repair
-   any half-done overlay insertion, and re-run the size check so
-   splits/merges are never blocked forever. *)
-and arm_saga_watchdog t vg =
-  vg.saga_gen <- vg.saga_gen + 1;
-  let gen = vg.saga_gen in
-  let timeout =
-    Float.max 90.0 (float_of_int (6 * t.params.rwl) *. t.params.round_duration)
-  in
-  Engine.schedule ~label:"saga.watchdog" t.engine ~delay:timeout (fun () ->
-      if (not vg.retired) && vg.busy && vg.saga_gen = gen then begin
-        Metrics.incr t.metrics "saga.timeout";
-        ensure_on_all_cycles t vg;
-        vg.busy <- false;
-        let rerun = vg.shuffle_pending in
-        vg.shuffle_pending <- false;
-        if rerun then shuffle t vg else check_size t vg
-      end)
+   still held by the same saga at the deadline, release it, repair any
+   half-done overlay insertion, and run the queued shuffle or the size
+   check, so splits and merges are never blocked forever. *)
+and expire t s vg =
+  match Hashtbl.find_opt t.sagas.held vg.vid with
+  | Some h when h == s && not vg.retired ->
+    Metrics.incr t.metrics "saga.timeout";
+    ensure_on_all_cycles t vg;
+    release t vg.vid;
+    if dequeue t vg then shuffle t vg else check_size t vg
+  | _ -> ()
 
 (* Split (§3.3.2): the members are divided into two random halves; the
    new vgroup is spliced into every H-graph cycle at a position chosen
    by a random walk. *)
 and split t vg =
   if (not vg.retired) && not vg.busy then begin
-    vg.busy <- true;
-    arm_saga_watchdog t vg;
-    let span = span_begin t ~saga:"split" ~vgroup:vg.vid () in
-    agree t vg ~parent:span "split" (fun () ->
-        if vg.retired then begin
-          vg.busy <- false;
-          span_end t ~saga:"split" ~vgroup:vg.vid span
-        end
+    let s = start t Split ~holds:[ vg ] ~vgroup:vg.vid (Agreements 1) in
+    agree t vg ~parent:s.span "split" (fun () ->
+        if vg.retired then finish t s ~vgroup:vg.vid ()
         else begin
           Metrics.incr t.metrics "vgroup.split";
           trace_emit t ~kind:"vgroup.split" ~vgroup:vg.vid ();
           let keep, depart = Grouping.split_halves t.rng (members vg) in
-          let e = add_vgroup t ~members:depart ~busy:true in
+          let e = add_vgroup t ~members:depart in
           let evid = e.vid in
-          arm_saga_watchdog t e;
+          hold t s e;
+          s.phase <- Committed;
+          s.waits <- Walks t.params.hc;
           set_members t vg keep;
           List.iter (fun m -> set_node_vg t (node t m) (Some evid)) depart;
           reconfigure t vg;
           reconfigure t e;
           (* One walk per cycle decides where E lands on that cycle. *)
-          let remaining = ref t.params.hc in
           for cycle = 0 to t.params.hc - 1 do
-            start_walk t ~parent:span ~from_vg:vg.vid ~k:(fun w ->
+            start_walk t ~parent:s.span ~from_vg:vg.vid ~k:(fun w ->
                 (* The walk can come back late (restarted across a
-                   partition) after the saga watchdog already repaired
-                   the insertion, and its anchor can have left the
-                   cycle mid-flight — so only insert when E is still
+                   partition) after the hold timed out and the
+                   insertion was repaired, and its anchor can have left
+                   the cycle mid-flight — so only insert when E is still
                    missing from this cycle and the anchor is on it,
                    falling back to the splitting vgroup, then to the
                    repair pass. *)
@@ -320,13 +304,10 @@ and split t vg =
                    let anchor = if w <> evid && on_cycle w then w else vg.vid in
                    if on_cycle anchor then
                      Hgraph.insert_after t.hgraph ~cycle ~after:anchor evid);
-                decr remaining;
-                if !remaining = 0 then begin
+                if arrived s then begin
                   ensure_on_all_cycles t e;
                   notify_neighbors t e;
-                  e.busy <- false;
-                  vg.busy <- false;
-                  span_end t ~saga:"split" ~vgroup:vg.vid span;
+                  finish t s ~vgroup:vg.vid ();
                   check_size t vg;
                   check_size t e
                 end)
@@ -352,24 +333,18 @@ and merge t vg ~attempts =
     match candidates with
     | [] ->
       if attempts > 0 then
-        Engine.schedule ~label:"merge.retry" t.engine ~delay:(2.0 *. t.params.round_duration) (fun () ->
+        after t ~label:"merge.retry" ~delay:(2.0 *. t.params.round_duration) (fun () ->
             merge t vg ~attempts:(attempts - 1))
       else Metrics.incr t.metrics "merge.abandoned"
     | _ ->
       let mvid = Rng.pick t.rng candidates in
       let m = vgroup t mvid in
-      vg.busy <- true;
-      m.busy <- true;
-      arm_saga_watchdog t vg;
-      arm_saga_watchdog t m;
-      let span = span_begin t ~saga:"merge" ~vgroup:vg.vid () in
-      agree t vg ~parent:span "merge-out" (fun () ->
-          agree t m ~parent:span "merge-in" (fun () ->
-              if vg.retired || m.retired then begin
-                vg.busy <- false;
-                m.busy <- false;
-                span_end t ~saga:"merge" ~vgroup:vg.vid span
-              end
+      let s = start t Merge ~holds:[ vg; m ] ~vgroup:vg.vid (Agreements 2) in
+      agree t vg ~parent:s.span "merge-out" (fun () ->
+          ignore (arrived s : bool);
+          agree t m ~parent:s.span "merge-in" (fun () ->
+              ignore (arrived s : bool);
+              if vg.retired || m.retired then finish t s ~vgroup:vg.vid ()
               else begin
                 Metrics.incr t.metrics "vgroup.merge";
                 trace_emit t ~kind:"vgroup.merge" ~vgroup:mvid ();
@@ -383,9 +358,7 @@ and merge t vg ~attempts =
                 List.iter (fun x -> seed_last_seen t m x) moving;
                 reconfigure t m;
                 notify_neighbors t m;
-                vg.busy <- false;
-                m.busy <- false;
-                span_end t ~saga:"merge" ~vgroup:mvid span;
+                finish t s ~vgroup:mvid ();
                 (* Deferred shuffle of the merged vgroup (§3.3.3). *)
                 shuffle t m
               end))
@@ -398,96 +371,83 @@ and merge t vg ~attempts =
 (* Refresh a vgroup's composition: for every member, a random walk
    picks an exchange partner vgroup; the member and a random node of
    the partner swap places.  An exchange whose partner vgroup is
-   already engaged is suppressed — exactly what Fig 13 measures. *)
+   already engaged is suppressed — exactly what Fig 13 measures.  A
+   shuffle asked for while the vgroup is held is queued; the next
+   shuffle or hold timeout of that vgroup runs it. *)
 and shuffle t vg =
   if vg.retired || not t.shuffling_enabled then (if not vg.retired then check_size t vg)
-  else if vg.busy then vg.shuffle_pending <- true
+  else if vg.busy then Hashtbl.replace t.sagas.queued vg.vid ()
   else begin
-    vg.busy <- true;
-    arm_saga_watchdog t vg;
+    let s = start t Shuffle ~holds:[ vg ] ~vgroup:vg.vid (Walks (size vg)) in
     Metrics.incr t.metrics "shuffle.started";
-    let span = span_begin t ~saga:"shuffle" ~vgroup:vg.vid () in
     let members0 = members vg in
-    let remaining = ref (size vg) in
     let finish_one () =
-      decr remaining;
-      if !remaining = 0 then begin
-        vg.busy <- false;
+      if arrived s then begin
         Metrics.incr t.metrics "shuffle.completed";
-        span_end t ~saga:"shuffle" ~vgroup:vg.vid span;
-        let rerun = vg.shuffle_pending in
-        vg.shuffle_pending <- false;
-        if rerun then shuffle t vg else check_size t vg
+        finish t s ~vgroup:vg.vid ();
+        if dequeue t vg then shuffle t vg else check_size t vg
       end
     in
     if members0 = [] then begin
-      vg.busy <- false;
-      span_end t ~saga:"shuffle" ~vgroup:vg.vid span;
+      finish t s ~vgroup:vg.vid ();
       check_size t vg
     end
     else
       List.iter
         (fun m ->
-          start_walk t ~parent:span ~from_vg:vg.vid ~k:(fun pvid ->
+          start_walk t ~parent:s.span ~from_vg:vg.vid ~k:(fun pvid ->
               (* Suppression is per node (§3.2 / Fig 13): the exchange
                  is abandoned when the chosen partner (or the departing
                  member) is already engaged in another exchange, or the
                  partner vgroup is gone / mid-split/merge. *)
               match vgroup_opt t pvid with
               | Some p
-                when (not p.retired) && p.vid <> vg.vid
-                     && has_member vg m && size p > 0
-                     && not (node t m).exchanging ->
+                when (not p.retired) && p.vid <> vg.vid && has_member vg m && size p > 0
+                     && not (engaged t m) ->
                 let partner = Rng.pick t.rng (members p) in
-                if (node t partner).exchanging then begin
+                if engaged t partner then begin
                   Metrics.incr t.metrics "exchange.suppressed";
                   finish_one ()
                 end
                 else begin
-                  (node t m).exchanging <- true;
-                  (node t partner).exchanging <- true;
-                  let release () =
-                    (node t m).exchanging <- false;
-                    (node t partner).exchanging <- false
-                  in
                   (* The two vgroups agree concurrently (§7: multiple
                      vgroups reconfigure at once); the swap applies
-                     when both agreements have fired. *)
-                  let barrier = ref 2 in
-                  let on_agreed k = decr barrier; if !barrier = 0 then k () in
-                  let proceed () =
-                          if
-                            vg.retired || p.retired
-                            || (not (has_member vg m))
-                            || not (has_member p partner)
-                          then begin
-                            release ();
-                            Metrics.incr t.metrics "exchange.suppressed";
-                            finish_one ()
-                          end
-                          else begin
-                            (* Swap m and partner. *)
-                            set_members t vg
-                              (List.map (fun x -> if x = m then partner else x) (members vg));
-                            set_members t p
-                              (List.map (fun x -> if x = partner then m else x) (members p));
-                            set_node_vg t (node t m) (Some p.vid);
-                            set_node_vg t (node t partner) (Some vg.vid);
-                            seed_last_seen t vg partner;
-                            seed_last_seen t p m;
-                            reconfigure t vg;
-                            reconfigure t p;
-                            notify_neighbors t vg;
-                            notify_neighbors t p;
-                            release ();
-                            Metrics.incr t.metrics "exchange.completed";
-                            finish_one ()
-                          end
+                     when both agreements have executed. *)
+                  let x = enter t Exchange (Agreements 2) in
+                  x.phase <- Holding;
+                  x.nodes <- [ m; partner ];
+                  List.iter (fun n -> Hashtbl.replace t.sagas.engaged n x) x.nodes;
+                  let swap () =
+                    if not (arrived x) then ()
+                    else if
+                      vg.retired || p.retired
+                      || (not (has_member vg m))
+                      || not (has_member p partner)
+                    then begin
+                      finish t x ();
+                      Metrics.incr t.metrics "exchange.suppressed";
+                      finish_one ()
+                    end
+                    else begin
+                      set_members t vg
+                        (List.map (fun x -> if x = m then partner else x) (members vg));
+                      set_members t p
+                        (List.map (fun x -> if x = partner then m else x) (members p));
+                      set_node_vg t (node t m) (Some p.vid);
+                      set_node_vg t (node t partner) (Some vg.vid);
+                      seed_last_seen t vg partner;
+                      seed_last_seen t p m;
+                      reconfigure t vg;
+                      reconfigure t p;
+                      notify_neighbors t vg;
+                      notify_neighbors t p;
+                      finish t x ();
+                      Metrics.incr t.metrics "exchange.completed";
+                      finish_one ()
+                    end
                   in
-                  agree t vg ~parent:span ("swap-out:" ^ string_of_int m) (fun () ->
-                      on_agreed proceed);
-                  agree t p ~parent:span ("swap-in:" ^ string_of_int partner) (fun () ->
-                      on_agreed proceed)
+                  agree t vg ~parent:s.span ("swap-out:" ^ string_of_int m) swap;
+                  agree t p ~parent:s.span ("swap-in:" ^ string_of_int partner) swap
                 end
               | _ ->
                 Metrics.incr t.metrics "exchange.suppressed";
@@ -511,10 +471,10 @@ let join t ~joiner ~contact ?(k = fun _ -> ()) () =
   match Option.bind (node_opt t contact) (fun c -> c.vg) with
   | None -> invalid_arg "System.join: contact node not in the system"
   | Some cvid ->
-    let span = span_begin t ~saga:"join" ~node:joiner () in
+    let s = start t Join ~node:joiner Message in
     let fail () =
       Metrics.incr t.metrics "join.failed";
-      span_end t ~saga:"join" ~node:joiner span
+      finish t s ~node:joiner ()
     in
     direct_send t ~src:joiner ~dst:contact ~label:"join-contact"
       ~k:(fun () ->
@@ -523,17 +483,21 @@ let join t ~joiner ~contact ?(k = fun _ -> ()) () =
             match vgroup_opt t cvid with
             | Some c when not c.retired ->
               (* The joiner asks all of C; C agrees on handling it. *)
-              agree t c ~parent:span ("join:" ^ string_of_int joiner) (fun () ->
-                  start_walk t ~parent:span ~from_vg:c.vid ~k:(fun dvid ->
+              s.waits <- Agreements 1;
+              agree t c ~parent:s.span ("join:" ^ string_of_int joiner) (fun () ->
+                  s.waits <- Walks 1;
+                  start_walk t ~parent:s.span ~from_vg:c.vid ~k:(fun dvid ->
                       match vgroup_opt t dvid with
                       | Some _ ->
                         (* C tells j the composition of D; j contacts D. *)
+                        s.waits <- Message;
                         direct_send t ~src:(List.hd (members c)) ~dst:joiner
                           ~label:"join-assign"
                           ~k:(fun () ->
                             match vgroup_opt t dvid with
                             | Some d when (not d.retired) && j.alive ->
-                              agree t d ~parent:span ("add:" ^ string_of_int joiner)
+                              s.waits <- Agreements 1;
+                              agree t d ~parent:s.span ("add:" ^ string_of_int joiner)
                                 (fun () ->
                                   (* One join per node: a second saga of
                                      [joiner] that lands after the first
@@ -547,7 +511,7 @@ let join t ~joiner ~contact ?(k = fun _ -> ()) () =
                                       ~vgroup:d.vid ();
                                     Atum_sim.Metrics.observe t.metrics "join.latency"
                                       (now t -. t0);
-                                    span_end t ~saga:"join" ~node:joiner ~vgroup:d.vid span;
+                                    finish t s ~node:joiner ~vgroup:d.vid ();
                                     k d.vid;
                                     shuffle t d
                                   end)
@@ -590,9 +554,9 @@ let set_id_recycling t on = t.recycle_ids <- on
 
    The agreement can be swallowed: if the vgroup retires mid-saga (a
    concurrent merge moves its members to the partner), pending ops die
-   with it while the mover keeps its membership.  A watchdog re-issues
-   the departure against the node's current vgroup until the registry
-   actually drops it. *)
+   with it while the mover keeps its membership.  At the saga's
+   deadline the departure is re-issued against the node's current
+   vgroup until the registry actually drops it. *)
 let rec depart t ~target ~reason ?(k = fun () -> ()) () =
   let n = node t target in
   match n.vg with
@@ -600,31 +564,31 @@ let rec depart t ~target ~reason ?(k = fun () -> ()) () =
   | Some vid ->
     (match vgroup_opt t vid with
     | Some vg when not vg.retired ->
-      let saga = if reason = "evicted" then "evict" else reason in
-      let span = span_begin t ~saga ~node:target ~vgroup:vid () in
-      let fired = ref false in
+      let kind = if reason = "evicted" then Evict else Leave in
+      let s = start t kind ~node:target ~vgroup:vid (Agreements 1) in
+      (* [k] runs once, when the first attempt lands. *)
       let k () =
-        if not !fired then begin
-          fired := true;
+        if s.phase <> Committed then begin
+          s.phase <- Committed;
           k ()
         end
       in
-      Engine.schedule ~label:"depart.watchdog" t.engine
+      after t ~saga:s ~label:"depart.watchdog"
         ~delay:(Float.max 10.0 (20.0 *. t.params.round_duration))
         (fun () ->
-          if (not !fired) && n.alive && Option.is_some n.vg then
+          if s.phase <> Committed && n.alive && Option.is_some n.vg then
             depart t ~target ~reason ~k ());
-      agree t vg ~parent:span (reason ^ ":" ^ string_of_int target) (fun () ->
+      agree t vg ~parent:s.span (reason ^ ":" ^ string_of_int target) (fun () ->
           if vg.retired || not (has_member vg target) then begin
-            span_end t ~saga ~node:target span;
+            finish t s ~node:target ();
             (* If the node is genuinely gone we are done; if it moved
-               to another vgroup mid-saga, the watchdog re-issues. *)
+               to another vgroup mid-saga, the deadline re-issues. *)
             if Option.is_none n.vg then k ()
           end
           else begin
             remove_member t vg target;
             Metrics.incr t.metrics ("node." ^ reason);
-            span_end t ~saga ~node:target ~vgroup:vid span;
+            finish t s ~node:target ~vgroup:vid ();
             k ();
             if t.recycle_ids && Option.is_none n.vg then release_node t target;
             if size vg = 0 then begin
@@ -1137,7 +1101,6 @@ let spawn_node t ?(byzantine = false) () =
           byzantine;
           strategy = Mute;
           alive = true;
-          exchanging = false;
           delivered = Atum_util.Bitset.create ();
         })
   in
@@ -1149,7 +1112,7 @@ let bootstrap t ?(byzantine = false) () =
   if t.bootstrapped then invalid_arg "System.bootstrap: already bootstrapped";
   t.bootstrapped <- true;
   let id = spawn_node t ~byzantine () in
-  let vg = add_vgroup t ~members:[ id ] ~busy:false in
+  let vg = add_vgroup t ~members:[ id ] in
   let vid = vg.vid in
   set_node_vg t (node t id) (Some vid);
   (* Replace the placeholder overlay with one rooted at the bootstrap
@@ -1186,7 +1149,7 @@ let build_direct t ~nodes:count () =
   for gi = 0 to groups - 1 do
     let take = base + if gi < extra then 1 else 0 in
     let members = Array.to_list (Array.sub ids !off take) in
-    let vg = add_vgroup t ~members ~busy:false in
+    let vg = add_vgroup t ~members in
     List.iter (fun m -> set_node_vg t (node t m) (Some vg.vid)) members;
     vids := vg.vid :: !vids;
     off := !off + take

@@ -52,7 +52,6 @@ type node = {
   mutable byzantine : bool;
   mutable strategy : byz_strategy;
   mutable alive : bool;
-  mutable exchanging : bool;
   delivered : Atum_util.Bitset.t;
       (** broadcast ids this node has delivered (or, for a Byzantine
           node, reacted to) — dense bids make a bitset 8× denser than
@@ -81,10 +80,8 @@ type vgroup = {
       (** the current epoch's replicas; [None] until installed *)
   mutable pending : pending_op list;
       (** agreements and broadcasts in flight, newest first *)
-  mutable busy : bool;  (** held by a shuffle / split / merge *)
-  mutable shuffle_pending : bool;
+  mutable busy : bool;  (** a saga holds it; only the saga table writes this *)
   mutable retired : bool;  (** merged away or emptied *)
-  mutable saga_gen : int;  (** increments when a saga takes the vgroup *)
   mutable nbrs_gen : int;  (** overlay generation the [nbrs] cache was built at *)
   mutable nbrs : (vg_id * int list) list;
       (** cached gossip view: each distinct overlay neighbor with the
@@ -94,6 +91,28 @@ type vgroup = {
       (** broadcast [fwd_targets] was decided for; [-1] once the view
           is rebuilt or the forward policy replaced *)
   mutable fwd_targets : (vg_id * int) list;  (** see {!gossip_targets} *)
+}
+
+(** The sagas of §3.3 as data: each join, leave, eviction, split,
+    merge, shuffle and shuffle exchange in flight is one record in the
+    saga table ({!sagas}).  A saga is [Proposing] until it holds what
+    it changes, [Holding] until its agreements have executed and
+    [Committed] while it carries the change out (a departure: once it
+    has landed). *)
+type saga_kind = Join | Leave | Evict | Split | Merge | Shuffle | Exchange
+type saga_phase = Proposing | Holding | Committed
+type saga_wait = Agreements of int | Walks of int | Message
+
+type saga = private {
+  id : int;
+  kind : saga_kind;
+  mutable span : int;  (** -1 until begun; an exchange nests in its shuffle's *)
+  mutable phase : saga_phase;
+  mutable vgroups : vg_id list;  (** taken, each [busy] until its hold ends *)
+  mutable nodes : node_id list;  (** held: an exchange's two *)
+  mutable waits : saga_wait;  (** what it waits on next *)
+  mutable deadline : float;
+      (** when its holds time out or its departure is re-issued *)
 }
 
 type t
@@ -372,6 +391,15 @@ val correct_members : t -> vgroup -> node_id list
 val async_replicas : vgroup -> (node_id * Atum_smr.Pbft.t) list
 (** The current epoch's PBFT replicas by ascending member id; empty
     under Sync or before installation. *)
+
+val sagas : t -> saga list
+(** Every saga in flight, oldest first; a stalled one stays. *)
+
+val engaged : t -> node_id -> bool
+(** An exchange in flight holds the node. *)
+
+val idle : t -> vgroup -> bool
+(** No saga holds the vgroup and no shuffle is queued on it. *)
 
 val hgraph : t -> Atum_overlay.Hgraph.t
 val check_consistency : t -> (unit, string) result

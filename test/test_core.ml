@@ -1110,6 +1110,75 @@ let test_equivocated_body_not_delivered () =
   Alcotest.(check string) "deliveries" "dac254faa2220bb38730794e1b2cf273f6d25c8d78838e8347090efe286653f7"
     (Atum_crypto.Sha256.digest_hex (Buffer.contents log))
 
+(* ------------------------------------------------------------------ *)
+(* The saga table                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_settled_run_holds_nothing () =
+  let t = Atum.create ~params:quick_sync_params () in
+  ignore (grow t ~target:24 ~settle:120.0);
+  Atum.run_for t 200.0;
+  let sys = Atum.system t in
+  Alcotest.(check int) "no saga in the table" 0 (List.length (System.sagas sys));
+  List.iter
+    (fun vid ->
+      Alcotest.(check bool) (Printf.sprintf "vgroup %d idle" vid) true
+        (System.idle sys (System.vgroup sys vid)))
+    (System.vgroup_ids sys);
+  List.iter
+    (fun (n : System.node) ->
+      Alcotest.(check bool) (Printf.sprintf "node %d not engaged" n.System.id) false
+        (System.engaged sys n.System.id))
+    (System.live_nodes sys)
+
+(* A merge whose partner's members all crash cannot agree: at its
+   deadline each held vgroup is released once, and the undersized
+   vgroup's size check runs again and starts a new merge.  The stalled
+   saga stays in the table. *)
+let test_deadline_releases_stalled_merge () =
+  let t = Atum.create ~params:quick_sync_params () in
+  ignore (grow t ~target:24 ~settle:120.0);
+  Atum.run_for t 300.0;
+  let sys = Atum.system t in
+  System.set_shuffling sys false;
+  let timeouts () = Atum_sim.Metrics.counter (System.metrics sys) "saga.timeout" in
+  let c = List.find (fun vid -> not (System.vgroup sys vid).System.retired) (System.vgroup_ids sys) in
+  let cvg = System.vgroup sys c in
+  while System.size cvg >= quick_sync_params.Params.gmin do
+    Atum.leave t (List.hd (System.members cvg));
+    let rec step n =
+      match
+        List.find_opt (fun (s : System.saga) -> s.System.kind = System.Merge) (System.sagas sys)
+      with
+      | Some _ -> ()
+      | None -> if n > 0 then (Atum.run_for t 0.5; step (n - 1))
+    in
+    step 40
+  done;
+  let stalled =
+    match List.find_opt (fun (s : System.saga) -> s.System.kind = System.Merge) (System.sagas sys) with
+    | Some s -> s
+    | None -> Alcotest.fail "no merge started"
+  in
+  let m = System.vgroup sys (List.nth stalled.System.vgroups 1) in
+  Alcotest.(check int) "merge holds the undersized vgroup" c (List.hd stalled.System.vgroups);
+  List.iter (System.crash sys) (System.members m);
+  let before = timeouts () in
+  Atum.run_until t (stalled.System.deadline -. 1.0);
+  Alcotest.(check (pair bool bool)) "both held before the deadline" (true, true)
+    (cvg.System.busy, m.System.busy);
+  Atum.run_until t (stalled.System.deadline +. 0.1);
+  Alcotest.(check int) "one timeout per held vgroup" 2 (timeouts () - before);
+  Alcotest.(check bool) "partner free" true (System.idle sys m);
+  Alcotest.(check bool) "stalled saga still listed" true
+    (List.exists (fun (s : System.saga) -> s.System.id = stalled.System.id) (System.sagas sys));
+  Alcotest.(check bool) "size check re-ran: a new merge of the undersized vgroup" true
+    (List.exists
+       (fun (s : System.saga) ->
+         s.System.kind = System.Merge && s.System.id <> stalled.System.id
+         && s.System.vgroups <> [] && List.hd s.System.vgroups = c)
+       (System.sagas sys))
+
 (* A pinned PBFT outcome: the CLI run [broadcast -n 24 -m 6 --seed 5
    -p async --byzantine 2], whose two Byzantine members drive vgroup 0
    through 175 view changes.  Traffic, engine events, each current
@@ -1431,6 +1500,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_decode_total;
           Alcotest.test_case "pbft view-change golden" `Quick test_pbft_view_change_golden;
           Alcotest.test_case "execution counted once" `Quick test_execution_counted_once;
+        ] );
+      ( "sagas",
+        [
+          Alcotest.test_case "settled run holds nothing" `Slow test_settled_run_holds_nothing;
+          Alcotest.test_case "deadline releases a stalled merge" `Slow
+            test_deadline_releases_stalled_merge;
         ] );
       ( "tracing",
         [
