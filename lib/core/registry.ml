@@ -148,7 +148,8 @@ type saga = {
   mutable span : int; (* -1 until begun; an exchange nests in its shuffle's *)
   mutable phase : saga_phase;
   mutable vgroups : vg_id list; (* taken; finishing releases them all *)
-  mutable nodes : node_id list; (* held: an exchange's two *)
+  mutable nodes : node_id list; (* a join's joiner; an exchange's two, which it holds *)
+  mutable at : vg_id; (* the vgroup a join's current step waits on, or -1 *)
   mutable waits : saga_wait;
   mutable deadline : float; (* when its holds time out or its departure is re-issued *)
 }
@@ -646,7 +647,7 @@ let saga_name = function
 
 let enter t kind waits =
   let s =
-    { id = t.sagas.next_saga; kind; span = -1; phase = Proposing; vgroups = []; nodes = [];
+    { id = t.sagas.next_saga; kind; span = -1; phase = Proposing; vgroups = []; nodes = []; at = -1;
       waits; deadline = infinity }
   in
   t.sagas.next_saga <- s.id + 1;
@@ -677,13 +678,20 @@ let release t vid =
   Hashtbl.remove t.sagas.held vid;
   (vgroup t vid).busy <- false
 
+let in_flight t s = Hashtbl.mem t.sagas.live s.id
+
 (* The saga leaves the table, releases every vgroup it took (also one
    its timeout released and a later saga took since) and every node it
    holds, and ends its span. *)
 let finish t s ?node ?vgroup () =
   Hashtbl.remove t.sagas.live s.id;
   List.iter (release t) s.vgroups;
-  List.iter (Hashtbl.remove t.sagas.engaged) s.nodes;
+  List.iter
+    (fun n ->
+      match Hashtbl.find_opt t.sagas.engaged n with
+      | Some x when x == s -> Hashtbl.remove t.sagas.engaged n
+      | _ -> ())
+    s.nodes;
   if s.span >= 0 then span_end t ~saga:(saga_name s.kind) ?node ?vgroup s.span
 
 (* Whether a shuffle was queued on [vg]; it no longer is. *)

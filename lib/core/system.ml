@@ -201,6 +201,19 @@ let remove_member t vg member =
 (* Logarithmic grouping: split and merge (§3.1, §3.3)                  *)
 (* ------------------------------------------------------------------ *)
 
+(* A join ends once.  It fails when it is turned away or when the
+   vgroup its current step waits on retires: an agreement there is
+   dropped, and a walk from there can never report back. *)
+let fail_join t s =
+  if in_flight t s then begin
+    Metrics.incr t.metrics "join.failed";
+    finish t s ~node:(List.hd s.nodes) ()
+  end
+
+let retire t vg =
+  retire_vgroup t vg;
+  List.iter (fun s -> if s.kind = Join && s.at = vg.vid then fail_join t s) (sagas t)
+
 (* Size maintenance runs after shuffles; forward declarations tie the
    shuffle / split / merge recursion. *)
 let rec check_size t vg =
@@ -350,7 +363,7 @@ and merge t vg ~attempts =
                 trace_emit t ~kind:"vgroup.merge" ~vgroup:mvid ();
                 let moving = members vg in
                 Hgraph.remove t.hgraph vg.vid;
-                retire_vgroup t vg;
+                retire t vg;
                 set_members t vg [];
                 stop_smr vg;
                 List.iter (fun x -> set_node_vg t (node t x) (Some mvid)) moving;
@@ -472,10 +485,9 @@ let join t ~joiner ~contact ?(k = fun _ -> ()) () =
   | None -> invalid_arg "System.join: contact node not in the system"
   | Some cvid ->
     let s = start t Join ~node:joiner Message in
-    let fail () =
-      Metrics.incr t.metrics "join.failed";
-      finish t s ~node:joiner ()
-    in
+    s.nodes <- [ joiner ];
+    s.at <- cvid;
+    let fail () = fail_join t s in
     direct_send t ~src:joiner ~dst:contact ~label:"join-contact"
       ~k:(fun () ->
         direct_send t ~src:contact ~dst:joiner ~label:"contact-reply"
@@ -485,39 +497,42 @@ let join t ~joiner ~contact ?(k = fun _ -> ()) () =
               (* The joiner asks all of C; C agrees on handling it. *)
               s.waits <- Agreements 1;
               agree t c ~parent:s.span ("join:" ^ string_of_int joiner) (fun () ->
-                  s.waits <- Walks 1;
-                  start_walk t ~parent:s.span ~from_vg:c.vid ~k:(fun dvid ->
-                      match vgroup_opt t dvid with
-                      | Some _ ->
-                        (* C tells j the composition of D; j contacts D. *)
-                        s.waits <- Message;
-                        direct_send t ~src:(List.hd (members c)) ~dst:joiner
-                          ~label:"join-assign"
-                          ~k:(fun () ->
-                            match vgroup_opt t dvid with
-                            | Some d when (not d.retired) && j.alive ->
-                              s.waits <- Agreements 1;
-                              agree t d ~parent:s.span ("add:" ^ string_of_int joiner)
-                                (fun () ->
-                                  (* One join per node: a second saga of
-                                     [joiner] that lands after the first
-                                     fails. *)
-                                  if d.retired || (not j.alive) || Option.is_some j.vg then
-                                    fail ()
-                                  else begin
-                                    add_member t d joiner;
-                                    Metrics.incr t.metrics "join.completed";
-                                    trace_emit t ~kind:"join.completed" ~node:joiner
-                                      ~vgroup:d.vid ();
-                                    Atum_sim.Metrics.observe t.metrics "join.latency"
-                                      (now t -. t0);
-                                    finish t s ~node:joiner ~vgroup:d.vid ();
-                                    k d.vid;
-                                    shuffle t d
-                                  end)
-                            | _ -> fail ())
-                          ()
-                      | None -> fail ()))
+                  if in_flight t s then begin
+                    s.waits <- Walks 1;
+                    start_walk t ~parent:s.span ~from_vg:c.vid ~k:(fun dvid ->
+                        match vgroup_opt t dvid with
+                        | Some _ when in_flight t s ->
+                          (* C tells j the composition of D; j contacts D. *)
+                          s.waits <- Message;
+                          s.at <- dvid;
+                          direct_send t ~src:(List.hd (members c)) ~dst:joiner
+                            ~label:"join-assign"
+                            ~k:(fun () ->
+                              match vgroup_opt t dvid with
+                              | Some d when (not d.retired) && j.alive ->
+                                s.waits <- Agreements 1;
+                                agree t d ~parent:s.span ("add:" ^ string_of_int joiner)
+                                  (fun () ->
+                                    (* One join per node: a second saga of
+                                       [joiner] that lands after the first
+                                       fails. *)
+                                    if d.retired || (not j.alive) || Option.is_some j.vg then
+                                      fail ()
+                                    else begin
+                                      add_member t d joiner;
+                                      Metrics.incr t.metrics "join.completed";
+                                      trace_emit t ~kind:"join.completed" ~node:joiner
+                                        ~vgroup:d.vid ();
+                                      Atum_sim.Metrics.observe t.metrics "join.latency"
+                                        (now t -. t0);
+                                      finish t s ~node:joiner ~vgroup:d.vid ();
+                                      k d.vid;
+                                      shuffle t d
+                                    end)
+                              | _ -> fail ())
+                            ()
+                        | _ -> fail ())
+                  end)
             | _ -> fail ())
           ())
       ()
@@ -594,7 +609,7 @@ let rec depart t ~target ~reason ?(k = fun () -> ()) () =
             if size vg = 0 then begin
               (* Last member gone: retire the vgroup entirely. *)
               if vgroup_count t > 1 then Hgraph.remove t.hgraph vg.vid;
-              retire_vgroup t vg;
+              retire t vg;
               stop_smr vg
             end
             else if

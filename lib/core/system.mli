@@ -109,7 +109,8 @@ type saga = private {
   mutable span : int;  (** -1 until begun; an exchange nests in its shuffle's *)
   mutable phase : saga_phase;
   mutable vgroups : vg_id list;  (** taken, each [busy] until its hold ends *)
-  mutable nodes : node_id list;  (** held: an exchange's two *)
+  mutable nodes : node_id list;  (** a join's joiner; an exchange's two, which it holds *)
+  mutable at : vg_id;  (** the vgroup a join's current step waits on, or -1 *)
   mutable waits : saga_wait;  (** what it waits on next *)
   mutable deadline : float;
       (** when its holds time out or its departure is re-issued *)

@@ -1179,6 +1179,47 @@ let test_deadline_releases_stalled_merge () =
          && s.System.vgroups <> [] && List.hd s.System.vgroups = c)
        (System.sagas sys))
 
+(* A join through a vgroup whose members all leave [d] seconds later
+   ends exactly once, landed or failed, and its span ends.  Three of
+   these runs once left the join open forever: its walk from the
+   contact vgroup was abandoned (Sync at 0 s, Async) or waited forever
+   on a message to the emptied vgroup (Sync at 1.5 s).  At 2.5 s it
+   lands. *)
+let test_join_whose_contact_retires_ends_once () =
+  List.iter
+    (fun (params, d) ->
+      let t = Atum.create ~params ~trace_capacity:200_000 () in
+      ignore (grow t ~target:24 ~settle:120.0);
+      Atum.run_for t 300.0;
+      let sys = Atum.system t in
+      let c = List.find (fun vid -> not (System.vgroup sys vid).System.retired) (System.vgroup_ids sys) in
+      let cvg = System.vgroup sys c in
+      let joiner = System.spawn_node sys () in
+      let trace = System.trace sys in
+      Atum_sim.Trace.set_sample_rate trace 0.0;
+      Atum_sim.Trace.set_enabled trace true;
+      let landed = ref 0 in
+      System.join sys ~joiner ~contact:(List.hd (System.members cvg)) ~k:(fun _ -> incr landed) ();
+      let js = List.nth (System.sagas sys) (List.length (System.sagas sys) - 1) in
+      Atum.run_for t d;
+      List.iter (Atum.leave t) (System.members cvg);
+      Atum.run_for t 600.0;
+      let label = Printf.sprintf "seed %d, d = %.1f" params.Params.seed d in
+      let ended =
+        List.filter
+          (fun (e : Atum_sim.Trace.event) -> e.kind = "saga.join.end" && e.span = js.System.span)
+          (Atum_sim.Trace.events trace)
+      in
+      Alcotest.(check int) (label ^ ": no event dropped") 0 (Atum_sim.Trace.dropped trace);
+      Alcotest.(check bool) (label ^ ": out of the table") false
+        (List.exists (fun (s : System.saga) -> s.System.id = js.System.id) (System.sagas sys));
+      Alcotest.(check int) (label ^ ": span ends once") 1 (List.length ended);
+      Alcotest.(check bool) (label ^ ": lands at most once") true (!landed <= 1))
+    [ ({ quick_sync_params with Params.seed = 1 }, 0.0);
+      ({ quick_sync_params with Params.seed = 1 }, 1.5);
+      ({ quick_sync_params with Params.seed = 1 }, 2.5);
+      ({ quick_async_params with Params.seed = 2 }, 0.0) ]
+
 (* A pinned PBFT outcome: the CLI run [broadcast -n 24 -m 6 --seed 5
    -p async --byzantine 2], whose two Byzantine members drive vgroup 0
    through 175 view changes.  Traffic, engine events, each current
@@ -1506,6 +1547,8 @@ let () =
           Alcotest.test_case "settled run holds nothing" `Slow test_settled_run_holds_nothing;
           Alcotest.test_case "deadline releases a stalled merge" `Slow
             test_deadline_releases_stalled_merge;
+          Alcotest.test_case "join whose contact retires ends once" `Slow
+            test_join_whose_contact_retires_ends_once;
         ] );
       ( "tracing",
         [
