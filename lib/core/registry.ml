@@ -155,14 +155,16 @@ type saga = {
 }
 
 (* The sagas in flight by id, the saga holding each busy vgroup, the
-   exchange holding each engaged node, and the vgroups a shuffle is
-   queued on until they are free. *)
+   exchange holding each engaged node, the vgroups a shuffle is queued
+   on until they are free, and the walks parked on a new vgroup until
+   it is placed on the H-graph. *)
 type saga_table = {
   mutable next_saga : int;
   live : (int, saga) Hashtbl.t;
   held : (vg_id, saga) Hashtbl.t;
   engaged : (node_id, saga) Hashtbl.t;
   queued : (vg_id, unit) Hashtbl.t;
+  parked : (vg_id, (unit -> unit) list) Hashtbl.t;
 }
 
 (* Acceptance scratch is keyed by (node, id) int pairs, packed into one
@@ -387,7 +389,7 @@ let create ?(net_config : Network.config option) ?trace_capacity (params : Param
     next_span = 0;
     sagas =
       { next_saga = 0; live = Hashtbl.create 64; held = Hashtbl.create 16;
-        engaged = Hashtbl.create 16; queued = Hashtbl.create 16 };
+        engaged = Hashtbl.create 16; queued = Hashtbl.create 16; parked = Hashtbl.create 4 };
     on_deliver = (fun _ ~bid:_ ~origin:_ _ -> ());
     deliver_agreed = (fun _ ~bid:_ ~origin:_ ~body:_ -> ());
     on_audit = None;
@@ -679,6 +681,18 @@ let release t vid =
   (vgroup t vid).busy <- false
 
 let in_flight t s = Hashtbl.mem t.sagas.live s.id
+
+let park t vid resume =
+  let parked = Option.value ~default:[] (Hashtbl.find_opt t.sagas.parked vid) in
+  Hashtbl.replace t.sagas.parked vid (resume :: parked)
+
+(* [vid] was placed or retired: its parked walks go on, oldest first. *)
+let wake t vid =
+  match Hashtbl.find_opt t.sagas.parked vid with
+  | Some parked ->
+    Hashtbl.remove t.sagas.parked vid;
+    List.iter (fun resume -> resume ()) (List.rev parked)
+  | None -> ()
 
 (* The saga leaves the table, releases every vgroup it took (also one
    its timeout released and a later saga took since) and every node it

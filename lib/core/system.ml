@@ -94,7 +94,12 @@ let start_walk ?parent t ~from_vg ~k =
   let span = span_begin t ~saga:"walk" ~vgroup:from_vg ?parent () in
   let rec forward v path certs = function
     | [] -> terminate v path certs
-    | _ :: _ when not (Hgraph.mem t.hgraph v) -> lost ()
+    | choices when not (Hgraph.mem t.hgraph v) ->
+      (* A walk from a vgroup that a split has not placed yet waits for
+         the split, or its hold's timeout, to place it. *)
+      if path = [] && not (vgroup t v).retired then
+        park t v (fun () -> forward v path certs choices)
+      else lost ()
     | c :: rest ->
       let links = Hgraph.neighbors t.hgraph v in
       let _, next = List.nth links (Random_walk.choice_index ~degree:(List.length links) c) in
@@ -212,7 +217,12 @@ let fail_join t s =
 
 let retire t vg =
   retire_vgroup t vg;
+  wake t vg.vid;
   List.iter (fun s -> if s.kind = Join && s.at = vg.vid then fail_join t s) (sagas t)
+
+let place t ~cycle ~after vid =
+  Hgraph.insert_after t.hgraph ~cycle ~after vid;
+  wake t vid
 
 (* Size maintenance runs after shuffles; forward declarations tie the
    shuffle / split / merge recursion. *)
@@ -248,7 +258,7 @@ and ensure_on_all_cycles t vg =
         | [] -> ()
         | _ ->
           Metrics.incr t.metrics "split.insert_repaired";
-          Hgraph.insert_after t.hgraph ~cycle ~after:(Rng.pick t.rng residents) vg.vid
+          place t ~cycle ~after:(Rng.pick t.rng residents) vg.vid
       end
     done
   end
@@ -315,8 +325,7 @@ and split t vg =
                 (if Hgraph.successor_opt t.hgraph ~cycle evid = None then
                    let on_cycle v = Hgraph.successor_opt t.hgraph ~cycle v <> None in
                    let anchor = if w <> evid && on_cycle w then w else vg.vid in
-                   if on_cycle anchor then
-                     Hgraph.insert_after t.hgraph ~cycle ~after:anchor evid);
+                   if on_cycle anchor then place t ~cycle ~after:anchor evid);
                 if arrived s then begin
                   ensure_on_all_cycles t e;
                   notify_neighbors t e;
