@@ -695,17 +695,12 @@ let wake t vid =
   | None -> ()
 
 (* The saga leaves the table, releases every vgroup it took (also one
-   its timeout released and a later saga took since) and every node it
-   holds, and ends its span. *)
+   its timeout released and a later saga took since) and, if it is an
+   exchange, its two nodes, and ends its span. *)
 let finish t s ?node ?vgroup () =
   Hashtbl.remove t.sagas.live s.id;
   List.iter (release t) s.vgroups;
-  List.iter
-    (fun n ->
-      match Hashtbl.find_opt t.sagas.engaged n with
-      | Some x when x == s -> Hashtbl.remove t.sagas.engaged n
-      | _ -> ())
-    s.nodes;
+  if s.kind = Exchange then List.iter (Hashtbl.remove t.sagas.engaged) s.nodes;
   if s.span >= 0 then span_end t ~saga:(saga_name s.kind) ?node ?vgroup s.span
 
 (* Whether a shuffle was queued on [vg]; it no longer is. *)

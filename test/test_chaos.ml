@@ -346,6 +346,18 @@ let test_corrupt_log_success_bounded () =
         (p.success <= 1.0 && p.delivered <= p.expected))
     r.phases
 
+(* The CLI's [chaos -n 60 --seed 11] run joins a node through a member
+   that a split has just moved into its new, not yet placed vgroup.
+   That join's walk used to restart every 10 ms until the vgroup was
+   placed, 1 406 lost walks in all; now it waits for the placement. *)
+let test_walk_waits_for_placement () =
+  let params = { (Atum_core.Params.for_system_size ~protocol:Atum_core.Params.Sync 60) with seed = 11 } in
+  let built = W.Builder.grow ~params ~monitor:false ~n:60 ~seed:11 () in
+  ignore (W.Resilience.run ~attackers:3 built ~seed:11 ());
+  let metrics = Atum_core.System.metrics (Atum_core.Atum.system built.W.Builder.atum) in
+  let lost = Atum_sim.Metrics.counter metrics "walk.lost" in
+  Alcotest.(check bool) (Printf.sprintf "%d walks lost" lost) true (lost < 50)
+
 let () =
   Alcotest.run "chaos"
     [
@@ -377,5 +389,7 @@ let () =
           Alcotest.test_case "same-seed byte-identical" `Slow test_resilience_deterministic;
           Alcotest.test_case "corrupt-log success at most 1" `Quick
             test_corrupt_log_success_bounded;
+          Alcotest.test_case "walk waits for its origin's placement" `Quick
+            test_walk_waits_for_placement;
         ] );
     ]

@@ -1221,8 +1221,8 @@ let test_join_whose_contact_retires_ends_once () =
       ({ quick_async_params with Params.seed = 2 }, 0.0) ]
 
 (* A pinned PBFT outcome: the CLI run [broadcast -n 24 -m 6 --seed 5
-   -p async --byzantine 2], whose two Byzantine members drive vgroup 0
-   through 175 view changes.  Traffic, engine events, each current
+   -p async --byzantine 2], which has two Byzantine members and ends
+   with every replica at view 0.  Traffic, engine events, each current
    replica's final view and executed-sequence length, and a digest of
    every executed request id in order were recorded before the replica
    state was rebuilt around member ranks, an indexed log and vote
