@@ -215,11 +215,14 @@ let fail_join t s =
     finish t s ~node:(List.hd s.nodes) ()
   end
 
+(* The walks parked on a retiring vgroup are lost, and the joins
+   waiting on it fail. *)
 let retire t vg =
   retire_vgroup t vg;
   wake t vg.vid;
   List.iter (fun s -> if s.kind = Join && s.at = vg.vid then fail_join t s) (sagas t)
 
+(* The walks parked on [vid] go on once it is on a cycle. *)
 let place t ~cycle ~after vid =
   Hgraph.insert_after t.hgraph ~cycle ~after vid;
   wake t vid
