@@ -22,9 +22,16 @@ type node_id = int
 type vg_id = int
 
 (* A vgroup's membership between two writes ([set_members]), immutable:
-   [members] in join order, which decides who sends full parts, and
-   [ids] ascending, with [ranks.(i)] the join position of [ids.(i)]. *)
-type roster = { members : node_id list; ids : node_id array; ranks : int array; size : int }
+   [members] in join order, which decides who sends full parts, the
+   same as the array [order] that group messages address, and [ids]
+   ascending, with [ranks.(i)] the join position of [ids.(i)]. *)
+type roster = {
+  members : node_id list;
+  order : node_id array;
+  ids : node_id array;
+  ranks : int array;
+  size : int;
+}
 
 (* The distinct senders counted toward a majority: ranks in the roster
    of the part that opened the tally, ids of senders outside it. *)
@@ -93,20 +100,80 @@ type byz_strategy =
   | Join_leave_attack
   | Target_vgroup of { vg : vg_id; inner : byz_strategy }
 
+(* Senders one node has heard vouch for one message (origin and body)
+   of broadcast [v_bid], which it has not delivered yet, from one
+   source vgroup: the group-message rule (§5.1) accepts only a majority
+   for the same message.  A node holds one per (bid, source vgroup,
+   message), and drops a bid's all on delivery. *)
+type votes = { v_bid : int; from_vg : vg_id; origin : node_id; body : string; voters : tally }
+
+(* Origin and body ride along so restart catch-up can re-deliver any
+   broadcast a peer has and the restarted node missed. *)
+type bcast_meta = {
+  started : float;
+  b_origin : node_id;
+  b_body : string;
+  (* The WAL frame of this broadcast's delivery record, built by the
+     first member that logs it and appended by every other. *)
+  mutable b_frame : Atum_store.Replica.frame option;
+}
+
+(* One gossip round being assembled for the current engine instant:
+   the members of vgroup [r_src_vg] that deliver broadcast [r_bid]
+   before the instant's flush, found on its vgroup's [rounds].  The
+   round sends one [send_group] per part (one per target vgroup), all
+   flushed by one event — one engine event per instant instead of one
+   per (sender, neighbor) pair.
+
+   While every member picks the targets the first one picked, each
+   member is a sender of every part, so the parts share the round's
+   one sender array ([r_srcs], its first [r_count] slots) and a member
+   joins in O(1).  A member that picks other targets (the view or the
+   forward policy changed mid-instant) splits the round: each part
+   takes the shared senders as its own list ([f_srcs]) and members
+   join part by part from then on, as if nothing had been shared.  A part keeps the body, origin, cycle
+   and source roster of the member that created it. *)
+type fanout_round = {
+  r_src_vg : vg_id;
+  r_bid : int;
+  r_targets : (vg_id * int) list; (* the first member's targets *)
+  mutable r_parts : fanout_part list; (* reversed *)
+  mutable r_srcs : (node_id * int) array; (* (sender, bytes), in joining order *)
+  mutable r_count : int; (* the senders in [r_srcs] *)
+  mutable r_split : bool;
+  mutable r_open : bool; (* until the flush *)
+}
+
+and fanout_part = {
+  f_round : fanout_round;
+  f_dst : vg_id;
+  f_roster : roster;
+  f_origin : node_id;
+  f_body : string;
+  f_cycle : int;
+  mutable f_srcs : (node_id * int) list; (* once the round is split; reversed *)
+}
+
+(* One broadcast id: the node ids that delivered it (a Byzantine node
+   marks those it reacted to, as its once-per-bid marker), and its
+   metadata once issued. *)
+type bcast = { delivered : Atum_util.Bitset.t; mutable meta : bcast_meta option }
+
 (* Per-node state is deliberately lean — at a million nodes every
-   word per node is a megaword of heap.  The broadcast-dedup marker
-   is a bitset over the dense broadcast-id space (three words when
-   idle); the gossip acceptance scratch (votes per pending broadcast)
-   and heartbeat timestamps live in system-level tables keyed by
-   (node, ...) instead of one 16-bucket stdlib hash table per node
-   per concern. *)
+   word per node is a megaword of heap.  Who delivered what is one
+   bitmap over the dense node ids per broadcast ([bcast.delivered]):
+   the same matrix of bits a bitmap per node over the broadcast ids
+   would hold, transposed, so the gossip path tests a (node, bid) bit
+   without loading the node.  The gossip votes a node holds short of
+   acceptance hang off it, an empty list when idle; heartbeat
+   timestamps live in a system-level table keyed by (node, peer). *)
 type node = {
   id : node_id;
   mutable vg : vg_id option;
   mutable byzantine : bool;
   mutable strategy : byz_strategy;
   mutable alive : bool;
-  delivered : Atum_util.Bitset.t; (* broadcast ids this node delivered *)
+  mutable votes : votes list; (* newest first *)
 }
 
 type vgroup = {
@@ -130,6 +197,7 @@ type vgroup = {
      is rebuilt or the forward policy replaced, which reset [fwd_bid]. *)
   mutable fwd_bid : int;
   mutable fwd_targets : (vg_id * int) list;
+  mutable rounds : fanout_round list; (* open gossip rounds of this instant, one per bid *)
 }
 
 (* Sagas (§3.3) as data: each join, leave, eviction, split, merge,
@@ -165,79 +233,6 @@ type saga_table = {
   engaged : (node_id, saga) Hashtbl.t;
   queued : (vg_id, unit) Hashtbl.t;
   parked : (vg_id, (unit -> unit) list) Hashtbl.t;
-}
-
-(* Acceptance scratch is keyed by (node, id) int pairs, packed into one
-   int: a monomorphic table then hashes and compares keys without the
-   generic [caml_hash] / [compare_val] a polymorphic table runs on every
-   message part, and a lookup allocates no key tuple. *)
-module Pair_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  (* Fold the node half onto the id half before mixing: the table
-     indexes buckets by the low bits. *)
-  let hash k =
-    let h = (k lxor (k lsr 31)) * 0x9E3779B97F4A7C1 in
-    (h lxor (h lsr 29)) land max_int
-end)
-
-let pair_key a b =
-  if a lsr 31 <> 0 || b lsr 31 <> 0 then invalid_arg "System.pair_key: id out of range";
-  (a lsl 31) lor b
-
-(* Senders one node has heard vouch for one message (origin and body)
-   of a broadcast it has not delivered yet, from one source vgroup: the
-   group-message rule (§5.1) accepts only a majority for the same
-   message.  A (node, bid) entry holds one per (source vgroup, message)
-   and is dropped whole on delivery. *)
-type votes = { from_vg : vg_id; origin : node_id; body : string; voters : tally }
-
-(* Origin and body ride along so restart catch-up can re-deliver any
-   broadcast a peer has and the restarted node missed. *)
-type bcast_meta = {
-  started : float;
-  b_origin : node_id;
-  b_body : string;
-  (* The WAL frame of this broadcast's delivery record, built by the
-     first member that logs it and appended by every other. *)
-  mutable b_frame : Atum_store.Replica.frame option;
-}
-
-(* One gossip round being assembled for the current engine instant:
-   the members of vgroup [r_src_vg] that deliver broadcast [r_bid]
-   before the instant's flush.  The round sends one [send_group] per
-   part (one per target vgroup), all flushed by one event — one engine
-   event per instant instead of one per (sender, neighbor) pair.
-
-   While every member picks the targets the first one picked, each
-   member is a sender of every part, so the parts share the round's
-   one sender list ([r_srcs]) and a member joins in O(1).  A member
-   that picks other targets (the view or the forward policy changed
-   mid-instant) splits the round: each part takes the shared list as
-   its own ([f_srcs]) and members join part by part from then on, as
-   if no list had been shared.  A part keeps the body, origin, cycle
-   and source roster of the member that created it. *)
-type fanout_round = {
-  r_src_vg : vg_id;
-  r_bid : int;
-  r_meta : bcast_meta option;
-  r_targets : (vg_id * int) list; (* the first member's targets *)
-  mutable r_parts : fanout_part list; (* reversed *)
-  mutable r_srcs : (node_id * int) list; (* (sender, bytes); reversed until the flush *)
-  mutable r_split : bool;
-  mutable r_open : bool; (* until the flush *)
-}
-
-and fanout_part = {
-  f_round : fanout_round;
-  f_dst : vg_id;
-  f_roster : roster;
-  f_origin : node_id;
-  f_body : string;
-  f_cycle : int;
-  mutable f_srcs : (node_id * int) list; (* once the round is split; reversed *)
 }
 
 (* Semantic checkpoints for an external auditor (the invariant
@@ -280,22 +275,27 @@ type t = {
      into it and only examine what moved since their last look. *)
   mutable dirty_log : int array;
   mutable dirty_len : int;
-  (* Acceptance scratch + liveness state, keyed by node (see [node]). *)
-  bcast_votes : votes list Pair_tbl.t; (* (node, bid) *)
+  (* Liveness state, keyed by (node, peer) (see [node]). *)
   last_seen : (node_id * node_id, float) Hashtbl.t;
   mutable recycle_ids : bool; (* free node ids on depart completion *)
   (* Gossip rounds being assembled for the current instant: their
-     parts in reversed creation order, the open rounds by (vgroup,
-     bid), and whether their flush is scheduled. *)
+     parts in reversed creation order, and whether their flush is
+     scheduled.  The open rounds hang off their vgroups. *)
   mutable fanout : fanout_part list;
-  fanout_rounds : fanout_round Pair_tbl.t;
   mutable fanout_scheduled : bool;
+  (* The last sender rank asked for, by roster and id: arrival walks a
+     batch one sender's row at a time, so a row asks once. *)
+  mutable rank_roster : roster;
+  mutable rank_id : node_id;
+  mutable rank_of : int;
   mutable hgraph : Hgraph.t;
   mutable bootstrapped : bool;
   mutable next_gm : int;
   mutable next_bid : int;
   mutable next_op : int;
-  bcasts : (int, bcast_meta) Hashtbl.t;
+  mutable bcasts : bcast array; (* by bid; grown by [bcast] *)
+  delivered_count : Metrics.handle; (* "broadcast.delivered" *)
+  latency : Metrics.series; (* "broadcast.latency" *)
   mutable next_span : int;
   sagas : saga_table;
   mutable on_deliver : node_id -> bid:int -> origin:node_id -> string -> unit;
@@ -323,6 +323,8 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 let flood_forward ~bid:_ ~from_vg:_ ~cycle:_ ~neighbor:_ = true
+
+let no_roster = { members = []; order = [||]; ids = [||]; ranks = [||]; size = 0 }
 
 (* The paper's default (§3.3.4): forward to random neighbors — but
    always gossip on a designated cycle, which turns the probabilistic
@@ -374,18 +376,21 @@ let create ?(net_config : Network.config option) ?trace_capacity (params : Param
     active_vgroups = 0;
     dirty_log = Array.make 256 0;
     dirty_len = 0;
-    bcast_votes = Pair_tbl.create 256;
     last_seen = Hashtbl.create 256;
     recycle_ids = false;
     fanout = [];
-    fanout_rounds = Pair_tbl.create 16;
     fanout_scheduled = false;
+    rank_roster = no_roster;
+    rank_id = -1;
+    rank_of = -1;
     hgraph = Hgraph.empty ~cycles:params.hc;
     bootstrapped = false;
     next_gm = 0;
     next_bid = 0;
     next_op = 0;
-    bcasts = Hashtbl.create 64;
+    bcasts = [||];
+    delivered_count = Metrics.handle metrics "broadcast.delivered";
+    latency = Metrics.series metrics "broadcast.latency";
     next_span = 0;
     sagas =
       { next_saga = 0; live = Hashtbl.create 64; held = Hashtbl.create 16;
@@ -490,12 +495,23 @@ let roster members =
   let order = Array.of_list members in
   let ranks = Array.init (Array.length order) Fun.id in
   Array.stable_sort (fun a b -> Int.compare order.(a) order.(b)) ranks;
-  { members; ids = Array.map (Array.get order) ranks; ranks; size = Array.length order }
+  { members; order; ids = Array.map (Array.get order) ranks; ranks; size = Array.length order }
 
 (* [id]'s join position, or -1 when absent. *)
 let rank (r : roster) id =
   let i = Atum_smr.Smr_intf.index r.ids id in
   if i < 0 then -1 else r.ranks.(i)
+
+(* [rank], remembered for the next ask: rosters are immutable. *)
+let sender_rank t (r : roster) id =
+  if r == t.rank_roster && id = t.rank_id then t.rank_of
+  else begin
+    let k = rank r id in
+    t.rank_roster <- r;
+    t.rank_id <- id;
+    t.rank_of <- k;
+    k
+  end
 
 let has_member vg id = rank vg.roster id >= 0
 
@@ -507,9 +523,9 @@ let set_members t vg members =
 let tally roster =
   { t_roster = roster; t_ranks = Bytes.make roster.size '\000'; t_outside = []; t_count = 0 }
 
-(* Count sender [id] once, by rank or else by id; the tally's count. *)
-let count_vote tl id =
-  let r = rank tl.t_roster id in
+(* Count sender [id], of rank [r] in the tally's roster (-1 if none),
+   once, by rank or else by id; the tally's count. *)
+let count_ranked tl r id =
   if r >= 0 && Bytes.get tl.t_ranks r = '\000' then begin
     Bytes.set tl.t_ranks r '\001';
     tl.t_count <- tl.t_count + 1
@@ -520,12 +536,47 @@ let count_vote tl id =
   end;
   tl.t_count
 
+let count_vote tl id = count_ranked tl (rank tl.t_roster id) id
+
 let correct_members t vg = List.filter (fun m -> is_correct (node t m)) (members vg)
 
 (* In join order: the proposer, certificate signer and failure detector. *)
 let first_correct t vg = List.find_opt (fun m -> is_correct (node t m)) (members vg)
 
 let majority_of count = (count / 2) + 1
+
+(* --- broadcasts by id, and who delivered them ----------------------- *)
+
+(* [bid]'s entry; the table grows to any id asked for. *)
+let bcast t bid =
+  if bid < 0 then invalid_arg "System.bcast: negative broadcast id";
+  let n = Array.length t.bcasts in
+  if bid >= n then
+    t.bcasts <-
+      Array.init (max (bid + 1) (max 64 (2 * n))) (fun i ->
+          if i < n then t.bcasts.(i) else { delivered = Atum_util.Bitset.create (); meta = None });
+  t.bcasts.(bid)
+
+let bcast_meta t bid = if bid >= 0 && bid < Array.length t.bcasts then t.bcasts.(bid).meta else None
+
+(* Whether node [nid] delivered (or, Byzantine, reacted to) [bid]. *)
+let has_delivered t nid bid =
+  bid >= 0 && bid < Array.length t.bcasts && Atum_util.Bitset.mem t.bcasts.(bid).delivered nid
+
+let mark_delivered t nid bid = Atum_util.Bitset.set (bcast t bid).delivered nid
+
+(* [f] on each bid [nid] delivered, ascending. *)
+let iter_delivered t nid f =
+  Array.iteri (fun bid b -> if Atum_util.Bitset.mem b.delivered nid then f bid) t.bcasts
+
+let delivered t nid =
+  let acc = ref [] in
+  iter_delivered t nid (fun bid -> acc := bid :: !acc);
+  List.rev !acc
+
+(* [nid] delivered nothing, as after a restart wiped it or before its
+   id is reused. *)
+let forget_delivered t nid = Array.iter (fun b -> Atum_util.Bitset.unset b.delivered nid) t.bcasts
 
 let strategy_name = function
   | Mute -> "mute"
@@ -564,11 +615,9 @@ let write_node_snapshot t (n : node) buf =
   (match n.vg with Some v -> Json.add_int buf v | None -> Buffer.add_string buf "null");
   Buffer.add_string buf ",\"delivered\":[";
   let first = ref true in
-  Atum_util.Bitset.iter
-    (fun b ->
+  iter_delivered t n.id (fun b ->
       if !first then first := false else Buffer.add_char buf ',';
-      Json.add_int buf b)
-    n.delivered;
+      Json.add_int buf b);
   Buffer.add_string buf "],\"app\":";
   (match t.app_export with Some write -> write n.id buf | None -> Buffer.add_string buf "null");
   Buffer.add_char buf '}'
@@ -632,6 +681,7 @@ let add_vgroup t ~members =
           nbrs = [];
           fwd_bid = -1;
           fwd_targets = [];
+          rounds = [];
         })
   in
   t.active_vgroups <- t.active_vgroups + 1;
@@ -725,11 +775,16 @@ let live_nodes t =
        (fun _ n acc -> if n.alive && Option.is_some n.vg then n :: acc else acc)
        t.nodes [])
 
-(* Packed keys sort as (node, bid) pairs. *)
+(* Ascending (node, bid) pairs: the arena walks nodes in id order. *)
 let partial_votes t =
-  Pair_tbl.fold (fun key _ acc -> key :: acc) t.bcast_votes []
-  |> List.sort Int.compare
-  |> List.map (fun key -> (key lsr 31, key land ((1 lsl 31) - 1)))
+  List.rev
+    (Atum_util.Arena.fold
+       (fun _ (n : node) acc ->
+         List.fold_left
+           (fun acc bid -> (n.id, bid) :: acc)
+           acc
+           (List.sort_uniq Int.compare (List.map (fun v -> v.v_bid) n.votes)))
+       t.nodes [])
 
 (* O(1): maintained by the membership/liveness mutators below. *)
 let system_size t = t.live_count

@@ -32,7 +32,8 @@ let group_send t ~src_vg ~dst_vg ~label ?size ?k ?on_fail () =
     let full_senders = majority_of roster.size in
     let base_size = match size with Some s -> s | None -> control_bytes label in
     let srcs =
-      List.mapi (fun i s -> (s, if i < full_senders then base_size else 32)) (correct_members t src)
+      Array.of_list
+        (List.mapi (fun i s -> (s, if i < full_senders then base_size else 32)) (correct_members t src))
     in
     Metrics.incr t.metrics "gm.sent";
     defer t (fun () ->
@@ -45,7 +46,7 @@ let group_send t ~src_vg ~dst_vg ~label ?size ?k ?on_fail () =
               { needed = majority_of dr.size; k; accepts = 0; dst_ids = dr.ids; rows })
             k
         in
-        Network.send_group t.net ~srcs ~dsts:dr.members
+        Network.send_group t.net ~srcs ~dsts:dr.order
           (Group_part { src_vg; roster; payload = Control { label; accept } }))
   | _ ->
     Metrics.incr t.metrics "gm.undeliverable";
@@ -550,9 +551,10 @@ let join t ~joiner ~contact ?(k = fun _ -> ()) () =
       ()
 
 (* Return a departed node's dense id to the arena free list so the
-   next spawn reuses it.  Stale liveness entries and partial gossip
-   votes are purged: a recycled id must inherit neither its
-   predecessor's heartbeat history nor its votes.  Opt-in
+   next spawn reuses it.  Stale liveness entries and delivered bits
+   are purged, and its gossip votes go with its record: a recycled id
+   must inherit neither its predecessor's heartbeat history nor its
+   deliveries nor its votes.  Opt-in
    ([set_id_recycling]) because strategies that re-join under the
    same id (Join_leave_attack) need the record to survive its
    departure. *)
@@ -568,9 +570,7 @@ let release_node t nid =
         t.last_seen []
     in
     List.iter (Hashtbl.remove t.last_seen) stale;
-    Pair_tbl.filter_map_inplace
-      (fun key votes -> if key lsr 31 = nid then None else Some votes)
-      t.bcast_votes;
+    forget_delivered t nid;
     Network.unregister t.net nid;
     Atum_util.Arena.release t.nodes nid
 
@@ -692,17 +692,18 @@ let gossip_targets t vg ~bid =
   end;
   vg.fwd_targets
 
-(* A receiver on which a part of broadcast [bid] has no effect: it is
-   gone, down, or has already delivered [bid] (a Byzantine node uses
-   [delivered] as its once-per-bid marker).  These are [handle_wire]'s
-   early-outs for a [Bcast] part, and no handler a part can trigger
-   revives a node or clears a delivered bit, so they are settled
-   columns of the round's [send_group]: most cells of a gossip round
-   reach a node that delivered from an earlier vgroup. *)
-let settled_for t ~bid d =
-  match node_opt t d with
-  | None -> true
-  | Some n -> (not n.alive) || Atum_util.Bitset.mem n.delivered bid
+(* The network's settled predicate: a receiver on which a part of
+   broadcast [bid] has no effect has already delivered [bid] (a
+   Byzantine node uses its bit as its once-per-bid marker), is gone or
+   is down.  These are [handle_wire]'s early-outs for a [Bcast] part,
+   and no handler a part can trigger revives a node or clears a
+   delivered bit, so they are settled columns of a gossip
+   [send_group]: most cells of a round reach a node that delivered from
+   an earlier vgroup, and the bit is tested first, without the node. *)
+let settled t d = function
+  | Group_part { payload = Bcast { bid; _ }; _ } -> (
+    has_delivered t d bid || match node_opt t d with None -> true | Some n -> not n.alive)
+  | Group_part { payload = Control _; _ } | Smr_msg _ | Direct _ | Heartbeat -> false
 
 (* Drain the per-instant fan-out buffer: one [send_group] per part,
    in the order the parts were created.  The rounds are closed before
@@ -717,8 +718,8 @@ let flush_fanout t =
       let r = p.f_round in
       if r.r_open then begin
         r.r_open <- false;
-        Pair_tbl.remove t.fanout_rounds (pair_key r.r_src_vg r.r_bid);
-        if not r.r_split then r.r_srcs <- List.rev r.r_srcs
+        (vgroup t r.r_src_vg).rounds <- [];
+        if r.r_count < Array.length r.r_srcs then r.r_srcs <- Array.sub r.r_srcs 0 r.r_count
       end)
     parts;
   List.iter
@@ -727,19 +728,21 @@ let flush_fanout t =
       | Some nbg when not nbg.retired ->
         let r = p.f_round in
         let bid = r.r_bid in
-        Network.send_group t.net ~settled:(fun d -> settled_for t ~bid d)
-          ~srcs:(if r.r_split then List.rev p.f_srcs else r.r_srcs)
-          ~dsts:(members nbg)
+        Network.send_group t.net
+          ~srcs:(if r.r_split then Array.of_list (List.rev p.f_srcs) else r.r_srcs)
+          ~dsts:nbg.roster.order
           (Group_part
              { src_vg = r.r_src_vg; roster = p.f_roster;
                payload = Bcast { bid; origin = p.f_origin; body = p.f_body; cycle = p.f_cycle } })
       | _ -> ())
     parts
 
+let rec round_for bid = function
+  | [] -> None
+  | r :: rest -> if r.r_bid = bid then Some r else round_for bid rest
+
 let find_round t vg ~bid =
-  match vg with
-  | Some vid -> Pair_tbl.find_opt t.fanout_rounds (pair_key vid bid)
-  | None -> None
+  match vg with Some vid -> round_for bid (vgroup t vid).rounds | None -> None
 
 let add_part t r ~dst ~roster ~origin ~body ~cycle srcs =
   let p =
@@ -757,23 +760,29 @@ let rec same_dsts a b =
 
 (* Member [sender] of vgroup [vg] gossips [bid] to [targets] (not
    empty) in this instant's round, opening it if it is the first. *)
-let queue_fanout t round (vg : vgroup) ~meta ~targets ~bid ~origin ~body sender =
+let queue_fanout t round (vg : vgroup) ~targets ~bid ~origin ~body sender =
   let roster = vg.roster in
   (match round with
   | None ->
     let r =
-      { r_src_vg = vg.vid; r_bid = bid; r_meta = meta; r_targets = targets; r_parts = [];
-        r_srcs = [ sender ]; r_split = false; r_open = true }
+      { r_src_vg = vg.vid; r_bid = bid; r_targets = targets; r_parts = [];
+        r_srcs = Array.make (max 1 roster.size) sender; r_count = 1; r_split = false;
+        r_open = true }
     in
     List.iter (fun (nb, cycle) -> add_part t r ~dst:nb ~roster ~origin ~body ~cycle []) targets;
-    Pair_tbl.replace t.fanout_rounds (pair_key vg.vid bid) r
+    vg.rounds <- r :: vg.rounds
   | Some r ->
-    if (not r.r_split) && (targets == r.r_targets || same_dsts targets r.r_targets) then
-      r.r_srcs <- sender :: r.r_srcs
+    if (not r.r_split) && (targets == r.r_targets || same_dsts targets r.r_targets) then begin
+      if r.r_count = Array.length r.r_srcs then
+        r.r_srcs <- Array.append r.r_srcs (Array.make r.r_count sender);
+      r.r_srcs.(r.r_count) <- sender;
+      r.r_count <- r.r_count + 1
+    end
     else begin
       if not r.r_split then begin
         r.r_split <- true;
-        List.iter (fun p -> p.f_srcs <- r.r_srcs) r.r_parts
+        let shared = List.rev (Array.to_list (Array.sub r.r_srcs 0 r.r_count)) in
+        List.iter (fun p -> p.f_srcs <- shared) r.r_parts
       end;
       List.iter
         (fun (nb, cycle) ->
@@ -818,31 +827,25 @@ let deliver_frame store meta ~bid ~origin ~body =
    callback selects ([random_forward] by default). *)
 let node_deliver t nid ~bid ~origin ~body =
   let n = node t nid in
-  if (not (Atum_util.Bitset.mem n.delivered bid)) && is_correct n then begin
-    Atum_util.Bitset.set n.delivered bid;
+  if (not (has_delivered t nid bid)) && is_correct n then begin
+    let b = bcast t bid in
+    Atum_util.Bitset.set b.delivered nid;
     (* Whichever path delivers (gossip, the vgroup's own SMR, restart
        catch-up), the partial gossip votes for [bid] are dead now. *)
-    Pair_tbl.remove t.bcast_votes (pair_key nid bid);
-    (* A member that joins an open round finds the broadcast's
-       metadata there. *)
+    if n.votes <> [] then n.votes <- List.filter (fun v -> v.v_bid <> bid) n.votes;
     let round = find_round t n.vg ~bid in
-    let meta =
-      match round with
-      | Some { r_meta = Some _ as meta; _ } -> meta
-      | _ -> Hashtbl.find_opt t.bcasts bid
-    in
-    audit t (Audit_deliver { node = nid; bid; body });
+    let meta = b.meta in
+    (match t.on_audit with
+    | Some f -> f (Audit_deliver { node = nid; bid; body })
+    | None -> ());
     (* The WAL record goes first; a snapshot it makes due waits until
        the application has applied the delivery, so a snapshot never
        marks a broadcast delivered whose effect it lacks. *)
     (match t.store with
     | Some store -> Replica.append store ~node:nid (deliver_frame store meta ~bid ~origin ~body)
     | None -> ());
-    (match meta with
-    | Some meta ->
-      Atum_sim.Metrics.observe t.metrics "broadcast.latency" (now t -. meta.started)
-    | None -> ());
-    Metrics.incr t.metrics "broadcast.delivered";
+    (match meta with Some meta -> Metrics.record t.latency (now t -. meta.started) | None -> ());
+    Metrics.bump t.delivered_count;
     if Trace.enabled t.trace then
       trace_emit t ~kind:"broadcast.delivered" ~node:nid ~peer:origin ~bid ();
     t.on_deliver nid ~bid ~origin body;
@@ -864,7 +867,7 @@ let node_deliver t nid ~bid ~origin ~body =
           in
           let full = rank vg.roster nid < majority_of (size vg) in
           let bytes = if full then 64 + String.length body else 32 in
-          queue_fanout t round vg ~meta ~targets ~bid ~origin ~body (nid, bytes)
+          queue_fanout t round vg ~targets ~bid ~origin ~body (nid, bytes)
       end
   end
 
@@ -873,6 +876,7 @@ let node_deliver t nid ~bid ~origin ~body =
 let create ?net_config ?trace_capacity params =
   let t = create ?net_config ?trace_capacity params in
   t.deliver_agreed <- (fun nid ~bid ~origin ~body -> node_deliver t nid ~bid ~origin ~body);
+  Network.set_settled t.net (settled t);
   t
 
 (* Broadcast entry point: phase one is a Byzantine broadcast inside
@@ -884,8 +888,7 @@ let broadcast t ~from body =
   | Some vid ->
     let bid = t.next_bid in
     t.next_bid <- bid + 1;
-    Hashtbl.replace t.bcasts bid
-      { started = now t; b_origin = from; b_body = body; b_frame = None };
+    (bcast t bid).meta <- Some { started = now t; b_origin = from; b_body = body; b_frame = None };
     Metrics.incr t.metrics "broadcast.sent";
     trace_emit t ~kind:"broadcast.sent" ~node:from ~vgroup:vid ~size:(String.length body) ~bid ();
     (* Phase one: the broadcast goes through the vgroup's SMR; each
@@ -931,24 +934,24 @@ let byz_gossip t n ~bid ~origin ~mutate =
 let byz_coin ~bid ~nid ~p =
   float_of_int (Hashtbl.hash (bid, nid) land 0xFFFF) < p *. 65536.0
 
-(* What a Byzantine node does with a broadcast part it receives.  The
-   [delivered] table doubles as the once-per-bid marker: a Byzantine
-   node never delivers properly ([node_deliver] requires
-   [is_correct]), so the table is otherwise unused. *)
+(* What a Byzantine node does with a broadcast part it receives.  Its
+   delivered bit doubles as the once-per-bid marker: a Byzantine node
+   never delivers properly ([node_deliver] requires [is_correct]), so
+   the bit is otherwise unused. *)
 let byz_on_bcast t n ~bid ~origin ~body =
   match effective_strategy n with
   | Mute | Flood _ | Join_leave_attack | Target_vgroup _ -> ()
   | Equivocate ->
-    if not (Atum_util.Bitset.mem n.delivered bid) then begin
-      Atum_util.Bitset.set n.delivered bid;
+    if not (has_delivered t n.id bid) then begin
+      mark_delivered t n.id bid;
       Metrics.incr t.metrics "byzantine.equivocation";
       trace_emit t ~kind:"byzantine.equivocate" ~node:n.id ?vgroup:n.vg ~bid ();
       byz_gossip t n ~bid ~origin ~mutate:(fun cycle ->
           body ^ "/eq" ^ string_of_int cycle)
     end
   | Selective_drop p ->
-    if not (Atum_util.Bitset.mem n.delivered bid) then begin
-      Atum_util.Bitset.set n.delivered bid;
+    if not (has_delivered t n.id bid) then begin
+      mark_delivered t n.id bid;
       if byz_coin ~bid ~nid:n.id ~p then begin
         Metrics.incr t.metrics "byzantine.selective_drop";
         trace_emit t ~kind:"byzantine.selective_drop" ~node:n.id ~bid ()
@@ -1030,13 +1033,14 @@ let start_heartbeats t =
 (* Wire dispatch                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A receiver's votes for one message from one source vgroup.  A
-   toplevel function, so a part allocates no closure to find them. *)
-let rec message_votes src_vg origin body = function
+(* A receiver's votes for one message of [bid] from one source
+   vgroup.  A toplevel function, so a part allocates no closure to find
+   them. *)
+let rec message_votes bid src_vg origin body = function
   | [] -> raise Not_found
   | v :: rest ->
-    if v.from_vg = src_vg && v.origin = origin && String.equal v.body body then v
-    else message_votes src_vg origin body rest
+    if v.v_bid = bid && v.from_vg = src_vg && v.origin = origin && String.equal v.body body then v
+    else message_votes bid src_vg origin body rest
 
 (* Every live node records heartbeats and runs the continuation of a
    direct message — a Byzantine node keeps pretending, and a join-leave
@@ -1069,24 +1073,26 @@ let handle_wire t nid ~src wire =
           (* Each destination member accepts once; the [needed]-th
              acceptance fires. *)
           let i = Atum_smr.Smr_intf.index a.dst_ids nid in
-          if i >= 0 && a.rows.(i).t_count < needed_src && count_vote a.rows.(i) src >= needed_src
+          if
+            i >= 0
+            && a.rows.(i).t_count < needed_src
+            && count_ranked a.rows.(i) (sender_rank t roster src) src >= needed_src
           then begin
             a.accepts <- a.accepts + 1;
             if a.accepts = a.needed then a.k ()
           end
         | Bcast { bid; origin; body; cycle } ->
-          if not (Atum_util.Bitset.mem n.delivered bid) then begin
-            let key = pair_key nid bid in
-            let per_src = try Pair_tbl.find t.bcast_votes key with Not_found -> [] in
+          if not (has_delivered t nid bid) then begin
             let v =
-              match message_votes src_vg origin body per_src with
+              match message_votes bid src_vg origin body n.votes with
               | v -> v
               | exception Not_found ->
-                let v = { from_vg = src_vg; origin; body; voters = tally roster } in
-                Pair_tbl.replace t.bcast_votes key (v :: per_src);
+                let v = { v_bid = bid; from_vg = src_vg; origin; body; voters = tally roster } in
+                n.votes <- v :: n.votes;
                 v
             in
-            if count_vote v.voters src >= needed_src then begin
+            if count_ranked v.voters (sender_rank t v.voters.t_roster src) src >= needed_src
+            then begin
               (* Gossip lineage: this node accepts the broadcast from
                  vgroup [src_vg]; first delivery is a hop edge in the
                  dissemination tree. *)
@@ -1128,7 +1134,7 @@ let spawn_node t ?(byzantine = false) () =
           byzantine;
           strategy = Mute;
           alive = true;
-          delivered = Atum_util.Bitset.create ();
+          votes = [];
         })
   in
   Atum_crypto.Signature.register t.keyring (node_name id);
@@ -1245,13 +1251,14 @@ let start_catchup t (report : restart_report) nid ~t0 =
         (* The peer diffs its delivered set against the request's;
            origin and body come from the broadcast metadata. *)
         let missed = ref [] in
-        Atum_util.Bitset.iter
-          (fun bid ->
-            if not (Atum_util.Bitset.mem n.delivered bid) then
-              match Hashtbl.find_opt t.bcasts bid with
+        Array.iteri
+          (fun bid b ->
+            if Atum_util.Bitset.mem b.delivered peer && not (Atum_util.Bitset.mem b.delivered nid)
+            then
+              match b.meta with
               | Some meta -> missed := (bid, meta.b_origin, meta.b_body) :: !missed
               | None -> ())
-          (node t peer).delivered;
+          t.bcasts;
         let missed = List.rev !missed in
         direct_send t ~src:peer ~dst:nid ~label:"catchup-data"
           ~k:(fun () ->
@@ -1275,7 +1282,7 @@ let apply_wal_record t (n : node) record =
   | Some (Json.String "deliver") -> (
     match (Json.member "bid" record, Json.member "origin" record, Json.member "body" record) with
     | Some (Json.Int bid), Some (Json.Int origin), Some (Json.String body) ->
-      Atum_util.Bitset.set n.delivered bid;
+      mark_delivered t n.id bid;
       (match t.app_replay with Some f -> f n.id ~bid ~origin body | None -> ())
     | _ -> ())
   | _ -> () (* "vg" records: the registry is ground truth, nothing to apply *)
@@ -1295,7 +1302,7 @@ let restart ?contact t nid =
   Metrics.incr t.metrics "recovery.restart";
   trace_emit t ~kind:"recovery.restart" ~node:nid ();
   (* Everything in memory is gone. *)
-  Atum_util.Bitset.clear n.delivered;
+  forget_delivered t nid;
   (match t.app_wipe with Some f -> f nid | None -> ());
   let replayed = ref 0 in
   let fallback = ref false in
@@ -1320,7 +1327,7 @@ let restart ?contact t nid =
         (match Json.member "delivered" snap with
         | Some (Json.List bids) ->
           List.iter
-            (function Json.Int b -> Atum_util.Bitset.set n.delivered b | _ -> ())
+            (function Json.Int b -> mark_delivered t nid b | _ -> ())
             bids
         | _ -> ());
         (match (t.app_import, Json.member "app" snap) with
@@ -1393,7 +1400,7 @@ let restart ?contact t nid =
 
 let restart_reports t = List.rev t.restarts
 
-let sent_body t bid = Option.map (fun m -> m.b_body) (Hashtbl.find_opt t.bcasts bid)
+let sent_body t bid = Option.map (fun m -> m.b_body) (bcast_meta t bid)
 
 (* --- periodic drivers for the active Byzantine strategies ----------- *)
 

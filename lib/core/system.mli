@@ -44,18 +44,20 @@ type byz_strategy =
   | Join_leave_attack
   | Target_vgroup of { vg : vg_id; inner : byz_strategy }
 
+type votes
+(** Gossip votes a node holds for one message of a broadcast it has
+    not delivered yet, from one source vgroup. *)
+
 (** A node's runtime state.  [vg = None] means the node is not (or no
-    longer) part of the system. *)
+    longer) part of the system.  What it delivered is kept per
+    broadcast, not per node: see {!delivered}. *)
 type node = {
   id : node_id;
   mutable vg : vg_id option;
   mutable byzantine : bool;
   mutable strategy : byz_strategy;
   mutable alive : bool;
-  delivered : Atum_util.Bitset.t;
-      (** broadcast ids this node has delivered (or, for a Byzantine
-          node, reacted to) — dense bids make a bitset 8× denser than
-          the per-node hash table it replaces *)
+  mutable votes : votes list;  (** gossip votes short of acceptance, newest first *)
 }
 
 type replica
@@ -71,6 +73,10 @@ type pending_op
 
 type roster
 (** A vgroup's membership between two writes, with ranks by id. *)
+
+type fanout_round
+(** A gossip round of one broadcast being assembled by a vgroup's
+    members for the current instant. *)
 
 type vgroup = {
   vid : vg_id;
@@ -91,6 +97,7 @@ type vgroup = {
       (** broadcast [fwd_targets] was decided for; [-1] once the view
           is rebuilt or the forward policy replaced *)
   mutable fwd_targets : (vg_id * int) list;  (** see {!gossip_targets} *)
+  mutable rounds : fanout_round list;  (** its open gossip rounds, one per broadcast *)
 }
 
 (** The sagas of §3.3 as data: each join, leave, eviction, split,
@@ -361,6 +368,14 @@ val on_execute : t -> vgroup -> node_id -> Atum_smr.Smr_intf.op -> unit
 val partial_votes : t -> (node_id * int) list
 (** The (node, broadcast id) pairs, ascending, for which a node holds
     gossip votes short of acceptance. *)
+
+val delivered : t -> node_id -> int list
+(** The broadcast ids the node has delivered (or, for a Byzantine
+    node, reacted to), ascending.  They are kept as one bitmap over
+    node ids per broadcast. *)
+
+val forget_delivered : t -> node_id -> unit
+(** Wipe the node's delivered broadcasts, as a restart does. *)
 
 val node : t -> node_id -> node
 val node_opt : t -> node_id -> node option

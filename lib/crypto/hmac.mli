@@ -26,4 +26,21 @@ val finalize_into : ctx -> Bytes.t -> off:int -> unit
 
 val reset : ctx -> unit
 (** Start a new message under the same key, as a fresh {!init} would,
-    without deriving the key's pad again or allocating. *)
+    without deriving the key's midstates again or allocating. *)
+
+(** {2 Keys prepared once}
+
+    A {!key} holds a secret's inner and outer SHA-256 midstates, so
+    each message under it costs no key derivation and one compression
+    fewer on each side; one {!ctx} serves messages under many keys. *)
+
+type key
+
+val key : string -> key
+
+val mac_with : ctx -> key -> string -> string
+(** [mac_with ctx k msg] = [mac ~key:secret msg] for [k = key secret],
+    computed in [ctx], which then holds [k] for {!reset}. *)
+
+val verify_with : ctx -> key -> msg:string -> tag:string -> bool
+(** {!verify} under a prepared key. *)

@@ -203,6 +203,24 @@ let finalize ctx =
   finalize_into ctx out ~off:0;
   Bytes.unsafe_to_string out
 
+(* The chaining state between whole blocks, as 8 big-endian words. *)
+let midstate ctx =
+  if ctx.block_len <> 0 || ctx.finished then invalid_arg "Sha256.midstate: not at a block boundary";
+  let out = Bytes.create 32 in
+  for i = 0 to 7 do
+    Bytes.set_int32_be out (i * 4) (Int32.of_int ctx.h.(i))
+  done;
+  Bytes.unsafe_to_string out
+
+let restore ctx s ~off ~len =
+  if len land 63 <> 0 then invalid_arg "Sha256.restore: length not a whole number of blocks";
+  for i = 0 to 7 do
+    ctx.h.(i) <- Int32.to_int (String.get_int32_be s (off + (i * 4))) land mask
+  done;
+  ctx.block_len <- 0;
+  ctx.total_len <- len;
+  ctx.finished <- false
+
 let digest_sub s ~off ~len =
   let ctx = init () in
   feed_bytes ctx (Bytes.unsafe_of_string s) ~off ~len;

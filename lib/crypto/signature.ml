@@ -1,23 +1,26 @@
-type keyring = { secrets : (string, string) Hashtbl.t; rng : Atum_util.Rng.t }
+(* Each identity's secret is kept as its prepared HMAC key (inner and
+   outer midstates), and one scratch context per keyring computes every
+   tag, so signing and verifying derive nothing per message. *)
+type keyring = { keys : (string, Hmac.key) Hashtbl.t; scratch : Hmac.ctx; rng : Atum_util.Rng.t }
 
 type t = { signer : string; tag : string }
 
-let create_keyring ~seed = { secrets = Hashtbl.create 64; rng = Atum_util.Rng.create seed }
+let create_keyring ~seed =
+  { keys = Hashtbl.create 64; scratch = Hmac.init ~key:""; rng = Atum_util.Rng.create seed }
 
 let register kr identity =
-  if not (Hashtbl.mem kr.secrets identity) then begin
+  if not (Hashtbl.mem kr.keys identity) then begin
     let raw = Int64.to_string (Atum_util.Rng.bits64 kr.rng) in
-    Hashtbl.replace kr.secrets identity (Sha256.digest (identity ^ ":" ^ raw))
+    Hashtbl.replace kr.keys identity (Hmac.key (Sha256.digest (identity ^ ":" ^ raw)))
   end
 
-
 let sign kr ~signer msg =
-  let secret = Hashtbl.find kr.secrets signer in
-  { signer; tag = Hmac.mac ~key:secret ("sig:" ^ signer ^ ":" ^ msg) }
+  let key = Hashtbl.find kr.keys signer in
+  { signer; tag = Hmac.mac_with kr.scratch key ("sig:" ^ signer ^ ":" ^ msg) }
 
 let verify kr s ~msg =
-  match Hashtbl.find_opt kr.secrets s.signer with
+  match Hashtbl.find_opt kr.keys s.signer with
   | None -> false
-  | Some secret -> Hmac.verify ~key:secret ~msg:("sig:" ^ s.signer ^ ":" ^ msg) ~tag:s.tag
+  | Some key -> Hmac.verify_with kr.scratch key ~msg:("sig:" ^ s.signer ^ ":" ^ msg) ~tag:s.tag
 
 let forge_attempt ~signer ~msg = { signer; tag = Sha256.digest ("forged:" ^ signer ^ ":" ^ msg) }

@@ -41,6 +41,24 @@ let observe t name x =
   | Some r -> r := x :: !r
   | None -> Hashtbl.replace t.series name (ref [ x ])
 
+(* A series handle, like a counter handle: the cell is cached per
+   generation and created at the first [record]. *)
+type series = { s_owner : t; s_name : string; mutable s_cell : float list ref; mutable s_gen : int }
+
+let series t name = { s_owner = t; s_name = name; s_cell = ref []; s_gen = -1 }
+
+let record h x =
+  if h.s_gen <> h.s_owner.generation then begin
+    (match Hashtbl.find h.s_owner.series h.s_name with
+    | r -> h.s_cell <- r
+    | exception Not_found ->
+      let r = ref [] in
+      Hashtbl.replace h.s_owner.series h.s_name r;
+      h.s_cell <- r);
+    h.s_gen <- h.s_owner.generation
+  end;
+  h.s_cell := x :: !(h.s_cell)
+
 let samples t name =
   match Hashtbl.find_opt t.series name with Some r -> List.rev !r | None -> []
 

@@ -22,6 +22,17 @@ val bump : ?by:int -> handle -> unit
 val observe : t -> string -> float -> unit
 (** Append a sample to the named series. *)
 
+type series
+(** One named series, looked up once: {!handle}'s counterpart for a
+    series appended to per simulated delivery. *)
+
+val series : t -> string -> series
+(** A handle on the named series; like {!handle}, it creates nothing
+    until its first {!record}. *)
+
+val record : series -> float -> unit
+(** [observe] through a handle; it stays right across {!clear}. *)
+
 val samples : t -> string -> float list
 (** Samples in observation order; [] for unknown series. *)
 

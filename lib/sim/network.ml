@@ -42,6 +42,8 @@ type 'msg t = {
   mutable fault_epoch : int; (* bumped by every crash, recover and partition change *)
   metrics : Metrics.t;
   post_heal_count : Metrics.handle; (* "net.deliver.post_heal" *)
+  loss_count : Metrics.handle; (* "net.drop.loss", for the tight admission loop *)
+  mutable settled : int -> 'msg -> bool; (* see [set_settled] *)
   trace : Trace.t option;
   mutable sent : int;
   mutable delivered : int;
@@ -75,6 +77,8 @@ let create ?metrics ?trace engine config =
     fault_epoch = 0;
     metrics;
     post_heal_count = Metrics.handle metrics "net.deliver.post_heal";
+    loss_count = Metrics.handle metrics "net.drop.loss";
+    settled = (fun _ _ -> false);
     trace;
     sent = 0;
     delivered = 0;
@@ -89,6 +93,7 @@ let create ?metrics ?trace engine config =
 
 let engine t = t.engine
 let metrics t = t.metrics
+let set_settled t f = t.settled <- f
 let trace t = t.trace
 
 let ensure t node =
@@ -187,26 +192,16 @@ let faulted_count t = t.crashed_count + t.tagged_count
 (* Fault state per batch.  A batch whose senders and receivers are all
    up and share one partition has no cut cell, whatever else is down
    or partitioned.  [uncut] checks that once over the batch's two
-   lists instead of once per cell, and is trivially true with no fault
-   at all. *)
+   arrays instead of once per cell, and is trivially true with no
+   fault at all. *)
 let[@inline] up_in t part node = (not (is_crashed t node)) && partition_of t node = part
-
-let rec dsts_up_in t part = function
-  | [] -> true
-  | dst :: rest -> up_in t part dst && dsts_up_in t part rest
-
-let rec srcs_up_in t part = function
-  | [] -> true
-  | (src, _) :: rest -> up_in t part src && srcs_up_in t part rest
 
 let uncut t ~srcs ~dsts =
   faulted_count t = 0
+  || Array.length srcs = 0
   ||
-  match srcs with
-  | [] -> true
-  | (src, _) :: _ ->
-    let part = partition_of t src in
-    srcs_up_in t part srcs && dsts_up_in t part dsts
+  let part = partition_of t (fst srcs.(0)) in
+  Array.for_all (fun (src, _) -> up_in t part src) srcs && Array.for_all (up_in t part) dsts
 
 let set_loss_boost t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Network.set_loss_boost: p outside [0, 1]";
@@ -332,63 +327,56 @@ let send ?(size = 64) t ~src ~dst msg =
     Engine.schedule ~label:"net.transit" t.engine ~delay:(transit_delay t) (fun () ->
         arrive t ~uncut:false ~size ~src ~dst msg)
 
-(* A batch in flight is the grid it was admitted as: the [srcs] list,
-   the immutable [dsts] list, and a survival bitmask with one bit per
-   (src, dst) cell in src-major order.  Admission and arrival walk the
+(* A batch in flight is the grid it was admitted as: the [srcs] and
+   [dsts] arrays, the survivor count, and a survival mask with one bit
+   per (src, dst) cell in src-major order, so cell [k] is row
+   [k / width], column [k mod width].  Admission and arrival walk the
    same grid in the same order, so no per-message record is built.
    Each batch owns its mask: a handler may send (and so admit a new
-   batch) while an earlier batch is still being walked.  The cell count
-   is known before admission, so the mask is a fixed-size [Bytes]
-   rather than a growable [Atum_util.Bitset]. *)
-let[@inline] set_bit mask k =
+   batch) while an earlier batch is still being walked.  The mask
+   starts all ones and admission clears the bit of each dropped cell,
+   so the common all-surviving row writes nothing. *)
+let[@inline] clear_bit mask k =
   Bytes.set mask (k lsr 3)
-    (Char.unsafe_chr (Char.code (Bytes.get mask (k lsr 3)) lor (1 lsl (k land 7))))
+    (Char.unsafe_chr (Char.code (Bytes.get mask (k lsr 3)) land lnot (1 lsl (k land 7))))
 
 let[@inline] bit mask k = Char.code (Bytes.get mask (k lsr 3)) land (1 lsl (k land 7)) <> 0
 
-let rec admit_row t ~traced ~uncut ~threshold ~src ~size mask k survived = function
-  | [] -> survived
-  | dst :: rest ->
-    if admit t ~traced ~uncut ~threshold ~src ~dst ~size then begin
-      set_bit mask k;
-      admit_row t ~traced ~uncut ~threshold ~src ~size mask (k + 1) (survived + 1) rest
-    end
-    else admit_row t ~traced ~uncut ~threshold ~src ~size mask (k + 1) survived rest
-
-let rec admit_grid t ~traced ~uncut ~threshold ~dsts ~width mask k survived = function
-  | [] -> survived
-  | (src, size) :: rest ->
-    t.sent <- t.sent + width;
-    t.bytes <- t.bytes + (width * size);
-    let survived = admit_row t ~traced ~uncut ~threshold ~src ~size mask k survived dsts in
-    admit_grid t ~traced ~uncut ~threshold ~dsts ~width mask (k + width) survived rest
+(* The per-cell admission, for a batch that may be cut or is traced;
+   returns the survivor count. *)
+let admit_grid t ~traced ~uncut ~threshold ~srcs ~dsts mask =
+  let width = Array.length dsts and survived = ref 0 in
+  Array.iteri
+    (fun row (src, size) ->
+      t.sent <- t.sent + width;
+      t.bytes <- t.bytes + (width * size);
+      for j = 0 to width - 1 do
+        if admit t ~traced ~uncut ~threshold ~src ~dst:dsts.(j) ~size then incr survived
+        else clear_bit mask ((row * width) + j)
+      done)
+    srcs;
+  !survived
 
 (* The tight admission loop, for a batch that is uncut and untraced:
-   no cell can be cut and none is traced, so each cell is one loss
-   draw and, if it survives, one bit, with the same draws in the same
-   order as the per-cell path.  Losses are counted once per row;
+   no cell can be cut and none is traced, so a row is its loss draws,
+   made by [Rng.bernoulli_row] in the same order as the per-cell path,
+   and a bit cleared per loss.  Losses are counted once per row;
    admission runs no callback, so nothing can read a counter between
    the cells of a row. *)
-let rec admit_cells rng ~threshold mask k stop lost =
-  if k = stop then lost
-  else if Atum_util.Rng.bernoulli_below rng threshold then
-    admit_cells rng ~threshold mask (k + 1) stop (lost + 1)
-  else begin
-    set_bit mask k;
-    admit_cells rng ~threshold mask (k + 1) stop lost
-  end
-
-let rec admit_plain t ~threshold ~width mask k survived = function
-  | [] -> survived
-  | (_, size) :: rest ->
-    t.sent <- t.sent + width;
-    t.bytes <- t.bytes + (width * size);
-    let lost = admit_cells t.rng ~threshold mask k (k + width) 0 in
-    if lost > 0 then begin
-      t.dropped <- t.dropped + lost;
-      Metrics.incr ~by:lost t.metrics drop_loss
-    end;
-    admit_plain t ~threshold ~width mask (k + width) (survived + width - lost) rest
+let admit_plain t ~threshold ~srcs ~width mask =
+  let survived = ref 0 in
+  Array.iteri
+    (fun row (_, size) ->
+      t.sent <- t.sent + width;
+      t.bytes <- t.bytes + (width * size);
+      let lost = Atum_util.Rng.bernoulli_row t.rng threshold mask ~first:(row * width) ~width in
+      if lost > 0 then begin
+        t.dropped <- t.dropped + lost;
+        Metrics.bump ~by:lost t.loss_count
+      end;
+      survived := !survived + width - lost)
+    srcs;
+  !survived
 
 (* The accounting half of [arrive], for a cell whose receiver's
    handler could not act on it: the delivery-time cut and handler
@@ -405,101 +393,78 @@ let count_arrival t ~uncut ~src ~dst =
       if t.post_heal then Metrics.bump t.post_heal_count
     end
 
-(* Settled columns: bit [j] is set where the caller's [settled]
-   predicate holds, at arrival, for the [j]th destination.  They fit
-   one int: a column past the first [Sys.int_size - 1] is never
-   settled, which only costs it the handler call (a vgroup is far
-   smaller).  None are settled while tracing is on (a handler call
-   traces its receive) or under [node_capacity] (delivery happens
-   later, when the predicate may no longer hold). *)
+(* Settled columns: bit [j] is set where the [j]th destination is
+   registered and the network's [settled] predicate holds for it, at
+   arrival.  They fit one int: a column past the first
+   [Sys.int_size - 1] is never settled, which only costs it the
+   handler call (a vgroup is far smaller).  An unregistered
+   destination is left unsettled: [arrive] drops its cells for the
+   same reason [count_arrival] would.  None are settled while tracing
+   is on (a handler call traces its receive) or under [node_capacity]
+   (delivery happens later, when the predicate may no longer hold). *)
 let max_settled = Sys.int_size - 1
 
-let rec mark_settled settled j cols = function
-  | [] -> cols
-  | dst :: rest ->
-    if j = max_settled then cols
-    else mark_settled settled (j + 1) (if settled dst then cols lor (1 lsl j) else cols) rest
+let settled_columns t msg dsts =
+  let cols = ref 0 in
+  if Option.is_none t.config.node_capacity && not (tracing t) then
+    for j = 0 to min (Array.length dsts) max_settled - 1 do
+      let dst = dsts.(j) in
+      if has_handler t dst && t.settled dst msg then cols := !cols lor (1 lsl j)
+    done;
+  !cols
 
-let settled_columns t settled dsts =
-  if Option.is_none t.config.node_capacity && not (tracing t) then mark_settled settled 0 0 dsts
-  else 0
-
-(* Set bits of a mask, a byte at a time; bits past the last cell are
-   clear. *)
-let byte_weights =
-  String.init 256 (fun b ->
-      let rec weight b = if b = 0 then 0 else (b land 1) + weight (b lsr 1) in
-      Char.chr (weight b))
-
-let popcount mask =
-  let n = ref 0 in
-  for i = 0 to Bytes.length mask - 1 do
-    n := !n + Char.code byte_weights.[Char.code (Bytes.get mask i)]
-  done;
-  !n
-
-let rec all_registered t = function
-  | [] -> true
-  | dst :: rest -> has_handler t dst && all_registered t rest
-
-(* [epoch] is the fault epoch at which the batch was found uncut, or
+(* One arrival walk over the grid, settled cells only counted.
+   [epoch] is the fault epoch at which the batch was found uncut, or
    -1: a handler called during the walk may crash or partition a node,
    and from then on each cell checks its own pair again. *)
-let rec arrive_row t ~epoch ~src ~size mask cols k j msg = function
-  | [] -> ()
-  | dst :: rest ->
-    if bit mask (k + j) then begin
-      let uncut = epoch = t.fault_epoch in
-      if j < max_settled && cols land (1 lsl j) <> 0 then count_arrival t ~uncut ~src ~dst
-      else arrive t ~uncut ~size ~src ~dst msg
-    end;
-    arrive_row t ~epoch ~src ~size mask cols k (j + 1) msg rest
+let arrive_grid t ~epoch ~srcs ~dsts mask cols msg =
+  let width = Array.length dsts in
+  Array.iteri
+    (fun row (src, size) ->
+      for j = 0 to width - 1 do
+        if bit mask ((row * width) + j) then begin
+          let dst = dsts.(j) and uncut = epoch = t.fault_epoch in
+          if j < max_settled && cols land (1 lsl j) <> 0 then count_arrival t ~uncut ~src ~dst
+          else arrive t ~uncut ~size ~src ~dst msg
+        end
+      done)
+    srcs
 
-let rec arrive_grid t ~epoch ~dsts ~width mask cols k msg = function
-  | [] -> ()
-  | (src, size) :: rest ->
-    arrive_row t ~epoch ~src ~size mask cols k 0 msg dsts;
-    arrive_grid t ~epoch ~dsts ~width mask cols (k + width) msg rest
-
-(* One arrival walk over the grid, settled cells only counted.  When
-   every column is settled no handler runs, so nothing the walk reads
-   can change under it; with the batch uncut and every receiver
-   registered, each surviving cell is then a plain delivery, and the
-   batch is counted from its mask without walking it. *)
-let arrive_batch t ~settled ~dsts mask msg srcs =
-  let width = List.length dsts in
-  let cols = settled_columns t settled dsts in
+(* When every column is settled no handler runs, so nothing the walk
+   reads can change under it; with the batch uncut, each surviving
+   cell is then a plain delivery, and the batch is counted from its
+   survivor count without walking it. *)
+let arrive_batch t ~srcs ~dsts ~survived mask msg =
+  let width = Array.length dsts in
+  let cols = settled_columns t msg dsts in
   let uncut = uncut t ~srcs ~dsts in
-  if width <= max_settled && cols = (1 lsl width) - 1 && uncut && all_registered t dsts then begin
-    let n = popcount mask in
-    t.delivered <- t.delivered + n;
-    if t.post_heal then Metrics.bump ~by:n t.post_heal_count
+  if uncut && width <= max_settled && cols = (1 lsl width) - 1 then begin
+    t.delivered <- t.delivered + survived;
+    if t.post_heal then Metrics.bump ~by:survived t.post_heal_count
   end
-  else
-    arrive_grid t ~epoch:(if uncut then t.fault_epoch else -1) ~dsts ~width mask cols 0 msg srcs
-
-let never_settled (_ : int) = false
+  else arrive_grid t ~epoch:(if uncut then t.fault_epoch else -1) ~srcs ~dsts mask cols msg
 
 (* Vgroup-round batching: every sender of a round fans out to every
    destination as ONE latency sample and ONE engine event, instead of
    one per (src, dst) pair.  Loss and cut checks stay per pair. *)
-let send_group ?(settled = never_settled) t ~srcs ~dsts msg =
-  let width = List.length dsts in
-  let cells = width * List.length srcs in
+let send_group t ~srcs ~dsts msg =
+  let width = Array.length dsts in
+  let cells = width * Array.length srcs in
   if cells > 0 then begin
-    let mask = Bytes.make ((cells + 7) lsr 3) '\000' in
+    let mask = Bytes.make ((cells + 7) lsr 3) '\255' in
     let traced = tracing t and uncut = uncut t ~srcs ~dsts in
     let threshold = t.loss_cut in
     let survived =
-      if uncut && not traced then admit_plain t ~threshold ~width mask 0 0 srcs
-      else admit_grid t ~traced ~uncut ~threshold ~dsts ~width mask 0 0 srcs
+      if uncut && not traced then admit_plain t ~threshold ~srcs ~width mask
+      else admit_grid t ~traced ~uncut ~threshold ~srcs ~dsts mask
     in
     if survived > 0 then
       Engine.schedule ~label:"net.transit.batch" t.engine ~delay:(transit_delay t) (fun () ->
-          arrive_batch t ~settled ~dsts mask msg srcs)
+          arrive_batch t ~srcs ~dsts ~survived mask msg)
   end
 
-let send_multi ?(size = 64) t ~src ~dsts msg = send_group t ~srcs:[ (src, size) ] ~dsts msg
+let send_multi ?(size = 64) t ~src ~dsts msg =
+  send_group t ~srcs:[| (src, size) |] ~dsts:(Array.of_list dsts) msg
 
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered

@@ -68,8 +68,7 @@ val send_multi : ?size:int -> 'msg t -> src:int -> dsts:int list -> 'msg -> unit
 (** Batched fan-out: {!send_group} with the single sender
     [(src, size)]. *)
 
-val send_group :
-  ?settled:(int -> bool) -> 'msg t -> srcs:(int * int) list -> dsts:int list -> 'msg -> unit
+val send_group : 'msg t -> srcs:(int * int) array -> dsts:int array -> 'msg -> unit
 (** Vgroup-round fan-in/fan-out: every [(src, size)] sender transmits
     [msg] to every destination, as ONE latency sample and ONE engine
     event (label ["net.transit.batch"]) for the whole round.  Each
@@ -77,26 +76,32 @@ val send_group :
     ["net.send"] trace, partition/crash check and one loss draw — in
     src-major, then destination order; the latency is drawn once after
     admission, and only when some pair survived.  A batch that no
-    fault cuts is admitted untraced in a tight loop with the same
-    draws, bits and counts.
+    fault cuts is admitted untraced a row at a time
+    ({!Atum_util.Rng.bernoulli_row}) with the same draws, bits and
+    counts.
 
-    In flight, the batch is the [srcs] and [dsts] lists it was
-    admitted with plus a survival bitmask of one bit per cell, so
-    transit allocates no per-message record.  Arrival walks the same
-    grid in the same order and re-checks partition, crash and handler
-    per surviving pair.
+    In flight, the batch is the [srcs] and [dsts] arrays it was
+    admitted with and its survivor count, plus a survival bitmask of
+    one bit per cell, so transit allocates no per-message record; the
+    caller must not change either array afterwards.  Arrival walks the same grid in the same order and
+    re-checks partition, crash and handler per surviving pair, except
+    in settled columns (see {!set_settled}). *)
 
-    [settled] (default: nothing settled) is evaluated once per
-    destination when the batch arrives, before any handler runs; only
-    the first [Sys.int_size - 1] destinations are asked.  A
-    destination for which it holds is a {e settled column}: its cells
-    are counted exactly as a delivery or drop would count them (cut
-    and handler checks with their drop reasons, {!messages_delivered},
-    ["net.deliver.post_heal"]), but its handler is not called.  The
-    contract is that for such a destination the handler would do
-    nothing observable with [msg], and would keep doing nothing for
-    the rest of this arrival, whatever the earlier cells' handlers
-    do.  The predicate is ignored while tracing is enabled and under
+val set_settled : 'msg t -> (int -> 'msg -> bool) -> unit
+(** [set_settled net f] installs the network's settled predicate
+    (default: nothing settled).  When a {!send_group} batch arrives,
+    [f dst msg] is evaluated once per registered destination, before
+    any handler runs; only the first [Sys.int_size - 1] destinations
+    are asked.  A destination for which it holds is a {e settled
+    column}: its cells are counted exactly as a delivery or drop would
+    count them (cut and handler checks with their drop reasons,
+    {!messages_delivered}, ["net.deliver.post_heal"]), but its handler
+    is not called.  When every column of an uncut batch is settled,
+    the batch is counted from its survivor count.  The contract is
+    that for such a destination the handler would do nothing
+    observable with [msg], and would keep doing nothing for the rest
+    of this arrival, whatever the earlier cells' handlers do.  The
+    predicate is not asked while tracing is enabled or under
     [node_capacity], so the per-cell ["net.deliver"] trace and the
     service queue are unchanged. *)
 

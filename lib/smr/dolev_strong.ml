@@ -9,10 +9,13 @@ type t = {
   sender : Smr_intf.node_id;
   f : int;
   instance_id : string;
+  names : string list; (* the members' signer names, built once *)
   mutable extracted : string list; (* reverse order of first extraction *)
   mutable inbox : msg list;
   mutable decided : string option option;
 }
+
+let node_name id = "node-" ^ string_of_int id
 
 let create ~keyring ~self ~members ~sender ~f ~instance_id =
   {
@@ -22,12 +25,11 @@ let create ~keyring ~self ~members ~sender ~f ~instance_id =
     sender;
     f;
     instance_id;
+    names = List.map node_name members;
     extracted = [];
     inbox = [];
     decided = None;
   }
-
-let node_name id = "node-" ^ string_of_int id
 
 let signed_payload t value = t.instance_id ^ ":" ^ value
 
@@ -68,7 +70,7 @@ let chain_valid t ~round (m : msg) =
     List.length distinct = List.length signers
     && List.for_all
          (fun s ->
-           List.exists (fun id -> String.equal (node_name id) s.Signature.signer) t.members
+           List.exists (String.equal s.Signature.signer) t.names
            && Signature.verify t.keyring s ~msg:payload)
          m.sigs
 

@@ -56,7 +56,9 @@ let instance_for t sender =
   | Some ds -> Some ds
   | None ->
     if Smr_intf.index t.tr.ids sender >= 0 then begin
-      let instance_id = Printf.sprintf "%s/s%d/n%d" t.epoch_id t.slot sender in
+      let instance_id =
+        String.concat "" [ t.epoch_id; "/s"; string_of_int t.slot; "/n"; string_of_int sender ]
+      in
       let ds =
         Dolev_strong.create ~keyring:t.keyring ~self:t.tr.self ~members:t.tr.members
           ~sender ~f:t.tr.f ~instance_id

@@ -54,6 +54,39 @@ let bernoulli_threshold p =
 
 let[@inline] bernoulli_below t k = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) < k
 
+(* [bernoulli_below] for each of [width] cells, with the state in a
+   local (unboxed) and stored back once.  Threshold 0 never hits and
+   [2^53] always does, so there the draws only advance the state: by
+   [width] gammas, which is the same state the loop reaches. *)
+let bernoulli_row t k mask ~first ~width =
+  if k <= 0 || k >= 1 lsl 53 then begin
+    Bytes.set_int64_ne t 0
+      (Int64.add (Bytes.get_int64_ne t 0) (Int64.mul (Int64.of_int width) golden_gamma));
+    if k <= 0 then 0
+    else begin
+      for c = first to first + width - 1 do
+        let i = c lsr 3 in
+        Bytes.unsafe_set mask i
+          (Char.unsafe_chr (Char.code (Bytes.get mask i) land lnot (1 lsl (c land 7))))
+      done;
+      width
+    end
+  end
+  else begin
+    let s = ref (Bytes.get_int64_ne t 0) and lost = ref 0 in
+    for c = first to first + width - 1 do
+      s := Int64.add !s golden_gamma;
+      if Int64.to_int (Int64.shift_right_logical (mix64 !s) 11) < k then begin
+        let i = c lsr 3 in
+        Bytes.unsafe_set mask i
+          (Char.unsafe_chr (Char.code (Bytes.get mask i) land lnot (1 lsl (c land 7))));
+        incr lost
+      end
+    done;
+    Bytes.set_int64_ne t 0 !s;
+    !lost
+  end
+
 let exponential t rate =
   let u = 1.0 -. float t 1.0 in
   -.log u /. rate

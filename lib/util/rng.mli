@@ -45,6 +45,13 @@ val bernoulli_below : t -> int -> bool
     as [bernoulli t p] and returns the same result, comparing ints
     instead of floats. *)
 
+val bernoulli_row : t -> int -> Bytes.t -> first:int -> width:int -> int
+(** [bernoulli_row t k mask ~first ~width] makes, in order, the
+    [width] draws of [bernoulli_below t k], clears bit [first + i] of
+    [mask] (bit [c] is bit [c land 7] of byte [c lsr 3]) for each draw
+    [i] that hits, and returns the number of hits.  The state ends
+    where the per-cell draws leave it. *)
+
 val exponential : t -> float -> float
 (** [exponential t rate] samples Exp(rate); mean [1. /. rate]. *)
 

@@ -444,7 +444,7 @@ let test_broadcast_survives_reconfiguration () =
           Alcotest.(check bool)
             (Printf.sprintf "member %d delivered" m)
             true
-            (Atum_util.Bitset.mem (System.node sys m).System.delivered bid))
+            (List.mem bid (System.delivered sys m)))
         stayed)
     [ quick_sync_params; quick_async_params ]
 
@@ -691,7 +691,7 @@ let test_monitor_dup_delivery () =
   Atum.on_deliver t (fun nid ~bid:_ ~origin:_ _ ->
       if not (Hashtbl.mem wiped nid) then begin
         Hashtbl.add wiped nid ();
-        Atum_util.Bitset.clear (System.node sys nid).System.delivered
+        System.forget_delivered sys nid
       end);
   ignore (Atum.broadcast t ~from:n0 "once");
   Atum.run_for t 60.0;
@@ -794,7 +794,7 @@ let test_smr_delivery_drops_gossip_votes () =
   let got, real = hold sys x in
   let bid = System.broadcast sys ~from:origin "votes" in
   System.run_for sys 10.0;
-  let delivered () = Atum_util.Bitset.mem (System.node sys x).System.delivered bid in
+  let delivered () = List.mem bid (System.delivered sys x) in
   Alcotest.(check bool) "held member has not delivered" false (delivered ());
   let from_a (s, _) = List.mem s (System.members a) in
   let smr, gossip = List.partition from_a (got ()) in
@@ -824,6 +824,39 @@ let test_release_drops_gossip_votes () =
   Alcotest.(check bool) "released id holds no votes" false
     (List.exists (fun (n, _) -> n = y) (System.partial_votes sys));
   Alcotest.(check int) "id reused" y (System.spawn_node sys ())
+
+(* Delivered bits and votes of a released id: [y] delivers one
+   broadcast and holds votes for a second, [z] holds votes for the
+   first.  [partial_votes] lists exactly the (node, bid) pairs with
+   votes, ascending; releasing [y] drops its pair, and the node that
+   reuses its id has delivered nothing. *)
+let test_release_forgets_delivered () =
+  let sys, _, a, b = direct_pair ~nodes:40 () in
+  System.set_forward_policy sys System.flood_forward;
+  System.set_id_recycling sys true;
+  let y = System.spawn_node sys () and z = System.spawn_node sys () in
+  let got, _ = hold sys (List.hd (System.members b)) in
+  let from_a () = List.filter (fun (s, _) -> List.mem s (System.members a)) (got ()) in
+  let origin = List.hd (System.members a) in
+  let first = System.broadcast sys ~from:origin "first" in
+  System.run_for sys 10.0;
+  let parts_first = from_a () in
+  let second = System.broadcast sys ~from:origin "second" in
+  System.run_for sys 10.0;
+  let parts_second = List.filteri (fun i _ -> i >= List.length parts_first) (from_a ()) in
+  Alcotest.(check bool) "parts of both broadcasts" true (parts_first <> [] && parts_second <> []);
+  let feed nid (s, w) = (Option.get (Atum_sim.Network.handler_of (System.network sys) nid)) ~src:s w in
+  List.iter (feed y) parts_first;
+  feed y (List.hd parts_second);
+  feed z (List.hd parts_first);
+  Alcotest.(check (list int)) "y delivered the first" [ first ] (System.delivered sys y);
+  Alcotest.(check (list (pair int int))) "votes held" [ (y, second); (z, first) ]
+    (List.filter (fun (n, _) -> n = y || n = z) (System.partial_votes sys));
+  System.release_node sys y;
+  Alcotest.(check (list (pair int int))) "released id holds no votes" [ (z, first) ]
+    (List.filter (fun (n, _) -> n = y || n = z) (System.partial_votes sys));
+  Alcotest.(check int) "id reused" y (System.spawn_node sys ());
+  Alcotest.(check (list int)) "reused id delivered nothing" [] (System.delivered sys y)
 
 (* ------------------------------------------------------------------ *)
 (* Causal tracing: saga spans and broadcast lineage                    *)
@@ -1099,7 +1132,7 @@ let test_equivocated_body_not_delivered () =
   feed b1 (honest b1);
   feed b2 (List.filteri (fun i _ -> i < needed - 1) (honest b2) @ forged b2);
   Alcotest.(check bool) "short of a majority for any body" false
-    (Atum_util.Bitset.mem (System.node sys b2).System.delivered 0);
+    (List.mem 0 (System.delivered sys b2));
   List.iter (fun m -> if m <> b1 && m <> b2 then feed m (honest m)) (System.members b);
   System.run_for sys 6.0;
   Alcotest.(check bool) "forged body not delivered" false (Hashtbl.mem forgers b2);
@@ -1353,7 +1386,7 @@ let test_tally_across_roster_change () =
   let y_part = List.assoc y (got ()) in
   let needed = (List.length senders / 2) + 1 in
   Alcotest.(check bool) "old roster opens the tally" true (needed > 2);
-  let delivered () = Atum_util.Bitset.mem (System.node sys x).System.delivered bid in
+  let delivered () = List.mem bid (System.delivered sys x) in
   let short = List.filteri (fun i _ -> i < needed - 2) from_a in
   List.iter (fun (s, w) -> real ~src:s w) short;
   real ~src:y y_part;
@@ -1523,6 +1556,7 @@ let () =
           Alcotest.test_case "SMR delivery drops gossip votes" `Quick
             test_smr_delivery_drops_gossip_votes;
           Alcotest.test_case "release drops gossip votes" `Quick test_release_drops_gossip_votes;
+          Alcotest.test_case "release forgets delivered bits" `Quick test_release_forgets_delivered;
           Alcotest.test_case "direct continuation fires once" `Quick
             test_direct_continuation_fires_once;
           Alcotest.test_case "direct to crashed node never fires" `Quick

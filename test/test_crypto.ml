@@ -173,6 +173,36 @@ let test_hmac_verify () =
   Alcotest.(check bool) "rejects truncated tag" false
     (Hmac.verify ~key:"k" ~msg:"m" ~tag:(String.sub tag 0 16))
 
+(* Prepared keys: one context, reused across keys and rounds, gives
+   the RFC 4231 tags (cases 1-4 and 6) that the one-shot [mac] gives. *)
+let test_hmac_prepared_keys () =
+  let vectors =
+    [ (String.make 20 '\x0b', "Hi There",
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+      ("Jefe", "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+      (String.make 20 '\xaa', String.make 50 '\xdd',
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+      (String.init 25 (fun i -> Char.chr (i + 1)), String.make 50 '\xcd',
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+      (String.make 131 '\xaa', "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54") ]
+  in
+  let ctx = Hmac.init ~key:"unrelated" in
+  let keys = List.map (fun (k, _, _) -> Hmac.key k) vectors in
+  for round = 1 to 2 do
+    List.iteri
+      (fun i ((secret, data, want), key) ->
+        let ctx_name = Printf.sprintf "round %d case %d" round i in
+        Alcotest.(check string) (ctx_name ^ ": cached") want (Sha256.hex (Hmac.mac_with ctx key data));
+        Alcotest.(check string) (ctx_name ^ ": fresh") want (Hmac.mac_hex ~key:secret data);
+        Alcotest.(check bool) (ctx_name ^ ": verifies") true
+          (Hmac.verify_with ctx key ~msg:data ~tag:(Hmac.mac ~key:secret data));
+        Alcotest.(check bool) (ctx_name ^ ": rejects another message") false
+          (Hmac.verify_with ctx key ~msg:(data ^ "!") ~tag:(Hmac.mac ~key:secret data)))
+      (List.combine vectors keys)
+  done
+
 (* The incremental interface over a message held in pieces, with a
    long key (hashed first); expected tags from Python's hmac module. *)
 let test_hmac_incremental () =
@@ -290,6 +320,7 @@ let () =
           Alcotest.test_case "rfc4231 case 4" `Quick test_hmac_rfc4231_case4;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
           Alcotest.test_case "incremental" `Quick test_hmac_incremental;
+          Alcotest.test_case "prepared keys" `Quick test_hmac_prepared_keys;
         ] );
       ( "signature",
         [

@@ -536,9 +536,10 @@ let test_network_drop_reason_counters () =
    surviving (src, dst) pair of a round is materialised as a list
    element and carried through transit.  Same admission order, same
    RNG draws, same engine labels.  A settled destination is modelled
-   as the spec states it: the predicate is read once per destination
-   when the batch arrives (unless [traced] or under [node_capacity]),
-   and its cells are then delivered to a no-op handler. *)
+   as the spec states it: the network's predicate is read once per
+   destination when the batch arrives (unless [traced] or under
+   [node_capacity]), and its cells are then delivered to a no-op
+   handler. *)
 module Ref_net = struct
   type t = {
     engine : Engine.t;
@@ -551,6 +552,7 @@ module Ref_net = struct
     crashed : (int, unit) Hashtbl.t;
     ready : (int, float) Hashtbl.t;
     mutable loss_boost : float;
+    mutable settled : (int -> int -> bool) option;
     mutable post_heal : bool;
     mutable sent : int;
     mutable delivered : int;
@@ -570,6 +572,7 @@ module Ref_net = struct
       crashed = Hashtbl.create 16;
       ready = Hashtbl.create 16;
       loss_boost = 0.0;
+      settled = None;
       post_heal = false;
       sent = 0;
       delivered = 0;
@@ -640,7 +643,7 @@ module Ref_net = struct
       Engine.schedule ~label:"net.transit" t.engine ~delay:(sample_latency t) (fun () ->
           arrive t ~src ~dst msg)
 
-  let send_group ?settled t ~srcs ~dsts msg =
+  let send_group t ~srcs ~dsts msg =
     let pairs =
       List.concat_map
         (fun (src, size) ->
@@ -652,9 +655,9 @@ module Ref_net = struct
     if pairs <> [] then
       Engine.schedule ~label:"net.transit.batch" t.engine ~delay:(sample_latency t) (fun () ->
           let settled =
-            match settled with
+            match t.settled with
             | Some f when (not t.traced) && Option.is_none t.config.Network.node_capacity ->
-              List.filter f dsts
+              List.filter (fun d -> f d msg) dsts
             | _ -> []
           in
           List.iter
@@ -669,7 +672,8 @@ type net_ops = {
   metrics : Metrics.t;
   send : size:int -> src:int -> dst:int -> int -> unit;
   send_multi : size:int -> src:int -> dsts:int list -> int -> unit;
-  send_group : ?settled:(int -> bool) -> srcs:(int * int) list -> dsts:int list -> int -> unit;
+  send_group : srcs:(int * int) list -> dsts:int list -> int -> unit;
+  set_settled : (int -> int -> bool) -> unit;
   register : int -> (src:int -> int -> unit) -> unit;
   unregister : int -> unit;
   set_partition : int -> int -> unit;
@@ -692,7 +696,10 @@ let real_ops ?trace ~traced config =
     metrics = Network.metrics net;
     send = (fun ~size ~src ~dst m -> Network.send ~size net ~src ~dst m);
     send_multi = (fun ~size ~src ~dsts m -> Network.send_multi ~size net ~src ~dsts m);
-    send_group = (fun ?settled ~srcs ~dsts m -> Network.send_group ?settled net ~srcs ~dsts m);
+    send_group =
+      (fun ~srcs ~dsts m ->
+        Network.send_group net ~srcs:(Array.of_list srcs) ~dsts:(Array.of_list dsts) m);
+    set_settled = Network.set_settled net;
     register = Network.register net;
     unregister = Network.unregister net;
     set_partition = Network.set_partition net;
@@ -719,10 +726,8 @@ let ref_ops ~traced ~honour_settled config =
     metrics = r.metrics;
     send = (fun ~size ~src ~dst m -> Ref_net.send r ~size ~src ~dst m);
     send_multi = (fun ~size ~src ~dsts m -> Ref_net.send_group r ~srcs:[ (src, size) ] ~dsts m);
-    send_group =
-      (fun ?settled ~srcs ~dsts m ->
-        let settled = if honour_settled then settled else None in
-        Ref_net.send_group ?settled r ~srcs ~dsts m);
+    send_group = (fun ~srcs ~dsts m -> Ref_net.send_group r ~srcs ~dsts m);
+    set_settled = (fun f -> if honour_settled then r.settled <- Some f);
     register = Hashtbl.replace r.handlers;
     unregister = Hashtbl.remove r.handlers;
     set_partition = Hashtbl.replace r.partitions;
@@ -758,7 +763,9 @@ type outcome = {
    A node goes quiet once it handles a [1] (as a gossip receiver does
    once it has delivered): its handler then does nothing but log the
    call.  Quiet nodes, and the two ids never registered, are the
-   [settled] destinations of the rounds that pass the predicate.
+   settled destinations of a message below [unsettled]; the script
+   adds [unsettled] to the message of some rounds, and the handlers
+   strip it.
    Inside an event a node can only turn quiet.  Between events the
    script also quiets and wakes nodes (as a restart would), so whole
    rounds are settled often; a settled destination stays settled for
@@ -768,15 +775,17 @@ let run_script ~seed ops =
   let rng = Atum_util.Rng.create seed in
   let log = ref [] in
   let quiet = Array.make n false in
-  let settled d = d >= n || quiet.(d) in
+  let unsettled = 8 in
+  ops.set_settled (fun d m -> m < unsettled && (d >= n || quiet.(d)));
   let pick () = Atum_util.Rng.int rng (n + 2) (* two ids never registered *) in
   let rec handler i ~src m =
     log := (Engine.now ops.engine, src, i, m, quiet.(i)) :: !log;
+    let m = m mod unsettled in
     if not quiet.(i) then begin
       if m = 1 then quiet.(i) <- true;
       if m > 0 then
         if i mod 4 = 0 then
-          ops.send_group ~settled ~srcs:[ (i, 16); ((i + 5) mod n, 24) ]
+          ops.send_group ~srcs:[ (i, 16); ((i + 5) mod n, 24) ]
             ~dsts:[ (i + 1) mod n; (i + 2) mod n ] (m - 1)
         else if i mod 4 = 1 then ops.send ~size:8 ~src:i ~dst:((i + 3) mod n) (m - 1)
     end
@@ -794,8 +803,8 @@ let run_script ~seed ops =
             (src, 8 + Atum_util.Rng.int rng 64))
       in
       let dsts = List.init (Atum_util.Rng.int rng 6) (fun _ -> pick ()) in
-      if Atum_util.Rng.bool rng then ops.send_group ~settled ~srcs ~dsts msg
-      else ops.send_group ~srcs ~dsts msg
+      if Atum_util.Rng.bool rng then ops.send_group ~srcs ~dsts msg
+      else ops.send_group ~srcs ~dsts (msg + unsettled)
     | 3 ->
       let dsts = List.init (Atum_util.Rng.int rng 5) (fun _ -> pick ()) in
       ops.send_multi ~size:40 ~src:(pick ()) ~dsts msg
@@ -904,18 +913,20 @@ let run_fault_script ops =
   let srcs = [ (0, 16); (1, 24); (2, 32) ] in
   List.iter
     (fun settled ->
-      ops.send_group ?settled ~srcs ~dsts:[ 3; 4; 5; 6 ] 0;
-      ops.send_group ?settled ~srcs ~dsts:[ 3; 8; 9 ] 0;
-      ops.send_group ?settled ~srcs:[ (0, 8); (8, 8) ] ~dsts:[ 3; 4 ] 0;
-      ops.send_group ?settled ~srcs:[ (1, 8); (9, 8) ] ~dsts:[ 3 ] 0;
+      ops.set_settled (fun d _ -> settled d);
+      ops.send_group ~srcs ~dsts:[ 3; 4; 5; 6 ] 0;
+      ops.send_group ~srcs ~dsts:[ 3; 8; 9 ] 0;
+      ops.send_group ~srcs:[ (0, 8); (8, 8) ] ~dsts:[ 3; 4 ] 0;
+      ops.send_group ~srcs:[ (1, 8); (9, 8) ] ~dsts:[ 3 ] 0;
       Engine.run ops.engine;
       (* Crashed while in flight: column 4 is cut at arrival. *)
-      ops.send_group ?settled ~srcs ~dsts:[ 3; 4; 5 ] 0;
+      ops.send_group ~srcs ~dsts:[ 3; 4; 5 ] 0;
       ops.crash 4;
       Engine.run ops.engine;
       ops.recover 4)
-    [ None; Some (fun _ -> true); Some (fun d -> d land 1 = 1) ];
+    [ (fun _ -> false); (fun _ -> true); (fun d -> d land 1 = 1) ];
   (* Node 3's handler crashes node 6 halfway through the walk. *)
+  ops.set_settled (fun _ _ -> false);
   ops.send_group ~srcs:[ (0, 8) ] ~dsts:[ 3; 6 ] 7;
   Engine.run ops.engine;
   {
@@ -958,10 +969,11 @@ let test_network_post_heal_after_clear () =
   for i = 0 to 5 do
     Network.register net i (fun ~src:_ _ -> ())
   done;
-  let srcs = [ (0, 8); (1, 8) ] and dsts = [ 2; 3; 4 ] in
+  let srcs = [| (0, 8); (1, 8) |] and dsts = [| 2; 3; 4 |] in
+  Network.set_settled net (fun _ m -> m = 1);
   let round () =
     Network.send_group net ~srcs ~dsts 0;
-    Network.send_group ~settled:(fun _ -> true) net ~srcs ~dsts 0;
+    Network.send_group net ~srcs ~dsts 1;
     Network.send net ~src:0 ~dst:5 0;
     Engine.run e
   in
@@ -991,12 +1003,15 @@ let test_network_post_heal_after_clear () =
    is a no-op there.  A crashed receiver cuts its cells, so its batch
    must still take the per-cell path: its cells are crash drops, never
    loss drops, which the reference checks; a traced batch must still
-   trace every cell. *)
+   trace every cell.  With every column settled, an uncut batch is
+   counted from its survivor count: its counters must equal the
+   reference's, which counts cell by cell, under every loss rate. *)
 let test_network_tight_admission () =
   let shapes = [ (1, 0); (0, 4); (1, 1); (1, 7); (2, 4); (3, 3); (7, 10) ] in
-  let run ~traced ~crashed p (ns, nd) mk =
+  let run ?(settle_all = false) ~traced ~crashed p (ns, nd) mk =
     let config = { (Network.datacenter_config ~seed:29) with Network.drop_probability = p } in
     let ops, sends = mk ~traced config in
+    if settle_all then ops.set_settled (fun _ _ -> true);
     let log = ref [] in
     for i = 0 to 19 do
       ops.register i (fun ~src m -> log := Printf.sprintf "%d->%d #%d" src i m :: !log)
@@ -1045,7 +1060,19 @@ let test_network_tight_admission () =
                   Alcotest.(check (list (pair string int))) (ctx (who ^ ": drops")) r reasons;
                   Alcotest.(check (float 0.0)) (ctx (who ^ ": next draw")) n next)
                 [ ("traced", tlog, tcounts, treasons, tnext); ("reference", rlog, rcounts, rreasons, rnext) ];
-              Alcotest.(check int) (ctx "every cell traced") (6 * ns * nd) traced_sends)
+              Alcotest.(check int) (ctx "every cell traced") (6 * ns * nd) traced_sends;
+              let slog, scounts, sreasons, snext, _ =
+                run ~settle_all:true ~traced:false ~crashed p shape real
+              in
+              let rlog, rcounts, rreasons, rnext, _ =
+                run ~settle_all:true ~traced:false ~crashed p shape reference
+              in
+              Alcotest.(check (list string)) (ctx "all settled: no handler runs") [] slog;
+              Alcotest.(check (list string)) (ctx "all settled: reference runs none") [] rlog;
+              Alcotest.(check (list int)) (ctx "all settled: sent/delivered/dropped/bytes") rcounts
+                scounts;
+              Alcotest.(check (list (pair string int))) (ctx "all settled: drops") rreasons sreasons;
+              Alcotest.(check (float 0.0)) (ctx "all settled: next draw") rnext snext)
             shapes)
         [ 0.0; 0.001; 0.5; 1.0; 0.375 ])
     [ None; Some 12 ]
@@ -1059,15 +1086,16 @@ let test_network_send_group_alloc () =
     (fun (name, settled) ->
       let e = Engine.create () in
       let net : int Network.t = Network.create e (Network.datacenter_config ~seed:3) in
+      Option.iter (fun f -> Network.set_settled net (fun d _ -> f d)) settled;
       let calls = ref 0 in
       for i = 0 to 15 do
         Network.register net i (fun ~src:_ _ -> incr calls)
       done;
-      let srcs = List.init 8 (fun i -> (i, 64)) and dsts = List.init 16 Fun.id in
+      let srcs = Array.init 8 (fun i -> (i, 64)) and dsts = Array.init 16 Fun.id in
       let rounds = 200 in
       let round () =
         for _ = 1 to rounds do
-          Network.send_group ?settled net ~srcs ~dsts 0
+          Network.send_group net ~srcs ~dsts 0
         done;
         Engine.run e
       in
@@ -1083,7 +1111,7 @@ let test_network_send_group_alloc () =
       let cells = 3 * rounds * 8 * 16 in
       Alcotest.(check int) (name ^ ": all delivered") cells (Network.messages_delivered net);
       let settled_columns =
-        match settled with None -> 0 | Some f -> List.length (List.filter f dsts)
+        match settled with None -> 0 | Some f -> List.length (List.filter f (Array.to_list dsts))
       in
       let expected_calls = cells / 16 * (16 - settled_columns) in
       Alcotest.(check int) (name ^ ": handler calls") expected_calls !calls)

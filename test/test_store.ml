@@ -559,8 +559,7 @@ let broadcast_settle built atum body =
 let test_restart_recovers_durable_state () =
   let built, atum, sys, _vfs, victim = restart_setup () in
   broadcast_settle built atum "pre-crash";
-  let n = System.node sys victim in
-  let delivered_before = Atum_util.Bitset.cardinal n.System.delivered in
+  let delivered_before = List.length (System.delivered sys victim) in
   Alcotest.(check bool) "victim delivered the broadcast" true (delivered_before > 0);
   System.crash sys victim;
   Atum.run_for atum 30.0;
@@ -574,11 +573,11 @@ let test_restart_recovers_durable_state () =
     Alcotest.(check bool) "caught up" true (Option.is_some r.System.r_caught_up_at)
   | rs -> Alcotest.failf "expected one restart report, got %d" (List.length rs));
   Alcotest.(check int) "delivered set rebuilt from the store" delivered_before
-    (Atum_util.Bitset.cardinal n.System.delivered);
+    (List.length (System.delivered sys victim));
   (* The restarted node keeps working: it delivers fresh broadcasts. *)
   broadcast_settle built atum "post-restart";
   Alcotest.(check bool) "delivers after restart" true
-    (Atum_util.Bitset.cardinal n.System.delivered > delivered_before);
+    (List.length (System.delivered sys victim) > delivered_before);
   (match System.check_consistency sys with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -592,14 +591,62 @@ let test_restart_catchup_redelivers_missed () =
   (* Broadcasts the victim misses while down. *)
   broadcast_settle built atum "missed-1";
   broadcast_settle built atum "missed-2";
-  let n = System.node sys victim in
-  let before = Atum_util.Bitset.cardinal n.System.delivered in
+  let before = List.length (System.delivered sys victim) in
+  let redelivered = ref [] in
+  System.set_deliver sys (fun nid ~bid ~origin:_ _ ->
+      if nid = victim then redelivered := bid :: !redelivered);
   System.restart sys victim;
   Atum.run_for atum 120.0;
   Alcotest.(check bool) "catch-up delivered the missed broadcasts" true
-    (Atum_util.Bitset.cardinal n.System.delivered > before);
+    (List.length (System.delivered sys victim) > before);
+  let redelivered = List.rev !redelivered in
+  Alcotest.(check bool) "both missed broadcasts" true (List.length redelivered >= 2);
+  Alcotest.(check (list int)) "in ascending bid order" (List.sort Int.compare redelivered) redelivered;
   Alcotest.(check bool) "catch-up counted" true
     (Atum_sim.Metrics.counter (Atum.metrics atum) "recovery.catchup.delivered" > 0)
+
+(* The bids a node's store lists: its snapshot's delivered set and the
+   deliveries logged after it. *)
+let stored_bids sys nid =
+  let r = Replica.recover (Option.get (System.store sys)) ~node:nid in
+  let from_snapshot =
+    match Option.bind r.Replica.snapshot (Json.member "delivered") with
+    | Some (Json.List bids) -> List.filter_map (function Json.Int b -> Some b | _ -> None) bids
+    | _ -> []
+  in
+  let from_wal =
+    List.filter_map
+      (fun e ->
+        match (Json.member "t" e, Json.member "bid" e) with
+        | Some (Json.String "deliver"), Some (Json.Int b) -> Some b
+        | _ -> None)
+      r.Replica.entries
+  in
+  List.sort_uniq Int.compare (from_snapshot @ from_wal)
+
+(* A restart first clears what the node delivered, then restores
+   exactly the bids its snapshot and WAL list: a broadcast delivered
+   before the store was attached is gone until catch-up. *)
+let test_restart_restores_stored_bids () =
+  let built = build () in
+  let atum = built.W.Builder.atum in
+  let sys = Atum.system atum in
+  Atum.on_forward atum System.flood_forward;
+  let victim =
+    List.find (fun m -> m <> built.W.Builder.first) (W.Builder.correct_members built)
+  in
+  broadcast_settle built atum "before the store";
+  let vfs = Vfs.create ~now:(fun () -> Atum.now atum) () in
+  ignore (System.attach_store sys (Vfs.backend vfs));
+  broadcast_settle built atum "stored-1";
+  broadcast_settle built atum "stored-2";
+  let before = System.delivered sys victim in
+  Alcotest.(check int) "victim delivered all three" 3 (List.length before);
+  System.crash sys victim;
+  let stored = stored_bids sys victim in
+  Alcotest.(check bool) "the store lacks the first" false (List.mem (List.hd before) stored);
+  System.restart sys victim;
+  Alcotest.(check (list int)) "delivered = the stored bids" stored (System.delivered sys victim)
 
 let test_restart_corrupt_store_falls_back () =
   let built, atum, sys, vfs, victim = restart_setup () in
@@ -712,6 +759,7 @@ let () =
           Alcotest.test_case "recovers durable state" `Quick test_restart_recovers_durable_state;
           Alcotest.test_case "catch-up redelivers missed" `Quick
             test_restart_catchup_redelivers_missed;
+          Alcotest.test_case "restores the stored bids" `Quick test_restart_restores_stored_bids;
           Alcotest.test_case "corrupt store falls back" `Quick
             test_restart_corrupt_store_falls_back;
           Alcotest.test_case "rejects live node" `Quick test_restart_requires_crashed_node;

@@ -79,6 +79,50 @@ let test_rng_bernoulli_no_alloc () =
   Alcotest.(check (float 0.0)) "stable measurement" a b;
   Alcotest.(check (float 0.0)) "0 words per draw" 0.0 a
 
+(* A row drawn at once: the same mask, loss count and next draw as the
+   per-cell [bernoulli_below] loop, for every row width from 0 to 70
+   cells, at a byte-aligned and an unaligned first cell, and for the
+   thresholds that never hit (0), almost never (1), half the time and
+   always (2^53).  The byte past the row must stay untouched. *)
+let test_rng_bernoulli_row () =
+  let thresholds = [ 0; 1; Rng.bernoulli_threshold 0.5; 1 lsl 53 ] in
+  List.iter
+    (fun k ->
+      for width = 0 to 70 do
+        List.iter
+          (fun first ->
+            let ctx = Printf.sprintf "k=%d width=%d first=%d" k width first in
+            let row = Rng.create (width + (71 * first)) in
+            let cell = Rng.copy row in
+            let bytes = ((first + width + 7) / 8) + 1 in
+            let got = Bytes.make bytes '\255' and want = Bytes.make bytes '\255' in
+            let lost = Rng.bernoulli_row row k got ~first ~width in
+            let want_lost = ref 0 in
+            for c = first to first + width - 1 do
+              if Rng.bernoulli_below cell k then begin
+                incr want_lost;
+                Bytes.set want (c / 8)
+                  (Char.chr (Char.code (Bytes.get want (c / 8)) land lnot (1 lsl (c mod 8))))
+              end
+            done;
+            Alcotest.(check string) (ctx ^ ": mask") (Bytes.to_string want) (Bytes.to_string got);
+            Alcotest.(check int) (ctx ^ ": losses") !want_lost lost;
+            Alcotest.(check int64) (ctx ^ ": next draw") (Rng.bits64 cell) (Rng.bits64 row))
+          [ 0; 5 ]
+      done)
+    thresholds;
+  let r = Rng.create 9 and mask = Bytes.make 9 '\255' in
+  let k = Rng.bernoulli_threshold 0.001 in
+  let rows () =
+    for _ = 1 to 1_000 do
+      ignore (Rng.bernoulli_row r k mask ~first:3 ~width:64 : int)
+    done
+  in
+  let a = minor_words_of rows in
+  let b = minor_words_of rows in
+  Alcotest.(check (float 0.0)) "stable measurement" a b;
+  Alcotest.(check (float 0.0)) "0 words per row" 0.0 a
+
 let test_rng_int_range () =
   let rng = Rng.create 3 in
   for _ = 1 to 10_000 do
@@ -822,6 +866,7 @@ let () =
           Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
           Alcotest.test_case "golden split/copy" `Quick test_rng_golden_split_copy;
           Alcotest.test_case "bernoulli allocates nothing" `Quick test_rng_bernoulli_no_alloc;
+          Alcotest.test_case "bernoulli row" `Quick test_rng_bernoulli_row;
           Alcotest.test_case "int range" `Quick test_rng_int_range;
           Alcotest.test_case "int uniform" `Quick test_rng_int_uniformish;
           Alcotest.test_case "float range" `Quick test_rng_float_range;

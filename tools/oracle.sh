@@ -9,9 +9,13 @@
 # -p async and -p async --byzantine 2, a churn run, `analyze --json`
 # and `export-trace` of the traced artifacts, and the canonical quick
 # `bench scale`, fig6 (growth splits), fig7 (churn merges) and fig13
-# (shuffle suppression), so every saga kind runs.  Every command runs in a scratch directory with
-# relative --out-dir names, so the embedded command lines do not depend
-# on OUT_DIR, and `build_info.git` is blanked.  A refactor proves
+# (shuffle suppression), so every saga kind runs, and the simulation
+# fields of the perfbench workloads (bcast_wan, churn, durable at seed
+# 1): correct, attempted, failed, delivery_p50_s, delivery_p90_s and
+# msgs_per_op, without the wall metrics or peak_heap_mb.  Every command
+# runs in a scratch directory with relative --out-dir names, so the
+# embedded command lines do not depend on OUT_DIR, and `build_info.git`
+# is blanked.  A refactor proves
 # itself with
 #
 #   tools/oracle.sh /tmp/before   # on the parent commit
@@ -27,9 +31,10 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 mkdir -p "$1"
 out=$(cd "$1" && pwd)
 
-(cd "$root" && dune build bin/atum_cli.exe bench/main.exe)
+(cd "$root" && dune build bin/atum_cli.exe bench/main.exe perfbench/main.exe)
 cli="$root/_build/default/bin/atum_cli.exe"
 bench="$root/_build/default/bench/main.exe"
+perfbench="$root/_build/default/perfbench/main.exe"
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -61,6 +66,20 @@ ATUM_BENCH_SCALE=quick ATUM_BENCH_JSON_CANON=1 "$bench" scale --json --out-dir s
 for fig in fig6 fig7 fig13; do
   ATUM_BENCH_SCALE=quick ATUM_BENCH_JSON_CANON=1 "$bench" "$fig" --json --out-dir "$fig" > /dev/null
 done
+
+mkdir -p perfbench
+for workload in bcast_wan churn durable; do
+  "$perfbench" --workload "$workload" --seed 1 --seconds 1 --trace 0 --out perfbench/_out \
+    | tail -n 1 | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+keep = {k: r[k] for k in ("correct", "attempted", "failed")}
+for k in ("delivery_p50_s", "delivery_p90_s", "msgs_per_op"):
+    keep[k] = r["metrics"][k]["value"]
+print(json.dumps(keep, sort_keys=True))
+' > "perfbench/$workload.json"
+done
+rm -rf perfbench/_out
 
 # Blank the one field that names the checkout rather than the run.
 find . -type f | sort | while read -r f; do
