@@ -36,7 +36,10 @@ val reset : ctx -> unit
 
 type key
 
-val key : string -> key
+val key : ctx -> string -> key
+(** [key ctx secret] derives [secret]'s key in [ctx]'s scratch; [ctx]
+    must be given a message through {!mac_with} or {!reset} before
+    its next use. *)
 
 val mac_with : ctx -> key -> string -> string
 (** [mac_with ctx k msg] = [mac ~key:secret msg] for [k = key secret],

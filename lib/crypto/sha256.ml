@@ -204,18 +204,19 @@ let finalize ctx =
   Bytes.unsafe_to_string out
 
 (* The chaining state between whole blocks, as 8 big-endian words. *)
-let midstate ctx =
+let midstate_into ctx dst ~off =
   if ctx.block_len <> 0 || ctx.finished then invalid_arg "Sha256.midstate: not at a block boundary";
-  let out = Bytes.create 32 in
   for i = 0 to 7 do
-    Bytes.set_int32_be out (i * 4) (Int32.of_int ctx.h.(i))
-  done;
-  Bytes.unsafe_to_string out
+    let word = ctx.h.(i) in
+    Bytes.set_uint16_be dst (off + (i * 4)) (word lsr 16);
+    Bytes.set_uint16_be dst (off + (i * 4) + 2) (word land 0xFFFF)
+  done
 
 let restore ctx s ~off ~len =
   if len land 63 <> 0 then invalid_arg "Sha256.restore: length not a whole number of blocks";
   for i = 0 to 7 do
-    ctx.h.(i) <- Int32.to_int (String.get_int32_be s (off + (i * 4))) land mask
+    ctx.h.(i) <-
+      (String.get_uint16_be s (off + (i * 4)) lsl 16) lor String.get_uint16_be s (off + (i * 4) + 2)
   done;
   ctx.block_len <- 0;
   ctx.total_len <- len;

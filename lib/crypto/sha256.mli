@@ -26,14 +26,14 @@ val finalize : ctx -> string
 val finalize_into : ctx -> Bytes.t -> off:int -> unit
 (** [finalize], writing the 32-byte digest into the buffer at [off]. *)
 
-val midstate : ctx -> string
-(** The 32-byte chaining state of a context that has absorbed whole
-    blocks only; raises [Invalid_argument] otherwise. *)
+val midstate_into : ctx -> Bytes.t -> off:int -> unit
+(** Write the 32-byte chaining state of a context that has absorbed
+    whole blocks only at [off]; raises [Invalid_argument] otherwise. *)
 
 val restore : ctx -> string -> off:int -> len:int -> unit
 (** [restore ctx s ~off ~len] puts [ctx] in the state it had after
-    absorbing [len] bytes (a multiple of 64) whose {!midstate} is the
-    32 bytes of [s] at [off]: what follows hashes as if those bytes had
+    absorbing [len] bytes (a multiple of 64) whose {!midstate_into}
+    wrote the 32 bytes of [s] at [off]: what follows hashes as if those bytes had
     been fed again. *)
 
 val digest : string -> string

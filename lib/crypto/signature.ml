@@ -11,7 +11,7 @@ let create_keyring ~seed =
 let register kr identity =
   if not (Hashtbl.mem kr.keys identity) then begin
     let raw = Int64.to_string (Atum_util.Rng.bits64 kr.rng) in
-    Hashtbl.replace kr.keys identity (Hmac.key (Sha256.digest (identity ^ ":" ^ raw)))
+    Hashtbl.replace kr.keys identity (Hmac.key kr.scratch (Sha256.digest (identity ^ ":" ^ raw)))
   end
 
 let sign kr ~signer msg =

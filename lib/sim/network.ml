@@ -196,12 +196,18 @@ let faulted_count t = t.crashed_count + t.tagged_count
    fault at all. *)
 let[@inline] up_in t part node = (not (is_crashed t node)) && partition_of t node = part
 
+let rec srcs_up_in t part srcs i =
+  i = Array.length srcs || (up_in t part (fst srcs.(i)) && srcs_up_in t part srcs (i + 1))
+
+let rec dsts_up_in t part dsts j =
+  j = Array.length dsts || (up_in t part dsts.(j) && dsts_up_in t part dsts (j + 1))
+
 let uncut t ~srcs ~dsts =
   faulted_count t = 0
   || Array.length srcs = 0
   ||
   let part = partition_of t (fst srcs.(0)) in
-  Array.for_all (fun (src, _) -> up_in t part src) srcs && Array.for_all (up_in t part) dsts
+  srcs_up_in t part srcs 0 && dsts_up_in t part dsts 0
 
 let set_loss_boost t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Network.set_loss_boost: p outside [0, 1]";
@@ -346,15 +352,15 @@ let[@inline] bit mask k = Char.code (Bytes.get mask (k lsr 3)) land (1 lsl (k la
    returns the survivor count. *)
 let admit_grid t ~traced ~uncut ~threshold ~srcs ~dsts mask =
   let width = Array.length dsts and survived = ref 0 in
-  Array.iteri
-    (fun row (src, size) ->
-      t.sent <- t.sent + width;
-      t.bytes <- t.bytes + (width * size);
-      for j = 0 to width - 1 do
-        if admit t ~traced ~uncut ~threshold ~src ~dst:dsts.(j) ~size then incr survived
-        else clear_bit mask ((row * width) + j)
-      done)
-    srcs;
+  for row = 0 to Array.length srcs - 1 do
+    let src, size = srcs.(row) in
+    t.sent <- t.sent + width;
+    t.bytes <- t.bytes + (width * size);
+    for j = 0 to width - 1 do
+      if admit t ~traced ~uncut ~threshold ~src ~dst:dsts.(j) ~size then incr survived
+      else clear_bit mask ((row * width) + j)
+    done
+  done;
   !survived
 
 (* The tight admission loop, for a batch that is uncut and untraced:
@@ -365,17 +371,17 @@ let admit_grid t ~traced ~uncut ~threshold ~srcs ~dsts mask =
    the cells of a row. *)
 let admit_plain t ~threshold ~srcs ~width mask =
   let survived = ref 0 in
-  Array.iteri
-    (fun row (_, size) ->
-      t.sent <- t.sent + width;
-      t.bytes <- t.bytes + (width * size);
-      let lost = Atum_util.Rng.bernoulli_row t.rng threshold mask ~first:(row * width) ~width in
-      if lost > 0 then begin
-        t.dropped <- t.dropped + lost;
-        Metrics.bump ~by:lost t.loss_count
-      end;
-      survived := !survived + width - lost)
-    srcs;
+  for row = 0 to Array.length srcs - 1 do
+    let size = snd srcs.(row) in
+    t.sent <- t.sent + width;
+    t.bytes <- t.bytes + (width * size);
+    let lost = Atum_util.Rng.bernoulli_row t.rng threshold mask ~first:(row * width) ~width in
+    if lost > 0 then begin
+      t.dropped <- t.dropped + lost;
+      Metrics.bump ~by:lost t.loss_count
+    end;
+    survived := !survived + width - lost
+  done;
   !survived
 
 (* The accounting half of [arrive], for a cell whose receiver's
@@ -419,16 +425,16 @@ let settled_columns t msg dsts =
    and from then on each cell checks its own pair again. *)
 let arrive_grid t ~epoch ~srcs ~dsts mask cols msg =
   let width = Array.length dsts in
-  Array.iteri
-    (fun row (src, size) ->
-      for j = 0 to width - 1 do
-        if bit mask ((row * width) + j) then begin
-          let dst = dsts.(j) and uncut = epoch = t.fault_epoch in
-          if j < max_settled && cols land (1 lsl j) <> 0 then count_arrival t ~uncut ~src ~dst
-          else arrive t ~uncut ~size ~src ~dst msg
-        end
-      done)
-    srcs
+  for row = 0 to Array.length srcs - 1 do
+    let src, size = srcs.(row) in
+    for j = 0 to width - 1 do
+      if bit mask ((row * width) + j) then begin
+        let dst = dsts.(j) and uncut = epoch = t.fault_epoch in
+        if j < max_settled && cols land (1 lsl j) <> 0 then count_arrival t ~uncut ~src ~dst
+        else arrive t ~uncut ~size ~src ~dst msg
+      end
+    done
+  done
 
 (* When every column is settled no handler runs, so nothing the walk
    reads can change under it; with the batch uncut, each surviving

@@ -189,7 +189,7 @@ let test_hmac_prepared_keys () =
        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54") ]
   in
   let ctx = Hmac.init ~key:"unrelated" in
-  let keys = List.map (fun (k, _, _) -> Hmac.key k) vectors in
+  let keys = List.map (fun (k, _, _) -> Hmac.key ctx k) vectors in
   for round = 1 to 2 do
     List.iteri
       (fun i ((secret, data, want), key) ->
