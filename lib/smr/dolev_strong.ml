@@ -9,13 +9,29 @@ type t = {
   sender : Smr_intf.node_id;
   f : int;
   instance_id : string;
-  names : string list; (* the members' signer names, built once *)
   mutable extracted : string list; (* reverse order of first extraction *)
   mutable inbox : msg list;
   mutable decided : string option option;
 }
 
 let node_name id = "node-" ^ string_of_int id
+
+(* The id a signer name stands for, read without allocating, or -1:
+   [node_name] writes ids as [string_of_int] does, so a name with a
+   sign, a leading zero or anything past the digits names nobody.  A
+   per-instance list of member names would live as long as the
+   instance and was measured to raise churn's peak heap. *)
+let signer_id s =
+  let n = String.length s in
+  let rec digits i acc =
+    if i = n then acc
+    else
+      match s.[i] with
+      | '0' .. '9' as c -> digits (i + 1) ((acc * 10) + Char.code c - Char.code '0')
+      | _ -> -1
+  in
+  if n <= 5 || n > 23 || not (String.starts_with ~prefix:"node-" s) || (s.[5] = '0' && n > 6) then -1
+  else digits 5 0
 
 let create ~keyring ~self ~members ~sender ~f ~instance_id =
   {
@@ -25,7 +41,6 @@ let create ~keyring ~self ~members ~sender ~f ~instance_id =
     sender;
     f;
     instance_id;
-    names = List.map node_name members;
     extracted = [];
     inbox = [];
     decided = None;
@@ -62,7 +77,7 @@ let chain_valid t ~round (m : msg) =
   match m.sigs with
   | [] -> false
   | first :: _ ->
-    String.equal first.Signature.signer (node_name t.sender)
+    signer_id first.Signature.signer = t.sender
     &&
     let payload = signed_payload t m.value in
     let signers = List.map (fun s -> s.Signature.signer) m.sigs in
@@ -70,7 +85,8 @@ let chain_valid t ~round (m : msg) =
     List.length distinct = List.length signers
     && List.for_all
          (fun s ->
-           List.exists (String.equal s.Signature.signer) t.names
+           (let id = signer_id s.Signature.signer in
+            List.exists (Int.equal id) t.members)
            && Signature.verify t.keyring s ~msg:payload)
          m.sigs
 
