@@ -131,8 +131,9 @@ type bcast_meta = {
    joins in O(1).  A member that picks other targets (the view or the
    forward policy changed mid-instant) splits the round: each part
    takes the shared senders as its own list ([f_srcs]) and members
-   join part by part from then on, as if nothing had been shared.  A part keeps the body, origin, cycle
-   and source roster of the member that created it. *)
+   join part by part from then on, as if nothing had been shared.  A
+   part keeps the body, origin, cycle and source roster of the member
+   that created it. *)
 type fanout_round = {
   r_src_vg : vg_id;
   r_bid : int;
