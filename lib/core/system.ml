@@ -1048,7 +1048,7 @@ let rec message_votes bid src_vg origin body = function
    traffic it only reacts to broadcast parts ([byz_on_bcast]), which a
    [Mute] node ignores and the active strategies equivocate on or
    selectively forward. *)
-let handle_wire t nid ~src wire =
+let dispatch_wire t nid ~src wire =
   match node_opt t nid with
   | Some n when n.alive -> (
     match wire with
@@ -1110,6 +1110,16 @@ let handle_wire t nid ~src wire =
                 ~cycle ()
       end)
   | _ -> ()
+
+(* A broadcast part for a node that has delivered its bid (or, if
+   Byzantine, marked it) would at most trace a duplicate receive, so
+   with tracing off one bit answers, before the node is loaded. *)
+let handle_wire t nid ~src wire =
+  match wire with
+  | Group_part { payload = Bcast { bid; _ }; _ }
+    when has_delivered t nid bid && not (Trace.enabled t.trace) ->
+    ()
+  | Group_part _ | Smr_msg _ | Direct _ | Heartbeat -> dispatch_wire t nid ~src wire
 
 (* ------------------------------------------------------------------ *)
 (* Driving the synchronous deployment                                  *)

@@ -262,14 +262,15 @@ let severed t ~src ~dst =
 (* Hand a message to the receiver's current handler.  The handler is
    resolved here, not at arrival: under [node_capacity] it may have
    been replaced (or removed) while the message waited in the
-   receiver's service queue. *)
-let deliver t ~size ~src ~dst msg =
+   receiver's service queue.  [traced] is [tracing t], which a batch
+   reads once. *)
+let deliver t ~traced ~size ~src ~dst msg =
   match handler_of t dst with
   | None -> drop t ~reason:drop_no_handler ~src ~dst
   | Some handler ->
     t.delivered <- t.delivered + 1;
     if t.post_heal then Metrics.bump t.post_heal_count;
-    if tracing t then trace_emit t ~kind:"net.deliver" ~node:dst ~peer:src ~size ();
+    if traced then trace_emit t ~kind:"net.deliver" ~node:dst ~peer:src ~size ();
     handler ~src msg
 
 (* Deliver one message that survived transit.  Receiver service time
@@ -279,12 +280,12 @@ let deliver t ~size ~src ~dst msg =
    receiver's queue tail, or dropped traffic would permanently consume
    receiver capacity.  [uncut] skips the cut check: the caller knows
    the pair is up and in one partition. *)
-let arrive t ~uncut ~size ~src ~dst msg =
+let arrive t ~traced ~uncut ~size ~src ~dst msg =
   match if uncut then None else severed t ~src ~dst with
   | Some reason -> drop t ~reason ~src ~dst
   | None -> (
     match t.config.node_capacity with
-    | None -> deliver t ~size ~src ~dst msg
+    | None -> deliver t ~traced ~size ~src ~dst msg
     | Some capacity ->
       if not (has_handler t dst) then drop t ~reason:drop_no_handler ~src ~dst
       else begin
@@ -296,7 +297,7 @@ let arrive t ~uncut ~size ~src ~dst msg =
         let finish = tail +. (1.0 /. capacity) in
         t.ready.(dst) <- finish;
         Engine.schedule ~label:"net.service" t.engine ~delay:(finish -. arrival) (fun () ->
-            deliver t ~size ~src ~dst msg)
+            deliver t ~traced:(tracing t) ~size ~src ~dst msg)
       end)
 
 (* Admission, the one per-message step every send shares: the
@@ -331,7 +332,7 @@ let send ?(size = 64) t ~src ~dst msg =
       ~src ~dst ~size
   then
     Engine.schedule ~label:"net.transit" t.engine ~delay:(transit_delay t) (fun () ->
-        arrive t ~uncut:false ~size ~src ~dst msg)
+        arrive t ~traced:(tracing t) ~uncut:false ~size ~src ~dst msg)
 
 (* A batch in flight is the grid it was admitted as: the [srcs] and
    [dsts] arrays, the survivor count, and a survival mask with one bit
@@ -410,9 +411,9 @@ let count_arrival t ~uncut ~src ~dst =
    (delivery happens later, when the predicate may no longer hold). *)
 let max_settled = Sys.int_size - 1
 
-let settled_columns t msg dsts =
+let settled_columns t ~traced msg dsts =
   let cols = ref 0 in
-  if Option.is_none t.config.node_capacity && not (tracing t) then
+  if Option.is_none t.config.node_capacity && not traced then
     for j = 0 to min (Array.length dsts) max_settled - 1 do
       let dst = dsts.(j) in
       if has_handler t dst && t.settled dst msg then cols := !cols lor (1 lsl j)
@@ -423,7 +424,7 @@ let settled_columns t msg dsts =
    [epoch] is the fault epoch at which the batch was found uncut, or
    -1: a handler called during the walk may crash or partition a node,
    and from then on each cell checks its own pair again. *)
-let arrive_grid t ~epoch ~srcs ~dsts mask cols msg =
+let arrive_grid t ~traced ~epoch ~srcs ~dsts mask cols msg =
   let width = Array.length dsts in
   for row = 0 to Array.length srcs - 1 do
     let src, size = srcs.(row) in
@@ -431,7 +432,7 @@ let arrive_grid t ~epoch ~srcs ~dsts mask cols msg =
       if bit mask ((row * width) + j) then begin
         let dst = dsts.(j) and uncut = epoch = t.fault_epoch in
         if j < max_settled && cols land (1 lsl j) <> 0 then count_arrival t ~uncut ~src ~dst
-        else arrive t ~uncut ~size ~src ~dst msg
+        else arrive t ~traced ~uncut ~size ~src ~dst msg
       end
     done
   done
@@ -441,14 +442,15 @@ let arrive_grid t ~epoch ~srcs ~dsts mask cols msg =
    cell is then a plain delivery, and the batch is counted from its
    survivor count without walking it. *)
 let arrive_batch t ~srcs ~dsts ~survived mask msg =
-  let width = Array.length dsts in
-  let cols = settled_columns t msg dsts in
+  let width = Array.length dsts and traced = tracing t in
+  let cols = settled_columns t ~traced msg dsts in
   let uncut = uncut t ~srcs ~dsts in
   if uncut && width <= max_settled && cols = (1 lsl width) - 1 then begin
     t.delivered <- t.delivered + survived;
     if t.post_heal then Metrics.bump ~by:survived t.post_heal_count
   end
-  else arrive_grid t ~epoch:(if uncut then t.fault_epoch else -1) ~srcs ~dsts mask cols msg
+  else
+    arrive_grid t ~traced ~epoch:(if uncut then t.fault_epoch else -1) ~srcs ~dsts mask cols msg
 
 (* Vgroup-round batching: every sender of a round fans out to every
    destination as ONE latency sample and ONE engine event, instead of
