@@ -23,6 +23,19 @@ let wan_config ~seed =
     node_capacity = None;
   }
 
+(* Why a message was dropped.  Each reason is counted through a
+   handle on its metric ([reason_kind], also its trace kind), so
+   recording a drop hashes no name. *)
+type reason = Crash | Partition | Loss | No_handler
+
+let reason_kind = function
+  | Crash -> "net.drop.crash"
+  | Partition -> "net.drop.partition"
+  | Loss -> "net.drop.loss"
+  | No_handler -> "net.drop.no_handler"
+
+let reason_index = function Crash -> 0 | Partition -> 1 | Loss -> 2 | No_handler -> 3
+
 (* Per-node state lives in flat arrays indexed by the dense node id
    (see Atum_util.Arena): handler dispatch, partition tags, the
    crashed set and the per-node service-queue tail are all O(1) array
@@ -42,7 +55,7 @@ type 'msg t = {
   mutable fault_epoch : int; (* bumped by every crash, recover and partition change *)
   metrics : Metrics.t;
   post_heal_count : Metrics.handle; (* "net.deliver.post_heal" *)
-  loss_count : Metrics.handle; (* "net.drop.loss", for the tight admission loop *)
+  drop_counts : Metrics.handle array; (* by [reason_index] *)
   mutable settled : int -> 'msg -> bool; (* see [set_settled] *)
   trace : Trace.t option;
   mutable sent : int;
@@ -77,7 +90,8 @@ let create ?metrics ?trace engine config =
     fault_epoch = 0;
     metrics;
     post_heal_count = Metrics.handle metrics "net.deliver.post_heal";
-    loss_count = Metrics.handle metrics "net.drop.loss";
+    drop_counts =
+      Array.map (fun r -> Metrics.handle metrics (reason_kind r)) [| Crash; Partition; Loss; No_handler |];
     settled = (fun _ _ -> false);
     trace;
     sent = 0;
@@ -236,27 +250,20 @@ let trace_emit t ~kind ?node ?peer ?size () =
   | Some tr -> Trace.emit tr ~time:(Engine.now t.engine) ~kind ?node ?peer ?size ()
   | None -> ()
 
-(* Drop reasons are the full metric / trace-kind names, so recording a
-   drop concatenates nothing. *)
-let drop_crash = "net.drop.crash"
-let drop_partition = "net.drop.partition"
-let drop_loss = "net.drop.loss"
-let drop_no_handler = "net.drop.no_handler"
-
 (* Every drop is counted once in the aggregate [dropped] and once
    under a reason-specific metric, so accounting bugs show up as a
    mismatch between the two. *)
 let drop t ~reason ~src ~dst =
   t.dropped <- t.dropped + 1;
-  Metrics.incr t.metrics reason;
-  if tracing t then trace_emit t ~kind:reason ~node:src ~peer:dst ()
+  Metrics.bump t.drop_counts.(reason_index reason);
+  if tracing t then trace_emit t ~kind:(reason_kind reason) ~node:src ~peer:dst ()
 
 (* A crashed endpoint silences the link regardless of partition tags;
    the tags themselves are left untouched so a later [recover] drops
    the node back into whichever partition it was in. *)
 let severed t ~src ~dst =
-  if is_crashed t src || is_crashed t dst then Some drop_crash
-  else if partition_of t src <> partition_of t dst then Some drop_partition
+  if is_crashed t src || is_crashed t dst then Some Crash
+  else if partition_of t src <> partition_of t dst then Some Partition
   else None
 
 (* Hand a message to the receiver's current handler.  The handler is
@@ -266,7 +273,7 @@ let severed t ~src ~dst =
    reads once. *)
 let deliver t ~traced ~size ~src ~dst msg =
   match handler_of t dst with
-  | None -> drop t ~reason:drop_no_handler ~src ~dst
+  | None -> drop t ~reason:No_handler ~src ~dst
   | Some handler ->
     t.delivered <- t.delivered + 1;
     if t.post_heal then Metrics.bump t.post_heal_count;
@@ -287,7 +294,7 @@ let arrive t ~traced ~uncut ~size ~src ~dst msg =
     match t.config.node_capacity with
     | None -> deliver t ~traced ~size ~src ~dst msg
     | Some capacity ->
-      if not (has_handler t dst) then drop t ~reason:drop_no_handler ~src ~dst
+      if not (has_handler t dst) then drop t ~reason:No_handler ~src ~dst
       else begin
         (* The receiver serves messages in arrival order at a bounded
            rate; a hot node's queue tail pushes delivery out. *)
@@ -317,7 +324,7 @@ let[@inline] admit t ~traced ~uncut ~threshold ~src ~dst ~size =
     false
   | None ->
     if lost then begin
-      drop t ~reason:drop_loss ~src ~dst;
+      drop t ~reason:Loss ~src ~dst;
       false
     end
     else true
@@ -379,7 +386,7 @@ let admit_plain t ~threshold ~srcs ~width mask =
     let lost = Atum_util.Rng.bernoulli_row t.rng threshold mask ~first:(row * width) ~width in
     if lost > 0 then begin
       t.dropped <- t.dropped + lost;
-      Metrics.bump ~by:lost t.loss_count
+      Metrics.bump ~by:lost t.drop_counts.(reason_index Loss)
     end;
     survived := !survived + width - lost
   done;
@@ -394,7 +401,7 @@ let count_arrival t ~uncut ~src ~dst =
   match if uncut then None else severed t ~src ~dst with
   | Some reason -> drop t ~reason ~src ~dst
   | None ->
-    if not (has_handler t dst) then drop t ~reason:drop_no_handler ~src ~dst
+    if not (has_handler t dst) then drop t ~reason:No_handler ~src ~dst
     else begin
       t.delivered <- t.delivered + 1;
       if t.post_heal then Metrics.bump t.post_heal_count
